@@ -1,7 +1,7 @@
 //! Benchmark harness for the MLPerf-demystified reproduction.
 //!
-//! The Criterion targets under `benches/` regenerate every table and figure
-//! of the paper and time the machinery that produces them:
+//! The timing-only targets under `benches/` regenerate every table and
+//! figure of the paper and time the machinery that produces them:
 //!
 //! * `tables` — Tables I-V;
 //! * `figures` — Figures 1-5;
@@ -9,11 +9,10 @@
 //!   algorithm, comm/compute overlap, PCIe lane width, scheduler policy);
 //! * `substrate` — micro-benchmarks of the underlying machinery (model
 //!   builders, the engine step, PCA, the schedule search);
-//! * `sweep` / `des` — snapshot benches (see [`snapshot`]) pinning the
-//!   million-cell sweep engine and the calendar event queue to committed
-//!   `BENCH_sweep.json` / `BENCH_des.json` baselines.
+//! * `extensions` — the studies beyond the paper;
+//! * `executor` — the memoized DAG scheduler on the full-report path.
 //!
 //! The `repro` binary in `mlperf-suite` prints the regenerated artifacts;
-//! these targets measure them.
-
-pub mod snapshot;
+//! these targets measure them. End-to-end performance — `repro --report`
+//! and `--csv`, the million-cell sweep, `repro serve` — is measured and
+//! gated by the standalone `perfbench/` package (`BENCHMARK.json`).

@@ -382,87 +382,60 @@ fn main() -> ExitCode {
         }),
         [flag, file] if flag == "--report" => {
             let cfg = ResilienceConfig::from_env();
-            if cfg.strict {
-                // Fail-fast for CI: the first root-cause failure aborts
-                // the run before anything is written. The strict config
-                // still honors chaos injection and step budgets, so the
-                // gate itself is testable.
-                let (md, execution) =
-                    mlperf_suite::report_gen::build_resilient(&Pool::from_env(), &ctx, &cfg);
-                match execution.root_cause() {
-                    Some(f) => Err(f.error.to_string()),
-                    None => {
-                        eprint!("{}", execution.stats.summary());
-                        std::fs::write(file, md)
-                            .map(|()| {
-                                println!("wrote {file}");
-                                ExitCode::SUCCESS
-                            })
-                            .map_err(|e| e.to_string())
+            // Strict mode (CI) bypasses the persistent cache and fails
+            // fast: the first root-cause failure aborts the run before
+            // anything is written. The strict config still honors chaos
+            // injection and step budgets, so the gate itself is testable.
+            // Otherwise the run is degraded-but-complete: failed
+            // experiments become placeholder sections + a failure
+            // appendix, exit 2 tells callers the document is incomplete,
+            // and a warm cache answers every section from disk.
+            let cache = if cfg.strict { None } else { cache.as_ref() };
+            let (md, execution) =
+                mlperf_suite::report_gen::build_cached(&Pool::from_env(), &ctx, &cfg, cache);
+            match execution.root_cause() {
+                Some(f) if cfg.strict => Err(f.error.to_string()),
+                _ => {
+                    eprint!("{}", execution.stats.summary());
+                    if let Some(c) = cache {
+                        eprint!("{}", c.summary());
                     }
+                    report_failures(&execution);
+                    std::fs::write(file, md)
+                        .map(|()| {
+                            println!("wrote {file}");
+                            if execution.degraded() {
+                                ExitCode::from(EXIT_DEGRADED)
+                            } else {
+                                ExitCode::SUCCESS
+                            }
+                        })
+                        .map_err(|e| e.to_string())
                 }
-            } else {
-                // Degraded-but-complete: failed experiments become
-                // placeholder sections + a failure appendix; exit 2 tells
-                // callers the document is incomplete. A warm persistent
-                // cache answers every section from disk.
-                let (md, execution) = mlperf_suite::report_gen::build_cached(
-                    &Pool::from_env(),
-                    &ctx,
-                    &cfg,
-                    cache.as_ref(),
-                );
-                eprint!("{}", execution.stats.summary());
-                if let Some(c) = &cache {
-                    eprint!("{}", c.summary());
-                }
-                report_failures(&execution);
-                std::fs::write(file, md)
-                    .map(|()| {
-                        println!("wrote {file}");
-                        if execution.degraded() {
-                            ExitCode::from(EXIT_DEGRADED)
-                        } else {
-                            ExitCode::SUCCESS
-                        }
-                    })
-                    .map_err(|e| e.to_string())
             }
         }
         [flag, dir] if flag == "--csv" => {
             let cfg = ResilienceConfig::from_env();
-            if cfg.strict {
-                match mlperf_suite::csv_export::write_all_strict(std::path::Path::new(dir), &cfg) {
-                    Ok(written) => {
-                        for path in written {
-                            println!("wrote {path}");
-                        }
-                        Ok(ExitCode::SUCCESS)
+            // As for --report: strict mode bypasses the cache, and its
+            // root cause aborts the export before any file is written.
+            let cache = if cfg.strict { None } else { cache.as_ref() };
+            match mlperf_suite::csv_export::write_all_cached(std::path::Path::new(dir), &cfg, cache)
+            {
+                Ok((written, execution)) => {
+                    for path in written {
+                        println!("wrote {path}");
                     }
-                    Err(e) => Err(e.to_string()),
-                }
-            } else {
-                match mlperf_suite::csv_export::write_all_cached(
-                    std::path::Path::new(dir),
-                    &cfg,
-                    cache.as_ref(),
-                ) {
-                    Ok((written, execution)) => {
-                        for path in written {
-                            println!("wrote {path}");
-                        }
-                        if let Some(c) = &cache {
-                            eprint!("{}", c.summary());
-                        }
-                        report_failures(&execution);
-                        Ok(if execution.degraded() {
-                            ExitCode::from(EXIT_DEGRADED)
-                        } else {
-                            ExitCode::SUCCESS
-                        })
+                    if let Some(c) = cache {
+                        eprint!("{}", c.summary());
                     }
-                    Err(e) => Err(e.to_string()),
+                    report_failures(&execution);
+                    Ok(if execution.degraded() {
+                        ExitCode::from(EXIT_DEGRADED)
+                    } else {
+                        ExitCode::SUCCESS
+                    })
                 }
+                Err(e) => Err(e.to_string()),
             }
         }
         // `--figure fault` names the extension study; numbers name the

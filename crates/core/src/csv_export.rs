@@ -121,12 +121,6 @@ impl std::error::Error for ExportError {
     }
 }
 
-impl From<ExperimentError> for ExportError {
-    fn from(e: ExperimentError) -> Self {
-        ExportError::Run(e)
-    }
-}
-
 /// The experiments whose artifacts feed the CSV exports.
 fn export_experiments() -> Vec<&'static dyn runner::Experiment> {
     use crate::experiments::{
@@ -171,20 +165,26 @@ pub fn file_spec(file: &str, owner: &dyn runner::Experiment) -> Vec<u8> {
     s
 }
 
-/// [`build_all_resilient`] through the persistent result cache: with every
-/// file on disk nothing re-runs; with some files evicted only their owning
-/// experiments re-run (healthy re-runs re-store their files); with
-/// `cache == None` this is plain [`build_all_resilient`].
+/// Build every export with failure isolation, through the persistent
+/// result cache when one is given. A failed experiment's files are emitted
+/// as placeholder CSVs (headers plus a `# degraded:` comment naming the
+/// failure) while every healthy file's bytes stay identical to a
+/// fully-healthy run. With every file on disk nothing re-runs; with some
+/// files evicted only their owning experiments re-run (healthy re-runs
+/// re-store their files); with `cache == None` every export experiment
+/// runs. The bytes depend only on the simulated numbers, never on the
+/// schedule — the golden-file tests pin them against `artifacts/`.
 pub fn build_all_cached(
     pool: &Pool,
     ctx: &Ctx,
     cfg: &ResilienceConfig,
     cache: Option<&DiskCache>,
 ) -> (ArtifactSet, runner::Execution) {
-    let Some(cache) = cache else {
-        return build_all_resilient(pool, ctx, cfg);
-    };
     let experiments = export_experiments();
+    let Some(cache) = cache else {
+        let execution = runner::execute_resilient(pool, ctx, &experiments, cfg);
+        return (assemble(ctx, &execution), execution);
+    };
     let owner = |id: &str| -> &'static dyn runner::Experiment {
         *experiments
             .iter()
@@ -264,43 +264,6 @@ pub fn build_all_cached(
         }
     }
     (fresh, execution)
-}
-
-/// Build every export, with pool and worker count from the environment.
-/// Strict (fail-fast).
-///
-/// # Errors
-///
-/// Propagates the first [`ExperimentError`] from the underlying
-/// experiments.
-pub fn build_all() -> Result<ArtifactSet, ExperimentError> {
-    build_all_with(&Pool::from_env(), &Ctx::new())
-}
-
-/// Build every export on an explicit pool and context. The bytes depend
-/// only on the simulated numbers, never on the schedule — the golden-file
-/// tests pin them against `artifacts/`. Strict (fail-fast).
-///
-/// # Errors
-///
-/// Propagates the first [`ExperimentError`] from the underlying
-/// experiments.
-pub fn build_all_with(pool: &Pool, ctx: &Ctx) -> Result<ArtifactSet, ExperimentError> {
-    let execution = runner::execute(pool, ctx, &export_experiments())?;
-    Ok(assemble(ctx, &execution))
-}
-
-/// Build every export with failure isolation: a failed experiment's files
-/// are emitted as placeholder CSVs (headers plus a `# degraded:` comment
-/// naming the failure) while every healthy file's bytes stay identical to
-/// a fully-healthy run.
-pub fn build_all_resilient(
-    pool: &Pool,
-    ctx: &Ctx,
-    cfg: &ResilienceConfig,
-) -> (ArtifactSet, runner::Execution) {
-    let execution = runner::execute_resilient(pool, ctx, &export_experiments(), cfg);
-    (assemble(ctx, &execution), execution)
 }
 
 /// A placeholder export for a failed experiment: the real header row plus
@@ -621,65 +584,29 @@ fn assemble(ctx: &Ctx, execution: &runner::Execution) -> ArtifactSet {
     out
 }
 
-/// Write every export into a directory (created if absent), returning the
-/// paths written. Strict (fail-fast).
-///
-/// # Errors
-///
-/// [`ExportError::Run`] if an experiment fails, [`ExportError::Io`] if the
-/// directory or a file cannot be written.
-pub fn write_all(dir: &Path) -> Result<Vec<String>, ExportError> {
-    let exports = build_all()?;
-    write_set(dir, &exports)
-}
-
-/// Write every export fail-fast under an explicit [`ResilienceConfig`]
-/// (honoring its chaos injection and step budget, unlike [`write_all`]):
-/// any experiment failure aborts with the root cause before a single
-/// file is written.
-///
-/// # Errors
-///
-/// [`ExportError::Run`] with the root-cause failure, [`ExportError::Io`]
-/// if the directory or a file cannot be written.
-pub fn write_all_strict(dir: &Path, cfg: &ResilienceConfig) -> Result<Vec<String>, ExportError> {
-    let (exports, execution) = build_all_resilient(&Pool::from_env(), &Ctx::new(), cfg);
-    if let Some(f) = execution.root_cause() {
-        return Err(ExportError::Run(f.error.clone()));
-    }
-    write_set(dir, &exports)
-}
-
-/// Write every export with failure isolation: placeholder files for the
-/// failed experiments, byte-identical healthy files otherwise. Returns
-/// the paths written plus the execution (whose
+/// Write every export into a directory (created if absent) through the
+/// persistent result cache (see [`build_all_cached`]), returning the paths
+/// written plus the execution (whose
 /// [`degraded`](runner::Execution::degraded) flag drives the exit code).
+/// Failed experiments become placeholder files — unless `cfg.strict` is
+/// set, in which case the run's root cause aborts the export before a
+/// single file is written.
 ///
 /// # Errors
 ///
-/// Only [`ExportError::Io`] — experiment failures degrade instead.
-pub fn write_all_resilient(
-    dir: &Path,
-    cfg: &ResilienceConfig,
-) -> Result<(Vec<String>, runner::Execution), ExportError> {
-    let (exports, execution) = build_all_resilient(&Pool::from_env(), &Ctx::new(), cfg);
-    let written = write_set(dir, &exports)?;
-    Ok((written, execution))
-}
-
-/// Write every export through the persistent result cache (see
-/// [`build_all_cached`]); with `cache == None` this is
-/// [`write_all_resilient`].
-///
-/// # Errors
-///
-/// Only [`ExportError::Io`] — experiment failures degrade instead.
+/// [`ExportError::Run`] with the root-cause failure under a strict `cfg`,
+/// [`ExportError::Io`] if the directory or a file cannot be written.
 pub fn write_all_cached(
     dir: &Path,
     cfg: &ResilienceConfig,
     cache: Option<&DiskCache>,
 ) -> Result<(Vec<String>, runner::Execution), ExportError> {
     let (exports, execution) = build_all_cached(&Pool::from_env(), &Ctx::new(), cfg, cache);
+    if cfg.strict {
+        if let Some(f) = execution.root_cause() {
+            return Err(ExportError::Run(f.error.clone()));
+        }
+    }
     let written = write_set(dir, &exports)?;
     Ok((written, execution))
 }
@@ -705,9 +632,24 @@ fn write_set(dir: &Path, exports: &ArtifactSet) -> Result<Vec<String>, ExportErr
 mod tests {
     use super::*;
 
+    /// Every export, fail-fast: the strict, cache-free build.
+    fn build_strict() -> ArtifactSet {
+        let (set, execution) = build_all_cached(
+            &Pool::from_env(),
+            &Ctx::new(),
+            &ResilienceConfig::strict(),
+            None,
+        );
+        assert!(
+            execution.root_cause().is_none(),
+            "export experiments failed"
+        );
+        set
+    }
+
     #[test]
     fn exports_cover_the_artifacts() {
-        let all = build_all().unwrap();
+        let all = build_strict();
         for (name, _) in EXPORT_FILES {
             let export = all.get(name).unwrap_or_else(|| panic!("{name} missing"));
             assert!(
@@ -720,7 +662,7 @@ mod tests {
 
     #[test]
     fn exports_are_tagged_with_their_experiment() {
-        let all = build_all().unwrap();
+        let all = build_strict();
         assert_eq!(all.for_experiment("figure1").count(), 2);
         assert_eq!(all.for_experiment("table4").count(), 1);
         assert_eq!(
@@ -731,7 +673,7 @@ mod tests {
 
     #[test]
     fn csv_rows_parse_back_numerically() {
-        let all = build_all().unwrap();
+        let all = build_strict();
         let t4 = &all.get("table4_scaling.csv").expect("present").contents;
         for line in t4.lines().skip(1) {
             let cols: Vec<&str> = line.split(',').collect();
@@ -747,7 +689,7 @@ mod tests {
     fn write_all_creates_files() {
         let dir = std::env::temp_dir().join("mlperf_csv_export_test");
         let _ = std::fs::remove_dir_all(&dir);
-        let written = write_all(&dir).unwrap();
+        let (written, _) = write_all_cached(&dir, &ResilienceConfig::strict(), None).unwrap();
         assert_eq!(written.len(), EXPORT_FILES.len());
         for path in &written {
             assert!(std::path::Path::new(path).exists());

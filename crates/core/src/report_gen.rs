@@ -20,51 +20,24 @@ use std::time::Duration;
 /// extension studies.
 const PAPER_ARTIFACTS: usize = 10;
 
-/// Build the full report as a markdown string, with pool and worker count
-/// taken from the environment (`MLPERF_JOBS`). Strict (fail-fast).
-///
-/// # Errors
-///
-/// Propagates the first [`ExperimentError`] from the underlying
-/// experiments.
-pub fn build() -> Result<String, ExperimentError> {
-    build_with(&Pool::from_env(), &Ctx::new()).map(|(md, _)| md)
-}
-
-/// Build the full report on an explicit pool and context, returning the
-/// executor's instrumentation alongside the markdown. The markdown bytes
-/// depend only on the simulated numbers — never on the pool size or the
+/// Build the full report fail-fast on an explicit pool and context,
+/// returning the executor's instrumentation alongside the markdown: the
+/// cache-free [`build_cached`] under [`ResilienceConfig::strict`], with
+/// the run's root cause turned into the error. The markdown bytes depend
+/// only on the simulated numbers — never on the pool size or the
 /// wall-clock — which is what the golden-file and parity tests pin down.
-/// Strict (fail-fast).
 ///
 /// # Errors
 ///
-/// Propagates the first [`ExperimentError`] from the underlying
-/// experiments.
+/// The run's [`root_cause`](runner::Execution::root_cause): the first
+/// [`ExperimentError`] in declaration order that is not a dependency
+/// cascade.
 pub fn build_with(pool: &Pool, ctx: &Ctx) -> Result<(String, ExecutorStats), ExperimentError> {
-    // Table I cross-checks six other artifacts; before the shared artifact
-    // store existed, including it would have doubled the report's cost, so
-    // it was left out. Under the executor it reuses the stored results and
-    // the complete artifact set ships in one document.
-    let experiments = runner::all_experiments();
-    let execution = runner::execute(pool, ctx, &experiments)?;
-    let stats = execution.stats.clone();
-    Ok((assemble(&execution, None), stats))
-}
-
-/// Build the full report with failure isolation: failed experiments
-/// contribute a deterministic placeholder section plus a row in the
-/// failure appendix, and every healthy section's bytes are identical to a
-/// fully-healthy run. Inspect [`runner::Execution::degraded`] on the
-/// returned execution to decide the exit status.
-pub fn build_resilient(
-    pool: &Pool,
-    ctx: &Ctx,
-    cfg: &ResilienceConfig,
-) -> (String, runner::Execution) {
-    let experiments = runner::all_experiments();
-    let execution = runner::execute_resilient(pool, ctx, &experiments, cfg);
-    (assemble(&execution, None), execution)
+    let (md, execution) = build_cached(pool, ctx, &ResilienceConfig::strict(), None);
+    match execution.root_cause() {
+        Some(f) => Err(f.error.clone()),
+        None => Ok((md, execution.stats)),
+    }
 }
 
 /// The persistent-cache entry spec of one experiment's rendered section:
@@ -123,10 +96,16 @@ fn decode_stats(bytes: &[u8]) -> Option<CacheStats> {
     })
 }
 
-/// [`build_resilient`] through the persistent result cache.
+/// Build the full report with failure isolation, through the persistent
+/// result cache when one is given. Failed experiments contribute a
+/// deterministic placeholder section plus a row in the failure appendix,
+/// and every healthy section's bytes are identical to a fully-healthy run;
+/// inspect [`runner::Execution::degraded`] on the returned execution to
+/// decide the exit status, or its
+/// [`root_cause`](runner::Execution::root_cause) to fail fast.
 ///
 /// - `cache == None` (disabled via `--no-cache` / `MLPERF_CACHE=off`, or
-///   chaos injection active): plain [`build_resilient`].
+///   a strict or chaos run): every experiment runs.
 /// - Manifest present and every section on disk: the report is assembled
 ///   entirely from cached sections — zero experiment recomputation — and
 ///   the appendix renders the manifest's cold-run memo counters, so the
@@ -143,10 +122,11 @@ pub fn build_cached(
     cfg: &ResilienceConfig,
     cache: Option<&DiskCache>,
 ) -> (String, runner::Execution) {
-    let Some(cache) = cache else {
-        return build_resilient(pool, ctx, cfg);
-    };
     let experiments = runner::all_experiments();
+    let Some(cache) = cache else {
+        let execution = runner::execute_resilient(pool, ctx, &experiments, cfg);
+        return (assemble(&execution, None), execution);
+    };
     let man_spec = manifest_spec(&experiments);
     let Some(manifest) = cache.load(&man_spec).and_then(|b| decode_stats(&b)) else {
         let execution = runner::execute_resilient(pool, ctx, &experiments, cfg);
@@ -399,7 +379,7 @@ mod tests {
 
     #[test]
     fn report_contains_every_section() {
-        let md = build().unwrap();
+        let (md, _) = build_with(&Pool::from_env(), &Ctx::new()).unwrap();
         for needle in [
             "# Reproduction report",
             "Table I:",

@@ -230,8 +230,12 @@ impl Drop for Ticket<'_> {
     }
 }
 
+/// What a connection does after one answered request.
 enum Action {
     Continue,
+    /// The query was refused with the typed `shutting-down` frame, which
+    /// is the draining connection's last.
+    Drained,
     Shutdown,
 }
 
@@ -459,13 +463,11 @@ impl Server {
                     let _ = UnixStream::connect(&self.socket);
                     break;
                 }
-                Ok(Action::Continue) => {
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        // Drain: the request in flight was answered in
-                        // full; close so `run` can join this handler.
-                        break;
-                    }
-                }
+                // Close only after the typed refusal: a connection idle
+                // when the shutdown lands must still get that frame for
+                // its next query, not a closed socket.
+                Ok(Action::Drained) => break,
+                Ok(Action::Continue) => {}
                 Err(e) if matches!(
                     e.kind(),
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
@@ -523,7 +525,7 @@ impl Server {
                         )
                         .as_bytes(),
                     )?;
-                    return Ok(Action::Continue);
+                    return Ok(Action::Drained);
                 }
                 let Some(_ticket) = self.admission.admit() else {
                     self.busy_responses.fetch_add(1, Ordering::Relaxed);

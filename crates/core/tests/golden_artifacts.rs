@@ -8,7 +8,8 @@
 //! with `cargo run -p mlperf-suite --bin repro -- --csv artifacts`
 //! and commit the diff alongside the change that caused it.
 
-use mlperf_suite::csv_export;
+use mlperf_suite::csv_export::{self, ArtifactSet};
+use mlperf_suite::runner::{Ctx, Pool, ResilienceConfig};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
@@ -16,9 +17,23 @@ fn artifacts_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../artifacts")
 }
 
+/// Every export, fail-fast and cache-free, on the environment's pool.
+fn build_strict() -> ArtifactSet {
+    let (set, execution) = csv_export::build_all_cached(
+        &Pool::from_env(),
+        &Ctx::new(),
+        &ResilienceConfig::strict(),
+        None,
+    );
+    if let Some(f) = execution.root_cause() {
+        panic!("export failed: {}", f.error);
+    }
+    set
+}
+
 #[test]
 fn regenerated_csvs_match_checked_in_artifacts_byte_for_byte() {
-    let built = csv_export::build_all().expect("export builds");
+    let built = build_strict();
     assert!(!built.is_empty());
     for export in &built {
         let name = export.file;
@@ -36,8 +51,7 @@ fn regenerated_csvs_match_checked_in_artifacts_byte_for_byte() {
 fn every_artifact_on_disk_is_still_generated() {
     // Coverage in the other direction: no orphaned CSVs lingering after a
     // rename, and no generated table missing from the repo.
-    let built: BTreeSet<String> = csv_export::build_all()
-        .expect("export builds")
+    let built: BTreeSet<String> = build_strict()
         .files()
         .map(str::to_string)
         .collect();
@@ -46,5 +60,5 @@ fn every_artifact_on_disk_is_still_generated() {
         .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 name"))
         .filter(|n| n.ends_with(".csv"))
         .collect();
-    assert_eq!(built, on_disk, "artifacts/ and csv_export::build_all() must list the same files");
+    assert_eq!(built, on_disk, "artifacts/ and csv_export::build_all_cached() must list the same files");
 }

@@ -625,7 +625,8 @@ fn degraded_report_carries_the_failure_appendix_and_replays() {
         }),
         ..ResilienceConfig::resilient()
     };
-    let (md_a, execution) = report_gen::build_resilient(&Pool::with_workers(2), &Ctx::new(), &cfg);
+    let (md_a, execution) =
+        report_gen::build_cached(&Pool::with_workers(2), &Ctx::new(), &cfg, None);
     assert!(execution.degraded());
     for needle in [
         "## Appendix: failures",
@@ -641,7 +642,7 @@ fn degraded_report_carries_the_failure_appendix_and_replays() {
     assert!(md_a.contains("Figure 2"));
     assert!(md_a.contains("Figure 4"));
 
-    let (md_b, _) = report_gen::build_resilient(&Pool::with_workers(4), &Ctx::new(), &cfg);
+    let (md_b, _) = report_gen::build_cached(&Pool::with_workers(4), &Ctx::new(), &cfg, None);
     assert_eq!(
         md_a, md_b,
         "degraded report (failure appendix included) must replay byte-identically"
@@ -651,7 +652,13 @@ fn degraded_report_carries_the_failure_appendix_and_replays() {
 #[test]
 fn degraded_csv_export_isolates_the_victims_files() {
     quiet_chaos_panics();
-    let healthy = csv_export::build_all_with(&Pool::with_workers(2), &Ctx::new()).unwrap();
+    let (healthy, healthy_exec) = csv_export::build_all_cached(
+        &Pool::with_workers(2),
+        &Ctx::new(),
+        &ResilienceConfig::strict(),
+        None,
+    );
+    assert!(healthy_exec.root_cause().is_none(), "healthy export failed");
     let cfg = ResilienceConfig {
         chaos: Some(ChaosSpec {
             target: "figure3".to_string(),
@@ -660,7 +667,7 @@ fn degraded_csv_export_isolates_the_victims_files() {
         ..ResilienceConfig::resilient()
     };
     let (degraded, execution) =
-        csv_export::build_all_resilient(&Pool::with_workers(2), &Ctx::new(), &cfg);
+        csv_export::build_all_cached(&Pool::with_workers(2), &Ctx::new(), &cfg, None);
     assert!(execution.degraded());
     assert_eq!(
         healthy.len(),
@@ -694,4 +701,28 @@ fn degraded_csv_export_isolates_the_victims_files() {
         }
     }
     assert!(placeholders > 0, "figure3 exports at least one file");
+}
+
+#[test]
+fn strict_csv_export_fails_before_writing_any_file() {
+    quiet_chaos_panics();
+    let cfg = ResilienceConfig {
+        chaos: Some(ChaosSpec {
+            target: "figure3".to_string(),
+            attempts: u32::MAX,
+        }),
+        ..ResilienceConfig::strict()
+    };
+    let dir = std::env::temp_dir().join(format!("mlperf_strict_csv_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let err = csv_export::write_all_cached(&dir, &cfg, None)
+        .expect_err("a strict export with a failed experiment must fail");
+    assert!(
+        matches!(
+            err,
+            csv_export::ExportError::Run(ExperimentError::Panicked { .. })
+        ),
+        "strict export must surface the root cause: {err}"
+    );
+    assert!(!dir.exists(), "strict export wrote output before failing");
 }

@@ -8,7 +8,7 @@
 
 use mlperf_hw::SystemId;
 use mlperf_models::PrecisionPolicy;
-use mlperf_suite::runner::{Ctx, Pool, TrainPoint};
+use mlperf_suite::runner::{Ctx, Pool, ResilienceConfig, TrainPoint};
 use mlperf_suite::{csv_export, report_gen, BenchmarkId};
 use mlperf_testkit::prop::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -53,8 +53,21 @@ fn report_and_csv_bytes_are_identical_for_any_worker_count() {
     let (parallel, _) = report_gen::build_with(&Pool::with_workers(4), &Ctx::new()).unwrap();
     assert_eq!(serial, parallel, "report bytes depend on the worker count");
 
-    let a = csv_export::build_all_with(&Pool::with_workers(1), &Ctx::new()).unwrap();
-    let b = csv_export::build_all_with(&Pool::with_workers(4), &Ctx::new()).unwrap();
+    let strict_csv = |workers| {
+        let (set, execution) = csv_export::build_all_cached(
+            &Pool::with_workers(workers),
+            &Ctx::new(),
+            &ResilienceConfig::strict(),
+            None,
+        );
+        assert!(
+            execution.root_cause().is_none(),
+            "export failed at {workers} workers"
+        );
+        set
+    };
+    let a = strict_csv(1);
+    let b = strict_csv(4);
     assert_eq!(a.len(), b.len());
     for (ea, eb) in a.iter().zip(b.iter()) {
         assert_eq!(ea.file, eb.file);

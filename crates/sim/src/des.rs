@@ -2,17 +2,14 @@
 //!
 //! A deterministic event queue ([`EventQueue`]) ordered by simulated time
 //! with FIFO tie-breaking, plus a [`FifoResource`] helper for serially-shared
-//! resources (the host data loader, a contended link). The training engine
-//! in [`engine`](crate::engine) drives its phase machine off these.
+//! resources (the host data loader, a contended link). The cluster and
+//! fault replays ([`cluster`](crate::cluster), [`fault`](crate::fault)) run
+//! on the queue; the training engine in [`engine`](crate::engine) uses only
+//! [`FifoResource`].
 //!
-//! [`EventQueue`] is a calendar queue (Brown 1988): events live in an arena
-//! and are bucketed by a virtual bucket number so `schedule`/`pop` are O(1)
-//! amortized instead of the O(log n) of a binary heap, which matters once
-//! cluster replays and fault studies schedule millions of events. The
-//! original `BinaryHeap` implementation survives as
-//! [`ReferenceEventQueue`]; the differential battery in
-//! `tests/properties.rs` drives both with fuzzed schedules and demands
-//! identical pop sequences, FIFO ties included.
+//! [`EventQueue`] is a `BinaryHeap`: its callers keep about one pending
+//! event per job, arrival or fault, so a queue holds a handful of entries
+//! and a heap is all the structure it needs.
 //!
 //! # Examples
 //!
@@ -31,307 +28,7 @@ use mlperf_hw::units::Seconds;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Calendar-queue sizing floor: below this bucket count the scan overhead
-/// of a plain list would win anyway.
-const MIN_BUCKETS: usize = 4;
-/// Calendar-queue sizing ceiling; beyond this, resizing stops doubling.
-const MAX_BUCKETS: usize = 1 << 16;
-
-/// One arena slot: a scheduled event plus its ordering key and the virtual
-/// bucket it was filed under. `event` is `None` while the slot sits on the
-/// free list.
-#[derive(Debug)]
-struct Slot<E> {
-    time: Seconds,
-    seq: u64,
-    vbucket: u64,
-    event: Option<E>,
-}
-
-/// A deterministic future-event list.
-///
-/// Events scheduled for the same instant pop in insertion order, which makes
-/// simulations reproducible regardless of payload type.
-///
-/// Internally a calendar queue: each event is assigned a *virtual bucket*
-/// `floor(time / width)` once at schedule time (stored, never recomputed, so
-/// no floating-point membership test can disagree with itself later) and
-/// filed into `buckets[vbucket % nbuckets]`. The current minimum is cached,
-/// keeping [`EventQueue::next_time`] O(1); after a pop the scan resumes from
-/// the popped event's virtual bucket. The queue resizes (doubling/halving
-/// the bucket array, re-deriving the width from the live time span) as the
-/// population drifts, giving O(1) amortized operations for the
-/// well-distributed schedules simulations produce.
-pub struct EventQueue<E> {
-    slots: Vec<Slot<E>>,
-    free: Vec<u32>,
-    buckets: Vec<Vec<u32>>,
-    width: f64,
-    /// Virtual bucket of the cached head (scan cursor).
-    cursor: u64,
-    /// Arena index of the earliest pending event.
-    head: Option<u32>,
-    len: usize,
-    seq: u64,
-    now: Seconds,
-}
-
-impl<E> EventQueue<E> {
-    /// An empty queue at time zero.
-    pub fn new() -> Self {
-        EventQueue {
-            slots: Vec::new(),
-            free: Vec::new(),
-            buckets: vec![Vec::new(); MIN_BUCKETS],
-            width: 1.0,
-            cursor: 0,
-            head: None,
-            len: 0,
-            seq: 0,
-            now: Seconds::ZERO,
-        }
-    }
-
-    /// The current simulated time (the timestamp of the last popped event).
-    pub fn now(&self) -> Seconds {
-        self.now
-    }
-
-    /// The virtual bucket of a timestamp under the current width. Division
-    /// by a fixed positive width is monotone, so `t1 <= t2` always implies
-    /// `vbucket(t1) <= vbucket(t2)` — the invariant the forward scan rests
-    /// on. (`as u64` saturates, which preserves monotonicity at the far
-    /// end.)
-    fn vbucket_of(&self, t: Seconds) -> u64 {
-        (t.as_secs() / self.width) as u64
-    }
-
-    fn bucket_index(&self, vbucket: u64) -> usize {
-        (vbucket % self.buckets.len() as u64) as usize
-    }
-
-    /// Schedule `event` at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current time (causality violation).
-    pub fn schedule(&mut self, at: Seconds, event: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule an event in the past ({} < {})",
-            at.as_secs(),
-            self.now.as_secs()
-        );
-        if self.len + 1 > self.buckets.len() * 2 && self.buckets.len() < MAX_BUCKETS {
-            self.rebuild(self.buckets.len() * 2);
-        }
-        let seq = self.seq;
-        self.seq += 1;
-        let vbucket = self.vbucket_of(at);
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.slots[idx as usize] = Slot {
-                    time: at,
-                    seq,
-                    vbucket,
-                    event: Some(event),
-                };
-                idx
-            }
-            None => {
-                let idx = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    time: at,
-                    seq,
-                    vbucket,
-                    event: Some(event),
-                });
-                idx
-            }
-        };
-        let b = self.bucket_index(vbucket);
-        self.buckets[b].push(idx);
-        self.len += 1;
-        // A strictly earlier event displaces the head; a tie never does
-        // (the incumbent holds the smaller sequence number — FIFO).
-        let displaces = match self.head {
-            None => true,
-            Some(h) => at < self.slots[h as usize].time,
-        };
-        if displaces {
-            self.head = Some(idx);
-            self.cursor = vbucket;
-        }
-    }
-
-    /// Schedule `event` after a delay from the current time.
-    pub fn schedule_after(&mut self, delay: Seconds, event: E) {
-        let at = self.now + delay;
-        self.schedule(at, event);
-    }
-
-    /// Pop the earliest event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(Seconds, E)> {
-        let h = self.head?;
-        let (time, vbucket) = {
-            let slot = &self.slots[h as usize];
-            (slot.time, slot.vbucket)
-        };
-        let b = self.bucket_index(vbucket);
-        let pos = self.buckets[b]
-            .iter()
-            .position(|&i| i == h)
-            .expect("head is filed in its bucket");
-        self.buckets[b].swap_remove(pos);
-        let event = self.slots[h as usize]
-            .event
-            .take()
-            .expect("head slot holds an event");
-        self.free.push(h);
-        self.len -= 1;
-        self.now = time;
-        if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-            self.rebuild((self.buckets.len() / 2).max(MIN_BUCKETS));
-        }
-        self.find_head();
-        Some((time, event))
-    }
-
-    /// Re-derive the cached head after a removal: scan forward from the
-    /// cursor for one full lap of the calendar; if that lap is empty the
-    /// remaining events are far in the future, so fall back to a direct
-    /// global minimum search (the classic calendar-queue escape hatch for
-    /// sparse long jumps).
-    fn find_head(&mut self) {
-        if self.len == 0 {
-            self.head = None;
-            return;
-        }
-        let nbuckets = self.buckets.len() as u64;
-        for lap in 0..nbuckets {
-            let vb = self.cursor + lap;
-            let b = self.bucket_index(vb);
-            let mut best: Option<u32> = None;
-            for &i in &self.buckets[b] {
-                let s = &self.slots[i as usize];
-                if s.vbucket != vb {
-                    continue;
-                }
-                let earlier = match best {
-                    None => true,
-                    Some(j) => {
-                        let t = &self.slots[j as usize];
-                        (s.time, s.seq) < (t.time, t.seq)
-                    }
-                };
-                if earlier {
-                    best = Some(i);
-                }
-            }
-            if let Some(i) = best {
-                self.head = Some(i);
-                self.cursor = vb;
-                return;
-            }
-        }
-        let mut best: Option<u32> = None;
-        for bucket in &self.buckets {
-            for &i in bucket {
-                let s = &self.slots[i as usize];
-                let earlier = match best {
-                    None => true,
-                    Some(j) => {
-                        let t = &self.slots[j as usize];
-                        (s.time, s.seq) < (t.time, t.seq)
-                    }
-                };
-                if earlier {
-                    best = Some(i);
-                }
-            }
-        }
-        let i = best.expect("non-empty queue has a minimum");
-        self.cursor = self.slots[i as usize].vbucket;
-        self.head = Some(i);
-    }
-
-    /// Resize the bucket array and re-derive the width from the live
-    /// events' time span, refiling every event under its new virtual
-    /// bucket. Arena indices are stable, so the cached head survives.
-    fn rebuild(&mut self, nbuckets: usize) {
-        let mut min_t = f64::INFINITY;
-        let mut max_t = f64::NEG_INFINITY;
-        for s in &self.slots {
-            if s.event.is_some() {
-                min_t = min_t.min(s.time.as_secs());
-                max_t = max_t.max(s.time.as_secs());
-            }
-        }
-        let mut width = if self.len > 0 {
-            (max_t - min_t) / self.len as f64
-        } else {
-            1.0
-        };
-        if !width.is_finite() || width <= 0.0 {
-            width = 1.0;
-        }
-        // Keep virtual bucket numbers well inside f64's exact-integer
-        // range even for tiny widths at large timestamps.
-        if max_t > 0.0 {
-            width = width.max(max_t / 1e15);
-        }
-        self.width = width;
-        self.buckets = vec![Vec::new(); nbuckets];
-        // The cursor must never overshoot a live event's window (the lap
-        // scan only looks forward), so re-derive it as the minimum virtual
-        // bucket while refiling — the cached head may already be stale when
-        // a pop shrinks the calendar.
-        let mut min_vb = u64::MAX;
-        for i in 0..self.slots.len() {
-            if self.slots[i].event.is_some() {
-                let vb = self.vbucket_of(self.slots[i].time);
-                self.slots[i].vbucket = vb;
-                min_vb = min_vb.min(vb);
-                let b = self.bucket_index(vb);
-                self.buckets[b].push(i as u32);
-            }
-        }
-        self.cursor = if self.len == 0 { 0 } else { min_vb };
-    }
-
-    /// The timestamp of the next pending event without popping it.
-    pub fn next_time(&self) -> Option<Seconds> {
-        self.head.map(|h| self.slots[h as usize].time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        EventQueue::new()
-    }
-}
-
-impl<E: std::fmt::Debug> std::fmt::Debug for EventQueue<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventQueue")
-            .field("now", &self.now)
-            .field("pending", &self.len)
-            .finish()
-    }
-}
-
-/// An entry in the reference queue: ordered by time, then insertion
-/// sequence.
+/// A queued event: ordered by time, then insertion sequence.
 struct Entry<E> {
     time: Seconds,
     seq: u64,
@@ -362,20 +59,20 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// The original `BinaryHeap` future-event list, kept verbatim as the
-/// oracle for the calendar queue's differential battery: any schedule
-/// driven through both must produce identical pop sequences (timestamps,
-/// payloads, and FIFO tie order).
-pub struct ReferenceEventQueue<E> {
+/// A deterministic future-event list.
+///
+/// Events scheduled for the same instant pop in insertion order, which makes
+/// simulations reproducible regardless of payload type.
+pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
     now: Seconds,
 }
 
-impl<E> ReferenceEventQueue<E> {
+impl<E> EventQueue<E> {
     /// An empty queue at time zero.
     pub fn new() -> Self {
-        ReferenceEventQueue {
+        EventQueue {
             heap: BinaryHeap::new(),
             seq: 0,
             now: Seconds::ZERO,
@@ -436,15 +133,15 @@ impl<E> ReferenceEventQueue<E> {
     }
 }
 
-impl<E> Default for ReferenceEventQueue<E> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
-        ReferenceEventQueue::new()
+        EventQueue::new()
     }
 }
 
-impl<E: std::fmt::Debug> std::fmt::Debug for ReferenceEventQueue<E> {
+impl<E: std::fmt::Debug> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReferenceEventQueue")
+        f.debug_struct("EventQueue")
             .field("now", &self.now)
             .field("pending", &self.heap.len())
             .finish()
@@ -563,84 +260,6 @@ mod tests {
         q.schedule(Seconds::new(3.0), ());
         assert_eq!(q.next_time(), Some(Seconds::new(3.0)));
         assert_eq!(q.now(), Seconds::ZERO);
-    }
-
-    #[test]
-    fn growth_and_shrink_keep_order() {
-        // Push far past the initial bucket count (several doublings), then
-        // drain (several halvings): order must hold across every rebuild.
-        let mut q = EventQueue::new();
-        let n = 1000u64;
-        for i in 0..n {
-            // A scrambled but collision-free schedule.
-            let t = ((i * 7919) % n) as f64 * 0.125;
-            q.schedule(Seconds::new(t), t as u64);
-        }
-        let mut last = -1.0;
-        let mut popped = 0;
-        while let Some((t, _)) = q.pop() {
-            assert!(t.as_secs() >= last);
-            last = t.as_secs();
-            popped += 1;
-        }
-        assert_eq!(popped, n);
-    }
-
-    #[test]
-    fn far_future_jump_uses_direct_search() {
-        // One cluster now, one event a billion widths away: after the
-        // cluster drains, the scan must leap to the stray event instead of
-        // walking a bucket lap per width.
-        let mut q = EventQueue::new();
-        for i in 0..8 {
-            q.schedule(Seconds::new(i as f64 * 0.01), "near");
-        }
-        q.schedule(Seconds::new(1.0e9), "far");
-        for _ in 0..8 {
-            assert_eq!(q.pop().unwrap().1, "near");
-        }
-        let (t, e) = q.pop().unwrap();
-        assert_eq!((t, e), (Seconds::new(1.0e9), "far"));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn ties_survive_rebuilds() {
-        let mut q = EventQueue::new();
-        // Enough same-time events to force growth rebuilds mid-insert.
-        for i in 0..64 {
-            q.schedule(Seconds::new(5.0), i);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..64).collect::<Vec<i32>>());
-    }
-
-    #[test]
-    fn hold_pattern_matches_reference() {
-        // The classic calendar-queue workload: a steady-state hold loop
-        // (pop one, schedule one) checked move-for-move against the
-        // BinaryHeap oracle.
-        use mlperf_testkit::rng::Rng;
-        let mut rng = Rng::new(0x00d5_ca1e);
-        let mut cal = EventQueue::new();
-        let mut oracle = ReferenceEventQueue::new();
-        for i in 0..32u64 {
-            let t = Seconds::new(rng.gen_f64() * 10.0);
-            cal.schedule(t, i);
-            oracle.schedule(t, i);
-        }
-        for i in 32..2000u64 {
-            let (tc, ec) = cal.pop().unwrap();
-            let (tr, er) = oracle.pop().unwrap();
-            assert_eq!((tc, ec), (tr, er), "hold diverged at step {i}");
-            let dt = Seconds::new(rng.gen_f64() * 5.0);
-            cal.schedule_after(dt, i);
-            oracle.schedule_after(dt, i);
-        }
-        while let Some(got) = cal.pop() {
-            assert_eq!(Some(got), oracle.pop());
-        }
-        assert!(oracle.is_empty());
     }
 
     #[test]

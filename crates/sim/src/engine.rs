@@ -144,8 +144,7 @@ impl StepReport {
 /// Everything one engine invocation needs: the job, the GPU ordinals, and
 /// whether to record the per-iteration timeline.
 ///
-/// This is the single entry-point descriptor the old
-/// `run`/`run_traced`/`run_on_first` trio collapsed into — and the unit the
+/// This is the engine's single entry-point descriptor — and the unit the
 /// executor's memo cache keys on (a [`RunSpec`] plus the platform identify
 /// a simulation point).
 #[derive(Debug, Clone)]
@@ -382,33 +381,6 @@ impl<'a> Simulator<'a> {
                 trace: fault_trace,
             }
         })
-    }
-
-    /// Simulate `job` on the GPU ordinals `gpus` and report the steady
-    /// state.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulator::execute`].
-    #[deprecated(note = "build a `RunSpec` and call `execute` instead")]
-    pub fn run(&self, job: &TrainingJob, gpus: &[u32]) -> Result<StepReport, SimError> {
-        self.run_inner(job, gpus, false).map(|(report, _)| report)
-    }
-
-    /// As the old `run`, additionally returning the full per-iteration
-    /// phase timeline.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulator::execute`].
-    #[deprecated(note = "build a traced `RunSpec` and call `execute` instead")]
-    pub fn run_traced(
-        &self,
-        job: &TrainingJob,
-        gpus: &[u32],
-    ) -> Result<(StepReport, crate::trace::RunTrace), SimError> {
-        self.run_inner(job, gpus, true)
-            .map(|(report, trace)| (report, trace.expect("tracing was requested")))
     }
 
     /// Admission check only: validate the GPU set and run the device
@@ -904,17 +876,6 @@ impl<'a> Simulator<'a> {
                 .iteration_cost(p.batch, job.precision(), job.optimizer()),
         })
     }
-
-    /// Convenience: run on the first `n` GPUs of the system.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulator::execute`].
-    #[deprecated(note = "use `execute(&RunSpec::on_first(job, n))` instead")]
-    pub fn run_on_first(&self, job: &TrainingJob, n: u32) -> Result<StepReport, SimError> {
-        let gpus: Vec<u32> = (0..n).collect();
-        self.run_inner(job, &gpus, false).map(|(report, _)| report)
-    }
 }
 
 /// The engine under its executor-facing name: `mlperf-suite::runner`
@@ -1199,22 +1160,5 @@ mod tests {
         let trace = traced.trace.expect("trace requested");
         assert_eq!(trace.iterations.len() as u64, WARMUP_ITERS + MEASURE_ITERS);
         assert_eq!(traced.report, plain.report);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_execute() {
-        let system = SystemId::C4140K.spec();
-        let sim = Simulator::new(&system);
-        let job = resnet_job();
-        let via_execute = sim
-            .execute(&RunSpec::on_first(job.clone(), 2))
-            .unwrap()
-            .report;
-        assert_eq!(sim.run_on_first(&job, 2).unwrap(), via_execute);
-        assert_eq!(sim.run(&job, &[0, 1]).unwrap(), via_execute);
-        let (report, trace) = sim.run_traced(&job, &[0, 1]).unwrap();
-        assert_eq!(report, via_execute);
-        assert!(!trace.iterations.is_empty());
     }
 }

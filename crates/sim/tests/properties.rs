@@ -147,104 +147,20 @@ mlperf_testkit::properties! {
     }
 }
 
-mod queue_differential {
-    //! Differential battery for the calendar queue: every fuzzed schedule
-    //! is driven through [`EventQueue`] and the retained `BinaryHeap`
-    //! oracle [`ReferenceEventQueue`] move-for-move; the pop sequences
-    //! (timestamps, payloads, FIFO tie order) and the `now`/`len`/
-    //! `next_time` observables must never diverge.
-
-    use mlperf_hw::units::Seconds;
-    use mlperf_sim::des::{EventQueue, ReferenceEventQueue};
-    use mlperf_testkit::rng::Rng;
-
-    /// Drive both queues with `ops` seeded operations and assert lockstep
-    /// equality. Times are drawn from a coarse grid so FIFO ties are
-    /// frequent, with occasional far-future spikes to exercise the
-    /// calendar's direct-search path and occasional bursts/droughts to
-    /// exercise both resize directions.
-    fn drive(seed: u64, ops: usize) {
-        let mut rng = Rng::new(seed);
-        let mut cal = EventQueue::new();
-        let mut oracle = ReferenceEventQueue::new();
-        let mut next_payload = 0u64;
-        for step in 0..ops {
-            let roll = rng.gen_range(0..100u32);
-            if roll < 55 || cal.is_empty() {
-                let dt = match rng.gen_range(0..10u32) {
-                    0 => rng.gen_f64() * 1.0e6,                      // far-future spike
-                    1..=4 => rng.gen_range(0..64u32) as f64 * 0.25,  // tie-rich grid
-                    _ => rng.gen_f64() * 8.0,                        // smooth spread
-                };
-                let at = cal.now() + Seconds::new(dt);
-                cal.schedule(at, next_payload);
-                oracle.schedule(at, next_payload);
-                next_payload += 1;
-            } else {
-                let got = cal.pop();
-                let want = oracle.pop();
-                assert_eq!(got, want, "seed {seed:#x} diverged popping at op {step}");
-            }
-            assert_eq!(cal.len(), oracle.len(), "seed {seed:#x} len at op {step}");
-            assert_eq!(cal.now(), oracle.now(), "seed {seed:#x} now at op {step}");
-            assert_eq!(
-                cal.next_time(),
-                oracle.next_time(),
-                "seed {seed:#x} next_time at op {step}"
-            );
-        }
-        while let Some(got) = cal.pop() {
-            assert_eq!(Some(got), oracle.pop(), "seed {seed:#x} diverged draining");
-        }
-        assert!(oracle.is_empty());
-    }
-
-    mlperf_testkit::properties! {
-        /// Fuzzed schedules: the calendar queue and the heap oracle are
-        /// observationally identical.
-        #[test]
-        fn calendar_queue_matches_reference(seed in 0u64..1 << 48) {
-            drive(seed, 400);
-        }
-    }
-
-    /// Named seed replays: schedules that exercised specific calendar
-    /// mechanics during development, pinned so any future regression
-    /// reproduces under a stable name instead of a lost fuzz draw.
-    #[test]
-    fn regression_seed_resize_churn() {
-        // Bursty enough to double the bucket array several times and
-        // shrink it back while draining.
-        drive(0x5eed_0001, 3_000);
-    }
-
-    #[test]
-    fn regression_seed_tie_heavy() {
-        drive(0x5eed_0002, 800);
-    }
-
-    #[test]
-    fn regression_seed_far_future_laps() {
-        // Spike-rich draw: repeatedly leaves the dense window, forcing
-        // the lap scan to give up and direct-search.
-        drive(0x5eed_0003, 1_200);
-    }
-
-    /// The FIFO contract at one instant across interleaved pops: the
-    /// calendar queue must interleave same-time payloads in global
-    /// insertion order even when the schedule alternates with pops.
-    #[test]
-    fn regression_interleaved_ties_pop_in_insertion_order() {
-        let mut cal = EventQueue::new();
-        let t = Seconds::new(9.0);
-        cal.schedule(t, "a");
-        cal.schedule(t, "b");
-        cal.schedule(Seconds::new(1.0), "early");
-        assert_eq!(cal.pop().unwrap().1, "early");
-        cal.schedule(t, "c");
-        let rest: Vec<&str> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
-        assert_eq!(rest, ["a", "b", "c"]);
-    }
+/// The FIFO contract at one instant across interleaved pops: same-time
+/// payloads pop in global insertion order even when the schedule
+/// alternates with pops.
+#[test]
+fn regression_interleaved_ties_pop_in_insertion_order() {
+    let mut q = EventQueue::new();
+    let t = Seconds::new(9.0);
+    q.schedule(t, "a");
+    q.schedule(t, "b");
+    q.schedule(Seconds::new(1.0), "early");
+    assert_eq!(q.pop().unwrap().1, "early");
+    q.schedule(t, "c");
+    let rest: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+    assert_eq!(rest, ["a", "b", "c"]);
 }
 
 mod cluster_properties {
