@@ -2,7 +2,7 @@
 //!
 //! Until this module, each subsystem read its own knobs straight from the
 //! environment at whatever moment it was constructed — the pool read
-//! `MLPERF_JOBS`, the context read `MLPERF_FASTPATH`, the persistent
+//! `MLPERF_JOBS`, the context read `MLPERF_RUNS`, the persistent
 //! cache read `MLPERF_CACHE`/`MLPERF_CACHE_DIR` (and peeked at
 //! `MLPERF_CHAOS`), and the resilience layer read the rest. That worked
 //! for a batch CLI where everything is constructed once, but a long-lived
@@ -21,8 +21,8 @@
 //! because the suite runs multi-threaded.
 
 use crate::runner::{
-    ChaosSpec, CHAOS_ATTEMPTS_ENV, CHAOS_ENV, FASTPATH_ENV, JOBS_ENV, PARTITION_ENV,
-    RETRIES_ENV, RUNS_ENV, STEP_BUDGET_ENV, STRICT_ENV,
+    ChaosSpec, CHAOS_ATTEMPTS_ENV, CHAOS_ENV, JOBS_ENV, PARTITION_ENV, RETRIES_ENV, RUNS_ENV,
+    STEP_BUDGET_ENV, STRICT_ENV,
 };
 use crate::serve::{
     DEFAULT_MAX_FRAME, DEFAULT_READ_TIMEOUT_MS, DEFAULT_WRITE_TIMEOUT_MS, SERVE_MAX_FRAME_ENV,
@@ -91,10 +91,6 @@ pub struct Config {
     /// Persistent-cache directory (`MLPERF_CACHE_DIR`, else
     /// `artifacts/cache`).
     pub cache_dir: PathBuf,
-    /// Whether the engine's analytic fast path may be attempted
-    /// (`MLPERF_FASTPATH` not `off`/`0`/`false`/`no`). Output bytes are
-    /// identical either way; this only trades throughput.
-    pub fastpath: bool,
     /// Per-experiment (and, for the server, per-client) simulation-request
     /// budget (`MLPERF_STEP_BUDGET`). Counted in requests, never
     /// wall-clock, so verdicts are deterministic.
@@ -228,12 +224,6 @@ impl Config {
             && chaos.is_none();
         let cache_dir = get(CACHE_DIR_ENV)
             .map_or_else(|| PathBuf::from(DEFAULT_CACHE_DIR), PathBuf::from);
-        let fastpath = !get(FASTPATH_ENV).is_some_and(|v| {
-            matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "off" | "0" | "false" | "no"
-            )
-        });
         let step_budget = get(STEP_BUDGET_ENV).and_then(|v| v.trim().parse::<u64>().ok());
         let strict = get(STRICT_ENV).is_some_and(|v| v.trim() == "1");
         let retries = get(RETRIES_ENV)
@@ -292,7 +282,6 @@ impl Config {
                 jobs,
                 cache_enabled,
                 cache_dir,
-                fastpath,
                 step_budget,
                 strict,
                 retries,
@@ -338,7 +327,6 @@ mod tests {
         assert!(cfg.jobs >= 1);
         assert!(cfg.cache_enabled);
         assert_eq!(cfg.cache_dir, PathBuf::from(DEFAULT_CACHE_DIR));
-        assert!(cfg.fastpath);
         assert_eq!(cfg.step_budget, None);
         assert!(!cfg.strict);
         assert_eq!(cfg.retries, None);
@@ -357,7 +345,6 @@ mod tests {
             (JOBS_ENV, "3"),
             (CACHE_ENV, "on"),
             (CACHE_DIR_ENV, "/tmp/alt"),
-            (FASTPATH_ENV, "off"),
             (STEP_BUDGET_ENV, "250"),
             (STRICT_ENV, "1"),
             (RETRIES_ENV, "7"),
@@ -371,7 +358,6 @@ mod tests {
         assert_eq!(cfg.jobs, 3);
         assert!(cfg.cache_enabled);
         assert_eq!(cfg.cache_dir, PathBuf::from("/tmp/alt"));
-        assert!(!cfg.fastpath);
         assert_eq!(cfg.step_budget, Some(250));
         assert!(cfg.strict);
         assert_eq!(cfg.retries, Some(7));

@@ -50,7 +50,7 @@ use crate::workloads::{self, WorkloadRun, WorkloadSpec};
 use crate::{sensitivity, validation};
 use mlperf_analysis::roofline::RooflineModel;
 use mlperf_hw::systems::{SystemId, SystemSpec};
-use mlperf_hw::{PartitionSpec, Precision};
+use mlperf_hw::{Bytes, PartitionSpec, Precision};
 use mlperf_models::PrecisionPolicy;
 use error::panic_message;
 use mlperf_sim::engine::{RunSpec, SimError, Simulator, StepReport};
@@ -68,6 +68,18 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// GPU ordinals `0..=64`: the first `n` GPUs of any chassis with up to 64
+/// of them, plus its first absent ordinal (see [`Ctx::ordinals`]).
+const ORDINALS: [u32; 65] = {
+    let mut table = [0u32; 65];
+    let mut i = 0;
+    while i < table.len() {
+        table[i] = i as u32;
+        i += 1;
+    }
+    table
+};
+
 /// The identity of one memoized simulation point.
 ///
 /// Every field that changes the engine's answer is part of the key; the
@@ -82,8 +94,8 @@ pub struct RunKey {
     pub reference: bool,
     /// The platform.
     pub system: SystemId,
-    /// GPU ordinals, in order.
-    pub gpu_set: Vec<u32>,
+    /// GPU count: the point runs on the system's first `gpus` ordinals.
+    pub gpus: u32,
     /// Effective precision policy of the job.
     pub precision: PrecisionPolicy,
     /// Effective per-GPU batch before the engine's global-batch cap.
@@ -99,10 +111,10 @@ pub struct RunKey {
 /// adjusted) job on the first `gpus` GPUs of a platform.
 #[derive(Debug, Clone)]
 pub struct TrainPoint {
-    benchmark: BenchmarkId,
+    pub(crate) benchmark: BenchmarkId,
     reference: bool,
     system: SystemId,
-    gpus: u32,
+    pub(crate) gpus: u32,
     precision: Option<PrecisionPolicy>,
     per_gpu_batch: Option<u64>,
     partition: Option<PartitionSpec>,
@@ -159,7 +171,7 @@ impl TrainPoint {
             benchmark: self.benchmark,
             reference: self.reference,
             system: self.system,
-            gpu_set: (0..self.gpus).collect(),
+            gpus: self.gpus,
             precision: job.precision(),
             per_gpu_batch: job.per_gpu_batch(),
             window,
@@ -251,7 +263,7 @@ pub struct Ctx {
     /// re-allocates the whole operator list per cell.
     templates: Mutex<HashMap<(BenchmarkId, bool), Arc<TrainingJob>>>,
     /// Whether the engine's analytic fast path may be attempted at all
-    /// (the `MLPERF_FASTPATH=off` escape hatch).
+    /// (off only in the differential tests' reference contexts).
     fastpath: bool,
     /// Roofline pre-screen verdicts, one per (benchmark, reference,
     /// system, precision, gpus) combo — batch-independent by construction
@@ -289,10 +301,9 @@ impl Drop for BudgetSuspension<'_> {
 }
 
 impl Ctx {
-    /// A fresh memoizing context. The analytic fast path is on unless
-    /// [`FASTPATH_ENV`] says otherwise (the knob is resolved through
+    /// A fresh memoizing context, its knobs resolved through
     /// [`Config::from_env`](crate::config::Config::from_env), the single
-    /// parsing truth for every `MLPERF_*` variable).
+    /// parsing truth for every `MLPERF_*` variable.
     pub fn new() -> Ctx {
         Ctx::from_config(&crate::config::Config::from_env())
     }
@@ -303,7 +314,6 @@ impl Ctx {
     ///
     /// [`Config`]: crate::config::Config
     pub fn from_config(cfg: &crate::config::Config) -> Ctx {
-        let fastpath = cfg.fastpath;
         Ctx {
             steps: ShardedCache::new(),
             kernels: ShardedCache::new(),
@@ -314,7 +324,7 @@ impl Ctx {
             budget_armed: AtomicBool::new(false),
             systems: Mutex::new(HashMap::new()),
             templates: Mutex::new(HashMap::new()),
-            fastpath,
+            fastpath: true,
             fast_screen: Mutex::new(HashMap::new()),
             fast_attempts: AtomicU64::new(0),
             fast_hits: AtomicU64::new(0),
@@ -332,9 +342,9 @@ impl Ctx {
         }
     }
 
-    /// Force the analytic fast path on or off, overriding
-    /// [`FASTPATH_ENV`]. The contract either way: identical output bytes
-    /// (the fast path is exact and the differential batteries pin it);
+    /// Force the analytic fast path on or off (it is on by default). Off
+    /// is the reference the differential tests compare against: the
+    /// output bytes are identical either way (the fast path is exact);
     /// only the throughput changes.
     #[must_use]
     pub fn with_fastpath(mut self, enabled: bool) -> Ctx {
@@ -402,10 +412,8 @@ impl Ctx {
 
     /// Materialize a point's job from the interned template: an `Arc`
     /// bump plus the override clones, instead of rebuilding the model
-    /// graph from the zoo per request. `pub(crate)` for the serve layer's
-    /// preflight admission check, which must price-check exactly the job
-    /// the executor would run.
-    pub(crate) fn job_for(&self, point: &TrainPoint) -> TrainingJob {
+    /// graph from the zoo per request.
+    fn job_for(&self, point: &TrainPoint) -> TrainingJob {
         let mut job = (*self.base_job(point.benchmark, point.reference)).clone();
         if let Some(p) = point.precision {
             job = job.with_precision(p);
@@ -417,6 +425,28 @@ impl Ctx {
             job = job.with_partition(point.partition);
         }
         job
+    }
+
+    /// The engine's admission check for a training point — GPU set,
+    /// partition and device-memory gate, in the order pricing runs them —
+    /// without pricing anything. Returns the admitted per-GPU HBM
+    /// footprint; an error here is the error [`Ctx::step`] returns.
+    ///
+    /// # Errors
+    ///
+    /// As [`Simulator::preflight`].
+    pub fn preflight(&self, point: &TrainPoint) -> Result<Bytes, SimError> {
+        let system = self.system_spec(point.system);
+        Simulator::new(&system).preflight(&self.job_for(point), Ctx::ordinals(&system, point.gpus))
+    }
+
+    /// The GPU set a point runs on: the system's first `gpus` ordinals,
+    /// cut after the first absent one. The engine rejects a set at its
+    /// first absent ordinal, so the cut changes no verdict, and a count of
+    /// `u32::MAX` costs what `gpu_count + 1` does. Borrowed from a static
+    /// table: no allocation per cell.
+    fn ordinals(system: &SystemSpec, gpus: u32) -> &'static [u32] {
+        &ORDINALS[..(gpus as usize).min(system.gpu_count() + 1)]
     }
 
     /// The steady-state step report for a training point, memoized.
@@ -536,24 +566,13 @@ impl Ctx {
         let system = self.system_spec(point.system);
         let simulate = || {
             let sim = Simulator::new(&system);
+            let gpus = Ctx::ordinals(&system, point.gpus);
             // The fast path runs *inside* the memo closure, so hit/miss
             // counters and memoization behavior are identical either way;
             // its result is bit-identical to `execute` by contract
-            // (differentially pinned), so so are the cached bytes. The
-            // borrowed entry point (`execute_fast_on`) skips the RunSpec:
-            // no job clone and no GPU-set allocation per cell.
+            // (differentially pinned), so so are the cached bytes.
             if self.fastpath && self.fast_screen(point, job, &system) {
-                let n = point.gpus as usize;
-                let fast = if n <= 64 {
-                    let mut ordinals = [0u32; 64];
-                    for (i, slot) in ordinals.iter_mut().enumerate().take(n) {
-                        *slot = i as u32;
-                    }
-                    sim.execute_fast_on(job, &ordinals[..n])
-                } else {
-                    sim.execute_fast(&RunSpec::on_first(job.clone(), point.gpus))
-                };
-                match fast {
+                match sim.execute_fast_on(job, gpus) {
                     Ok(Some(outcome)) => {
                         self.fast_attempts.fetch_add(1, Ordering::Relaxed);
                         self.fast_hits.fetch_add(1, Ordering::Relaxed);
@@ -569,7 +588,7 @@ impl Ctx {
                     Err(e) => return Err(e),
                 }
             }
-            sim.execute(&RunSpec::on_first(job.clone(), point.gpus))
+            sim.execute(&RunSpec::new(job.clone(), gpus))
                 .map(|outcome| outcome.report)
         };
         if !self.memoize {
@@ -659,8 +678,9 @@ impl Ctx {
         let prep_secs =
             pipeline.host_time_per_batch(&cpu, batch).as_secs() / sockets * point.gpus as f64;
         let h2d = pipeline.h2d_bytes_per_batch(batch);
-        let worst_uplink = (0..point.gpus)
-            .filter_map(|g| {
+        let worst_uplink = Ctx::ordinals(system, point.gpus)
+            .iter()
+            .filter_map(|&g| {
                 let path = system.topology().gpu_host_path(g).ok()?;
                 path.links
                     .iter()
@@ -727,9 +747,7 @@ impl Ctx {
         self.charge(1);
         self.uncached.fetch_add(1, Ordering::Relaxed);
         let spec = self.system_spec(system);
-        let sim = Simulator::new(&spec);
-        let ordinals: Vec<u32> = (0..gpus).collect();
-        train(&sim, job, &ordinals)
+        train(&Simulator::new(&spec), job, Ctx::ordinals(&spec, gpus))
     }
 
     /// A completed dependency's artifact, if the executor stored one.
@@ -1134,12 +1152,6 @@ pub const RETRIES_ENV: &str = "MLPERF_RETRIES";
 /// Environment variable setting a per-experiment simulation-request
 /// budget (cooperative, deterministic — not wall-clock).
 pub const STEP_BUDGET_ENV: &str = "MLPERF_STEP_BUDGET";
-/// Environment variable disabling the engine's analytic fast path
-/// (`off`/`0`/`false`/`no`): every point then takes the full DES loop.
-/// Output bytes are identical either way — this is a performance escape
-/// hatch and an A/B lever for the differential batteries, not a semantic
-/// knob.
-pub const FASTPATH_ENV: &str = "MLPERF_FASTPATH";
 /// Environment variable setting how many seeded runs each Training cell
 /// replicates (1–512; default 1 = point pricing, byte-identical to the
 /// pre-replication suite). Above one, sweeps and cell queries append the

@@ -394,7 +394,12 @@ fn parse_cell(fields: &[(String, Json)]) -> Result<CellSpec, String> {
         .ok_or_else(|| format!("unknown system '{system}'"))?;
     let gpus = u64_field(fields, "gpus")?.ok_or("missing required field 'gpus'")?;
     let gpus = u32::try_from(gpus).map_err(|_| "field 'gpus' is out of range".to_string())?;
-    let batch = u64_field(fields, "batch")?;
+    // A zero batch is a typed bad-request naming the field, like `runs`
+    // below: there is no job to price at zero samples per GPU.
+    let batch = match u64_field(fields, "batch")? {
+        Some(0) => return Err("field 'batch' must be at least 1 (got 0)".to_string()),
+        batch => batch,
+    };
     let precision = match str_field(fields, "precision")?.as_deref() {
         None => None,
         Some("fp32") => Some(PrecisionPolicy::Fp32),
@@ -652,6 +657,10 @@ mod tests {
             (r#"{"v":1,"kind":"cell","workload":"MLPf_SSD_Py","system":"DSS_8440"}"#, "missing required field 'gpus'"),
             (r#"{"v":1,"kind":"ping","v":1}"#, "duplicate field"),
             (r#"{"v":1,"kind":"cell","workload":"MLPf_SSD_Py","system":"DSS_8440","gpus":[1]}"#, "nested values"),
+            (
+                r#"{"v":1,"kind":"cell","workload":"MLPf_SSD_Py","system":"DSS_8440","gpus":1,"batch":0}"#,
+                "field 'batch' must be at least 1 (got 0)",
+            ),
         ];
         for (line, needle) in cases {
             let (_, msg) = parse_request(line).expect_err(line);

@@ -224,6 +224,38 @@ impl CellSpec {
         s.into_bytes()
     }
 
+    /// The training point this cell prices — the only `CellSpec` to
+    /// [`TrainPoint`] conversion. Training cells apply their batch,
+    /// precision and partition; expected-TTT cells price the tuned job
+    /// (their batch and precision fields are not part of the job) inside
+    /// their partition.
+    ///
+    /// # Errors
+    ///
+    /// An `invalid-spec` [`CellError`] when the workload, system or GPU
+    /// count is missing.
+    pub fn point(&self) -> Result<TrainPoint, CellError> {
+        let workload = self
+            .workload
+            .ok_or_else(|| CellError::invalid("cell has no workload"))?;
+        let system = self
+            .system
+            .ok_or_else(|| CellError::invalid("cell has no system"))?;
+        let gpus = self
+            .gpus
+            .ok_or_else(|| CellError::invalid("cell has no gpu count"))?;
+        let mut point = TrainPoint::new(workload, system, gpus).with_partition(self.partition);
+        if self.kind == CellKind::Training {
+            if let Some(b) = self.batch {
+                point = point.with_per_gpu_batch(b);
+            }
+            if let Some(p) = self.precision {
+                point = point.with_precision(p);
+            }
+        }
+        Ok(point)
+    }
+
     /// The cell's identity with the run count stripped: what the
     /// replication layer hashes to split per-run PRNG streams, so that
     /// 8-run and 16-run pricings of the same physical cell draw from the
@@ -559,25 +591,9 @@ pub fn effective_runs(ctx: &Ctx, spec: &CellSpec) -> u32 {
 /// A [`CellError`]: `invalid-spec` when a required dimension is missing,
 /// otherwise the simulator's verdict (`oom`, `non-finite`, ...).
 pub fn price_cell(ctx: &Ctx, spec: &CellSpec) -> Result<CellValue, CellError> {
-    let workload = spec
-        .workload
-        .ok_or_else(|| CellError::invalid("cell has no workload"))?;
-    let system = spec
-        .system
-        .ok_or_else(|| CellError::invalid("cell has no system"))?;
-    let gpus = spec.gpus.ok_or_else(|| CellError::invalid("cell has no gpu count"))?;
+    let point = spec.point()?;
     match spec.kind {
         CellKind::Training => {
-            let mut point = TrainPoint::new(workload, system, gpus);
-            if let Some(b) = spec.batch {
-                point = point.with_per_gpu_batch(b);
-            }
-            if let Some(p) = spec.precision {
-                point = point.with_precision(p);
-            }
-            if spec.partition.is_some() {
-                point = point.with_partition(spec.partition);
-            }
             let (step, outcome) = ctx.step_and_outcome(&point).map_err(CellError::from_sim)?;
             // Epochs are charged by the *base* job's convergence model at
             // the cell's effective global batch (matching the batch
@@ -585,9 +601,9 @@ pub fn price_cell(ctx: &Ctx, spec: &CellSpec) -> Result<CellValue, CellError> {
             // in for rebuilding the job from the zoo per cell; the batch
             // override wins over the template default exactly as
             // `with_per_gpu_batch` would.
-            let base = ctx.base_job(workload, false);
+            let base = ctx.base_job(point.benchmark, false);
             let per_gpu = spec.batch.unwrap_or_else(|| base.per_gpu_batch());
-            let global_batch = per_gpu * u64::from(gpus);
+            let global_batch = per_gpu * u64::from(point.gpus);
             let epochs = base.convergence().epochs_at(global_batch);
             let mut values = vec![
                 outcome.total_time.as_minutes(),
@@ -623,13 +639,9 @@ pub fn price_cell(ctx: &Ctx, spec: &CellSpec) -> Result<CellValue, CellError> {
             let choice = spec
                 .interval
                 .ok_or_else(|| CellError::invalid("expected-TTT cell has no interval"))?;
-            let mut point = TrainPoint::new(workload, system, gpus);
-            if spec.partition.is_some() {
-                point = point.with_partition(spec.partition);
-            }
             let outcome = ctx.outcome(&point).map_err(CellError::from_sim)?;
             let work = outcome.total_time;
-            let job = ctx.base_job(workload, false);
+            let job = ctx.base_job(point.benchmark, false);
             let probe = CheckpointSpec::new(Seconds::from_minutes(10.0), CHECKPOINT_DEVICE);
             let write_cost = probe.write_cost(&job);
             let restart_cost = probe.restart_cost(&job);

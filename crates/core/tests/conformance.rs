@@ -112,30 +112,45 @@ conformance! {
     variance_decomposition_fingerprint => ("variance_decomposition", 0xe6c1f36d72100968),
 }
 
-/// The million-cell stress grid rides the registry truncated to its CI
-/// prefix; its CSV bytes are pinned here like any other golden section —
-/// and pinned *twice*, once per pricing engine, so the analytic fast
-/// path can never drift the rendered output. (Registry sweeps are not
-/// report experiments, so this lives outside the macro's pinned table.)
+/// Every registry sweep, priced through `run_streamed` as `repro sweep
+/// --all` prices it (memo-free context, 1,024-cell shards), must come out
+/// byte-identical with the analytic fast path on and off. The million-cell
+/// stress grid rides the registry truncated to its CI prefix; its CSV
+/// bytes are pinned here like any other golden section. (Registry sweeps
+/// are not report experiments, so this lives outside the macro's pinned
+/// table.)
 #[test]
 fn million_cell_ci_prefix_fingerprint() {
     use mlperf_suite::sweep;
-    let spec = sweep::registry()
-        .into_iter()
-        .find(|s| s.name == "million_cell")
-        .expect("million_cell registered");
-    assert_eq!(spec.len(), sweep::MILLION_CELL_CI_PREFIX);
-    let fast = sweep::to_csv(&sweep::run_serial(
-        &Ctx::new().with_fastpath(true),
-        &spec,
-        None,
-    ));
-    let slow = sweep::to_csv(&sweep::run_serial(
-        &Ctx::new().with_fastpath(false),
-        &spec,
-        None,
-    ));
-    assert_eq!(fast, slow, "fast path changed million_cell CSV bytes");
+    let stream = |spec: &sweep::SweepSpec, fastpath: bool| {
+        let ctx = Ctx::without_memo().with_fastpath(fastpath);
+        let mut out = Vec::new();
+        sweep::run_streamed(&Pool::with_workers(2), &ctx, spec, None, &mut out, 1024)
+            .expect("in-memory sink");
+        (
+            String::from_utf8(out).expect("CSV is UTF-8"),
+            ctx.fast_stats(),
+        )
+    };
+    let mut analytic = 0;
+    let mut million = None;
+    for spec in sweep::registry() {
+        let (fast, (_, hits)) = stream(&spec, true);
+        let (slow, (attempts, _)) = stream(&spec, false);
+        assert_eq!(fast, slow, "fast path changed {} CSV bytes", spec.name);
+        assert_eq!(
+            attempts, 0,
+            "{}: the reference pass tried the fast path",
+            spec.name
+        );
+        analytic += hits;
+        if spec.name == "million_cell" {
+            assert_eq!(spec.len(), sweep::MILLION_CELL_CI_PREFIX);
+            million = Some(fast);
+        }
+    }
+    assert!(analytic > 0, "no registry cell took the fast path");
+    let fast = million.expect("million_cell registered");
     let got = fnv1a64_str(&fast);
     let want: u64 = 0x4c343ad7848663f1;
     assert_eq!(

@@ -158,3 +158,45 @@ fn errors_are_memoized_like_values() {
     assert_eq!(stats.step_misses, 1);
     assert_eq!(stats.step_hits, 1);
 }
+
+/// `Ctx::preflight` cuts the GPU set after the first absent ordinal. The
+/// engine rejects a set at that ordinal, so for every system and every
+/// count up to three past the chassis, the answer equals the engine's
+/// own preflight on the full `0..n` set — partitions and a batch whose
+/// footprint saturates included.
+#[test]
+fn ctx_preflight_matches_engine_preflight_on_the_first_n_ordinals() {
+    use mlperf_hw::{PartitionProfile, PartitionSpec};
+    use mlperf_sim::Simulator;
+    let ctx = Ctx::new();
+    let partitions = [
+        None,
+        Some(PartitionSpec::solo(PartitionProfile::Half)),
+        Some(PartitionSpec::packed(PartitionProfile::Quarter)),
+    ];
+    for system in SystemId::ALL.into_iter().chain([SystemId::Dgx1V]) {
+        let spec = system.spec();
+        let sim = Simulator::new(&spec);
+        for n in 0..=spec.gpu_count() as u32 + 3 {
+            let gpus: Vec<u32> = (0..n).collect();
+            for benchmark in BenchmarkId::MLPERF {
+                for batch in [1, 256, 4096, u64::MAX] {
+                    for partition in partitions {
+                        let point = TrainPoint::new(benchmark, system, n)
+                            .with_per_gpu_batch(batch)
+                            .with_partition(partition);
+                        let job = ctx
+                            .base_job(benchmark, false)
+                            .with_per_gpu_batch(batch)
+                            .with_partition(partition);
+                        assert_eq!(
+                            ctx.preflight(&point),
+                            sim.preflight(&job, &gpus),
+                            "{benchmark:?} on {system:?}, {n} GPUs, batch {batch}, {partition:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

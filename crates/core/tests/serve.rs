@@ -490,3 +490,109 @@ fn warm_server_and_batch_sweep_share_one_disk_cache_safely() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One connection's answers to `lines` on a fresh 2-worker server.
+fn answers(name: &str, lines: &[String]) -> Vec<String> {
+    let opts = ServeOptions { socket: sock(name), ..ServeOptions::default() };
+    let (transcripts, _) = serve_workload(&test_config(2), &opts, &[lines.to_vec()]);
+    let text = String::from_utf8(transcripts.into_iter().next().unwrap()).unwrap();
+    text.lines().map(str::to_string).collect()
+}
+
+#[test]
+fn unbounded_gpu_counts_answer_bad_gpu_set_and_the_connection_lives() {
+    // A GPU count of u32::MAX, as a training and as an expected-TTT cell:
+    // the GPU set is cut after the first absent ordinal, so neither query
+    // builds (or memoizes) a four-billion-entry ordinal list.
+    const CELL: &str =
+        r#""kind":"cell","workload":"MLPf_Res50_MX","system":"C4140_(K)","gpus":4294967295"#;
+    let lines = vec![
+        format!(r#"{{"v":1,"id":"train",{CELL}}}"#),
+        format!(
+            r#"{{"v":1,"id":"ttt",{CELL},"cell_kind":"expected-ttt","mtbf_hours":4,"interval":"daly"}}"#
+        ),
+        r#"{"v":1,"id":"alive","kind":"ping"}"#.to_string(),
+    ];
+    let frames = answers("huge_gpus", &lines);
+    let refusal = "bad GPU set: GPU 4 not present (system has 4)";
+    assert_eq!(
+        frames,
+        [
+            protocol::error_frame("train", "bad-gpu-set", refusal),
+            protocol::error_frame("ttt", "bad-gpu-set", refusal),
+            protocol::pong_frame("alive"),
+        ]
+        .map(|f| f.trim_end().to_string())
+    );
+}
+
+#[test]
+fn sliced_cells_over_the_whole_device_wall_answer_like_price_cell() {
+    // Every cell is past the whole device's memory wall or on a device
+    // that cannot be sliced: the answer must be the slice's verdict, the
+    // one the batch path gives, never the whole device's.
+    let lines: Vec<String> = [
+        ("q256", "MLPf_Res50_MX", "C4140_(K)", "1of4x2", 256),
+        ("q512", "MLPf_Res50_MX", "C4140_(K)", "1of4x2", 512),
+        ("p8", "MLPf_Res50_MX", "MLPerf_reference_(P100)", "1of2", 8),
+        ("p16k", "MLPf_Res50_MX", "MLPerf_reference_(P100)", "1of2", 16384),
+    ]
+    .iter()
+    .map(|(id, workload, system, partition, batch)| {
+        format!(
+            r#"{{"v":1,"id":"{id}","kind":"cell","workload":"{workload}","system":"{system}","gpus":1,"batch":{batch},"partition":"{partition}"}}"#
+        )
+    })
+    .collect();
+    let frames = answers("sliced_wall", &lines);
+    assert_eq!(frames.len(), lines.len(), "{frames:?}");
+    let ctx = Ctx::new();
+    for (line, frame) in lines.iter().zip(&frames) {
+        let req = protocol::parse_request(line).expect("valid query");
+        let protocol::QueryV1::Cell(spec) = &req.query else {
+            panic!("cell query expected")
+        };
+        let want = match sweep::price_cell(&ctx, spec) {
+            Ok(v) => protocol::cell_ok_frame(&req.id, spec.kind, v.values()),
+            Err(e) => protocol::error_frame(&req.id, &e.kind, &e.message),
+        };
+        assert_eq!(frame, want.trim_end(), "{line}");
+    }
+    for frame in &frames[..2] {
+        assert!(frame.contains("but device has 4.00 GiB"), "{frame}");
+    }
+    for frame in &frames[2..] {
+        assert!(frame.contains("\"kind\":\"bad-partition\""), "{frame}");
+    }
+}
+
+#[test]
+fn zero_and_overflowing_batches_get_typed_answers() {
+    const CELL: &str = r#""kind":"cell","workload":"MLPf_Res50_MX","system":"C4140_(K)","gpus":1"#;
+    let lines = vec![
+        format!(r#"{{"v":1,"id":"zero",{CELL},"batch":0}}"#),
+        // The footprint of this batch does not fit in u64: the memory
+        // gate saturates, so it is out of memory, never a wrapped fit.
+        format!(r#"{{"v":1,"id":"max",{CELL},"batch":18446744073709551615}}"#),
+        format!(
+            r#"{{"v":1,"id":"max-sliced",{CELL},"batch":18446744073709551615,"partition":"1of2"}}"#
+        ),
+    ];
+    let frames = answers("batch_edges", &lines);
+    assert_eq!(frames.len(), lines.len(), "{frames:?}");
+    assert_eq!(
+        frames[0],
+        protocol::error_frame(
+            "zero",
+            "bad-request",
+            "field 'batch' must be at least 1 (got 0)"
+        )
+        .trim_end()
+    );
+    for frame in &frames[1..] {
+        assert!(
+            frame.contains("\"status\":\"error\",\"kind\":\"oom\""),
+            "{frame}"
+        );
+    }
+}

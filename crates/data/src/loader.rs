@@ -80,9 +80,11 @@ impl InputPipeline {
         self.host_cost_core_secs() * batch as f64
     }
 
-    /// Bytes copied host-to-device for one batch.
+    /// Bytes copied host-to-device for one batch (saturating: it feeds
+    /// the engine's memory gate, where a batch past u64 must read as out
+    /// of memory).
     pub fn h2d_bytes_per_batch(&self, batch: u64) -> Bytes {
-        self.device_bytes_per_sample * batch
+        self.device_bytes_per_sample.saturating_mul(batch)
     }
 
     /// Host DRAM staging footprint for this pipeline: the working set of

@@ -90,6 +90,16 @@ impl Bytes {
         Bytes(self.0.saturating_sub(rhs.0))
     }
 
+    /// Saturating addition.
+    pub fn saturating_add(self, rhs: Bytes) -> Bytes {
+        Bytes(self.0.saturating_add(rhs.0))
+    }
+
+    /// Saturating multiplication by a count.
+    pub fn saturating_mul(self, rhs: u64) -> Bytes {
+        Bytes(self.0.saturating_mul(rhs))
+    }
+
     /// Scale by a dimensionless factor, rounding to the nearest byte.
     ///
     /// # Panics

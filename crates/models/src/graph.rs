@@ -246,6 +246,8 @@ impl ModelGraph {
 
     /// Resident device-memory footprint of a training replica at the given
     /// per-GPU batch: weights + gradients + optimizer state + activations.
+    /// Saturates at `u64::MAX` bytes, so a huge batch reads as out of
+    /// memory instead of wrapping to a small footprint.
     pub fn replica_footprint(
         &self,
         batch: u64,
@@ -260,8 +262,11 @@ impl ModelGraph {
             PrecisionPolicy::Fp32 => 4,
             PrecisionPolicy::Amp => 2,
         };
-        let acts = self.resident_activation_elems_per_sample() * batch * act_elem_bytes;
-        Bytes::new(weights + grads + opt_state + acts)
+        let acts = self
+            .resident_activation_elems_per_sample()
+            .saturating_mul(batch)
+            .saturating_mul(act_elem_bytes);
+        Bytes::new((weights + grads + opt_state).saturating_add(acts))
     }
 }
 

@@ -302,7 +302,19 @@ impl<'a> Simulator<'a> {
     /// * [`SimError::Topology`] — no route between required endpoints.
     pub fn execute(&self, spec: &RunSpec) -> Result<RunOutcome, SimError> {
         let (report, trace) = self.run_inner(&spec.job, &spec.gpus, spec.record_trace)?;
-        let faults = self.fault_outcome(spec, &report);
+        // Fault replay is deterministic post-processing of the steady
+        // state: the plan walks the run's total steps against the step
+        // report, so the healthy numbers are untouched.
+        let faults = spec.faults.as_ref().map(|config| {
+            let total_steps =
+                crate::training::outcome_from_step(&spec.job, report.clone()).total_steps();
+            let (stats, fault_trace) =
+                crate::fault::replay(config, &spec.job, &report, total_steps);
+            crate::fault::FaultOutcome {
+                stats,
+                trace: fault_trace,
+            }
+        });
         Ok(RunOutcome {
             report,
             trace,
@@ -310,7 +322,7 @@ impl<'a> Simulator<'a> {
         })
     }
 
-    /// Attempt the analytic fast path for `spec`.
+    /// Attempt the analytic fast path for `job` on the GPU ordinals `gpus`.
     ///
     /// When, after replaying the warmup fill exactly, the host loader and
     /// every H2D uplink provably stay ahead of the GPUs for the whole
@@ -318,31 +330,14 @@ impl<'a> Simulator<'a> {
     /// any rounding the serve chains can accumulate), the DES loop would
     /// take the `start = step_done` branch on every measured iteration and
     /// the step recurrence collapses to three additions per step. The
-    /// returned outcome is then **bit-identical** to
-    /// [`Simulator::execute`] — same report, same typed errors, same fault
-    /// replay — which `tests/fastpath_diff.rs` pins differentially.
+    /// returned outcome is then **bit-identical** to what
+    /// [`Simulator::execute`] returns for an untraced, fault-free
+    /// [`RunSpec`] of the same job and ordinals, and the typed errors are
+    /// the same — which `tests/fastpath_diff.rs` pins differentially. The
+    /// inputs are borrowed: no job clone and no GPU-set allocation.
     ///
-    /// Returns `Ok(None)` when eligibility cannot be proven or the spec
-    /// requests a trace; the caller falls back to the full DES.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulator::execute`].
-    pub fn execute_fast(&self, spec: &RunSpec) -> Result<Option<RunOutcome>, SimError> {
-        if spec.record_trace {
-            return Ok(None);
-        }
-        let Some(mut outcome) = self.execute_fast_on(&spec.job, &spec.gpus)? else {
-            return Ok(None);
-        };
-        outcome.faults = self.fault_outcome(spec, &outcome.report);
-        Ok(Some(outcome))
-    }
-
-    /// The analytic fast path on borrowed inputs — [`Simulator::execute_fast`]
-    /// without a [`RunSpec`] (so no job clone and no GPU-set allocation),
-    /// for callers pricing untraced, fault-free runs in bulk. Identical
-    /// verdicts and bit-identical reports to `execute_fast`.
+    /// Returns `Ok(None)` when eligibility cannot be proven; the caller
+    /// falls back to the full DES.
     ///
     /// # Errors
     ///
@@ -362,25 +357,6 @@ impl<'a> Simulator<'a> {
             trace: None,
             faults: None,
         }))
-    }
-
-    /// Fault replay is deterministic post-processing of the steady state:
-    /// the plan walks the run's total steps against the step report, so
-    /// the healthy numbers are untouched.
-    fn fault_outcome(
-        &self,
-        spec: &RunSpec,
-        report: &StepReport,
-    ) -> Option<crate::fault::FaultOutcome> {
-        spec.faults.as_ref().map(|config| {
-            let total_steps =
-                crate::training::outcome_from_step(&spec.job, report.clone()).total_steps();
-            let (stats, fault_trace) = crate::fault::replay(config, &spec.job, report, total_steps);
-            crate::fault::FaultOutcome {
-                stats,
-                trace: fault_trace,
-            }
-        })
     }
 
     /// Admission check only: validate the GPU set and run the device
@@ -440,13 +416,17 @@ impl<'a> Simulator<'a> {
         // Gated *before* pricing: the footprint is O(1) while pricing
         // walks the graph, and wall-crossing batch sweeps reject most
         // cells here. Pricing is infallible apart from the non-finite
-        // gate, so no error precedence changes for finite graphs.
+        // gate, so no error precedence changes for finite graphs. The
+        // sum saturates: a footprint past u64 is out of memory, never a
+        // wrapped small one.
         let replica = job
             .model()
             .replica_footprint(batch, job.precision(), job.optimizer());
-        let hbm_per_gpu = replica
-            + job.hbm_overhead()
-            + job.pipeline().h2d_bytes_per_batch(batch) * job.prefetch_depth();
+        let hbm_per_gpu = replica.saturating_add(job.hbm_overhead()).saturating_add(
+            job.pipeline()
+                .h2d_bytes_per_batch(batch)
+                .saturating_mul(job.prefetch_depth()),
+        );
         if hbm_per_gpu > gpu_spec.hbm_capacity() {
             return Err(SimError::OutOfMemory {
                 required: hbm_per_gpu,
@@ -878,10 +858,6 @@ impl<'a> Simulator<'a> {
     }
 }
 
-/// The engine under its executor-facing name: `mlperf-suite::runner`
-/// schedules `Engine::execute` calls and memoizes their [`StepReport`]s.
-pub type Engine<'a> = Simulator<'a>;
-
 // The executor shares reports and specs across scoped worker threads, so
 // these types must stay `Send + Sync` (and cheap to clone — `StepReport`
 // is all scalars).
@@ -1139,7 +1115,7 @@ mod tests {
                     .with_partition(Some(spec));
                 let run = RunSpec::on_first(job, 2);
                 let des = sim.execute(&run).unwrap();
-                if let Some(fast) = sim.execute_fast(&run).unwrap() {
+                if let Some(fast) = sim.execute_fast_on(run.job(), run.gpus()).unwrap() {
                     assert_eq!(fast.report, des.report, "{profile:?} x{tenants}");
                 }
             }

@@ -57,7 +57,7 @@ pub mod training;
 pub use allreduce::AllReduceAlgorithm;
 pub use checkpoint::CheckpointSpec;
 pub use cluster::{Cluster, ClusterJobSpec, ClusterTrace, NodeFailure, SchedulingPolicy, Submission};
-pub use engine::{Engine, RunOutcome, RunSpec, SimError, Simulator, StepReport};
+pub use engine::{RunOutcome, RunSpec, SimError, Simulator, StepReport};
 pub use fault::{
     FaultConfig, FaultEvent, FaultKind, FaultOutcome, FaultPlan, FaultStats, FaultTrace,
     RetryPolicy,

@@ -1,14 +1,13 @@
 //! Differential battery: the analytic fast path vs the full DES engine.
 //!
-//! `Simulator::execute_fast` promises that whenever it returns a result at
-//! all, that result is **bit-identical** to `Simulator::execute` — same
-//! step report, same typed errors, same fault statistics. This battery
-//! fuzzes ~500 (model, system, GPUs, batch, precision, depth, pipeline)
-//! cells and holds the fast path to that promise, plus targeted cases for
-//! the soundness direction: cells that genuinely stall must be declined,
-//! never mispriced.
+//! `Simulator::execute_fast_on` promises that whenever it returns a result
+//! at all, that result is **bit-identical** to what `Simulator::execute`
+//! returns for the same job and GPU ordinals — same step report, same
+//! typed errors. This battery fuzzes ~500 (model, system, GPUs, batch,
+//! precision, depth, pipeline) cells and holds the fast path to that
+//! promise, plus targeted cases for the soundness direction: cells that
+//! genuinely stall must be declined, never mispriced.
 
-use mlperf_data::storage::StorageDevice;
 use mlperf_data::{DatasetId, InputPipeline};
 use mlperf_hw::systems::SystemId;
 use mlperf_hw::units::{Bytes, Seconds};
@@ -16,8 +15,7 @@ use mlperf_models::zoo::detection::ssd300;
 use mlperf_models::zoo::ncf::ncf;
 use mlperf_models::zoo::resnet::{resnet18_cifar, resnet50};
 use mlperf_models::{ModelGraph, Optimizer, PrecisionPolicy};
-use mlperf_sim::fault::{FaultConfig, FaultPlan, RetryPolicy};
-use mlperf_sim::{CheckpointSpec, ConvergenceModel, RunSpec, Simulator, TrainingJob};
+use mlperf_sim::{ConvergenceModel, RunSpec, Simulator, TrainingJob};
 use mlperf_testkit::rng::Rng;
 
 const SYSTEMS: [SystemId; 6] = [
@@ -85,7 +83,7 @@ fn fast_path_agrees_with_des_on_fuzzed_cells() {
         let max_gpus = system.topology().gpu_count() as u32;
         let n = 1 + rng.gen_range(0..max_gpus);
         let spec = RunSpec::on_first(fuzzed_job(&mut rng), n);
-        let fast = sim.execute_fast(&spec);
+        let fast = sim.execute_fast_on(spec.job(), spec.gpus());
         let slow = sim.execute(&spec);
         match (fast, slow) {
             (Ok(Some(f)), Ok(s)) => {
@@ -123,58 +121,12 @@ fn host_bound_cell_falls_back_to_des() {
     .prefetch_depth(1)
     .build();
     let spec = RunSpec::on_first(job, 4);
-    assert_eq!(sim.execute_fast(&spec).unwrap(), None);
+    assert_eq!(sim.execute_fast_on(spec.job(), spec.gpus()).unwrap(), None);
     let slow = sim.execute(&spec).unwrap();
     assert!(
         slow.report.data_stall.as_secs() > 0.0,
         "cell was supposed to stall; the fast path declined a free lunch"
     );
-}
-
-/// Traced runs always take the DES loop — the fast path has no timeline.
-#[test]
-fn traced_spec_is_never_fast() {
-    let system = SystemId::C4140K.spec();
-    let sim = Simulator::new(&system);
-    let job = TrainingJob::builder(
-        "traced",
-        resnet18_cifar(),
-        InputPipeline::new(DatasetId::Cifar10, Bytes::new(32 * 32 * 3 * 2)),
-        128,
-        ConvergenceModel::new(10.0, 512, 0.0),
-    )
-    .build();
-    let spec = RunSpec::on_first(job, 2).traced();
-    assert_eq!(sim.execute_fast(&spec).unwrap(), None);
-}
-
-/// Fault replay is post-processing of the steady state, so it must ride
-/// the fast path unchanged: statistics and trace bytes bit-identical.
-#[test]
-fn fault_statistics_ride_the_fast_path() {
-    let system = SystemId::C4140K.spec();
-    let sim = Simulator::new(&system);
-    let job = TrainingJob::builder(
-        "faulted",
-        resnet50(),
-        InputPipeline::new(DatasetId::ImageNet, Bytes::new(224 * 224 * 3 * 2)),
-        64,
-        ConvergenceModel::new(5.0, 512, 0.0),
-    )
-    .build();
-    let cfg = FaultConfig {
-        plan: FaultPlan::generate(7, Seconds::from_minutes(60.0), Seconds::from_minutes(7.0), 4),
-        checkpoint: CheckpointSpec::new(Seconds::from_minutes(2.0), StorageDevice::NvmeSsd),
-        retry: RetryPolicy::default(),
-    };
-    let spec = RunSpec::on_first(job, 4).with_faults(cfg);
-    let fast = sim
-        .execute_fast(&spec)
-        .unwrap()
-        .expect("compute-bound resnet cell should be fast-path eligible");
-    let slow = sim.execute(&spec).unwrap();
-    assert_eq!(fast, slow);
-    assert!(fast.faults.is_some());
 }
 
 /// Eligibility and agreement hold under non-default simulation windows.
@@ -192,7 +144,7 @@ fn window_overrides_agree_too() {
     for (w, m) in [(1, 1), (2, 5), (16, 128)] {
         let sim = Simulator::new(&system).with_window(w, m);
         let spec = RunSpec::on_first(job.clone(), 8);
-        if let Some(fast) = sim.execute_fast(&spec).unwrap() {
+        if let Some(fast) = sim.execute_fast_on(spec.job(), spec.gpus()).unwrap() {
             assert_eq!(fast, sim.execute(&spec).unwrap(), "window ({w},{m})");
         }
     }

@@ -262,18 +262,6 @@ diff -u "$report_tmp/variance_a.txt" "$report_tmp/variance_b.txt" \
 cmp -s "$report_tmp/csv_healthy/variance_decomposition.csv" artifacts/variance_decomposition.csv \
     || { echo "variance_decomposition.csv drifted from the committed artifact" >&2; exit 1; }
 
-echo "== fast-path parity: MLPERF_FASTPATH=off is byte-identical =="
-# The analytic fast path (DESIGN.md "Sweep scaling model") is an
-# optimization, never a semantic: with the switch off, every sweep CSV —
-# including the million-cell CI prefix — must come out byte-identical.
-# Both runs pass --no-cache so each one demonstrably prices its cells.
-cargo run -q --release --offline -p mlperf-suite --bin repro -- \
-    --no-cache sweep --all --out "$report_tmp/sweeps_fast" >/dev/null
-MLPERF_FASTPATH=off cargo run -q --release --offline -p mlperf-suite --bin repro -- \
-    --no-cache sweep --all --out "$report_tmp/sweeps_slow" >/dev/null
-diff -ur "$report_tmp/sweeps_fast" "$report_tmp/sweeps_slow" \
-    || { echo "sweep CSV bytes depend on MLPERF_FASTPATH" >&2; exit 1; }
-
 echo "== partition gate: sliced sweeps replay; knob scoped to sweeps only =="
 # Multi-tenant partitioning (DESIGN.md §2i): the partition_scaling grid
 # must emit byte-identical CSV across fresh processes and worker counts;
@@ -329,6 +317,10 @@ cat > "$report_tmp/serve_mix.ndjson" <<'EOF'
 {"v":1,"id":"ttt","kind":"cell","workload":"MLPf_XFMR_Py","system":"DSS_8440","gpus":4,"cell_kind":"expected-ttt","mtbf_hours":4,"interval":"daly"}
 {"v":1,"id":"slice","kind":"cell","workload":"MLPf_Res50_MX","system":"C4140_(K)","gpus":1,"batch":16,"partition":"1of4x2"}
 {"v":1,"id":"badpart","kind":"cell","workload":"MLPf_Res50_MX","system":"C4140_(K)","gpus":1,"partition":"1of3"}
+{"v":1,"id":"hugegpus","kind":"cell","workload":"MLPf_Res50_MX","system":"C4140_(K)","gpus":4294967295}
+{"v":1,"id":"hugettt","kind":"cell","workload":"MLPf_Res50_MX","system":"C4140_(K)","gpus":4294967295,"cell_kind":"expected-ttt","mtbf_hours":4,"interval":"daly"}
+{"v":1,"id":"slicewall","kind":"cell","workload":"MLPf_Res50_MX","system":"C4140_(K)","gpus":1,"batch":512,"partition":"1of4x2"}
+{"v":1,"id":"batch0","kind":"cell","workload":"MLPf_Res50_MX","system":"C4140_(K)","gpus":1,"batch":0}
 {"v":1,"id":"sw","kind":"sweep","sweep":"fault_ttt"}
 EOF
 cargo run -q --release --offline -p mlperf-suite --bin repro -- \
@@ -353,6 +345,14 @@ grep -q '"id":"slice","status":"ok"' "$report_tmp/serve_a.ndjson" \
     || { echo "serve did not price the sliced cell" >&2; exit 1; }
 grep -q '"id":"badpart","status":"error","kind":"bad-request"' "$report_tmp/serve_a.ndjson" \
     || { echo "serve did not reject the malformed partition token" >&2; exit 1; }
+for id in hugegpus hugettt; do
+    grep -q "\"id\":\"$id\",\"status\":\"error\",\"kind\":\"bad-gpu-set\"" "$report_tmp/serve_a.ndjson" \
+        || { echo "serve did not answer the u32::MAX GPU count ($id) with bad-gpu-set" >&2; exit 1; }
+done
+grep -q '"id":"slicewall","status":"error","kind":"oom","message":"[^"]*device has 4.00 GiB"' "$report_tmp/serve_a.ndjson" \
+    || { echo "serve did not gate the sliced cell on the slice's memory" >&2; exit 1; }
+grep -q '"id":"batch0","status":"error","kind":"bad-request"' "$report_tmp/serve_a.ndjson" \
+    || { echo "serve did not reject batch 0 with a typed bad-request" >&2; exit 1; }
 grep -q '"id":"sw","status":"done"' "$report_tmp/serve_a.ndjson" \
     || { echo "serve did not finish the streamed sweep" >&2; exit 1; }
 echo '{"v":1,"id":"q","kind":"shutdown"}' | cargo run -q --release --offline -p mlperf-suite --bin repro -- \
