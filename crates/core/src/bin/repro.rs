@@ -210,9 +210,10 @@ fn run_sweeps(args: &[String], cache: Option<&DiskCache>) -> Result<ExitCode, St
     // memo would only grow O(grid) without ever hitting — the disk cache
     // (content-addressed, batched) is the persistence layer here.
     let ctx = Ctx::without_memo();
-    // Rows are streamed to disk one shard at a time, so memory is bounded
-    // by the shard regardless of the grid (the million-cell sweep never
-    // materializes). Bytes are identical to the in-memory rendering.
+    // Pool workers price and render chunks of rows that this thread
+    // appends in order; at most one shard of cells is in flight, so memory
+    // is bounded by the shard regardless of the grid (the million-cell
+    // sweep never materializes). Bytes are identical for every worker count.
     const SHARD: usize = 1024;
     for spec in &selected {
         let path = format!("{out_dir}/{}.csv", spec.name);

@@ -94,16 +94,67 @@ impl Table {
 /// exposed so streaming writers (which never materialize a `Table`) emit
 /// byte-identical rows. Includes the trailing newline.
 pub fn csv_line<'a>(cells: impl IntoIterator<Item = &'a str>) -> String {
-    fn cell(s: &str) -> String {
-        if s.contains([',', '"', '\n']) {
-            format!("\"{}\"", s.replace('"', "\"\""))
-        } else {
-            s.to_string()
+    let mut out = Vec::new();
+    let mut record = CsvRecord::new(&mut out);
+    for cell in cells {
+        record.field(cell);
+    }
+    record.end();
+    String::from_utf8(out).expect("quoting UTF-8 cells keeps them UTF-8")
+}
+
+/// Appends one CSV record to a byte buffer, field by field, under the
+/// quoting rule of [`csv_line`]: a field holding a comma, quote or newline
+/// is wrapped in quotes with its quotes doubled. Allocates nothing unless
+/// a field needs quoting, so a streaming writer can render rows into one
+/// reused buffer.
+pub(crate) struct CsvRecord<'a> {
+    buf: &'a mut Vec<u8>,
+    fields: usize,
+}
+
+impl<'a> CsvRecord<'a> {
+    pub(crate) fn new(buf: &'a mut Vec<u8>) -> CsvRecord<'a> {
+        CsvRecord { buf, fields: 0 }
+    }
+
+    /// Append a field that `write` spells into the buffer.
+    pub(crate) fn field_with(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        if self.fields > 0 {
+            self.buf.push(b',');
+        }
+        self.fields += 1;
+        let start = self.buf.len();
+        write(self.buf);
+        if self.buf[start..].iter().any(|b| matches!(b, b',' | b'"' | b'\n')) {
+            let raw = self.buf.split_off(start);
+            self.buf.push(b'"');
+            for &b in &raw {
+                if b == b'"' {
+                    self.buf.push(b'"');
+                }
+                self.buf.push(b);
+            }
+            self.buf.push(b'"');
         }
     }
-    let mut out = cells.into_iter().map(cell).collect::<Vec<_>>().join(",");
-    out.push('\n');
-    out
+
+    /// Append a literal field.
+    pub(crate) fn field(&mut self, s: &str) {
+        self.field_with(|buf| buf.extend_from_slice(s.as_bytes()));
+    }
+
+    /// Append a formatted field (`format_args!`), rendered in place.
+    pub(crate) fn field_fmt(&mut self, args: fmt::Arguments<'_>) {
+        self.field_with(|buf| {
+            std::io::Write::write_fmt(buf, args).expect("writing into a Vec cannot fail");
+        });
+    }
+
+    /// End the record with its newline.
+    pub(crate) fn end(self) {
+        self.buf.push(b'\n');
+    }
 }
 
 impl fmt::Display for Table {

@@ -11,12 +11,17 @@
 //! pool may depend on it — results come back in submission order and the
 //! experiment layer is memoized, so report bytes are identical for any
 //! worker count (the determinism policy in DESIGN.md "Execution model").
+//!
+//! Bulk streams (a sweep's rows) skip the DAG machinery: see
+//! [`Pool::stream_ordered`], where workers claim contiguous chunks and the
+//! caller consumes them in index order inside a bounded window.
 
 use super::error::panic_message;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::Thread;
 use std::time::Duration;
 
@@ -249,6 +254,194 @@ impl Pool {
     {
         let deps = vec![Vec::new(); tasks.len()];
         self.run_dag(tasks, &deps)
+    }
+
+    /// Produce items `0..len` on the workers and consume them, in index
+    /// order, on the calling thread — one thread scope for the whole
+    /// stream.
+    ///
+    /// Each worker claims the next contiguous chunk of indices and fills a
+    /// `T` for it with `produce` (a `T` the caller already consumed is
+    /// handed back for reuse, so `produce` must overwrite it). The caller
+    /// passes finished chunks to `consume` strictly in chunk order. At most
+    /// `window` items are claimed but not yet consumed at any moment, so
+    /// memory is bounded by the window, never by `len`. Returns the peak of
+    /// that claimed-but-unconsumed count (≤ `window`).
+    ///
+    /// # Errors
+    ///
+    /// The first error `consume` returns. It stops new claims: workers
+    /// finish the chunks they hold (at most `window` items) and exit.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a `produce` panic on the calling thread once every worker
+    /// has stopped; chunks after the panicking one are never consumed.
+    pub fn stream_ordered<T, E>(
+        &self,
+        len: usize,
+        window: usize,
+        produce: impl Fn(Range<usize>, &mut T) + Sync,
+        mut consume: impl FnMut(&mut T) -> Result<(), E>,
+    ) -> Result<usize, E>
+    where
+        T: Default + Send,
+    {
+        let window = window.max(1);
+        // A few chunks per worker inside the window: a worker that finishes
+        // early can run ahead while a slower one still holds the head chunk.
+        let chunk = (window / self.workers.saturating_mul(4)).max(1);
+        let stream = Stream {
+            len,
+            window,
+            chunk,
+            state: Mutex::new(StreamState {
+                claimed: 0,
+                consumed: 0,
+                head: 0,
+                ready: VecDeque::new(),
+                spare: Vec::new(),
+                peak: 0,
+                stopped: false,
+                panic: None,
+            }),
+            finished: Condvar::new(),
+            room: Condvar::new(),
+        };
+        let result = std::thread::scope(|scope| {
+            // Stops the workers however the caller leaves: done, on a
+            // consumer error, or unwinding (out of `consume` or a spawn).
+            let _stop = StopOnDrop(&stream);
+            for _ in 0..self.workers.min(len.div_ceil(chunk)) {
+                scope.spawn(|| stream.produce(&produce));
+            }
+            stream.consume(&mut consume)
+        });
+        let mut state = lock(&stream.state);
+        if let Some(payload) = state.panic.take() {
+            drop(state);
+            resume_unwind(payload);
+        }
+        result.map(|()| state.peak)
+    }
+}
+
+/// Shared state of one [`Pool::stream_ordered`] call.
+struct Stream<T> {
+    len: usize,
+    window: usize,
+    /// Items per claim (the last chunk may be shorter).
+    chunk: usize,
+    state: Mutex<StreamState<T>>,
+    /// Signalled when a chunk is finished or the stream stops; the caller
+    /// waits on it.
+    finished: Condvar,
+    /// Signalled when the caller consumed a chunk or the stream stops;
+    /// workers waiting for window room wait on it.
+    room: Condvar,
+}
+
+struct StreamState<T> {
+    /// Items handed to workers so far (always a chunk boundary or `len`).
+    claimed: usize,
+    /// Items the caller has consumed so far.
+    consumed: usize,
+    /// Chunk index of `ready[0]`.
+    head: usize,
+    /// Claimed chunks from `head` on; `Some` once produced.
+    ready: VecDeque<Option<T>>,
+    /// Consumed outputs waiting to be reused by the next claim.
+    spare: Vec<T>,
+    /// Peak of `claimed - consumed`.
+    peak: usize,
+    /// No new claims: the caller left, or a producer panicked.
+    stopped: bool,
+    /// The first producer panic, re-raised on the caller.
+    panic: Option<Box<dyn std::any::Any + Send>>,
+}
+
+impl<T: Default> Stream<T> {
+    fn wait<'a>(
+        cv: &Condvar,
+        guard: MutexGuard<'a, StreamState<T>>,
+    ) -> MutexGuard<'a, StreamState<T>> {
+        cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn produce(&self, produce: &(impl Fn(Range<usize>, &mut T) + Sync)) {
+        let mut state = lock(&self.state);
+        loop {
+            let (start, end) = loop {
+                if state.stopped || state.claimed >= self.len {
+                    return;
+                }
+                let end = (state.claimed + self.chunk).min(self.len);
+                if end - state.consumed <= self.window {
+                    break (state.claimed, end);
+                }
+                state = Stream::wait(&self.room, state);
+            };
+            state.claimed = end;
+            state.peak = state.peak.max(end - state.consumed);
+            state.ready.push_back(None);
+            let mut item = state.spare.pop().unwrap_or_default();
+            drop(state);
+            let outcome = catch_unwind(AssertUnwindSafe(|| produce(start..end, &mut item)));
+            state = lock(&self.state);
+            match outcome {
+                Ok(()) => {
+                    let slot = start / self.chunk - state.head;
+                    state.ready[slot] = Some(item);
+                    self.finished.notify_one();
+                }
+                Err(payload) => {
+                    state.panic.get_or_insert(payload);
+                    state.stopped = true;
+                    self.finished.notify_one();
+                    self.room.notify_all();
+                    return;
+                }
+            }
+        }
+    }
+
+    fn consume<E>(&self, consume: &mut impl FnMut(&mut T) -> Result<(), E>) -> Result<(), E> {
+        loop {
+            let mut state = lock(&self.state);
+            let mut item = loop {
+                if state.stopped || state.consumed >= self.len {
+                    return Ok(());
+                }
+                if let Some(Some(_)) = state.ready.front() {
+                    break state.ready.pop_front().flatten().expect("front chunk is finished");
+                }
+                state = Stream::wait(&self.finished, state);
+            };
+            state.head += 1;
+            drop(state);
+            let result = consume(&mut item);
+            let mut state = lock(&self.state);
+            if result.is_ok() {
+                state.consumed = (state.consumed + self.chunk).min(self.len);
+                state.spare.push(item);
+            } else {
+                // Under the same lock as the failure: no claim follows it.
+                state.stopped = true;
+            }
+            self.room.notify_all();
+            drop(state);
+            result?;
+        }
+    }
+}
+
+/// Marks a stream stopped and wakes every waiter when dropped.
+struct StopOnDrop<'a, T>(&'a Stream<T>);
+
+impl<T> Drop for StopOnDrop<'_, T> {
+    fn drop(&mut self) {
+        lock(&self.0.state).stopped = true;
+        self.0.room.notify_all();
     }
 }
 
@@ -485,6 +678,148 @@ mod tests {
         let pool = Pool::with_workers(2);
         let tasks: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![Box::new(|| 1), Box::new(|| 2)];
         pool.run_dag(tasks, &[vec![1], vec![0]]);
+    }
+
+    /// Index order for every worker count, window and length, including
+    /// windows smaller than the worker count and an empty stream.
+    #[test]
+    fn stream_ordered_consumes_in_index_order() {
+        for workers in 1..=7 {
+            let pool = Pool::with_workers(workers);
+            for window in [1, 3, 10, 64] {
+                for len in [0, 1, 97] {
+                    let mut seen = Vec::new();
+                    let peak = pool
+                        .stream_ordered(
+                            len,
+                            window,
+                            |range, out: &mut Vec<usize>| {
+                                out.clear();
+                                out.extend(range);
+                            },
+                            |out| {
+                                seen.extend_from_slice(out);
+                                Ok::<(), ()>(())
+                            },
+                        )
+                        .unwrap();
+                    assert_eq!(seen, (0..len).collect::<Vec<_>>(), "{workers}w window {window}");
+                    assert!(peak <= window, "{workers}w: peak {peak} > window {window}");
+                }
+            }
+        }
+    }
+
+    /// The producer of the first chunk holds it until the other workers
+    /// have claimed everything the window allows, so the window fills —
+    /// and the claimed-but-unconsumed count, measured from outside, never
+    /// passes it.
+    #[test]
+    fn stream_ordered_never_exceeds_its_window() {
+        for workers in 2..=7 {
+            // A whole number of chunks, so the window can fill exactly.
+            let window = 16 * workers;
+            let in_flight = AtomicUsize::new(0);
+            let most = AtomicUsize::new(0);
+            let peak = Pool::with_workers(workers)
+                .stream_ordered(
+                    1000,
+                    window,
+                    |range, n: &mut usize| {
+                        let now = in_flight.fetch_add(range.len(), Ordering::SeqCst) + range.len();
+                        most.fetch_max(now, Ordering::SeqCst);
+                        if range.start == 0 {
+                            let deadline = std::time::Instant::now() + Duration::from_secs(20);
+                            while in_flight.load(Ordering::SeqCst) < window {
+                                assert!(std::time::Instant::now() < deadline, "window never filled");
+                                std::thread::yield_now();
+                            }
+                        }
+                        *n = range.len();
+                    },
+                    |n| {
+                        in_flight.fetch_sub(*n, Ordering::SeqCst);
+                        Ok::<(), ()>(())
+                    },
+                )
+                .unwrap();
+            assert_eq!(most.load(Ordering::SeqCst), window, "{workers}w");
+            assert_eq!(peak, window, "{workers}w");
+        }
+    }
+
+    #[test]
+    fn stream_ordered_reraises_a_producer_panic() {
+        for workers in [1, 2, 4] {
+            let mut seen = Vec::new();
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                Pool::with_workers(workers).stream_ordered(
+                    200,
+                    16,
+                    |range, out: &mut Vec<usize>| {
+                        assert!(!range.contains(&50), "boom at item 50");
+                        out.clear();
+                        out.extend(range);
+                    },
+                    |out| {
+                        seen.extend_from_slice(out);
+                        Ok::<(), ()>(())
+                    },
+                )
+            }))
+            .expect_err("the producer panic must reach the caller");
+            assert!(panic_message(err.as_ref()).contains("boom at item 50"));
+            assert!(seen.len() <= 50, "{workers}w consumed past the panicking chunk");
+            assert_eq!(seen, (0..seen.len()).collect::<Vec<_>>());
+        }
+    }
+
+    /// A writer that fails mid-sweep gets its error back, and pricing
+    /// stops: at most one shard of cells is priced beyond what was
+    /// written.
+    #[test]
+    fn failing_writer_stops_pricing_within_one_shard() {
+        struct FailsAfter {
+            writes: usize,
+            rows: usize,
+        }
+        impl std::io::Write for FailsAfter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if self.writes == 0 {
+                    return Err(std::io::Error::other("disk full"));
+                }
+                self.writes -= 1;
+                self.rows += buf.iter().filter(|&&b| b == b'\n').count();
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let spec = crate::sweep::million_cell().truncate(5000);
+        let shard = 64;
+        for workers in [1, 2, 4] {
+            let ctx = crate::runner::Ctx::without_memo();
+            // The header and one chunk of rows get through.
+            let mut out = FailsAfter { writes: 2, rows: 0 };
+            let err = crate::sweep::run_streamed(
+                &Pool::with_workers(workers),
+                &ctx,
+                &spec,
+                None,
+                &mut out,
+                shard,
+            )
+            .expect_err("the write error must surface");
+            assert_eq!(err.to_string(), "disk full");
+            let written = out.rows - 1;
+            let priced = ctx.cache_stats().uncached as usize;
+            assert!(written > 0, "{workers}w: no chunk was written");
+            assert!(
+                priced <= written + shard,
+                "{workers}w: priced {priced} cells after writing {written} (shard {shard})"
+            );
+        }
     }
 
     #[test]

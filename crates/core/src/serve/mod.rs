@@ -26,11 +26,12 @@
 //! * **Budgets** — `MLPERF_STEP_BUDGET` (or the per-request `budget`
 //!   override) arms a per-connection meter. Each query charges its whole
 //!   cost up front on the connection thread — one unit per cell, `len()`
-//!   units per sweep — and pricing then runs under
-//!   [`Ctx::suspend_budget`], so inline pricing can never double-charge
-//!   and the verdict is a pure function of the client's own query
-//!   sequence: invariant across `MLPERF_JOBS`, cache state, and whoever
-//!   else is hammering the server.
+//!   units per sweep — and pricing then runs unmetered (a cell inline
+//!   under [`Ctx::suspend_budget`], a sweep on the pool's workers), so
+//!   pricing can never double-charge and the verdict is a pure function
+//!   of the client's own query sequence: invariant across
+//!   `MLPERF_JOBS`, cache state, and whoever else is hammering the
+//!   server.
 //! * **Degraded responses** — every failure is a typed error frame on
 //!   the PR-4 [`ExperimentError`]/`CellError` vocabulary; a poisoned
 //!   query unwinds into an `error` response at the per-request
@@ -625,11 +626,10 @@ impl Server {
                 .as_bytes(),
             );
         };
-        // Whole sweep cost up front; the cells themselves then price
-        // under suspension (pool workers carry no meter; the one-worker
-        // inline path runs on this thread).
+        // Whole sweep cost up front; the cells themselves then price on
+        // the pool's workers, which carry no meter (this thread only
+        // appends their rendered rows).
         self.ctx.charge(spec.len() as u64);
-        let _quiet = self.ctx.suspend_budget();
         let mut framer = ShardFramer::new(out, &req.id, spec.name, spec.len(), self.shard);
         let summary = sweep::run_streamed(
             &self.pool,
@@ -817,28 +817,41 @@ impl<'a> ShardFramer<'a> {
         self.flush_rows()?;
         self.out.write_all(protocol::done_frame(self.id, cells, errors).as_bytes())
     }
+
+    /// One CSV line: the first is the header (the `stream` frame), every
+    /// later one a row, framed `shard` at a time.
+    fn line(&mut self, line: String) -> io::Result<()> {
+        if self.sent_header {
+            self.rows.push(line);
+            if self.rows.len() >= self.shard {
+                self.flush_rows()?;
+            }
+        } else {
+            self.sent_header = true;
+            let columns: Vec<&str> = line.split(',').collect();
+            self.out.write_all(
+                protocol::stream_header_frame(self.id, self.sweep, self.cells, &columns).as_bytes(),
+            )?;
+        }
+        Ok(())
+    }
 }
 
 impl Write for ShardFramer<'_> {
+    /// Linear in the bytes written however many lines one call carries:
+    /// lines are cut at a cursor and the buffer drained once per call.
     fn write(&mut self, data: &[u8]) -> io::Result<usize> {
         self.buf.extend_from_slice(data);
-        while let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = self.buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
-            if self.sent_header {
-                self.rows.push(line);
-                if self.rows.len() >= self.shard {
-                    self.flush_rows()?;
-                }
-            } else {
-                self.sent_header = true;
-                let columns: Vec<&str> = line.split(',').collect();
-                self.out.write_all(
-                    protocol::stream_header_frame(self.id, self.sweep, self.cells, &columns)
-                        .as_bytes(),
-                )?;
+        let mut start = 0;
+        while let Some(len) = self.buf[start..].iter().position(|&b| b == b'\n') {
+            let line = String::from_utf8_lossy(&self.buf[start..start + len]).into_owned();
+            start += len + 1;
+            if let Err(e) = self.line(line) {
+                self.buf.drain(..start);
+                return Err(e);
             }
         }
+        self.buf.drain(..start);
         Ok(data.len())
     }
 
@@ -1109,16 +1122,27 @@ mod tests {
 
     #[test]
     fn shard_framer_frames_a_csv_stream() {
-        let mut sink: Vec<u8> = Vec::new();
-        {
-            let out: &mut dyn Write = &mut sink;
-            let mut f = ShardFramer::new(&mut *out, "q1", "demo", 3, 2);
-            // Feed a 3-row CSV in awkward chunk boundaries.
-            f.write_all(b"a,b,c\n1,2").unwrap();
-            f.write_all(b",3\n4,5,6\n7,8,9\n").unwrap();
-            f.finish(3, 1).unwrap();
-        }
-        let text = String::from_utf8(sink).unwrap();
+        const CSV: &[u8] = b"a,b,c\n1,2,3\n4,5,6\n7,8,9\n";
+        let framed = |writes: &[&[u8]]| {
+            let mut sink: Vec<u8> = Vec::new();
+            {
+                let out: &mut dyn Write = &mut sink;
+                let mut f = ShardFramer::new(&mut *out, "q1", "demo", 3, 2);
+                for w in writes {
+                    f.write_all(w).unwrap();
+                }
+                f.finish(3, 1).unwrap();
+            }
+            String::from_utf8(sink).unwrap()
+        };
+        // The same 3-row CSV in one write, row by row, byte by byte and
+        // across awkward boundaries frames identically.
+        let text = framed(&[CSV]);
+        let rows: Vec<&[u8]> = CSV.split_inclusive(|&b| b == b'\n').collect();
+        assert_eq!(framed(&rows), text);
+        let bytes: Vec<&[u8]> = CSV.chunks(1).collect();
+        assert_eq!(framed(&bytes), text);
+        assert_eq!(framed(&[b"a,b,c\n1,2", b",3\n4,5,6\n7,8,9\n"]), text);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4, "{text}");
         assert!(lines[0].contains("\"status\":\"stream\"") && lines[0].contains("\"cells\":3"));

@@ -29,7 +29,7 @@ pub use cache::{DiskCache, DiskStats};
 pub use replication::{Replication, ReplicationScratch, RunStats, MAX_RUNS, REPLICATION_SEED};
 
 use crate::benchmark::BenchmarkId;
-use crate::report::Table;
+use crate::report::CsvRecord;
 use crate::runner::{Ctx, Pool, TrainPoint};
 use mlperf_data::storage::StorageDevice;
 use mlperf_hw::systems::SystemId;
@@ -538,7 +538,8 @@ pub struct CellResult {
     pub from_disk: bool,
 }
 
-/// A fully-executed sweep.
+/// A fully-executed sweep, held in memory (the experiments' path; the
+/// CSV path is [`run_streamed`]).
 #[derive(Debug, Clone)]
 pub struct SweepRun {
     /// The sweep's stable name.
@@ -547,14 +548,6 @@ pub struct SweepRun {
     pub title: &'static str,
     /// What the cells computed.
     pub kind: CellKind,
-    /// Axis names, in declaration order (CSV column order).
-    pub axis_names: Vec<&'static str>,
-    /// The effective run count the cells were priced at (> 1 appends the
-    /// replication columns to the CSV).
-    pub runs: u32,
-    /// Whether the sweep carries a partition axis or base (adds the
-    /// `partition` column to the CSV).
-    pub partitioned: bool,
     /// Every cell, in deterministic expansion order.
     pub cells: Vec<CellResult>,
 }
@@ -758,36 +751,13 @@ pub(crate) fn run_cell(ctx: &Ctx, spec: &CellSpec, cache: Option<&DiskCache>) ->
 /// Run a sweep serially on the calling thread (what the experiments do —
 /// they already execute inside a pool worker).
 pub fn run_serial(ctx: &Ctx, spec: &SweepSpec, cache: Option<&DiskCache>) -> SweepRun {
-    let cells = spec
-        .cells()
-        .iter()
-        .map(|c| run_cell(ctx, c, cache))
-        .collect();
-    collect(spec, ctx.runs(), cells)
-}
-
-/// Run a sweep's cells on the pool (the `repro sweep` path). Results come
-/// back in expansion order regardless of the interleaving, so the output
-/// is byte-identical to [`run_serial`].
-pub fn run_pooled(pool: &Pool, ctx: &Ctx, spec: &SweepSpec, cache: Option<&DiskCache>) -> SweepRun {
-    let cell_specs = spec.cells();
-    let tasks: Vec<_> = cell_specs
-        .iter()
-        .map(|c| move || run_cell(ctx, c, cache))
-        .collect();
-    let cells = pool.run_all(tasks);
-    collect(spec, ctx.runs(), cells)
-}
-
-fn collect(spec: &SweepSpec, runs: u32, cells: Vec<CellResult>) -> SweepRun {
     SweepRun {
         name: spec.name,
         title: spec.title,
         kind: spec.kind,
-        axis_names: spec.axes.iter().map(|a| a.name).collect(),
-        runs: runs.max(1),
-        partitioned: spec.partitioned(),
-        cells,
+        cells: (0..spec.len())
+            .map(|i| run_cell(ctx, &spec.cell_at(i), cache))
+            .collect(),
     }
 }
 
@@ -817,59 +787,88 @@ pub(crate) fn csv_headers(kind: CellKind, runs: u32, partitioned: bool) -> Vec<&
     headers
 }
 
-/// Render one cell as its CSV row cells (unquoted). Shared between
-/// [`to_csv`] and [`run_streamed`] so the streamed file is byte-identical
-/// to the in-memory rendering. `runs` must match the header the row goes
-/// under: it sizes the dash padding of degraded rows; `partitioned`
-/// likewise gates the partition cell.
-fn row_cells(kind: CellKind, runs: u32, partitioned: bool, cell: &CellResult) -> Vec<String> {
-    let s = &cell.spec;
-    let mut row = vec![
-        s.workload.map_or("-", BenchmarkId::abbreviation).to_string(),
-        s.system
-            .map_or_else(|| "-".to_string(), |x| x.name().replace(' ', "_")),
-        s.gpus.map_or_else(|| "-".to_string(), |g| g.to_string()),
-        s.batch.map_or_else(|| "-".to_string(), |b| b.to_string()),
-        s.precision.map_or("-", |p| match p {
-            PrecisionPolicy::Fp32 => "fp32",
-            PrecisionPolicy::Amp => "amp",
-        })
-        .to_string(),
-        s.mtbf_hours
-            .map_or_else(|| "-".to_string(), |m| format!("{m:.1}")),
-        match s.interval {
-            None => "-".to_string(),
-            Some(IntervalChoice::Daly) => "daly".to_string(),
-            Some(IntervalChoice::FixedMin(m)) => format!("{m:.1}min"),
-        },
-    ];
-    if partitioned {
-        row.push(s.partition.map_or_else(|| "full".to_string(), |p| p.to_string()));
-    }
-    match &cell.outcome {
-        Ok(v) => {
-            row.push("ok".to_string());
-            row.extend(v.values().iter().map(|x| format!("{x:.4}")));
-            row.push("-".to_string());
-        }
-        Err(e) => {
-            row.push("error".to_string());
-            let width = kind.columns().len()
-                + if runs > 1 { kind.run_columns().len() } else { 0 };
-            row.extend(std::iter::repeat_n("-".to_string(), width));
-            row.push(e.kind.clone());
-        }
-    }
-    row
+/// One chunk of rendered CSV rows and what they counted: the unit a
+/// [`run_streamed`] worker fills and the caller appends. Reused chunk
+/// after chunk, so rendering allocates nothing per cell.
+#[derive(Default)]
+struct Rows {
+    csv: Vec<u8>,
+    cells: usize,
+    errors: usize,
+    disk_hits: usize,
 }
 
-/// Render a run as a long-form CSV: one row per cell in expansion order.
-pub fn to_csv(run: &SweepRun) -> String {
-    let mut t = Table::new("", csv_headers(run.kind, run.runs, run.partitioned));
-    for cell in &run.cells {
-        t.add_row(row_cells(run.kind, run.runs, run.partitioned, cell));
+impl Rows {
+    fn clear(&mut self) {
+        self.csv.clear();
+        self.cells = 0;
+        self.errors = 0;
+        self.disk_hits = 0;
     }
-    t.to_csv()
+
+    /// Append one cell's row. `runs` must match the header the row goes
+    /// under: it sizes the dash padding of degraded rows; `partitioned`
+    /// likewise gates the partition cell.
+    fn push(&mut self, kind: CellKind, runs: u32, partitioned: bool, cell: &CellResult) {
+        let s = &cell.spec;
+        let mut row = CsvRecord::new(&mut self.csv);
+        row.field(s.workload.map_or("-", BenchmarkId::abbreviation));
+        match s.system {
+            Some(x) => row.field_with(|buf| {
+                buf.extend(x.name().bytes().map(|b| if b == b' ' { b'_' } else { b }));
+            }),
+            None => row.field("-"),
+        }
+        match s.gpus {
+            Some(g) => row.field_fmt(format_args!("{g}")),
+            None => row.field("-"),
+        }
+        match s.batch {
+            Some(b) => row.field_fmt(format_args!("{b}")),
+            None => row.field("-"),
+        }
+        row.field(s.precision.map_or("-", |p| match p {
+            PrecisionPolicy::Fp32 => "fp32",
+            PrecisionPolicy::Amp => "amp",
+        }));
+        match s.mtbf_hours {
+            Some(m) => row.field_fmt(format_args!("{m:.1}")),
+            None => row.field("-"),
+        }
+        match s.interval {
+            None => row.field("-"),
+            Some(IntervalChoice::Daly) => row.field("daly"),
+            Some(IntervalChoice::FixedMin(m)) => row.field_fmt(format_args!("{m:.1}min")),
+        }
+        if partitioned {
+            match s.partition {
+                Some(p) => row.field_fmt(format_args!("{p}")),
+                None => row.field("full"),
+            }
+        }
+        match &cell.outcome {
+            Ok(v) => {
+                row.field("ok");
+                for x in v.values() {
+                    row.field_fmt(format_args!("{x:.4}"));
+                }
+                row.field("-");
+            }
+            Err(e) => {
+                row.field("error");
+                let width = kind.columns().len()
+                    + if runs > 1 { kind.run_columns().len() } else { 0 };
+                for _ in 0..width {
+                    row.field("-");
+                }
+                row.field(&e.kind);
+            }
+        }
+        row.end();
+        self.cells += 1;
+        self.errors += usize::from(cell.outcome.is_err());
+        self.disk_hits += usize::from(cell.from_disk);
+    }
 }
 
 /// What a streamed sweep did (the rows themselves went to the writer).
@@ -881,24 +880,26 @@ pub struct StreamSummary {
     pub errors: usize,
     /// Cells answered by the persistent cache.
     pub disk_hits: usize,
-    /// Peak number of priced-but-unwritten cells resident at once —
+    /// Peak number of cells claimed for pricing but not yet written —
     /// bounded by the shard size, never by the grid. The proof that
     /// streaming buffering stayed bounded.
     pub peak_resident: usize,
 }
 
-/// Run a sweep in shards of `shard` cells, writing each row as soon as
-/// its shard completes: the grid is never materialized, so a 10⁶-cell
-/// sweep runs in memory bounded by the shard size. Cells are decoded
-/// one shard at a time via [`SweepSpec::cell_at`], priced on the pool
-/// (expansion order preserved), rendered through the same row/quoting
-/// code as [`to_csv`], and dropped. The emitted bytes are identical to
-/// `to_csv(&run_pooled(..))`.
+/// Run a sweep as one streaming pipeline and write its long-form CSV to
+/// `out`: header first, then one row per cell in expansion order. Pool
+/// workers claim contiguous chunks of cells, decode them
+/// ([`SweepSpec::cell_at`]), price them and render their rows into reused
+/// buffers; the calling thread only appends finished chunks in order. At
+/// most `shard` cells are claimed but not yet written, so a 10⁶-cell sweep
+/// runs in memory bounded by the shard, never by the grid. The bytes are
+/// the same for every worker count and shard size.
 ///
 /// # Errors
 ///
-/// Propagates write errors from `out`; pricing never fails (degraded
-/// cells become `status=error` rows, counted in the summary).
+/// Propagates write errors from `out`, which stop further pricing; pricing
+/// itself never fails (degraded cells become `status=error` rows, counted
+/// in the summary).
 pub fn run_streamed(
     pool: &Pool,
     ctx: &Ctx,
@@ -907,8 +908,6 @@ pub fn run_streamed(
     out: &mut dyn std::io::Write,
     shard: usize,
 ) -> std::io::Result<StreamSummary> {
-    let shard = shard.max(1);
-    let total = spec.len();
     let runs = ctx.runs();
     let partitioned = spec.partitioned();
     out.write_all(crate::report::csv_line(csv_headers(spec.kind, runs, partitioned)).as_bytes())?;
@@ -918,34 +917,23 @@ pub fn run_streamed(
         disk_hits: 0,
         peak_resident: 0,
     };
-    let mut start = 0;
-    while start < total {
-        let end = (start + shard).min(total);
-        let specs: Vec<CellSpec> = (start..end).map(|i| spec.cell_at(i)).collect();
-        // A single worker gains nothing from task dispatch; pricing the
-        // shard inline skips the per-cell channel round-trip. Order is
-        // identical either way (`run_all` preserves submission order).
-        let results: Vec<CellResult> = if pool.workers() <= 1 {
-            specs.iter().map(|c| run_cell(ctx, c, cache)).collect()
-        } else {
-            let tasks: Vec<_> = specs
-                .iter()
-                .map(|c| move || run_cell(ctx, c, cache))
-                .collect();
-            pool.run_all(tasks)
-        };
-        summary.peak_resident = summary.peak_resident.max(results.len());
-        for cell in &results {
-            summary.cells += 1;
-            summary.errors += usize::from(cell.outcome.is_err());
-            summary.disk_hits += usize::from(cell.from_disk);
-            let row = row_cells(spec.kind, runs, partitioned, cell);
-            out.write_all(
-                crate::report::csv_line(row.iter().map(String::as_str)).as_bytes(),
-            )?;
-        }
-        start = end;
-    }
+    let peak = pool.stream_ordered(
+        spec.len(),
+        shard,
+        |cells, rows: &mut Rows| {
+            rows.clear();
+            for i in cells {
+                rows.push(spec.kind, runs, partitioned, &run_cell(ctx, &spec.cell_at(i), cache));
+            }
+        },
+        |rows| {
+            summary.cells += rows.cells;
+            summary.errors += rows.errors;
+            summary.disk_hits += rows.disk_hits;
+            out.write_all(&rows.csv)
+        },
+    )?;
+    summary.peak_resident = peak;
     Ok(summary)
 }
 
@@ -1094,6 +1082,30 @@ pub fn registry() -> Vec<SweepSpec> {
 mod tests {
     use super::*;
 
+    /// The streamed CSV of `spec` and its summary.
+    fn streamed(
+        workers: usize,
+        ctx: &Ctx,
+        spec: &SweepSpec,
+        cache: Option<&DiskCache>,
+        shard: usize,
+    ) -> (String, StreamSummary) {
+        let mut out = Vec::new();
+        let summary =
+            run_streamed(&Pool::with_workers(workers), ctx, spec, cache, &mut out, shard).unwrap();
+        (String::from_utf8(out).unwrap(), summary)
+    }
+
+    /// An in-memory run rendered through the streamed path's row writer.
+    fn render(run: &SweepRun, runs: u32, partitioned: bool) -> String {
+        let mut rows = Rows::default();
+        for cell in &run.cells {
+            rows.push(run.kind, runs, partitioned, cell);
+        }
+        let header = crate::report::csv_line(csv_headers(run.kind, runs, partitioned));
+        header + std::str::from_utf8(&rows.csv).unwrap()
+    }
+
     #[test]
     fn expansion_is_first_axis_outermost() {
         let spec = figure4_scaling();
@@ -1150,12 +1162,9 @@ mod tests {
     fn streamed_run_matches_in_memory_bytes() {
         let ctx = Ctx::new();
         let spec = fault_ttt();
-        let expected = to_csv(&run_pooled(&Pool::with_workers(2), &ctx, &spec, None));
-        let mut out = Vec::new();
-        let summary =
-            run_streamed(&Pool::with_workers(2), &Ctx::new(), &spec, None, &mut out, 4)
-                .unwrap();
-        assert_eq!(String::from_utf8(out).unwrap(), expected);
+        let expected = render(&run_serial(&ctx, &spec, None), 1, false);
+        let (out, summary) = streamed(2, &Ctx::new(), &spec, None, 4);
+        assert_eq!(out, expected);
         assert_eq!(summary.cells, spec.len());
         assert_eq!(summary.errors, 0);
         assert!(summary.peak_resident <= 4, "buffering exceeded the shard");
@@ -1257,13 +1266,8 @@ mod tests {
     #[test]
     fn replicated_sweep_is_worker_invariant_and_replays_bitwise() {
         let spec = figure4_scaling();
-        let a = to_csv(&run_serial(&Ctx::new().with_runs(8), &spec, None));
-        let b = to_csv(&run_pooled(
-            &Pool::with_workers(4),
-            &Ctx::new().with_runs(8),
-            &spec,
-            None,
-        ));
+        let a = render(&run_serial(&Ctx::new().with_runs(8), &spec, None), 8, false);
+        let (b, _) = streamed(4, &Ctx::new().with_runs(8), &spec, None, 3);
         assert_eq!(a, b, "replication draws are scheduling-invariant");
         assert!(a.lines().next().unwrap().ends_with(
             ",runs,epochs_median,epochs_p5,epochs_p95,epochs_ci_lo,epochs_ci_hi,error"
@@ -1275,8 +1279,8 @@ mod tests {
         let ctx = Ctx::new();
         let spec = fault_ttt();
         let a = run_serial(&ctx, &spec, None);
-        let b = run_pooled(&Pool::with_workers(4), &Ctx::new(), &spec, None);
-        assert_eq!(to_csv(&a), to_csv(&b));
+        let (b, _) = streamed(4, &Ctx::new(), &spec, None, 1024);
+        assert_eq!(render(&a, 1, false), b);
         assert_eq!(a.errors(), 0);
     }
 
@@ -1298,7 +1302,7 @@ mod tests {
                 _ => panic!("warm outcome changed status"),
             }
         }
-        assert_eq!(to_csv(&cold), to_csv(&warm), "CSV bytes identical");
+        assert_eq!(render(&cold, 1, false), render(&warm, 1, false), "CSV bytes identical");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -13,7 +13,7 @@
 //! ```
 
 use mlperf_suite::runner::{self, Ctx, Pool};
-use mlperf_testkit::hash::fnv1a64_str;
+use mlperf_testkit::hash::{fnv1a64, fnv1a64_str};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -156,5 +156,69 @@ fn million_cell_ci_prefix_fingerprint() {
     assert_eq!(
         got, want,
         "million_cell CI prefix drifted (got {got:#018x}, want {want:#018x});\n{fast}"
+    );
+}
+
+/// The byte reference of the sweep row renderer: the streamed CSV of every
+/// registry sweep at `runs` 1, at `runs` 8 (the replication columns) and
+/// re-based onto a `1of2x2` slice (the `partition` column, as
+/// `MLPERF_PARTITION=1of2x2 repro sweep` does). Between them the cases
+/// cover point, expected-TTT, replicated, partitioned and error rows.
+#[test]
+fn registry_sweep_csv_fingerprints() {
+    use mlperf_hw::PartitionSpec;
+    use mlperf_suite::sweep::{self, AxisValue};
+    const PINNED: [(&str, &str, u64); 15] = [
+        ("figure4_scaling", "runs1", 0x9e6f7c7550b361c2),
+        ("figure4_scaling", "runs8", 0x3a272e0b81921ee9),
+        ("figure4_scaling", "1of2x2", 0x4e3e3dd71001fec6),
+        ("batch_wall", "runs1", 0x78b48c5839b43cae),
+        ("batch_wall", "runs8", 0xa04d28643f4c38fe),
+        ("batch_wall", "1of2x2", 0x4f099104bfcca2f1),
+        ("fault_ttt", "runs1", 0x811838071b84a406),
+        ("fault_ttt", "runs8", 0x811838071b84a406),
+        ("fault_ttt", "1of2x2", 0x2841a7fc3b368407),
+        ("million_cell", "runs1", 0x4c343ad7848663f1),
+        ("million_cell", "runs8", 0x99c28dd421edd6d9),
+        ("million_cell", "1of2x2", 0x40950c1315a21d95),
+        ("partition_scaling", "runs1", 0x08cb6f52beda1c4f),
+        ("partition_scaling", "runs8", 0x8ffc435ac045a9ec),
+        ("partition_scaling", "1of2x2", 0x08cb6f52beda1c4f),
+    ];
+    let half = PartitionSpec::parse("1of2x2").expect("valid partition token");
+    let mut got = Vec::new();
+    for spec in sweep::registry() {
+        let cases = [
+            ("runs1", Ctx::without_memo(), spec.clone()),
+            ("runs8", Ctx::without_memo().with_runs(8), spec.clone()),
+            (
+                "1of2x2",
+                Ctx::without_memo(),
+                spec.clone().fix(AxisValue::Partition(half)),
+            ),
+        ];
+        for (case, ctx, spec) in cases {
+            let mut out = Vec::new();
+            sweep::run_streamed(&Pool::with_workers(2), &ctx, &spec, None, &mut out, 64)
+                .expect("in-memory sink");
+            got.push((spec.name, case, fnv1a64(&out)));
+        }
+    }
+    let drifted: Vec<String> = got
+        .iter()
+        .zip(&PINNED)
+        .filter(|(g, p)| g != p)
+        .map(|((name, case, fp), (_, _, want))| {
+            format!("{name} {case}: got {fp:#018x}, want {want:#018x}")
+        })
+        .collect();
+    assert!(
+        drifted.is_empty() && got.len() == PINNED.len(),
+        "sweep CSV bytes drifted:\n{}\ncurrent table:\n{}",
+        drifted.join("\n"),
+        got.iter()
+            .map(|(name, case, fp)| format!("        (\"{name}\", \"{case}\", {fp:#018x}),"))
+            .collect::<Vec<_>>()
+            .join("\n")
     );
 }

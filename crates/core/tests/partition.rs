@@ -17,7 +17,7 @@
 //!     cell from disk with identical bytes.
 
 use mlperf_suite::runner::{Ctx, Pool};
-use mlperf_suite::sweep::{self, DiskCache};
+use mlperf_suite::sweep::{self, DiskCache, StreamSummary, SweepSpec};
 use mlperf_hw::{PartitionProfile, PartitionSpec};
 use std::path::PathBuf;
 
@@ -28,6 +28,19 @@ fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mlperf_partition_{name}"));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// A sweep's CSV as `repro sweep` streams it, with the run's summary.
+fn streamed(
+    workers: usize,
+    ctx: &Ctx,
+    spec: &SweepSpec,
+    cache: Option<&DiskCache>,
+) -> (String, StreamSummary) {
+    let mut out = Vec::new();
+    let summary = sweep::run_streamed(&Pool::with_workers(workers), ctx, spec, cache, &mut out, 8)
+        .expect("in-memory sink");
+    (String::from_utf8(out).expect("CSV is UTF-8"), summary)
 }
 
 fn partition_scaling() -> sweep::SweepSpec {
@@ -69,7 +82,7 @@ fn whole_device_cells_spell_exactly_as_before_partitioning() {
 #[test]
 fn partitioned_sweep_bytes_are_identical_across_replays_and_workers() {
     let spec = partition_scaling();
-    let reference = sweep::to_csv(&sweep::run_serial(&Ctx::new(), &spec, None));
+    let (reference, _) = streamed(1, &Ctx::new(), &spec, None);
     assert!(
         reference.lines().next().expect("header").contains("partition"),
         "partitioned sweep must carry the partition column"
@@ -80,10 +93,9 @@ fn partitioned_sweep_bytes_are_identical_across_replays_and_workers() {
     }
     for workers in [1usize, 4] {
         for replay in 0..2 {
-            let pool = Pool::with_workers(workers);
-            let run = sweep::run_pooled(&pool, &Ctx::new(), &spec, None);
+            let (run, _) = streamed(workers, &Ctx::new(), &spec, None);
             assert_eq!(
-                sweep::to_csv(&run),
+                run,
                 reference,
                 "replay {replay} at {workers} workers drifted"
             );
@@ -95,12 +107,8 @@ fn partitioned_sweep_bytes_are_identical_across_replays_and_workers() {
 fn both_engines_price_sliced_cells_to_the_same_bytes() {
     let spec = partition_scaling();
     let fast_ctx = Ctx::new().with_fastpath(true);
-    let fast = sweep::to_csv(&sweep::run_serial(&fast_ctx, &spec, None));
-    let slow = sweep::to_csv(&sweep::run_serial(
-        &Ctx::new().with_fastpath(false),
-        &spec,
-        None,
-    ));
+    let (fast, _) = streamed(1, &fast_ctx, &spec, None);
+    let (slow, _) = streamed(1, &Ctx::new().with_fastpath(false), &spec, None);
     assert_eq!(fast, slow, "fast path changed partitioned CSV bytes");
     let (attempts, hits) = fast_ctx.fast_stats();
     assert!(attempts > 0, "fast path was never consulted");
@@ -126,12 +134,11 @@ fn disk_cache_keys_are_partition_aware_and_replay_warm() {
     // Cold-fill, then a warm replay answers every cell — sliced layouts
     // included — from disk, byte-identically.
     let spec = partition_scaling();
-    let pool = Pool::with_workers(4);
-    let cold = sweep::run_pooled(&pool, &Ctx::new(), &spec, Some(&cache));
+    let (cold, _) = streamed(4, &Ctx::new(), &spec, Some(&cache));
     let warm_ctx = Ctx::new();
-    let warm = sweep::run_pooled(&pool, &warm_ctx, &spec, Some(&cache));
-    assert_eq!(sweep::to_csv(&cold), sweep::to_csv(&warm), "warm bytes differ");
-    assert_eq!(warm.disk_hits(), warm.cells.len(), "warm run recomputed cells");
+    let (warm, summary) = streamed(4, &warm_ctx, &spec, Some(&cache));
+    assert_eq!(cold, warm, "warm bytes differ");
+    assert_eq!(summary.disk_hits, summary.cells, "warm run recomputed cells");
     let (attempts, _) = warm_ctx.fast_stats();
     assert_eq!(attempts, 0, "a disk hit must never re-price a cell");
     let _ = std::fs::remove_dir_all(&dir);

@@ -32,9 +32,14 @@ fn tmp(name: &str) -> PathBuf {
     dir
 }
 
-fn streamed(ctx: &Ctx, workers: usize, grid: &sweep::SweepSpec) -> String {
+fn streamed(
+    ctx: &Ctx,
+    workers: usize,
+    grid: &sweep::SweepSpec,
+    cache: Option<&DiskCache>,
+) -> String {
     let mut out = Vec::new();
-    sweep::run_streamed(&Pool::with_workers(workers), ctx, grid, None, &mut out, 8)
+    sweep::run_streamed(&Pool::with_workers(workers), ctx, grid, cache, &mut out, 8)
         .expect("streamed sweep");
     String::from_utf8(out).expect("utf8 csv")
 }
@@ -42,8 +47,8 @@ fn streamed(ctx: &Ctx, workers: usize, grid: &sweep::SweepSpec) -> String {
 #[test]
 fn runs_one_is_byte_identical_to_the_unset_knob() {
     let grid = sweep::figure4_scaling();
-    let unset = sweep::to_csv(&sweep::run_serial(&Ctx::new(), &grid, None));
-    let one = sweep::to_csv(&sweep::run_serial(&Ctx::new().with_runs(1), &grid, None));
+    let unset = streamed(&Ctx::new(), 1, &grid, None);
+    let one = streamed(&Ctx::new().with_runs(1), 1, &grid, None);
     assert_eq!(unset, one, "MLPERF_RUNS=1 must be the pre-knob bytes");
     let header = unset.lines().next().expect("header");
     for col in RunStats::COLUMNS {
@@ -58,7 +63,7 @@ fn replicated_sweep_replays_bitwise_across_replays_and_workers() {
     let mut transcripts = Vec::new();
     for workers in WORKER_COUNTS {
         for _replay in 0..2 {
-            transcripts.push(streamed(&ctx, workers, &grid));
+            transcripts.push(streamed(&ctx, workers, &grid, None));
         }
     }
     assert!(
@@ -75,8 +80,8 @@ fn replicated_sweep_replays_bitwise_across_replays_and_workers() {
 #[test]
 fn replicated_rows_extend_the_point_rows_and_order_their_quantiles() {
     let grid = sweep::figure4_scaling();
-    let one = sweep::to_csv(&sweep::run_serial(&Ctx::new(), &grid, None));
-    let eight = sweep::to_csv(&sweep::run_serial(&Ctx::new().with_runs(8), &grid, None));
+    let one = streamed(&Ctx::new(), 1, &grid, None);
+    let eight = streamed(&Ctx::new().with_runs(8), 1, &grid, None);
 
     let ones: Vec<&str> = one.lines().skip(1).collect();
     let eights: Vec<&str> = eight.lines().skip(1).collect();
@@ -118,17 +123,15 @@ fn disk_cache_keys_are_run_count_aware_and_round_trip() {
     let grid = sweep::figure4_scaling();
     let cells = grid.len() as u64;
 
-    let one_cold = sweep::to_csv(&sweep::run_serial(&Ctx::new(), &grid, Some(&cache)));
-    let eight_cold =
-        sweep::to_csv(&sweep::run_serial(&Ctx::new().with_runs(8), &grid, Some(&cache)));
+    let one_cold = streamed(&Ctx::new(), 1, &grid, Some(&cache));
+    let eight_cold = streamed(&Ctx::new().with_runs(8), 1, &grid, Some(&cache));
     // Distinct run counts must found distinct entries: the second cold
     // sweep stores every cell again instead of hitting the first's.
     let s = cache.stats();
     assert_eq!((s.hits, s.stores), (0, 2 * cells), "runs=1 and runs=8 shared a cache slot");
 
-    let one_warm = sweep::to_csv(&sweep::run_serial(&Ctx::new(), &grid, Some(&cache)));
-    let eight_warm =
-        sweep::to_csv(&sweep::run_serial(&Ctx::new().with_runs(8), &grid, Some(&cache)));
+    let one_warm = streamed(&Ctx::new(), 1, &grid, Some(&cache));
+    let eight_warm = streamed(&Ctx::new().with_runs(8), 1, &grid, Some(&cache));
     let s = cache.stats();
     assert_eq!((s.hits, s.stores), (2 * cells, 2 * cells), "warm sweeps missed the cache");
     assert_eq!(one_cold, one_warm, "runs=1 bytes drifted through the cache");

@@ -305,8 +305,17 @@ fn malformed_queries_get_typed_errors_and_the_server_survives() {
 fn streamed_sweep_frames_carry_the_batch_csv_bytes() {
     // What `repro sweep` would write for this grid, computed in-process.
     let grid = sweep::fault_ttt();
-    let run = sweep::run_pooled(&Pool::with_workers(2), &Ctx::without_memo(), &grid, None);
-    let csv = sweep::to_csv(&run);
+    let mut csv = Vec::new();
+    let run = sweep::run_streamed(
+        &Pool::with_workers(2),
+        &Ctx::without_memo(),
+        &grid,
+        None,
+        &mut csv,
+        1024,
+    )
+    .expect("in-memory sink");
+    let csv = String::from_utf8(csv).expect("CSV is UTF-8");
     let mut lines = csv.lines();
     let columns: Vec<&str> = lines.next().expect("header").split(',').collect();
     let rows: Vec<String> = lines.map(str::to_string).collect();
@@ -317,7 +326,7 @@ fn streamed_sweep_frames_carry_the_batch_csv_bytes() {
     for chunk in rows.chunks(4) {
         expected.push_str(&protocol::rows_frame("s1", chunk));
     }
-    expected.push_str(&protocol::done_frame("s1", grid.len(), run.errors()));
+    expected.push_str(&protocol::done_frame("s1", grid.len(), run.errors));
 
     let opts = ServeOptions {
         socket: sock("sweep_stream"),

@@ -12,7 +12,7 @@
 //!     the manifest itself) and re-running reproduces identical bytes.
 
 use mlperf_suite::runner::{self, Ctx, Pool, ResilienceConfig};
-use mlperf_suite::sweep::{self, DiskCache};
+use mlperf_suite::sweep::{self, DiskCache, StreamSummary, SweepSpec};
 use mlperf_suite::{csv_export, report_gen, BenchmarkId};
 use mlperf_testkit::rng::Rng;
 use std::path::PathBuf;
@@ -32,6 +32,19 @@ fn tmp(name: &str) -> PathBuf {
 
 fn cfg() -> ResilienceConfig {
     ResilienceConfig::resilient()
+}
+
+/// A sweep's CSV as `repro sweep` streams it, with the run's summary.
+fn streamed(
+    pool: &Pool,
+    ctx: &Ctx,
+    spec: &SweepSpec,
+    cache: Option<&DiskCache>,
+) -> (String, StreamSummary) {
+    let mut out = Vec::new();
+    let summary =
+        sweep::run_streamed(pool, ctx, spec, cache, &mut out, 16).expect("in-memory sink");
+    (String::from_utf8(out).expect("CSV is UTF-8"), summary)
 }
 
 #[test]
@@ -272,11 +285,11 @@ fn fast_path_cells_cache_identically_and_never_mask_errors() {
     let fast_dir = tmp("fastpath_on");
     let fast_cache = DiskCache::open_with_epoch(&fast_dir, EPOCH).unwrap();
     let fast_ctx = Ctx::new().with_fastpath(true);
-    let fast = sweep::run_pooled(&pool, &fast_ctx, &spec, Some(&fast_cache));
+    let (fast, fast_run) = streamed(&pool, &fast_ctx, &spec, Some(&fast_cache));
 
     let slow_dir = tmp("fastpath_off");
     let slow_cache = DiskCache::open_with_epoch(&slow_dir, EPOCH).unwrap();
-    let slow = sweep::run_pooled(
+    let (slow, _) = streamed(
         &pool,
         &Ctx::new().with_fastpath(false),
         &spec,
@@ -286,8 +299,8 @@ fn fast_path_cells_cache_identically_and_never_mask_errors() {
     // Identical bytes — the OOM wall degrades the same cells to the same
     // error rows regardless of engine (the fast path cannot turn an
     // error into a success or vice versa).
-    assert_eq!(sweep::to_csv(&fast), sweep::to_csv(&slow));
-    assert!(fast.errors() > 0, "the batch wall must be hit");
+    assert_eq!(fast, slow);
+    assert!(fast_run.errors > 0, "the batch wall must be hit");
     let (attempts, _) = fast_ctx.fast_stats();
     assert!(attempts > 0, "fast path was never consulted");
 
@@ -297,9 +310,9 @@ fn fast_path_cells_cache_identically_and_never_mask_errors() {
         (&slow_cache, Ctx::new().with_fastpath(true)),
         (&fast_cache, Ctx::new().with_fastpath(false)),
     ] {
-        let warm = sweep::run_pooled(&pool, &ctx, &spec, Some(cache));
-        assert_eq!(warm.disk_hits(), warm.cells.len(), "warm run recomputed");
-        assert_eq!(sweep::to_csv(&warm), sweep::to_csv(&fast));
+        let (warm, summary) = streamed(&pool, &ctx, &spec, Some(cache));
+        assert_eq!(summary.disk_hits, summary.cells, "warm run recomputed");
+        assert_eq!(warm, fast);
         let (attempts, _) = ctx.fast_stats();
         assert_eq!(attempts, 0, "a disk hit must never re-price a cell");
     }
@@ -314,17 +327,12 @@ fn sweep_cells_cache_and_replay_through_the_engine() {
         let cache = DiskCache::open_with_epoch(&dir, EPOCH).unwrap();
         let pool = Pool::with_workers(workers);
         for spec in sweep::registry() {
-            let cold = sweep::run_pooled(&pool, &Ctx::new(), &spec, Some(&cache));
-            let warm = sweep::run_pooled(&pool, &Ctx::new(), &spec, Some(&cache));
+            let (cold, _) = streamed(&pool, &Ctx::new(), &spec, Some(&cache));
+            let (warm, summary) = streamed(&pool, &Ctx::new(), &spec, Some(&cache));
+            assert_eq!(cold, warm, "sweep '{}' warm bytes differ", spec.name);
             assert_eq!(
-                sweep::to_csv(&cold),
-                sweep::to_csv(&warm),
-                "sweep '{}' warm bytes differ",
-                spec.name
-            );
-            assert_eq!(
-                warm.disk_hits(),
-                warm.cells.len(),
+                summary.disk_hits,
+                summary.cells,
                 "sweep '{}' warm run recomputed cells",
                 spec.name
             );

@@ -74,6 +74,16 @@ diff -u "$report_tmp/serial.md" "$report_tmp/three.md" \
     || { echo "report bytes depend on MLPERF_JOBS (3 workers)" >&2; exit 1; }
 diff -u REPORT.md "$report_tmp/serial.md" \
     || { echo "committed REPORT.md is stale; regenerate with repro --report REPORT.md" >&2; exit 1; }
+# The same contract for every registered sweep: workers price and render
+# their own chunks, the caller only appends them in order.
+for jobs in 1 3 4; do
+    MLPERF_JOBS=$jobs cargo run -q --release --offline -p mlperf-suite --bin repro -- \
+        --no-cache sweep --all --out "$report_tmp/sweeps_j$jobs" >/dev/null
+done
+diff -r "$report_tmp/sweeps_j1" "$report_tmp/sweeps_j3" \
+    || { echo "sweep CSV bytes depend on MLPERF_JOBS (3 workers)" >&2; exit 1; }
+diff -r "$report_tmp/sweeps_j1" "$report_tmp/sweeps_j4" \
+    || { echo "sweep CSV bytes depend on MLPERF_JOBS (4 workers)" >&2; exit 1; }
 
 echo "== cache gate: warm repro is 100% hits and byte-identical =="
 # The persistent result cache (DESIGN.md "Sweep & cache model"): a second
