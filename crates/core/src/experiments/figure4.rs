@@ -200,16 +200,28 @@ impl Experiment for Exp {
 mod tests {
     use super::*;
 
+    /// The scheduler ablation: LPT ties naive on this job mix (every job
+    /// prefers full width in isolation; at 8 GPUs LPT is 4 s shorter, a tie
+    /// at the report's 0.1-minute precision), and only the exact search
+    /// finds the co-scheduling wins.
     #[test]
     fn optimal_beats_naive_at_small_pools() {
         let f = run().unwrap();
-        for s in &f.studies {
-            assert!(
-                s.optimal.makespan <= s.naive.makespan + 1e-9,
-                "{} GPUs",
-                s.gpu_count
-            );
-            assert!(s.optimal.makespan <= s.lpt.makespan + 1e-9);
+        let want = [(2, 2774.9, 2524.3), (4, 1524.4, 1387.0), (8, 873.3, 755.6)];
+        assert_eq!(f.studies.len(), want.len());
+        for (s, (gpus, naive, optimal)) in f.studies.iter().zip(want) {
+            assert_eq!(s.gpu_count, gpus);
+            for (policy, got, want) in [
+                ("naive", s.naive.makespan, naive),
+                ("LPT", s.lpt.makespan, naive),
+                ("optimal", s.optimal.makespan, optimal),
+            ] {
+                assert!(
+                    (got - want).abs() < 0.05,
+                    "{policy} at {gpus} GPUs: {got:.2} min"
+                );
+            }
+            assert!(s.optimal.makespan < s.lpt.makespan.min(s.naive.makespan));
         }
     }
 

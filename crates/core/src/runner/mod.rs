@@ -27,8 +27,8 @@
 //! flow into rendered output: results are assembled in declaration order,
 //! cache hit/miss counts are scheduling-invariant (see [`memo`]'s module
 //! docs), and per-experiment wall-clock — inherently nondeterministic —
-//! stays in [`ExecutorStats`], which is surfaced on stderr and in the
-//! bench JSON, never in the report body. DESIGN.md "Execution model" is
+//! stays in [`ExecutorStats`], which is surfaced on stderr and read by
+//! perfbench, never in the report body. DESIGN.md "Execution model" is
 //! the long-form writeup.
 
 mod error;
@@ -38,7 +38,7 @@ mod pool;
 pub use error::{fnv1a64, BudgetExceeded, ExperimentError};
 pub(crate) use error::panic_message as panic_payload_message;
 pub use memo::ShardedCache;
-pub use pool::{Pool, TaskFailure, JOBS_ENV};
+pub use pool::{Pool, JOBS_ENV};
 
 use crate::benchmark::BenchmarkId;
 use crate::experiments::{
@@ -332,9 +332,10 @@ impl Ctx {
         }
     }
 
-    /// A context that never memoizes — every request is recomputed. This
-    /// exists for the executor bench's baseline (the legacy serial
-    /// behaviour) and for A/B-testing the cache itself.
+    /// A context that never memoizes — every request is recomputed and
+    /// counted as uncached. `repro sweep` and perfbench's sweep use it
+    /// (sweep cells are pairwise distinct, so a memo would only grow), as
+    /// do the tests that count priced cells.
     pub fn without_memo() -> Ctx {
         Ctx {
             memoize: false,
@@ -1072,7 +1073,7 @@ pub struct ExperimentRecovery {
 
 /// Executor instrumentation. Everything here except [`CacheStats`] is
 /// wall-clock and therefore nondeterministic — it is surfaced on stderr
-/// and in the bench JSON, never in the report body.
+/// and read by perfbench, never in the report body.
 #[derive(Debug, Clone)]
 pub struct ExecutorStats {
     /// Worker threads the pool ran.

@@ -16,7 +16,6 @@
 //! [`Pool::stream_ordered`], where workers claim contiguous chunks and the
 //! caller consumes them in index order inside a bounded window.
 
-use super::error::panic_message;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -37,37 +36,16 @@ const IDLE_PARK: Duration = Duration::from_micros(100);
 
 /// Lock that survives a poisoned mutex: a panicking task must not wedge
 /// the pool (failures are recorded per slot and the DAG keeps draining,
-/// see `run_dag_catching`), so every internal lock recovers the guard
+/// see [`Pool::run_dag`]), so every internal lock recovers the guard
 /// instead of propagating the poison.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Why one DAG task produced no value (the catching scheduler's
-/// per-slot failure record).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TaskFailure {
-    /// The task's closure panicked; `message` is the stringified payload.
-    Panicked {
-        /// The panic payload, as text.
-        message: String,
-    },
-    /// An upstream task failed, so this one never ran.
-    Dependency {
-        /// Submission index of the failed dependency.
-        dep: usize,
-        /// That dependency's failure, as text.
-        message: String,
-    },
-}
-
-impl TaskFailure {
-    fn message(&self) -> &str {
-        match self {
-            TaskFailure::Panicked { message } | TaskFailure::Dependency { message, .. } => message,
-        }
-    }
-}
+/// A DAG task's slot marker for "produced no value": the task panicked,
+/// or an upstream task failed so it never ran.
+#[derive(Debug)]
+struct TaskFailure;
 
 /// A fixed-width scoped thread pool executing dependency DAGs of tasks.
 #[derive(Debug, Clone)]
@@ -104,68 +82,19 @@ impl Pool {
     /// Execute a task DAG and return every task's result in submission
     /// order, regardless of the execution interleaving.
     ///
-    /// `deps[i]` lists the task indices task `i` waits for. Tasks whose
-    /// dependencies are satisfied run concurrently.
+    /// `deps[i]` lists the task indices task `i` waits for (independent
+    /// tasks get empty lists). Tasks whose dependencies are satisfied run
+    /// concurrently.
     ///
     /// # Panics
     ///
     /// Re-raises the first task panic on the calling thread — but only
     /// after the rest of the DAG has drained: every task independent of
     /// the panicking one still runs to completion (transitive dependents
-    /// are skipped). Use [`Pool::run_dag_catching`] to receive failures
-    /// as values instead. Also panics on malformed input: `deps` and
-    /// `tasks` lengths differing, an out-of-range or self dependency, or
-    /// a dependency cycle.
+    /// are skipped). Also panics on malformed input: `deps` and `tasks`
+    /// lengths differing, an out-of-range or self dependency, or a
+    /// dependency cycle.
     pub fn run_dag<T, F>(&self, tasks: Vec<F>, deps: &[Vec<usize>]) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let (results, payload) = self.run_dag_inner(tasks, deps);
-        if let Some(payload) = payload {
-            resume_unwind(payload);
-        }
-        results
-            .into_iter()
-            .map(|r| match r {
-                Ok(v) => v,
-                // Unreachable: a Dependency failure implies an upstream
-                // panic, whose payload was just re-raised above.
-                Err(f) => unreachable!("task failed without a panic payload: {}", f.message()),
-            })
-            .collect()
-    }
-
-    /// Execute a task DAG, catching failures per slot: a panicking task
-    /// yields [`TaskFailure::Panicked`], its transitive dependents yield
-    /// [`TaskFailure::Dependency`] without running, and every other task
-    /// completes normally. The first panic payload is dropped (its
-    /// message survives in the failure record).
-    ///
-    /// # Panics
-    ///
-    /// Only on malformed input, as [`Pool::run_dag`].
-    pub fn run_dag_catching<T, F>(
-        &self,
-        tasks: Vec<F>,
-        deps: &[Vec<usize>],
-    ) -> Vec<Result<T, TaskFailure>>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        self.run_dag_inner(tasks, deps).0
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn run_dag_inner<T, F>(
-        &self,
-        tasks: Vec<F>,
-        deps: &[Vec<usize>],
-    ) -> (
-        Vec<Result<T, TaskFailure>>,
-        Option<Box<dyn std::any::Any + Send>>,
-    )
     where
         T: Send,
         F: FnOnce() -> T + Send,
@@ -173,7 +102,7 @@ impl Pool {
         let n = tasks.len();
         assert_eq!(n, deps.len(), "one dependency list per task");
         if n == 0 {
-            return (Vec::new(), None);
+            return Vec::new();
         }
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut pending: Vec<AtomicUsize> = Vec::with_capacity(n);
@@ -228,32 +157,21 @@ impl Pool {
             0,
             "task DAG contains a dependency cycle"
         );
-        let payload = lock(&state.panic).take();
-        let results = state
+        let panic = lock(&state.panic).take();
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+        state
             .results
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
                     .unwrap_or_else(PoisonError::into_inner)
-                    .expect("every task completed or was marked failed")
+                    .and_then(Result::ok)
+                    // A failed slot implies a panic, re-raised above.
+                    .expect("every task completed")
             })
-            .collect();
-        (results, payload)
-    }
-
-    /// Run independent tasks (a DAG with no edges) and return their
-    /// results in submission order.
-    ///
-    /// # Panics
-    ///
-    /// As [`Pool::run_dag`].
-    pub fn run_all<T, F>(&self, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let deps = vec![Vec::new(); tasks.len()];
-        self.run_dag(tasks, &deps)
+            .collect()
     }
 
     /// Produce items `0..len` on the workers and consume them, in index
@@ -450,8 +368,8 @@ struct DagState<F, T> {
     /// Each task, taken exactly once by the worker that executes it.
     tasks: Vec<Mutex<Option<F>>>,
     /// Result slots, indexed like `tasks`. A slot is filled exactly once:
-    /// with the task's value, its panic record, or the upstream failure
-    /// that kept it from running — so a failure never abandons the DAG.
+    /// with the task's value, or a failure if it panicked or an upstream
+    /// failure kept it from running — so a failure never abandons the DAG.
     results: Vec<Mutex<Option<Result<T, TaskFailure>>>>,
     /// Unmet-dependency counts; a task is ready when its count hits 0.
     pending: Vec<AtomicUsize>,
@@ -462,8 +380,7 @@ struct DagState<F, T> {
     dependents: Vec<Vec<usize>>,
     /// Tasks not yet completed (cycle detection + shutdown signal).
     remaining: AtomicUsize,
-    /// First panic payload, re-raised by `run_dag` (dropped by
-    /// `run_dag_catching`).
+    /// First panic payload, re-raised by `run_dag` once the DAG drains.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     /// Global FIFO holding the initially-ready tasks.
     injector: Mutex<VecDeque<usize>>,
@@ -509,32 +426,20 @@ impl<F: FnOnce() -> T + Send, T: Send> DagState<F, T> {
 
     fn run_task(&self, me: usize, i: usize) {
         // A failed dependency cascades: the task is dropped unrun and its
-        // slot records which upstream task took it down. Dependency slots
-        // are already filled (the pool only readies a task after all its
-        // deps completed), so the probe never races a concurrent write.
-        let upstream = self.deps[i].iter().find_map(|&d| {
-            lock(&self.results[d]).as_ref().and_then(|r| match r {
-                Ok(_) => None,
-                Err(f) => Some((d, f.message().to_string())),
+        // slot records a failure. Dependency slots are already filled (the
+        // pool only readies a task after all its deps completed), so the
+        // probe never races a concurrent write.
+        let upstream_failed = self.deps[i]
+            .iter()
+            .any(|&d| matches!(*lock(&self.results[d]), Some(Err(TaskFailure))));
+        let outcome = if upstream_failed {
+            Err(TaskFailure)
+        } else {
+            let task = lock(&self.tasks[i]).take().expect("task runs exactly once");
+            catch_unwind(AssertUnwindSafe(task)).map_err(|payload| {
+                lock(&self.panic).get_or_insert(payload);
+                TaskFailure
             })
-        });
-        let outcome = match upstream {
-            Some((dep, message)) => Err(TaskFailure::Dependency { dep, message }),
-            None => {
-                let task = lock(&self.tasks[i]).take().expect("task runs exactly once");
-                match catch_unwind(AssertUnwindSafe(task)) {
-                    Ok(value) => Ok(value),
-                    Err(payload) => {
-                        let message = panic_message(payload.as_ref());
-                        let mut slot = lock(&self.panic);
-                        if slot.is_none() {
-                            *slot = Some(payload);
-                        }
-                        drop(slot);
-                        Err(TaskFailure::Panicked { message })
-                    }
-                }
-            }
         };
         *lock(&self.results[i]) = Some(outcome);
         // Push newly-ready dependents onto our own deque: we will pop
@@ -560,13 +465,14 @@ impl<F: FnOnce() -> T + Send, T: Send> DagState<F, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::error::panic_message;
     use std::sync::atomic::AtomicU64;
 
     #[test]
     fn results_come_back_in_submission_order() {
         let pool = Pool::with_workers(4);
         let tasks: Vec<_> = (0..64).map(|i| move || i * i).collect();
-        let got = pool.run_all(tasks);
+        let got = pool.run_dag(tasks, &vec![Vec::new(); 64]);
         let want: Vec<_> = (0..64).map(|i| i * i).collect();
         assert_eq!(got, want);
     }
@@ -606,7 +512,7 @@ mod tests {
                 }
             })
             .collect();
-        let got = pool.run_all(tasks);
+        let got = pool.run_dag(tasks, &vec![Vec::new(); 32]);
         assert_eq!(got, (0..32).map(|i| i * 3).collect::<Vec<_>>());
     }
 
@@ -634,10 +540,9 @@ mod tests {
     #[test]
     fn regression_panicked_dag_drains_all_tasks() {
         // Before the resilience layer the first panic set an abort flag
-        // and every remaining queued task was abandoned; the result
-        // vector then had holes. Now the DAG drains: independent tasks
-        // all run, the panicker's dependents cascade as failures, and
-        // every slot is filled.
+        // and every remaining queued task was abandoned. Now the DAG
+        // drains before the panic is re-raised: independent tasks all run,
+        // and the panicker's dependents never do.
         let ran = AtomicU64::new(0);
         let pool = Pool::with_workers(2);
         let tasks: Vec<Box<dyn FnOnce() -> u64 + Send + '_>> = vec![
@@ -650,26 +555,21 @@ mod tests {
         // 1 depends on the panicker, 4 depends on 1 (transitive); 2 and 3
         // are independent and must still run.
         let deps = vec![vec![], vec![0], vec![], vec![], vec![1]];
-        let results = pool.run_dag_catching(tasks, &deps);
-        assert_eq!(results.len(), 5, "no slot may vanish");
-        match &results[0] {
-            Err(TaskFailure::Panicked { message }) => {
-                assert!(message.contains("boom at task 0"), "{message}");
-            }
-            other => panic!("task 0 should be Panicked, got {other:?}"),
-        }
-        match &results[1] {
-            Err(TaskFailure::Dependency { dep: 0, message }) => {
-                assert!(message.contains("boom at task 0"), "{message}");
-            }
-            other => panic!("task 1 should cascade from 0, got {other:?}"),
-        }
-        assert!(matches!(&results[4], Err(TaskFailure::Dependency { .. })));
-        assert!(results[2].is_ok() && results[3].is_ok());
-        assert_eq!(ran.load(Ordering::SeqCst), 2, "independent tasks drained");
+        let err = catch_unwind(AssertUnwindSafe(|| pool.run_dag(tasks, &deps)))
+            .expect_err("the panic must reach the caller");
+        assert!(panic_message(err.as_ref()).contains("boom at task 0"));
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            2,
+            "only the independent tasks ran"
+        );
 
         // The pool object stays usable afterwards.
-        assert_eq!(pool.run_all((0..8).map(|i| move || i).collect::<Vec<_>>()), (0..8).collect::<Vec<_>>());
+        let tasks: Vec<_> = (0..8).map(|i| move || i).collect();
+        assert_eq!(
+            pool.run_dag(tasks, &vec![Vec::new(); 8]),
+            (0..8).collect::<Vec<_>>()
+        );
     }
 
     #[test]

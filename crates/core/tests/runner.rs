@@ -8,7 +8,7 @@
 
 use mlperf_hw::SystemId;
 use mlperf_models::PrecisionPolicy;
-use mlperf_suite::runner::{Ctx, Pool, ResilienceConfig, TrainPoint};
+use mlperf_suite::runner::{self, Ctx, Pool, ResilienceConfig, TrainPoint};
 use mlperf_suite::{csv_export, report_gen, BenchmarkId};
 use mlperf_testkit::prop::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -79,6 +79,37 @@ fn report_and_csv_bytes_are_identical_for_any_worker_count() {
     }
 }
 
+/// What the memo buys on the full report, as a count instead of a timing:
+/// with and without the memo, at 1 and 4 workers, every section renders
+/// the same bytes, but the memo-free run prices 474 requests where the
+/// memoized one prices 201 (155 step and 10 kernel misses, 36 uncached).
+#[test]
+fn memo_prices_fewer_requests_and_renders_the_same_sections() {
+    let experiments = runner::report_experiments();
+    let mut reference = None;
+    for workers in [1, 4] {
+        for (label, ctx, priced) in [
+            ("memoized", Ctx::new(), (155, 10, 36)),
+            ("memo-free", Ctx::without_memo(), (0, 0, 474)),
+        ] {
+            let execution = runner::execute(&Pool::with_workers(workers), &ctx, &experiments)
+                .expect("the report builds");
+            let sections: Vec<String> = execution.reports.into_iter().map(|r| r.rendered).collect();
+            assert_eq!(sections.len(), experiments.len());
+            assert!(
+                &sections == reference.get_or_insert_with(|| sections.clone()),
+                "{label} sections differ at {workers} workers"
+            );
+            let stats = ctx.cache_stats();
+            assert_eq!(
+                (stats.step_misses, stats.kernel_misses, stats.uncached),
+                priced,
+                "{label} at {workers} workers"
+            );
+        }
+    }
+}
+
 #[test]
 fn distinct_train_points_occupy_distinct_cache_entries() {
     // Every key component — benchmark, platform, GPU count, precision,
@@ -127,8 +158,10 @@ fn worker_panic_propagates_and_pool_stays_usable() {
         Box::new(|| panic!("injected failure")),
         Box::new(|| 3),
     ];
-    let err = catch_unwind(AssertUnwindSafe(|| pool.run_all(tasks)))
-        .expect_err("the task panic must reach the caller");
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        pool.run_dag(tasks, &[vec![], vec![], vec![]])
+    }))
+    .expect_err("the task panic must reach the caller");
     let msg = err
         .downcast_ref::<&str>()
         .copied()
@@ -140,7 +173,7 @@ fn worker_panic_propagates_and_pool_stays_usable() {
     // The pool carries no state across runs: a poisoned mutex or a stale
     // abort flag from the panicking DAG must not wedge the next one.
     let tasks: Vec<_> = (0..16u32).map(|i| move || i + 1).collect();
-    let ok = pool.run_all(tasks);
+    let ok = pool.run_dag(tasks, &vec![Vec::new(); 16]);
     assert_eq!(ok, (1..=16).collect::<Vec<_>>());
 }
 

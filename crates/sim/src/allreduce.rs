@@ -5,7 +5,8 @@
 //! through every GPU; its speed is set by the *worst* GPU-to-GPU path in the
 //! ring — which is exactly how the paper's topology hierarchy (NVLink >
 //! PCIe-switch P2P > through-CPU > through-UPI, §V-E) turns into training
-//! time. Tree and naive algorithms are provided for the ablation benches.
+//! time. Tree, naive and parameter-server exchange are the baselines of the
+//! all-reduce ablation (`TrainingJob::with_allreduce`).
 
 use mlperf_hw::topology::{P2pClass, PeerPath};
 use mlperf_hw::units::{Bytes, Seconds};
@@ -349,6 +350,35 @@ mod tests {
         let naive = allreduce_time(AllReduceAlgorithm::Naive, bytes, 8, &p);
         assert!(ring.as_secs() < tree.as_secs());
         assert!(tree.as_secs() < naive.as_secs());
+    }
+
+    /// A 160 MiB ring all-reduce on a one-socket, 4-GPU box whose GPUs hang
+    /// off the CPU on x4, x8 or x16 links: 300.8, 150.4 and 75.2 ms, each
+    /// halving of the lanes doubling the time.
+    #[test]
+    fn ring_time_is_inverse_in_pcie_lanes() {
+        use mlperf_hw::cpu::CpuModel;
+        use mlperf_hw::gpu::GpuModel;
+        use mlperf_hw::interconnect::Link;
+        use mlperf_hw::topology::Topology;
+        let ms = |lanes: u32| {
+            let mut t = Topology::new(format!("x{lanes}"));
+            let cpu = t.add_cpu(CpuModel::XeonGold6148);
+            for _ in 0..4 {
+                let gpu = t.add_gpu(GpuModel::TeslaV100Pcie16);
+                t.connect(cpu, gpu, Link::PcieGen3 { lanes });
+            }
+            let worst = t.worst_peer_path(&[0, 1, 2, 3]).expect("connected");
+            allreduce_time(AllReduceAlgorithm::Ring, Bytes::from_mib(160), 4, &worst).as_secs()
+                * 1e3
+        };
+        let (x4, x8, x16) = (ms(4), ms(8), ms(16));
+        for (got, want) in [(x4, 300.8), (x8, 150.4), (x16, 75.2)] {
+            assert!((got - want).abs() < 0.05, "{got:.2} ms, want {want}");
+        }
+        for (narrow, wide) in [(x4, x8), (x8, x16)] {
+            assert!((narrow / wide - 2.0).abs() < 0.02, "{narrow} vs {wide} ms");
+        }
     }
 
     #[test]

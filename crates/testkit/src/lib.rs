@@ -2,7 +2,7 @@
 //!
 //! The paper's methodology rests on reproducible, seeded measurement runs;
 //! this crate gives the workspace the same property for its *tests* without
-//! reaching for crates.io. Three modules:
+//! reaching for crates.io. Seven modules:
 //!
 //! * [`rng`] — a seedable SplitMix64-seeded xoshiro256++ PRNG with
 //!   stream-splitting, so every shard / record / test case draws from an
@@ -10,8 +10,6 @@
 //! * [`prop`] — a minimal property-testing harness (generators, a
 //!   [`properties!`](crate::properties) macro close to `proptest!`, greedy
 //!   draw-stream shrinking, failure-seed reporting);
-//! * [`bench`] — a wall-clock micro-bench runner (warmup, N samples,
-//!   median/p95, JSON-line output) standing in for `criterion`;
 //! * [`fault`] — a seeded-replay draw log ([`fault::FaultScript`]) that
 //!   fault-plan generators draw through, so an injected failure scenario
 //!   replays byte-identically from its seed;
@@ -34,7 +32,6 @@
 //! has **zero dependencies** by design. See DESIGN.md §"Offline build &
 //! determinism policy".
 
-pub mod bench;
 pub mod chaos;
 pub mod fault;
 pub mod hash;

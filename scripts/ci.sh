@@ -309,9 +309,6 @@ set -e
 grep -q "MLPERF_PARTITION" "$report_tmp/part_bad.log" \
     || { echo "malformed-knob error does not name MLPERF_PARTITION" >&2; exit 1; }
 
-echo "== executor bench (JSON) =="
-cargo bench -q --offline -p mlperf-bench --bench executor
-
 echo "== serve smoke: daemon up, seeded replay byte-identical, clean shutdown =="
 # The query server (DESIGN.md §2f): start the daemon on a scratch socket,
 # replay a fixed query mix twice through `repro query`, require the two

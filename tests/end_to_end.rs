@@ -4,6 +4,7 @@ use mlperf_analysis::pca::Pca;
 use mlperf_analysis::roofline::RooflineModel;
 use mlperf_hw::systems::SystemId;
 use mlperf_hw::units::Seconds;
+use mlperf_sim::allreduce::AllReduceAlgorithm;
 use mlperf_sim::{train_on_first, RunSpec, Simulator};
 use mlperf_suite::{BenchmarkId, WorkloadSpec};
 use mlperf_telemetry::{csv, KernelProfile, ResourceUsage, Sampler};
@@ -123,4 +124,78 @@ fn oom_is_reported_not_masked() {
         .execute(&RunSpec::on_first(job, 1))
         .expect_err("64k images cannot fit");
     assert!(err.to_string().contains("device has"));
+}
+
+/// The all-reduce ablation through the engine, not just the cost formula:
+/// XFMR on C4140 (K) × 4 trains in ring < tree < naive < parameter-server
+/// order, at 165.4, 167.8, 177.6 and 295.2 min.
+#[test]
+fn allreduce_algorithms_keep_their_order_through_training() {
+    let system = SystemId::C4140K.spec();
+    let sim = Simulator::new(&system);
+    let job = BenchmarkId::MlpfXfmrPy.job();
+    let mut previous = 0.0;
+    for (alg, want) in [
+        (AllReduceAlgorithm::Ring, 165.4),
+        (AllReduceAlgorithm::Tree, 167.8),
+        (AllReduceAlgorithm::Naive, 177.6),
+        (AllReduceAlgorithm::ParameterServer, 295.2),
+    ] {
+        let minutes = train_on_first(&sim, &job.with_allreduce(alg), 4)
+            .expect("run succeeds")
+            .total_time
+            .as_minutes();
+        assert!((minutes - want).abs() < 0.05, "{alg}: {minutes:.2} min");
+        assert!(
+            minutes > previous,
+            "{alg} is not slower than its predecessor"
+        );
+        previous = minutes;
+    }
+}
+
+/// The overlap ablation. On DSS 8440 × 4 every GPU pair is switch P2P, so
+/// serializing communication costs the translation benchmarks most (XFMR
+/// +9.0 %, GNMT +2.7 %) and image classification least (Res50_MX +1.2 %).
+/// At 8 GPUs the worst path is staged through the hosts, where overlap is
+/// already off, so the knob changes nothing.
+#[test]
+fn overlap_off_slows_p2p_translation_and_is_inert_on_staged_paths() {
+    let system = SystemId::Dss8440.spec();
+    let sim = Simulator::new(&system);
+    let minutes = |id: BenchmarkId, gpus, overlap: bool| {
+        let job = if overlap {
+            id.job()
+        } else {
+            id.job().without_overlap()
+        };
+        train_on_first(&sim, &job, gpus)
+            .expect("run succeeds")
+            .total_time
+            .as_minutes()
+    };
+    let slowdown = |id| minutes(id, 4, false) / minutes(id, 4, true) - 1.0;
+    let res50 = slowdown(BenchmarkId::MlpfRes50Mx);
+    let xfmr = slowdown(BenchmarkId::MlpfXfmrPy);
+    let gnmt = slowdown(BenchmarkId::MlpfGnmtPy);
+    assert!(res50 > 0.0, "Res50_MX {res50:+.4}");
+    assert!(
+        xfmr > 0.05 && xfmr > res50,
+        "XFMR {xfmr:+.4} vs Res50_MX {res50:+.4}"
+    );
+    assert!(
+        gnmt > 0.01 && gnmt > res50,
+        "GNMT {gnmt:+.4} vs Res50_MX {res50:+.4}"
+    );
+    for id in [
+        BenchmarkId::MlpfRes50Mx,
+        BenchmarkId::MlpfXfmrPy,
+        BenchmarkId::MlpfGnmtPy,
+    ] {
+        assert_eq!(
+            minutes(id, 8, true).to_bits(),
+            minutes(id, 8, false).to_bits(),
+            "{id}"
+        );
+    }
 }
