@@ -8,7 +8,9 @@
 //! exports are assembled in file-name order — the bytes are identical for
 //! any `MLPERF_JOBS` worker count.
 
-use crate::experiments::figure1;
+use crate::experiments::{
+    fault_study, figure1, figure3, figure5, table4, table5, variance_decomposition,
+};
 use crate::report::Table;
 use crate::runner::{self, Ctx, ExperimentError, Pool, ResilienceConfig};
 use crate::sweep::DiskCache;
@@ -121,28 +123,11 @@ impl std::error::Error for ExportError {
     }
 }
 
-/// The experiments whose artifacts feed the CSV exports.
-fn export_experiments() -> Vec<&'static dyn runner::Experiment> {
-    use crate::experiments::{
-        fault_study, figure3, figure4, figure5, table4, table5, variance_decomposition,
-    };
-    vec![
-        &table4::Exp,
-        &table5::Exp,
-        &figure1::Exp,
-        &figure3::Exp,
-        &figure4::Exp,
-        &figure5::Exp,
-        &fault_study::Exp,
-        &variance_decomposition::Exp,
-    ]
-}
-
-/// Every export file and the experiment that owns it ([`export_experiments`]
-/// vocabulary; `figure4` is in the set only as `fault_study`'s dependency
-/// and owns no file). File-name order, matching [`ArtifactSet::iter`].
-/// Public so the cache test battery counts exports from this registry
-/// instead of hardcoding the set's size.
+/// Every export file and the id of the registered experiment that owns
+/// it; the owners are exactly the experiments an export run schedules.
+/// File-name order, matching [`ArtifactSet::iter`]. Public so the cache
+/// test battery counts exports from this registry instead of hardcoding
+/// the set's size.
 pub const EXPORT_FILES: [(&str, &str); 9] = [
     ("fault_study_elastic.csv", "fault_study"),
     ("fault_study_sweep.csv", "fault_study"),
@@ -154,6 +139,14 @@ pub const EXPORT_FILES: [(&str, &str); 9] = [
     ("table5_resources.csv", "table5"),
     ("variance_decomposition.csv", "variance_decomposition"),
 ];
+
+/// The experiments that own an export file, in report order.
+fn owners() -> Vec<&'static dyn runner::Experiment> {
+    runner::all_experiments()
+        .into_iter()
+        .filter(|e| EXPORT_FILES.iter().any(|(_, owner)| *owner == e.id()))
+        .collect()
+}
 
 /// The persistent-cache entry spec of one export file: the file name plus
 /// its owning experiment's canonical
@@ -180,17 +173,12 @@ pub fn build_all_cached(
     cfg: &ResilienceConfig,
     cache: Option<&DiskCache>,
 ) -> (ArtifactSet, runner::Execution) {
-    let experiments = export_experiments();
+    let experiments = owners();
     let Some(cache) = cache else {
         let execution = runner::execute_resilient(pool, ctx, &experiments, cfg);
         return (assemble(ctx, &execution), execution);
     };
-    let owner = |id: &str| -> &'static dyn runner::Experiment {
-        *experiments
-            .iter()
-            .find(|e| e.id() == id)
-            .expect("every export file's owner is an export experiment")
-    };
+    let owner = |id: &str| runner::experiment(id).expect("every export file's owner is registered");
     let cached: Vec<Option<String>> = EXPORT_FILES
         .iter()
         .map(|(file, id)| {
@@ -307,8 +295,7 @@ fn assemble(ctx: &Ctx, execution: &runner::Execution) -> ArtifactSet {
             ],
         )
     };
-    if let Some(t4) = ctx.artifact("table4") {
-        let t4 = t4.as_table4().expect("table4 artifact");
+    if let Some(t4) = ctx.artifact::<table4::Table4>("table4") {
         let mut csv = t4_headers();
         for row in &t4.rows {
             csv.add_row([
@@ -345,8 +332,7 @@ fn assemble(ctx: &Ctx, execution: &runner::Execution) -> ArtifactSet {
             ],
         )
     };
-    if let Some(t5) = ctx.artifact("table5") {
-        let t5 = t5.as_table5().expect("table5 artifact");
+    if let Some(t5) = ctx.artifact::<table5::Table5>("table5") {
         let mut csv = t5_headers();
         for r in &t5.runs {
             csv.add_row([
@@ -373,12 +359,11 @@ fn assemble(ctx: &Ctx, execution: &runner::Execution) -> ArtifactSet {
     // workload runs are all cache hits by now (Figure 1 just priced them).
     let f1_headers = || Table::new("", ["workload", "suite", "pc1", "pc2", "pc3", "pc4"]);
     let f1_runs = ctx
-        .artifact("figure1")
-        .and_then(|a| figure1::collect_runs_ctx(ctx).ok().map(|runs| (a, runs)));
-    if let Some((f1_artifact, runs)) = f1_runs {
+        .artifact::<figure1::Figure1>("figure1")
+        .and_then(|f1| figure1::collect_runs_ctx(ctx).ok().map(|runs| (f1, runs)));
+    if let Some((f1, runs)) = f1_runs {
         let chars: Vec<_> = runs.iter().map(|r| r.characteristics()).collect();
         out.insert("figure1", "figure1_features.csv", characteristics_to_csv(&chars));
-        let f1 = f1_artifact.as_figure1().expect("figure1 artifact");
         let mut csv = f1_headers();
         for (name, suite, p) in &f1.projections {
             csv.add_row([
@@ -411,8 +396,7 @@ fn assemble(ctx: &Ctx, execution: &runner::Execution) -> ArtifactSet {
             ["benchmark", "amp_samples_s", "fp32_samples_s", "speedup"],
         )
     };
-    if let Some(f3) = ctx.artifact("figure3") {
-        let f3 = f3.as_figure3().expect("figure3 artifact");
+    if let Some(f3) = ctx.artifact::<figure3::Figure3>("figure3") {
         let mut csv = f3_headers();
         for s in &f3.speedups {
             csv.add_row([
@@ -441,8 +425,7 @@ fn assemble(ctx: &Ctx, execution: &runner::Execution) -> ArtifactSet {
         );
         Table::new("", headers)
     };
-    if let Some(f5) = ctx.artifact("figure5") {
-        let f5 = f5.as_figure5().expect("figure5 artifact");
+    if let Some(f5) = ctx.artifact::<figure5::Figure5>("figure5") {
         let mut csv = f5_headers();
         for row in &f5.rows {
             let mut cells = vec![row.id.abbreviation().to_string()];
@@ -486,8 +469,7 @@ fn assemble(ctx: &Ctx, execution: &runner::Execution) -> ArtifactSet {
             ],
         )
     };
-    if let Some(fs) = ctx.artifact("fault_study") {
-        let fs = fs.as_fault().expect("fault_study artifact");
+    if let Some(fs) = ctx.artifact::<fault_study::FaultStudy>("fault_study") {
         let mut csv = sweep_headers();
         for r in &fs.sweep {
             csv.add_row([
@@ -547,8 +529,9 @@ fn assemble(ctx: &Ctx, execution: &runner::Execution) -> ArtifactSet {
             ],
         )
     };
-    if let Some(v) = ctx.artifact("variance_decomposition") {
-        let v = v.as_variance().expect("variance_decomposition artifact");
+    if let Some(v) =
+        ctx.artifact::<variance_decomposition::VarianceDecomposition>("variance_decomposition")
+    {
         let mut csv = var_headers();
         for r in &v.rows {
             let (seed, batch, precision) = r.shares();

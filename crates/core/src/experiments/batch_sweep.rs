@@ -9,7 +9,7 @@
 
 use crate::benchmark::BenchmarkId;
 use crate::report::Table;
-use crate::runner::{Artifact, Ctx, Experiment, ExperimentError};
+use crate::runner::{Ctx, Decl};
 use crate::sweep;
 use mlperf_sim::SimError;
 
@@ -39,18 +39,10 @@ pub struct BatchSweep {
     pub oom_at: Option<u64>,
 }
 
-/// Sweep `id` on a single GPU of the C4140 (K) from batch 16 upward.
-///
-/// # Errors
-///
-/// Propagates non-OOM [`SimError`]s from the engine.
-pub fn run(id: BenchmarkId) -> Result<BatchSweep, SimError> {
-    run_ctx(&Ctx::new(), id)
-}
-
-/// Sweep `id` through a shared executor context. The grid is the
-/// declarative [`sweep::batch_wall`] sweep; the rendered table still
-/// stops at the first OOM batch, exactly as the hand-rolled loop did.
+/// Sweep `id` on a single GPU of the C4140 (K) from batch 16 upward,
+/// through a shared executor context. The grid is the declarative
+/// [`sweep::batch_wall`] sweep; the rendered table still stops at the
+/// first OOM batch, exactly as the hand-rolled loop did.
 ///
 /// # Errors
 ///
@@ -105,35 +97,14 @@ pub fn render(s: &BatchSweep) -> String {
 
 /// The batch sweep as the executor schedules it (the report sweeps
 /// ResNet-50/MXNet, the benchmark §IV-D's batch-size argument centres on).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "batch_sweep"
-    }
-
-    fn title(&self) -> &'static str {
-        "Extension: batch-size sweep (ResNet-50/MXNet)"
-    }
-
-    fn spec_bytes(&self) -> Vec<u8> {
-        let mut s = format!("exp:{};", self.id()).into_bytes();
-        s.extend_from_slice(&sweep::batch_wall(BenchmarkId::MlpfRes50Mx).canonical_bytes());
-        s
-    }
-
-    fn run(&self, ctx: &Ctx) -> Result<Artifact, ExperimentError> {
-        run_ctx(ctx, BenchmarkId::MlpfRes50Mx).map(Artifact::BatchSweep).map_err(ExperimentError::from)
-    }
-
-    fn render(&self, artifact: &Artifact) -> String {
-        match artifact {
-            Artifact::BatchSweep(s) => render(s),
-            other => unreachable!("batch_sweep asked to render {}", other.name()),
-        }
-    }
-}
+pub static EXP: Decl<BatchSweep> = Decl {
+    id: "batch_sweep",
+    title: "Extension: batch-size sweep (ResNet-50/MXNet)",
+    deps: &[],
+    spec: Some(|| sweep::batch_wall(BenchmarkId::MlpfRes50Mx).canonical_bytes()),
+    run: |ctx| run_ctx(ctx, BenchmarkId::MlpfRes50Mx),
+    render,
+};
 
 #[cfg(test)]
 mod tests {
@@ -141,7 +112,7 @@ mod tests {
 
     #[test]
     fn resnet_sweep_hits_the_memory_wall() {
-        let s = run(BenchmarkId::MlpfRes50Mx).unwrap();
+        let s = run_ctx(&Ctx::new(), BenchmarkId::MlpfRes50Mx).unwrap();
         assert!(s.points.len() >= 3);
         assert!(s.oom_at.is_some(), "ResNet-50 must eventually OOM on 16 GB");
         // Footprint grows monotonically with batch.
@@ -155,7 +126,7 @@ mod tests {
 
     #[test]
     fn epochs_charge_grows_past_reference_batch() {
-        let s = run(BenchmarkId::MlpfRes50Mx).unwrap();
+        let s = run_ctx(&Ctx::new(), BenchmarkId::MlpfRes50Mx).unwrap();
         let last = s.points.last().expect("non-empty");
         let first = s.points.first().expect("non-empty");
         assert!(last.epochs >= first.epochs);
@@ -163,7 +134,7 @@ mod tests {
 
     #[test]
     fn render_reports_the_wall() {
-        let s = run(BenchmarkId::MlpfRes50Mx).unwrap();
+        let s = run_ctx(&Ctx::new(), BenchmarkId::MlpfRes50Mx).unwrap();
         assert!(render(&s).contains("OOM"));
     }
 }

@@ -15,7 +15,7 @@
 
 use crate::benchmark::BenchmarkId;
 use crate::report::Table;
-use crate::runner::{Artifact, Ctx, Experiment, ExperimentError};
+use crate::runner::{Ctx, Decl, ExperimentError};
 use crate::sweep::{self, partition_scaling, CellKind, CellSpec};
 use mlperf_hw::{PartitionProfile, PartitionSpec};
 use mlperf_sim::cluster::{
@@ -227,29 +227,16 @@ pub fn render(s: &ColocationStudy) -> String {
 
 /// The co-location study as the executor schedules it. Depends on the
 /// partition study so the shared half-slice points are warm in the memo
-/// cache by the time this experiment prices them.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "colocation_study"
-    }
-
-    fn title(&self) -> &'static str {
-        "Extension: training + inference co-location on partitioned devices"
-    }
-
-    fn deps(&self) -> &'static [&'static str] {
-        &["partition_study"]
-    }
-
-    fn spec_bytes(&self) -> Vec<u8> {
-        // The placement mix prices the partition-scaling grid's half
-        // slices and the interference table prices the tenant cells; both
-        // identities must invalidate this section's cache.
-        let mut s = format!("exp:{};", self.id()).into_bytes();
-        s.extend_from_slice(&partition_scaling().canonical_bytes());
+/// cache by the time this experiment prices them. The placement mix
+/// prices the partition-scaling grid's half slices and the interference
+/// table prices the tenant cells; both identities are in its spec, so an
+/// edit to either invalidates this section's cache.
+pub static EXP: Decl<ColocationStudy, ExperimentError> = Decl {
+    id: "colocation_study",
+    title: "Extension: training + inference co-location on partitioned devices",
+    deps: &["partition_study"],
+    spec: Some(|| {
+        let mut s = partition_scaling().canonical_bytes();
         for t in 1..=4u32 {
             s.push(b';');
             s.extend_from_slice(&tenant_cell(TRAIN_BATCH, t).canonical_bytes());
@@ -257,19 +244,10 @@ impl Experiment for Exp {
             s.extend_from_slice(&tenant_cell(INFER_BATCH, t).canonical_bytes());
         }
         s
-    }
-
-    fn run(&self, ctx: &Ctx) -> Result<Artifact, ExperimentError> {
-        run_ctx(ctx).map(Artifact::Colocation)
-    }
-
-    fn render(&self, artifact: &Artifact) -> String {
-        match artifact {
-            Artifact::Colocation(s) => render(s),
-            other => unreachable!("colocation_study asked to render {}", other.name()),
-        }
-    }
-}
+    }),
+    run: run_ctx,
+    render,
+};
 
 #[cfg(test)]
 mod tests {

@@ -19,7 +19,7 @@
 use crate::benchmark::BenchmarkId;
 use crate::experiments::figure4;
 use crate::report::Table;
-use crate::runner::{Artifact, Ctx, Experiment, ExperimentError, TrainPoint};
+use crate::runner::{Ctx, Decl, TrainPoint};
 use mlperf_data::storage::StorageDevice;
 use mlperf_hw::systems::SystemId;
 use mlperf_hw::units::Seconds;
@@ -121,15 +121,6 @@ fn checkpoint_spec(interval: Seconds) -> CheckpointSpec {
     CheckpointSpec::new(interval, DEVICE)
 }
 
-/// Run the fault study.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the base-run measurement.
-pub fn run() -> Result<FaultStudy, SimError> {
-    run_ctx(&Ctx::new())
-}
-
 /// Run the fault study through a shared executor context (the base run
 /// and the elastic job times are Figure 4 / Table IV points, so they
 /// memoize across the report).
@@ -169,7 +160,7 @@ pub fn run_ctx(ctx: &Ctx) -> Result<FaultStudy, SimError> {
 
     // 2. One seeded sample path through the DES replay.
     let mtbf = Seconds::from_hours(REPLAY_MTBF_HOURS);
-    let interval = daly_interval(write_cost, mtbf);
+    let interval = daly_interval(write_cost, mtbf)?;
     let cfg = FaultConfig {
         plan: FaultPlan::generate(SEED, work.scale(3.0), mtbf, GPUS),
         checkpoint: checkpoint_spec(interval),
@@ -326,51 +317,30 @@ pub fn render(s: &FaultStudy) -> String {
 }
 
 /// The fault study as the executor schedules it. Depends on Figure 4 so
-/// the shared DSS-8440 job-time points are warm in the memo cache.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "fault_study"
-    }
-
-    fn title(&self) -> &'static str {
-        "Extension: fault injection, checkpoint/restart, expected TTT"
-    }
-
-    fn deps(&self) -> &'static [&'static str] {
-        &["figure4"]
-    }
-
-    fn spec_bytes(&self) -> Vec<u8> {
-        // The analytic grid plus the elastic part's Figure 4 grid: a
-        // change to either sweep must invalidate this section's cache.
-        let mut s = format!("exp:{};seed={SEED:x};", self.id()).into_bytes();
+/// the shared DSS-8440 job-time points are warm in the memo cache. Its
+/// spec is the analytic grid plus the elastic part's Figure 4 grid: a
+/// change to either sweep invalidates this section's cache.
+pub static EXP: Decl<FaultStudy> = Decl {
+    id: "fault_study",
+    title: "Extension: fault injection, checkpoint/restart, expected TTT",
+    deps: &["figure4"],
+    spec: Some(|| {
+        let mut s = format!("seed={SEED:x};").into_bytes();
         s.extend_from_slice(&crate::sweep::fault_ttt().canonical_bytes());
         s.push(b'|');
         s.extend_from_slice(&crate::sweep::figure4_scaling().canonical_bytes());
         s
-    }
-
-    fn run(&self, ctx: &Ctx) -> Result<Artifact, ExperimentError> {
-        run_ctx(ctx).map(Artifact::Fault).map_err(ExperimentError::from)
-    }
-
-    fn render(&self, artifact: &Artifact) -> String {
-        match artifact {
-            Artifact::Fault(s) => render(s),
-            other => unreachable!("fault_study asked to render {}", other.name()),
-        }
-    }
-}
+    }),
+    run: run_ctx,
+    render,
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn study() -> FaultStudy {
-        run().unwrap()
+        run_ctx(&Ctx::new()).unwrap()
     }
 
     #[test]

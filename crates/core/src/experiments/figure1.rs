@@ -13,7 +13,7 @@
 
 use crate::benchmark::BenchmarkId;
 use crate::report::Table;
-use crate::runner::{Artifact, Ctx, Experiment, ExperimentError};
+use crate::runner::{Ctx, Decl};
 use crate::workloads::{DeepBenchId, WorkloadRun, WorkloadSpec};
 use mlperf_analysis::pca::Pca;
 use mlperf_hw::systems::SystemId;
@@ -56,18 +56,9 @@ impl Figure1 {
 /// Collect the 13 workloads' characteristics on the C4140 (K), each at its
 /// study configuration (quad-GPU for the scalable MLPerf suite and the
 /// all-reduce benchmark, single-GPU for the DAWNBench submissions and the
-/// DeepBench kernel loops — the same shapes Table V measures).
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn collect_runs() -> Result<Vec<WorkloadRun>, SimError> {
-    collect_runs_ctx(&Ctx::new())
-}
-
-/// [`collect_runs`] through a shared executor context, so the quad-GPU
-/// C4140 (K) points are computed once across Figure 1, Table V, and the
-/// CSV exports.
+/// DeepBench kernel loops — the same shapes Table V measures), through a
+/// shared executor context, so the quad-GPU points are computed once
+/// across Figure 1, Table V, and the CSV exports.
 ///
 /// # Errors
 ///
@@ -85,15 +76,6 @@ pub fn collect_runs_ctx(ctx: &Ctx) -> Result<Vec<WorkloadRun>, SimError> {
     }
     runs.push(ctx.workload(WorkloadSpec::DeepBench(DeepBenchId::RedCu), system, 4)?);
     Ok(runs)
-}
-
-/// Run the Figure 1 experiment standalone.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run() -> Result<Figure1, SimError> {
-    run_ctx(&Ctx::new())
 }
 
 /// Run the Figure 1 experiment through a shared executor context.
@@ -177,29 +159,14 @@ pub fn render(f: &Figure1) -> String {
 }
 
 /// Figure 1 as the executor schedules it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "figure1"
-    }
-
-    fn title(&self) -> &'static str {
-        "Figure 1: PCA of the workload space"
-    }
-
-    fn run(&self, ctx: &Ctx) -> Result<Artifact, ExperimentError> {
-        run_ctx(ctx).map(Artifact::Figure1).map_err(ExperimentError::from)
-    }
-
-    fn render(&self, artifact: &Artifact) -> String {
-        match artifact {
-            Artifact::Figure1(f) => render(f),
-            other => unreachable!("figure1 asked to render {}", other.name()),
-        }
-    }
-}
+pub static EXP: Decl<Figure1> = Decl {
+    id: "figure1",
+    title: "Figure 1: PCA of the workload space",
+    deps: &[],
+    spec: None,
+    run: run_ctx,
+    render,
+};
 
 #[cfg(test)]
 mod tests {
@@ -207,14 +174,14 @@ mod tests {
 
     #[test]
     fn thirteen_workloads_projected() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         assert_eq!(f.projections.len(), 13);
     }
 
     #[test]
     fn pc1_to_pc4_cover_most_variance() {
         // Paper: 88%.
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let v = f.variance_pc1_to_pc4();
         assert!(v > 0.75, "PC1-4 cover only {:.0}%", v * 100.0);
     }
@@ -222,7 +189,7 @@ mod tests {
     #[test]
     fn mlperf_separates_from_deepbench_on_pc1() {
         // Fig. 1a: "two isolated clusters sitting in two sides".
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let mlperf = f.suite_mean_pc1("MLPerf");
         let deepbench = f.suite_mean_pc1("DeepBench");
         assert!(
@@ -248,7 +215,7 @@ mod tests {
     #[test]
     fn pc1_is_dominated_by_a_memory_footprint() {
         // Paper: "PC1 is dominated by GPU memory footprint".
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let dom = f.dominant_metric(0);
         assert!(
             dom.contains("footprint"),
@@ -259,7 +226,7 @@ mod tests {
     #[test]
     fn no_two_mlperf_benchmarks_coincide() {
         // §IV-A: "there are no two MLPerf benchmarks that are very close".
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let mlperf: Vec<&Vec<f64>> = f
             .projections
             .iter()
@@ -278,7 +245,7 @@ mod tests {
     fn algorithmic_clustering_groups_the_kernel_suite() {
         // The three DeepBench compute kernels must land in one cluster,
         // apart from the heavyweight MLPerf workloads.
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let labels = clustered(&f);
         let of = |name: &str| {
             labels
@@ -294,7 +261,7 @@ mod tests {
 
     #[test]
     fn render_reports_variance_and_dominants() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let s = render(&f);
         assert!(s.contains("cumulative variance"));
         assert!(s.contains("Dominant metrics"));

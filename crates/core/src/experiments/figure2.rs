@@ -9,7 +9,7 @@
 
 use crate::benchmark::BenchmarkId;
 use crate::report::Table;
-use crate::runner::{Artifact, Ctx, Experiment, ExperimentError};
+use crate::runner::{Ctx, Decl};
 use crate::workloads::{DeepBenchId, WorkloadRun, WorkloadSpec};
 use mlperf_analysis::roofline::{RooflineModel, RooflinePoint};
 use mlperf_hw::gpu::Precision;
@@ -57,16 +57,6 @@ impl Figure2 {
             .last()
             .expect("non-empty")
     }
-}
-
-/// Run the Figure 2 experiment: single-GPU runs on the T640, ERT-style
-/// ceilings for its V100.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run() -> Result<Figure2, SimError> {
-    run_ctx(&Ctx::new())
 }
 
 /// Run the Figure 2 experiment through a shared executor context.
@@ -139,29 +129,14 @@ pub fn render(f: &Figure2) -> String {
 }
 
 /// Figure 2 as the executor schedules it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "figure2"
-    }
-
-    fn title(&self) -> &'static str {
-        "Figure 2: V100 roofline and workload placement"
-    }
-
-    fn run(&self, ctx: &Ctx) -> Result<Artifact, ExperimentError> {
-        run_ctx(ctx).map(Artifact::Figure2).map_err(ExperimentError::from)
-    }
-
-    fn render(&self, artifact: &Artifact) -> String {
-        match artifact {
-            Artifact::Figure2(f) => render(f),
-            other => unreachable!("figure2 asked to render {}", other.name()),
-        }
-    }
-}
+pub static EXP: Decl<Figure2> = Decl {
+    id: "figure2",
+    title: "Figure 2: V100 roofline and workload placement",
+    deps: &[],
+    spec: None,
+    run: run_ctx,
+    render,
+};
 
 #[cfg(test)]
 mod tests {
@@ -170,7 +145,7 @@ mod tests {
 
     #[test]
     fn all_points_are_under_the_roof() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         assert!(!f.points.is_empty());
         for p in &f.points {
             let frac = f.roofline.roof_fraction(p, Precision::TensorCore);
@@ -184,7 +159,7 @@ mod tests {
         // §IV-B: "all the workloads are memory-bound (have not cross the
         // turn point)". We allow one excursion (SSD's dense 38x38 stage
         // pushes it just past the ridge in our traffic model).
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let compute_bound = f
             .points
             .iter()
@@ -212,7 +187,7 @@ mod tests {
         // DeepBench; DAWNBench reaches comparable-or-higher intensity and
         // the suites order Dawn/MLPerf > DeepBench on throughput
         // ("DeepBench provides low compute rate benchmarks").
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let mlperf_ai = f.suite_median_intensity("MLPerf");
         let deep_ai = f.suite_median_intensity("DeepBench");
         assert!(
@@ -242,13 +217,13 @@ mod tests {
     #[test]
     fn red_cu_has_no_roofline_point() {
         // Zero counted FLOPs -> no Fig. 2 coordinates.
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         assert!(f.points.iter().all(|p| p.name != "Deep_Red_Cu"));
     }
 
     #[test]
     fn ert_sweep_brackets_the_points() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let sweep = f.roofline.sweep(Precision::Single, 0.01, 1000.0, 32);
         let max_attainable = sweep.last().expect("non-empty").1;
         assert_eq!(max_attainable, f.roofline.ceiling(Precision::Single));
@@ -256,7 +231,7 @@ mod tests {
 
     #[test]
     fn render_shows_ceilings_and_points() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let s = render(&f);
         assert!(s.contains("Empirical ceilings"));
         assert!(s.contains("memory-bound"));

@@ -8,7 +8,7 @@
 
 use crate::benchmark::BenchmarkId;
 use crate::report::Table;
-use crate::runner::{Artifact, Ctx, Experiment, ExperimentError, TrainPoint};
+use crate::runner::{Ctx, Decl, TrainPoint};
 use mlperf_hw::systems::SystemId;
 use mlperf_models::PrecisionPolicy;
 use mlperf_sim::{SimError, StepReport};
@@ -60,15 +60,6 @@ fn run_shrinking(
     }
 }
 
-/// Run the Figure 3 experiment standalone.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run() -> Result<Figure3, SimError> {
-    run_ctx(&Ctx::new())
-}
-
 /// Run the Figure 3 experiment through a shared executor context.
 ///
 /// # Errors
@@ -117,29 +108,14 @@ pub fn render(f: &Figure3) -> String {
 }
 
 /// Figure 3 as the executor schedules it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "figure3"
-    }
-
-    fn title(&self) -> &'static str {
-        "Figure 3: mixed-precision speedups"
-    }
-
-    fn run(&self, ctx: &Ctx) -> Result<Artifact, ExperimentError> {
-        run_ctx(ctx).map(Artifact::Figure3).map_err(ExperimentError::from)
-    }
-
-    fn render(&self, artifact: &Artifact) -> String {
-        match artifact {
-            Artifact::Figure3(f) => render(f),
-            other => unreachable!("figure3 asked to render {}", other.name()),
-        }
-    }
-}
+pub static EXP: Decl<Figure3> = Decl {
+    id: "figure3",
+    title: "Figure 3: mixed-precision speedups",
+    deps: &[],
+    spec: None,
+    run: run_ctx,
+    render,
+};
 
 #[cfg(test)]
 mod tests {
@@ -147,7 +123,7 @@ mod tests {
 
     #[test]
     fn every_benchmark_speeds_up() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         assert_eq!(f.speedups.len(), 7);
         for s in &f.speedups {
             assert!(s.speedup() > 1.0, "{}: {:.2}", s.id, s.speedup());
@@ -159,7 +135,7 @@ mod tests {
         // Paper: 1.5x (MRCNN) to 3.3x (Res50_TF). Our range lands at
         // [1.4x, 3.9x] with MRCNN/NCF/GNMT at the low end — see
         // EXPERIMENTS.md for the per-benchmark comparison.
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let by_id = |id: BenchmarkId| {
             f.speedups
                 .iter()
@@ -189,7 +165,7 @@ mod tests {
 
     #[test]
     fn render_lists_speedups() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let s = render(&f);
         assert!(s.contains("Speedup"));
         assert!(s.contains("MLPf_NCF_Py"));

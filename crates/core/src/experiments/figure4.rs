@@ -8,7 +8,7 @@
 
 use crate::benchmark::BenchmarkId;
 use crate::report::Table;
-use crate::runner::{Artifact, Ctx, Experiment, ExperimentError};
+use crate::runner::{Ctx, Decl};
 use crate::sweep;
 use mlperf_analysis::scheduling::{
     lpt_schedule, naive_schedule, optimal_schedule, JobTimes, Schedule,
@@ -45,19 +45,10 @@ pub struct Figure4 {
 }
 
 /// Measure each MLPerf benchmark's training time at every GPU width on the
-/// DSS 8440, producing the scheduler's input.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn measure_job_times() -> Result<Vec<JobTimes>, SimError> {
-    measure_job_times_ctx(&Ctx::new())
-}
-
-/// [`measure_job_times`] through a shared executor context; the grid is
-/// the declarative [`sweep::figure4_scaling`] sweep (workload outermost,
-/// GPU width inner), and its 1/2/4/8-GPU DSS-8440 points are the same
-/// ones Table IV prices, so in a shared context this costs nothing extra.
+/// DSS 8440, producing the scheduler's input. The grid is the declarative
+/// [`sweep::figure4_scaling`] sweep (workload outermost, GPU width inner),
+/// and its 1/2/4/8-GPU DSS-8440 points are the same ones Table IV prices,
+/// so in a shared context this costs nothing extra.
 ///
 /// # Errors
 ///
@@ -77,15 +68,6 @@ pub fn measure_job_times_ctx(ctx: &Ctx) -> Result<Vec<JobTimes>, SimError> {
         jobs.push(JobTimes::new(id.abbreviation(), times));
     }
     Ok(jobs)
-}
-
-/// Run the Figure 4 experiment standalone.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run() -> Result<Figure4, SimError> {
-    run_ctx(&Ctx::new())
 }
 
 /// Run the Figure 4 experiment through a shared executor context.
@@ -166,35 +148,14 @@ pub fn render(f: &Figure4) -> String {
 }
 
 /// Figure 4 as the executor schedules it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "figure4"
-    }
-
-    fn title(&self) -> &'static str {
-        "Figure 4: naive vs optimal multi-job scheduling"
-    }
-
-    fn spec_bytes(&self) -> Vec<u8> {
-        let mut s = format!("exp:{};", self.id()).into_bytes();
-        s.extend_from_slice(&sweep::figure4_scaling().canonical_bytes());
-        s
-    }
-
-    fn run(&self, ctx: &Ctx) -> Result<Artifact, ExperimentError> {
-        run_ctx(ctx).map(Artifact::Figure4).map_err(ExperimentError::from)
-    }
-
-    fn render(&self, artifact: &Artifact) -> String {
-        match artifact {
-            Artifact::Figure4(f) => render(f),
-            other => unreachable!("figure4 asked to render {}", other.name()),
-        }
-    }
-}
+pub static EXP: Decl<Figure4> = Decl {
+    id: "figure4",
+    title: "Figure 4: naive vs optimal multi-job scheduling",
+    deps: &[],
+    spec: Some(|| sweep::figure4_scaling().canonical_bytes()),
+    run: run_ctx,
+    render,
+};
 
 #[cfg(test)]
 mod tests {
@@ -206,7 +167,7 @@ mod tests {
     /// finds the co-scheduling wins.
     #[test]
     fn optimal_beats_naive_at_small_pools() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let want = [(2, 2774.9, 2524.3), (4, 1524.4, 1387.0), (8, 873.3, 755.6)];
         assert_eq!(f.studies.len(), want.len());
         for (s, (gpus, naive, optimal)) in f.studies.iter().zip(want) {
@@ -228,7 +189,7 @@ mod tests {
     #[test]
     fn savings_shrink_as_the_pool_grows() {
         // Paper: ~4.1 h at 2 GPUs, ~3.0 h at 4, ~0.4 h at 8.
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let by_g = |g: u64| {
             f.studies
                 .iter()
@@ -247,7 +208,7 @@ mod tests {
     #[test]
     fn poorly_scaling_jobs_get_narrow_placements() {
         // The optimum should not give NCF all four GPUs.
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let four = f.studies.iter().find(|s| s.gpu_count == 4).unwrap();
         let ncf_idx = four
             .job_names
@@ -269,7 +230,7 @@ mod tests {
 
     #[test]
     fn gantt_renders_every_gpu_row() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let four = f.studies.iter().find(|s| s.gpu_count == 4).unwrap();
         let gantt = render_gantt(four, &four.optimal);
         assert_eq!(gantt.lines().count(), 5); // 4 GPU rows + legend
@@ -279,7 +240,7 @@ mod tests {
 
     #[test]
     fn full_render_includes_both_charts() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let s = render(&f);
         assert!(s.contains("(a) naive"));
         assert!(s.contains("(b) optimal"));

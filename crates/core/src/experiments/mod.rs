@@ -1,4 +1,6 @@
 //! Experiment runners: one module per table and figure of the paper.
+//! Each declares itself once, as the [`runner::Decl`](crate::runner::Decl)
+//! named `EXP` that `runner`'s registry lists in report order.
 //!
 //! | Module | Reproduces |
 //! |---|---|

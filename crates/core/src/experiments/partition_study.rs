@@ -17,7 +17,7 @@
 
 use crate::benchmark::BenchmarkId;
 use crate::report::Table;
-use crate::runner::{Artifact, Ctx, Experiment, ExperimentError};
+use crate::runner::{Ctx, Decl, ExperimentError};
 use crate::sweep::{self, partition_scaling, CellKind};
 
 /// Display labels of the partition axis, aligned with the grid's
@@ -133,38 +133,17 @@ pub fn render(s: &PartitionStudy) -> String {
     out
 }
 
-/// The partition study as the executor schedules it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "partition_study"
-    }
-
-    fn title(&self) -> &'static str {
-        "Extension: suite throughput under k-way device partitioning"
-    }
-
-    fn spec_bytes(&self) -> Vec<u8> {
-        // The rows are exactly the partition-scaling grid's cells; a grid
-        // edit must invalidate this section's cache.
-        let mut s = format!("exp:{};", self.id()).into_bytes();
-        s.extend_from_slice(&partition_scaling().canonical_bytes());
-        s
-    }
-
-    fn run(&self, ctx: &Ctx) -> Result<Artifact, ExperimentError> {
-        run_ctx(ctx).map(Artifact::Partition)
-    }
-
-    fn render(&self, artifact: &Artifact) -> String {
-        match artifact {
-            Artifact::Partition(s) => render(s),
-            other => unreachable!("partition_study asked to render {}", other.name()),
-        }
-    }
-}
+/// The partition study as the executor schedules it. Its rows are
+/// exactly the partition-scaling grid's cells, so a grid edit invalidates
+/// this section's cache.
+pub static EXP: Decl<PartitionStudy, ExperimentError> = Decl {
+    id: "partition_study",
+    title: "Extension: suite throughput under k-way device partitioning",
+    deps: &[],
+    spec: Some(|| partition_scaling().canonical_bytes()),
+    run: run_ctx,
+    render,
+};
 
 #[cfg(test)]
 mod tests {

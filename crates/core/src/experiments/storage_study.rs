@@ -8,7 +8,7 @@
 
 use crate::benchmark::BenchmarkId;
 use crate::report::Table;
-use crate::runner::{Artifact, Ctx, Experiment, ExperimentError, TrainPoint};
+use crate::runner::{Ctx, Decl, TrainPoint};
 use mlperf_data::storage::{ReadPattern, StagingPlan, StorageDevice};
 use mlperf_hw::systems::SystemId;
 use mlperf_hw::units::Seconds;
@@ -33,17 +33,8 @@ pub const CONFIGS: [(StorageDevice, ReadPattern); 4] = [
     (StorageDevice::NvmeSsd, ReadPattern::RandomRecords),
 ];
 
-/// Run the study on the C4140 (K) at 4 GPUs.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run() -> Result<Vec<StorageRow>, SimError> {
-    run_ctx(&Ctx::new())
-}
-
-/// Run the study through a shared executor context (the quad-GPU C4140 (K)
-/// points are the same ones Table V and Figure 1 price).
+/// Run the study on the C4140 (K) at 4 GPUs, through a shared executor
+/// context (these points are the same ones Table V and Figure 1 price).
 ///
 /// # Errors
 ///
@@ -95,29 +86,14 @@ pub fn render(rows: &[StorageRow]) -> String {
 }
 
 /// The storage study as the executor schedules it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "storage_study"
-    }
-
-    fn title(&self) -> &'static str {
-        "Extension: storage staging feasibility"
-    }
-
-    fn run(&self, ctx: &Ctx) -> Result<Artifact, ExperimentError> {
-        run_ctx(ctx).map(Artifact::Storage).map_err(ExperimentError::from)
-    }
-
-    fn render(&self, artifact: &Artifact) -> String {
-        match artifact {
-            Artifact::Storage(rows) => render(rows),
-            other => unreachable!("storage_study asked to render {}", other.name()),
-        }
-    }
-}
+pub static EXP: Decl<Vec<StorageRow>> = Decl {
+    id: "storage_study",
+    title: "Extension: storage staging feasibility",
+    deps: &[],
+    spec: None,
+    run: run_ctx,
+    render: |rows| render(rows),
+};
 
 #[cfg(test)]
 mod tests {
@@ -129,7 +105,7 @@ mod tests {
 
     #[test]
     fn imagenet_demands_more_than_an_hdd_at_random() {
-        let rows = run().unwrap();
+        let rows = run_ctx(&Ctx::new()).unwrap();
         let res50 = by_id(&rows, BenchmarkId::MlpfRes50Mx);
         // HDD random-record reads cannot feed a 4-GPU ResNet-50 epoch.
         assert!(!res50.plans[1].keeps_up(), "{}", res50.plans[1]);
@@ -139,7 +115,7 @@ mod tests {
 
     #[test]
     fn small_datasets_never_touch_the_disk() {
-        let rows = run().unwrap();
+        let rows = run_ctx(&Ctx::new()).unwrap();
         for id in [BenchmarkId::MlpfNcfPy, BenchmarkId::MlpfXfmrPy] {
             let row = by_id(&rows, id);
             for p in &row.plans {
@@ -151,7 +127,7 @@ mod tests {
 
     #[test]
     fn render_prints_verdicts() {
-        let rows = run().unwrap();
+        let rows = run_ctx(&Ctx::new()).unwrap();
         let s = render(&rows);
         assert!(s.contains("ok"));
         assert!(s.contains("slow"));

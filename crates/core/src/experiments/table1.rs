@@ -1,12 +1,12 @@
 //! Table I: the paper's key insights, re-verified against the simulator.
 //!
 //! Each row of the published summary table is turned into a concrete check
-//! over the reproduced experiments; `run()` evaluates all of them and
+//! over the reproduced experiments; `run_ctx` evaluates all of them and
 //! reports which hold in this reproduction.
 
 use crate::experiments::{figure1, figure2, figure3, figure4, figure5, table4};
 use crate::report::Table;
-use crate::runner::{Artifact, Ctx, Experiment, ExperimentError};
+use crate::runner::{Ctx, Decl};
 use mlperf_analysis::roofline::Boundedness;
 use mlperf_analysis::scaling::{classify, ScalingClass};
 use mlperf_hw::gpu::Precision;
@@ -32,15 +32,6 @@ pub struct Table1 {
     pub insights: Vec<Insight>,
 }
 
-/// Run every underlying experiment and evaluate the Table I claims.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run() -> Result<Table1, SimError> {
-    run_ctx(&Ctx::new())
-}
-
 /// Evaluate the Table I claims over a shared executor context. Each
 /// underlying artifact is taken from the context's store when the
 /// executor already produced it, and recomputed (against the shared memo
@@ -50,12 +41,12 @@ pub fn run() -> Result<Table1, SimError> {
 ///
 /// Propagates [`SimError`] from the engine.
 pub fn run_ctx(ctx: &Ctx) -> Result<Table1, SimError> {
-    let f1 = ctx.dep_or("figure1", Artifact::as_figure1, figure1::run_ctx)?;
-    let f2 = ctx.dep_or("figure2", Artifact::as_figure2, figure2::run_ctx)?;
-    let f3 = ctx.dep_or("figure3", Artifact::as_figure3, figure3::run_ctx)?;
-    let f4 = ctx.dep_or("figure4", Artifact::as_figure4, figure4::run_ctx)?;
-    let f5 = ctx.dep_or("figure5", Artifact::as_figure5, figure5::run_ctx)?;
-    let t4 = ctx.dep_or("table4", Artifact::as_table4, table4::run_ctx)?;
+    let f1 = ctx.dep_or("figure1", figure1::run_ctx)?;
+    let f2 = ctx.dep_or("figure2", figure2::run_ctx)?;
+    let f3 = ctx.dep_or("figure3", figure3::run_ctx)?;
+    let f4 = ctx.dep_or("figure4", figure4::run_ctx)?;
+    let f5 = ctx.dep_or("figure5", figure5::run_ctx)?;
+    let t4 = ctx.dep_or("table4", table4::run_ctx)?;
 
     let mut insights = Vec::new();
 
@@ -190,35 +181,14 @@ pub fn render(t: &Table1) -> String {
 }
 
 /// Table I as the executor schedules it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "table1"
-    }
-
-    fn title(&self) -> &'static str {
-        "Table I: key insights, re-verified"
-    }
-
-    fn deps(&self) -> &'static [&'static str] {
-        &[
-            "figure1", "figure2", "figure3", "figure4", "figure5", "table4",
-        ]
-    }
-
-    fn run(&self, ctx: &Ctx) -> Result<Artifact, ExperimentError> {
-        run_ctx(ctx).map(Artifact::Table1).map_err(ExperimentError::from)
-    }
-
-    fn render(&self, artifact: &Artifact) -> String {
-        match artifact {
-            Artifact::Table1(t) => render(t),
-            other => unreachable!("table1 asked to render {}", other.name()),
-        }
-    }
-}
+pub static EXP: Decl<Table1> = Decl {
+    id: "table1",
+    title: "Table I: key insights, re-verified",
+    deps: &["figure1", "figure2", "figure3", "figure4", "figure5", "table4"],
+    spec: None,
+    run: run_ctx,
+    render,
+};
 
 #[cfg(test)]
 mod tests {
@@ -226,7 +196,7 @@ mod tests {
 
     #[test]
     fn all_insights_hold() {
-        let t = run().unwrap();
+        let t = run_ctx(&Ctx::new()).unwrap();
         assert_eq!(t.insights.len(), 6);
         for i in &t.insights {
             assert!(i.holds, "insight failed: {} ({})", i.claim, i.evidence);
@@ -235,7 +205,7 @@ mod tests {
 
     #[test]
     fn render_marks_confirmations() {
-        let t = run().unwrap();
+        let t = run_ctx(&Ctx::new()).unwrap();
         let s = render(&t);
         assert!(s.contains("yes"));
         assert!(s.contains("Figure 5"));

@@ -2,7 +2,7 @@
 
 use crate::benchmark::BenchmarkId;
 use crate::report::Table;
-use crate::runner::{Artifact, Ctx, Experiment, ExperimentError};
+use crate::runner::Decl;
 use crate::workloads::DeepBenchId;
 use mlperf_models::zoo::deepbench;
 
@@ -61,26 +61,14 @@ pub fn render() -> String {
 
 /// Table II as the executor schedules it. The table is a static registry
 /// listing — `run` prices nothing and the artifact carries no payload.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "table2"
-    }
-
-    fn title(&self) -> &'static str {
-        "Table II: suite composition"
-    }
-
-    fn run(&self, _ctx: &Ctx) -> Result<Artifact, ExperimentError> {
-        Ok(Artifact::Table2)
-    }
-
-    fn render(&self, _artifact: &Artifact) -> String {
-        render()
-    }
-}
+pub static EXP: Decl<()> = Decl {
+    id: "table2",
+    title: "Table II: suite composition",
+    deps: &[],
+    spec: None,
+    run: |_| Ok(()),
+    render: |()| render(),
+};
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,7 @@
 //! Table III: hardware specifications of the experimental platforms.
 
 use crate::report::Table;
-use crate::runner::{Artifact, Ctx, Experiment, ExperimentError};
+use crate::runner::Decl;
 use mlperf_hw::systems::SystemId;
 use mlperf_hw::topology::P2pClass;
 
@@ -64,26 +64,14 @@ pub fn worst_path_classes() -> Vec<(SystemId, P2pClass)> {
 /// Table III as the executor schedules it. The table derives from static
 /// platform specs — `run` prices nothing and the artifact carries no
 /// payload.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "table3"
-    }
-
-    fn title(&self) -> &'static str {
-        "Table III: platform hardware specifications"
-    }
-
-    fn run(&self, _ctx: &Ctx) -> Result<Artifact, ExperimentError> {
-        Ok(Artifact::Table3)
-    }
-
-    fn render(&self, _artifact: &Artifact) -> String {
-        render()
-    }
-}
+pub static EXP: Decl<()> = Decl {
+    id: "table3",
+    title: "Table III: platform hardware specifications",
+    deps: &[],
+    spec: None,
+    run: |_| Ok(()),
+    render: |()| render(),
+};
 
 #[cfg(test)]
 mod tests {

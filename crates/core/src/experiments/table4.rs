@@ -7,7 +7,7 @@
 
 use crate::benchmark::BenchmarkId;
 use crate::report::Table;
-use crate::runner::{Artifact, Ctx, Experiment, ExperimentError, TrainPoint};
+use crate::runner::{Ctx, Decl, TrainPoint};
 use mlperf_analysis::scaling::{amdahl_serial_fraction, ScalingRow};
 use mlperf_hw::systems::SystemId;
 use mlperf_sim::SimError;
@@ -31,15 +31,6 @@ pub struct Table4 {
     pub rows: Vec<ScalingRow>,
     /// Extension: the GNMT row Table IV omits, predicted by the simulator.
     pub gnmt: ScalingRow,
-}
-
-/// Run the Table IV experiment standalone.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run() -> Result<Table4, SimError> {
-    run_ctx(&Ctx::new())
 }
 
 /// Run the Table IV experiment through a shared executor context.
@@ -74,15 +65,6 @@ fn scaling_row(ctx: &Ctx, id: BenchmarkId) -> Result<ScalingRow, SimError> {
         v100.push((n as u64, t));
     }
     Ok(ScalingRow::new(id.abbreviation(), p100_min, v100))
-}
-
-/// Extension: the GNMT row Table IV omits, predicted by the simulator.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn gnmt_prediction() -> Result<ScalingRow, SimError> {
-    scaling_row(&Ctx::new(), BenchmarkId::MlpfGnmtPy)
 }
 
 /// Render the simulated table with the paper's numbers interleaved.
@@ -142,29 +124,14 @@ pub fn render(t: &Table4) -> String {
 }
 
 /// Table IV as the executor schedules it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "table4"
-    }
-
-    fn title(&self) -> &'static str {
-        "Table IV: training time and scaling efficiency"
-    }
-
-    fn run(&self, ctx: &Ctx) -> Result<Artifact, ExperimentError> {
-        run_ctx(ctx).map(Artifact::Table4).map_err(ExperimentError::from)
-    }
-
-    fn render(&self, artifact: &Artifact) -> String {
-        match artifact {
-            Artifact::Table4(t) => render(t),
-            other => unreachable!("table4 asked to render {}", other.name()),
-        }
-    }
-}
+pub static EXP: Decl<Table4> = Decl {
+    id: "table4",
+    title: "Table IV: training time and scaling efficiency",
+    deps: &[],
+    spec: None,
+    run: run_ctx,
+    render,
+};
 
 #[cfg(test)]
 mod tests {
@@ -173,7 +140,7 @@ mod tests {
 
     #[test]
     fn table_runs_for_all_six_benchmarks() {
-        let t = run().unwrap();
+        let t = run_ctx(&Ctx::new()).unwrap();
         assert_eq!(t.rows.len(), 6);
         for row in &t.rows {
             assert!(row.p100_minutes() > 0.0);
@@ -187,7 +154,7 @@ mod tests {
 
     #[test]
     fn scaling_shape_matches_paper() {
-        let t = run().unwrap();
+        let t = run_ctx(&Ctx::new()).unwrap();
         let by_name = |n: &str| {
             t.rows
                 .iter()
@@ -204,7 +171,7 @@ mod tests {
 
     #[test]
     fn render_interleaves_paper_rows() {
-        let t = run().unwrap();
+        let t = run_ctx(&Ctx::new()).unwrap();
         let s = render(&t);
         assert!(s.contains("sim"));
         assert!(s.contains("paper"));

@@ -19,7 +19,7 @@
 
 use crate::benchmark::BenchmarkId;
 use crate::report::Table;
-use crate::runner::{Artifact, Ctx, Experiment, ExperimentError};
+use crate::runner::{Ctx, Decl};
 use crate::sweep::{self, CellKind, CellSpec, Replication, ReplicationScratch, RunStats};
 use mlperf_analysis::stats::variance;
 use mlperf_hw::systems::SystemId;
@@ -236,43 +236,22 @@ pub fn render(v: &VarianceDecomposition) -> String {
 }
 
 /// The decomposition as the executor schedules it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "variance_decomposition"
-    }
-
-    fn title(&self) -> &'static str {
-        "Extension: run-to-run variance decomposition (seed vs batch vs precision)"
-    }
-
-    fn spec_bytes(&self) -> Vec<u8> {
-        let mut s = format!(
-            "exp:{};seed={:016x};runs={VARIANCE_RUNS};",
-            self.id(),
-            sweep::REPLICATION_SEED,
-        )
-        .into_bytes();
+pub static EXP: Decl<VarianceDecomposition> = Decl {
+    id: "variance_decomposition",
+    title: "Extension: run-to-run variance decomposition (seed vs batch vs precision)",
+    deps: &[],
+    spec: Some(|| {
+        let mut s = format!("seed={:016x};runs={VARIANCE_RUNS};", sweep::REPLICATION_SEED)
+            .into_bytes();
         for id in WORKLOADS {
             s.extend_from_slice(&cell(id).canonical_bytes());
             s.push(b';');
         }
         s
-    }
-
-    fn run(&self, ctx: &Ctx) -> Result<Artifact, ExperimentError> {
-        run_ctx(ctx).map(Artifact::Variance).map_err(ExperimentError::from)
-    }
-
-    fn render(&self, artifact: &Artifact) -> String {
-        match artifact {
-            Artifact::Variance(v) => render(v),
-            other => unreachable!("variance_decomposition asked to render {}", other.name()),
-        }
-    }
-}
+    }),
+    run: run_ctx,
+    render,
+};
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,9 @@
 //! * [`Pool`] — a zero-dependency scoped-thread work-stealing pool;
 //! * [`ShardedCache`] — a compute-once memo cache keyed by [`RunKey`], so
 //!   each simulation point is priced exactly once per report;
-//! * [`Experiment`] — the one trait every experiment module implements;
+//! * [`Experiment`] — what the executor schedules; every experiment module
+//!   declares one [`Decl`], whose generic impl erases its typed payload
+//!   into an [`Artifact`];
 //! * [`execute`] — topological scheduling of an experiment DAG onto the
 //!   pool, with output assembled in declaration order (strict,
 //!   fail-fast);
@@ -57,6 +59,7 @@ use mlperf_sim::engine::{RunSpec, SimError, Simulator, StepReport};
 use mlperf_sim::training::{outcome_from_step, train, TrainingOutcome};
 use mlperf_sim::TrainingJob;
 use mlperf_testkit::rng::Rng;
+use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -245,7 +248,7 @@ type ScreenKey = (
 pub struct Ctx {
     steps: ShardedCache<RunKey, Result<StepReport, SimError>>,
     kernels: ShardedCache<KernelKey, Result<WorkloadRun, SimError>>,
-    artifacts: Mutex<HashMap<&'static str, Arc<Artifact>>>,
+    artifacts: Mutex<HashMap<&'static str, Artifact>>,
     uncached: AtomicU64,
     memoize: bool,
     /// Armed per worker thread by the executor around each experiment
@@ -751,12 +754,14 @@ impl Ctx {
         train(&Simulator::new(&spec), job, Ctx::ordinals(&spec, gpus))
     }
 
-    /// A completed dependency's artifact, if the executor stored one.
-    pub fn artifact(&self, id: &str) -> Option<Arc<Artifact>> {
-        lock(&self.artifacts).get(id).cloned()
+    /// A completed dependency's payload, if the executor stored one of
+    /// type `T` under `id`.
+    pub fn artifact<T: Any + Send + Sync>(&self, id: &str) -> Option<Arc<T>> {
+        let artifact = lock(&self.artifacts).get(id)?.0.clone();
+        artifact.downcast().ok()
     }
 
-    fn store_artifact(&self, id: &'static str, artifact: Arc<Artifact>) {
+    fn store_artifact(&self, id: &'static str, artifact: Artifact) {
         lock(&self.artifacts).insert(id, artifact);
     }
 
@@ -767,17 +772,14 @@ impl Ctx {
     /// # Errors
     ///
     /// Propagates [`SimError`] from the fallback computation.
-    pub fn dep_or<T: Clone>(
+    pub fn dep_or<T: Any + Send + Sync + Clone>(
         &self,
         id: &'static str,
-        extract: impl Fn(&Artifact) -> Option<&T>,
         compute: impl FnOnce(&Ctx) -> Result<T, SimError>,
     ) -> Result<T, SimError> {
         if self.memoize {
-            if let Some(artifact) = self.artifact(id) {
-                if let Some(value) = extract(&artifact) {
-                    return Ok(value.clone());
-                }
+            if let Some(value) = self.artifact::<T>(id) {
+                return Ok((*value).clone());
             }
         }
         compute(self)
@@ -801,167 +803,21 @@ impl Default for Ctx {
     }
 }
 
-/// The typed result of one experiment, stored by the executor so
-/// dependents ([`Experiment::deps`]) can consume it without re-running.
-#[derive(Debug, Clone)]
-pub enum Artifact {
-    /// Cross-cutting insights (Table I).
-    Table1(table1::Table1),
-    /// The benchmark registry table is static — nothing to compute.
-    Table2,
-    /// The platform table is static — nothing to compute.
-    Table3,
-    /// Training-time scaling (Table IV).
-    Table4(table4::Table4),
-    /// Resource-utilization table (Table V).
-    Table5(table5::Table5),
-    /// PCA workload characterization (Figure 1).
-    Figure1(figure1::Figure1),
-    /// Roofline placement (Figure 2).
-    Figure2(figure2::Figure2),
-    /// AMP speedups (Figure 3).
-    Figure3(figure3::Figure3),
-    /// Multi-job scheduling study (Figure 4).
-    Figure4(figure4::Figure4),
-    /// Topology sensitivity (Figure 5).
-    Figure5(figure5::Figure5),
-    /// Paper-anchor validation scorecard.
-    Validation(validation::Validation),
-    /// Calibration-knob sensitivity study.
-    Sensitivity(sensitivity::Sensitivity),
-    /// Cluster scheduling-policy study.
-    Cluster(cluster_study::ClusterStudy),
-    /// Energy & cost extension study.
-    Energy(energy_cost::EnergyCost),
-    /// Storage staging extension study.
-    Storage(Vec<storage_study::StorageRow>),
-    /// Batch-size sweep extension study.
-    BatchSweep(batch_sweep::BatchSweep),
-    /// Fault-injection / checkpoint-restart extension study.
-    Fault(fault_study::FaultStudy),
-    /// Run-to-run variance decomposition extension study.
-    Variance(variance_decomposition::VarianceDecomposition),
-    /// Suite throughput under k-way device partitioning.
-    Partition(partition_study::PartitionStudy),
-    /// Training + inference co-location study.
-    Colocation(colocation_study::ColocationStudy),
-}
+/// The typed result of one experiment, erased so the executor can store
+/// any experiment's payload for its dependents ([`Experiment::deps`]) to
+/// read back with [`Artifact::get`] or [`Ctx::dep_or`].
+#[derive(Clone)]
+pub struct Artifact(Arc<dyn Any + Send + Sync>);
 
 impl Artifact {
-    /// The variant's name, for diagnostics.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Artifact::Table1(_) => "table1",
-            Artifact::Table2 => "table2",
-            Artifact::Table3 => "table3",
-            Artifact::Table4(_) => "table4",
-            Artifact::Table5(_) => "table5",
-            Artifact::Figure1(_) => "figure1",
-            Artifact::Figure2(_) => "figure2",
-            Artifact::Figure3(_) => "figure3",
-            Artifact::Figure4(_) => "figure4",
-            Artifact::Figure5(_) => "figure5",
-            Artifact::Validation(_) => "validation",
-            Artifact::Sensitivity(_) => "sensitivity",
-            Artifact::Cluster(_) => "cluster_study",
-            Artifact::Energy(_) => "energy_cost",
-            Artifact::Storage(_) => "storage_study",
-            Artifact::BatchSweep(_) => "batch_sweep",
-            Artifact::Fault(_) => "fault_study",
-            Artifact::Variance(_) => "variance_decomposition",
-            Artifact::Partition(_) => "partition_study",
-            Artifact::Colocation(_) => "colocation_study",
-        }
+    /// Erase a payload.
+    pub fn new<T: Any + Send + Sync>(payload: T) -> Artifact {
+        Artifact(Arc::new(payload))
     }
 
-    /// The Table IV payload, if that is what this artifact holds.
-    pub fn as_table4(&self) -> Option<&table4::Table4> {
-        match self {
-            Artifact::Table4(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// The Table V payload, if that is what this artifact holds.
-    pub fn as_table5(&self) -> Option<&table5::Table5> {
-        match self {
-            Artifact::Table5(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// The Figure 1 payload, if that is what this artifact holds.
-    pub fn as_figure1(&self) -> Option<&figure1::Figure1> {
-        match self {
-            Artifact::Figure1(f) => Some(f),
-            _ => None,
-        }
-    }
-
-    /// The Figure 2 payload, if that is what this artifact holds.
-    pub fn as_figure2(&self) -> Option<&figure2::Figure2> {
-        match self {
-            Artifact::Figure2(f) => Some(f),
-            _ => None,
-        }
-    }
-
-    /// The Figure 3 payload, if that is what this artifact holds.
-    pub fn as_figure3(&self) -> Option<&figure3::Figure3> {
-        match self {
-            Artifact::Figure3(f) => Some(f),
-            _ => None,
-        }
-    }
-
-    /// The Figure 4 payload, if that is what this artifact holds.
-    pub fn as_figure4(&self) -> Option<&figure4::Figure4> {
-        match self {
-            Artifact::Figure4(f) => Some(f),
-            _ => None,
-        }
-    }
-
-    /// The Figure 5 payload, if that is what this artifact holds.
-    pub fn as_figure5(&self) -> Option<&figure5::Figure5> {
-        match self {
-            Artifact::Figure5(f) => Some(f),
-            _ => None,
-        }
-    }
-
-    /// The fault-study payload, if that is what this artifact holds.
-    pub fn as_fault(&self) -> Option<&fault_study::FaultStudy> {
-        match self {
-            Artifact::Fault(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The variance-decomposition payload, if that is what this artifact
-    /// holds.
-    pub fn as_variance(&self) -> Option<&variance_decomposition::VarianceDecomposition> {
-        match self {
-            Artifact::Variance(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The partition-study payload, if that is what this artifact holds.
-    pub fn as_partition(&self) -> Option<&partition_study::PartitionStudy> {
-        match self {
-            Artifact::Partition(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// The co-location-study payload, if that is what this artifact
-    /// holds.
-    pub fn as_colocation(&self) -> Option<&colocation_study::ColocationStudy> {
-        match self {
-            Artifact::Colocation(c) => Some(c),
-            _ => None,
-        }
+    /// The payload, if it is a `T`.
+    pub fn get<T: Any>(&self) -> Option<&T> {
+        self.0.downcast_ref()
     }
 }
 
@@ -990,10 +846,10 @@ pub trait Experiment: Sync {
     /// (`mlperf-core::sweep::cache`) keys each rendered section by
     /// `fnv1a64(code_epoch ‖ spec_bytes)`; the default — the experiment's
     /// id — is correct for experiments whose parameters are all
-    /// compile-time constants. Experiments built on a declarative
-    /// [`SweepSpec`](crate::sweep::SweepSpec) override this to append the
-    /// sweep's canonical bytes, so editing a grid invalidates exactly the
-    /// sections that consume it.
+    /// compile-time constants. A [`Decl`] fed by a declarative
+    /// [`SweepSpec`](crate::sweep::SweepSpec) appends the sweep's
+    /// canonical bytes, so editing a grid invalidates exactly the sections
+    /// that consume it.
     fn spec_bytes(&self) -> Vec<u8> {
         format!("exp:{}", self.id()).into_bytes()
     }
@@ -1010,6 +866,64 @@ pub trait Experiment: Sync {
 
     /// Render the artifact to the report's text form.
     fn render(&self, artifact: &Artifact) -> String;
+}
+
+/// One experiment, declared once in its module: the identity the
+/// executor schedules and the report renders, plus the module's own
+/// typed `run_ctx` and `render`. Its [`Experiment`] impl erases the
+/// payload into an [`Artifact`] and reads it back to render it.
+pub struct Decl<T, E = SimError> {
+    /// Stable identifier ([`Experiment::id`]).
+    pub(crate) id: &'static str,
+    /// Report-appendix title ([`Experiment::title`]).
+    pub(crate) title: &'static str,
+    /// Ids of the experiments whose artifacts this one reads
+    /// ([`Experiment::deps`]).
+    pub(crate) deps: &'static [&'static str],
+    /// Canonical bytes of the sweeps and seeds that feed the experiment,
+    /// appended to its id in [`Experiment::spec_bytes`]; `None` when every
+    /// parameter is a compile-time constant.
+    pub(crate) spec: Option<fn() -> Vec<u8>>,
+    /// Produce the payload through a shared context.
+    pub(crate) run: fn(&Ctx) -> Result<T, E>,
+    /// Render the payload to its report section.
+    pub(crate) render: fn(&T) -> String,
+}
+
+impl<T: Any + Send + Sync, E: Into<ExperimentError>> Experiment for Decl<T, E> {
+    fn id(&self) -> &'static str {
+        self.id
+    }
+
+    fn title(&self) -> &'static str {
+        self.title
+    }
+
+    fn deps(&self) -> &'static [&'static str] {
+        self.deps
+    }
+
+    fn spec_bytes(&self) -> Vec<u8> {
+        match self.spec {
+            None => format!("exp:{}", self.id).into_bytes(),
+            Some(spec) => {
+                let mut s = format!("exp:{};", self.id).into_bytes();
+                s.extend_from_slice(&spec());
+                s
+            }
+        }
+    }
+
+    fn run(&self, ctx: &Ctx) -> Result<Artifact, ExperimentError> {
+        (self.run)(ctx).map(Artifact::new).map_err(Into::into)
+    }
+
+    fn render(&self, artifact: &Artifact) -> String {
+        let payload = artifact
+            .get()
+            .unwrap_or_else(|| panic!("{} asked to render another experiment's artifact", self.id));
+        (self.render)(payload)
+    }
 }
 
 /// One scheduled experiment's output.
@@ -1286,8 +1200,7 @@ fn attempt_experiment(
     }
     match outcome {
         Ok(Ok(artifact)) => {
-            let artifact = Arc::new(artifact);
-            ctx.store_artifact(e.id(), Arc::clone(&artifact));
+            ctx.store_artifact(e.id(), artifact.clone());
             Ok(e.render(&artifact))
         }
         Ok(Err(err)) => Err(err),
@@ -1488,36 +1401,38 @@ pub fn execute(
     Ok(execution)
 }
 
-/// The nineteen experiments of the full report, in the report's output
-/// order (Table I is a synthesis layer on top and not part of the report
-/// body — see [`all_experiments`]).
-pub fn report_experiments() -> Vec<&'static dyn Experiment> {
-    vec![
-        &table2::Exp,
-        &table3::Exp,
-        &table4::Exp,
-        &table5::Exp,
-        &figure1::Exp,
-        &figure2::Exp,
-        &figure3::Exp,
-        &figure4::Exp,
-        &figure5::Exp,
-        &validation::Exp,
-        &sensitivity::Exp,
-        &cluster_study::Exp,
-        &energy_cost::Exp,
-        &storage_study::Exp,
-        &batch_sweep::Exp,
-        &fault_study::Exp,
-        &variance_decomposition::Exp,
-        &partition_study::Exp,
-        &colocation_study::Exp,
-    ]
+/// Every experiment, in report order: Tables I–V and Figures 1–5 (the
+/// paper's artifacts; Table I is the synthesis over the others), the
+/// validation scorecard, then the extension studies.
+static REGISTRY: [&dyn Experiment; 20] = [
+    &table1::EXP,
+    &table2::EXP,
+    &table3::EXP,
+    &table4::EXP,
+    &table5::EXP,
+    &figure1::EXP,
+    &figure2::EXP,
+    &figure3::EXP,
+    &figure4::EXP,
+    &figure5::EXP,
+    &validation::EXP,
+    &sensitivity::EXP,
+    &cluster_study::EXP,
+    &energy_cost::EXP,
+    &storage_study::EXP,
+    &batch_sweep::EXP,
+    &fault_study::EXP,
+    &variance_decomposition::EXP,
+    &partition_study::EXP,
+    &colocation_study::EXP,
+];
+
+/// Every experiment, in report order.
+pub fn all_experiments() -> Vec<&'static dyn Experiment> {
+    REGISTRY.to_vec()
 }
 
-/// Every experiment, Table I included.
-pub fn all_experiments() -> Vec<&'static dyn Experiment> {
-    let mut all: Vec<&'static dyn Experiment> = vec![&table1::Exp];
-    all.extend(report_experiments());
-    all
+/// The registered experiment with this id.
+pub fn experiment(id: &str) -> Option<&'static dyn Experiment> {
+    REGISTRY.iter().copied().find(|e| e.id() == id)
 }

@@ -10,7 +10,7 @@
 
 use crate::benchmark::BenchmarkId;
 use crate::report::Table;
-use crate::runner::{Artifact, Ctx, Experiment, ExperimentError, TrainPoint};
+use crate::runner::{Ctx, Decl, TrainPoint};
 use mlperf_hw::SystemId;
 use mlperf_sim::{Efficiency, SimError, TrainingJob};
 use std::fmt;
@@ -131,16 +131,8 @@ fn perturbed_speedup8(ctx: &Ctx, job: &TrainingJob) -> Result<f64, SimError> {
     Ok(t1 / t8)
 }
 
-/// Run the study over a representative benchmark subset.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run() -> Result<Sensitivity, SimError> {
-    run_ctx(&Ctx::new())
-}
-
-/// Run the study through a shared executor context.
+/// Run the study over a representative benchmark subset, through a
+/// shared executor context.
 ///
 /// # Errors
 ///
@@ -197,29 +189,14 @@ pub fn render(s: &Sensitivity) -> String {
 }
 
 /// The sensitivity study as the executor schedules it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "sensitivity"
-    }
-
-    fn title(&self) -> &'static str {
-        "Extension: calibration-knob sensitivity"
-    }
-
-    fn run(&self, ctx: &Ctx) -> Result<Artifact, ExperimentError> {
-        run_ctx(ctx).map(Artifact::Sensitivity).map_err(ExperimentError::from)
-    }
-
-    fn render(&self, artifact: &Artifact) -> String {
-        match artifact {
-            Artifact::Sensitivity(s) => render(s),
-            other => unreachable!("sensitivity asked to render {}", other.name()),
-        }
-    }
-}
+pub static EXP: Decl<Sensitivity> = Decl {
+    id: "sensitivity",
+    title: "Extension: calibration-knob sensitivity",
+    deps: &[],
+    spec: None,
+    run: run_ctx,
+    render,
+};
 
 #[cfg(test)]
 mod tests {
@@ -229,7 +206,7 @@ mod tests {
     fn derived_speedups_are_knob_insensitive() {
         // The core robustness claim: ±20% on any fitted knob moves the
         // derived 8-GPU speedup by well under 20% (|elasticity| < 1).
-        let s = run().unwrap();
+        let s = run_ctx(&Ctx::new()).unwrap();
         assert_eq!(s.cells.len(), 9);
         for c in &s.cells {
             assert!(
@@ -246,7 +223,7 @@ mod tests {
     fn faster_compute_means_worse_scaling() {
         // Raising tensor efficiency shortens compute, making communication
         // relatively larger: the speedup must not improve.
-        let s = run().unwrap();
+        let s = run_ctx(&Ctx::new()).unwrap();
         for c in s.cells.iter().filter(|c| c.knob == Knob::TensorEfficiency) {
             assert!(
                 c.high <= c.baseline + 0.05,
@@ -260,7 +237,7 @@ mod tests {
 
     #[test]
     fn render_shows_elasticities() {
-        let s = run().unwrap();
+        let s = run_ctx(&Ctx::new()).unwrap();
         let text = render(&s);
         assert!(text.contains("Elasticity"));
         assert!(text.contains("comm overlap"));

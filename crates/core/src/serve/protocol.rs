@@ -406,13 +406,24 @@ fn parse_cell(fields: &[(String, Json)]) -> Result<CellSpec, String> {
         Some("amp") => Some(PrecisionPolicy::Amp),
         Some(other) => return Err(format!("unknown precision '{other}'")),
     };
-    let mtbf_hours = f64_field(fields, "mtbf_hours")?;
+    // An expected-TTT duration must be positive and stay finite once
+    // converted to seconds; anything else is a typed bad-request naming
+    // the field, never a panic in the pricing thread.
+    let duration = |key: &str, secs_per_unit: f64| -> Result<Option<f64>, String> {
+        match f64_field(fields, key)? {
+            Some(v) if !(v > 0.0 && (v * secs_per_unit).is_finite()) => Err(format!(
+                "field '{key}' must be positive and finite in seconds"
+            )),
+            v => Ok(v),
+        }
+    };
+    let mtbf_hours = duration("mtbf_hours", 3600.0)?;
     let interval = match get(fields, "interval") {
         None => None,
         Some(Json::Str(s)) if s == "daly" => Some(IntervalChoice::Daly),
         Some(Json::Str(s)) => return Err(format!("unknown interval '{s}'")),
         Some(Json::Num(_)) => Some(IntervalChoice::FixedMin(
-            f64_field(fields, "interval")?.expect("field is present"),
+            duration("interval", 60.0)?.expect("field is present"),
         )),
         Some(_) => return Err("field 'interval' must be 'daly' or minutes".to_string()),
     };

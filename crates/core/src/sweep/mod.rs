@@ -641,9 +641,12 @@ pub fn price_cell(ctx: &Ctx, spec: &CellSpec) -> Result<CellValue, CellError> {
             let mtbf = Seconds::from_hours(mtbf_hours);
             let tau = match choice {
                 IntervalChoice::FixedMin(m) => Seconds::from_minutes(m),
-                IntervalChoice::Daly => daly_interval(write_cost, mtbf),
+                IntervalChoice::Daly => {
+                    daly_interval(write_cost, mtbf).map_err(CellError::from_sim)?
+                }
             };
-            let expected = expected_runtime(work, tau, write_cost, restart_cost, mtbf);
+            let expected = expected_runtime(work, tau, write_cost, restart_cost, mtbf)
+                .map_err(CellError::from_sim)?;
             Ok(CellValue {
                 values: vec![
                     tau.as_minutes(),

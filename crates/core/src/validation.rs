@@ -4,13 +4,13 @@
 //! also produces, computes per-cell relative errors and per-artifact
 //! aggregate metrics (MAPE, worst cell), and reports which cells were
 //! *calibrated* (fitted by construction) versus *derived* (free
-//! predictions of the simulator). `repro --validate` prints the report;
+//! predictions of the simulator). `repro --extra validate` prints the report;
 //! EXPERIMENTS.md narrates it.
 
 use crate::benchmark::BenchmarkId;
 use crate::experiments::{figure5, table4, table5};
 use crate::report::Table;
-use crate::runner::{Artifact, Ctx, Experiment, ExperimentError};
+use crate::runner::{Ctx, Decl};
 use mlperf_sim::SimError;
 use std::fmt;
 
@@ -81,15 +81,6 @@ const PAPER_FIG5_IMPROVEMENT: [(BenchmarkId, f64); 4] = [
     (BenchmarkId::MlpfRes50Tf, 0.11),
 ];
 
-/// Run every comparable experiment and assemble the corpus.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run() -> Result<Validation, SimError> {
-    run_ctx(&Ctx::new())
-}
-
 /// Assemble the corpus over a shared executor context. The three compared
 /// artifacts come from the context's store when the executor already
 /// produced them; standalone runs recompute them against the shared memo
@@ -102,7 +93,7 @@ pub fn run_ctx(ctx: &Ctx) -> Result<Validation, SimError> {
     let mut cells = Vec::new();
 
     // --- Table IV ---------------------------------------------------------
-    let t4 = ctx.dep_or("table4", Artifact::as_table4, table4::run_ctx)?;
+    let t4 = ctx.dep_or("table4", table4::run_ctx)?;
     for ((id, p100, v100, s2, s4, s8), row) in table4::PAPER_TABLE_IV.iter().zip(&t4.rows) {
         cells.push(Cell {
             artifact: "Table IV",
@@ -130,7 +121,7 @@ pub fn run_ctx(ctx: &Ctx) -> Result<Validation, SimError> {
     }
 
     // --- Table V (single-GPU CPU utilization anchors) ----------------------
-    let t5 = ctx.dep_or("table5", Artifact::as_table5, table5::run_ctx)?;
+    let t5 = ctx.dep_or("table5", table5::run_ctx)?;
     for (id, paper) in PAPER_TABLE_V_CPU_1GPU {
         let run = t5
             .runs
@@ -166,7 +157,7 @@ pub fn run_ctx(ctx: &Ctx) -> Result<Validation, SimError> {
     });
 
     // --- Figure 5 (NVLink improvements, §V-E prose) -------------------------
-    let f5 = ctx.dep_or("figure5", Artifact::as_figure5, figure5::run_ctx)?;
+    let f5 = ctx.dep_or("figure5", figure5::run_ctx)?;
     for (id, paper) in PAPER_FIG5_IMPROVEMENT {
         let row = f5.rows.iter().find(|r| r.id == id).expect("row present");
         cells.push(Cell {
@@ -256,33 +247,14 @@ pub fn render(v: &Validation) -> String {
 }
 
 /// The validation scorecard as the executor schedules it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "validation"
-    }
-
-    fn title(&self) -> &'static str {
-        "Validation: simulated vs published cells"
-    }
-
-    fn deps(&self) -> &'static [&'static str] {
-        &["table4", "table5", "figure5"]
-    }
-
-    fn run(&self, ctx: &Ctx) -> Result<Artifact, ExperimentError> {
-        run_ctx(ctx).map(Artifact::Validation).map_err(ExperimentError::from)
-    }
-
-    fn render(&self, artifact: &Artifact) -> String {
-        match artifact {
-            Artifact::Validation(v) => render(v),
-            other => unreachable!("validation asked to render {}", other.name()),
-        }
-    }
-}
+pub static EXP: Decl<Validation> = Decl {
+    id: "validation",
+    title: "Validation: simulated vs published cells",
+    deps: &["table4", "table5", "figure5"],
+    spec: None,
+    run: run_ctx,
+    render,
+};
 
 #[cfg(test)]
 mod tests {
@@ -290,7 +262,7 @@ mod tests {
 
     #[test]
     fn corpus_covers_all_three_artifacts() {
-        let v = run().unwrap();
+        let v = run_ctx(&Ctx::new()).unwrap();
         for artifact in ["Table IV", "Table V", "Figure 5"] {
             assert!(
                 v.cells.iter().any(|c| c.artifact == artifact),
@@ -303,14 +275,14 @@ mod tests {
 
     #[test]
     fn calibrated_cells_are_tight() {
-        let v = run().unwrap();
+        let v = run_ctx(&Ctx::new()).unwrap();
         let mape = v.mape(Some(CellKind::Calibrated), None);
         assert!(mape < 0.10, "calibrated MAPE {:.1}%", mape * 100.0);
     }
 
     #[test]
     fn derived_cells_are_reasonable() {
-        let v = run().unwrap();
+        let v = run_ctx(&Ctx::new()).unwrap();
         let mape = v.mape(Some(CellKind::Derived), None);
         assert!(mape < 0.35, "derived MAPE {:.1}%", mape * 100.0);
         // Table IV's derived speedups specifically stay tight.
@@ -320,7 +292,7 @@ mod tests {
 
     #[test]
     fn render_summarizes_both_kinds() {
-        let v = run().unwrap();
+        let v = run_ctx(&Ctx::new()).unwrap();
         let s = render(&v);
         assert!(s.contains("calibrated cells"));
         assert!(s.contains("derived cells"));

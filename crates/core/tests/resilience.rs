@@ -66,7 +66,7 @@ impl Experiment for PointExp {
     fn run(&self, ctx: &Ctx) -> Result<Artifact, ExperimentError> {
         let point = TrainPoint::new(BenchmarkId::MlpfRes50Mx, self.system, self.gpus);
         ctx.step(&point)?;
-        Ok(Artifact::Table2)
+        Ok(Artifact::new(()))
     }
     fn render(&self, _artifact: &Artifact) -> String {
         format!("{}: ok\n", self.id)
@@ -374,7 +374,7 @@ fn transient_chaos_recovers_after_retry_and_records_it() {
     assert_eq!(r.stream, fnv1a64("syn-alpha"));
     assert!(execution.reports.iter().all(|rep| rep.error.is_none()));
     assert!(
-        ctx.artifact("syn-alpha").is_some(),
+        ctx.artifact::<()>("syn-alpha").is_some(),
         "the recovered attempt must store its artifact"
     );
 }
@@ -397,7 +397,7 @@ impl Experiment for FlakyBeforePricing {
             std::panic::panic_any("chaos: flaky before pricing".to_string());
         }
         ctx.step(&TrainPoint::new(BenchmarkId::MlpfRes50Mx, SystemId::C4140K, 1))?;
-        Ok(Artifact::Table2)
+        Ok(Artifact::new(()))
     }
     fn render(&self, _artifact: &Artifact) -> String {
         "flaky-before: ok\n".to_string()
@@ -423,7 +423,7 @@ impl Experiment for FlakyMidPricing {
             std::panic::panic_any("chaos: flaky mid pricing".to_string());
         }
         ctx.step(&TrainPoint::new(BenchmarkId::MlpfRes50Mx, SystemId::C4140K, 2))?;
-        Ok(Artifact::Table2)
+        Ok(Artifact::new(()))
     }
     fn render(&self, _artifact: &Artifact) -> String {
         "flaky-mid: ok\n".to_string()
@@ -445,7 +445,7 @@ impl Experiment for OomExp {
         let point = TrainPoint::new(BenchmarkId::MlpfRes50Mx, SystemId::C4140K, 1)
             .with_per_gpu_batch(1 << 14);
         ctx.step(&point)?;
-        Ok(Artifact::Table2)
+        Ok(Artifact::new(()))
     }
     fn render(&self, _artifact: &Artifact) -> String {
         "oom: unreachable\n".to_string()
@@ -505,7 +505,7 @@ fn failed_attempts_never_pollute_the_memo_cache() {
             first.failures[0].error
         );
         assert!(
-            ctx.artifact("syn-oom").is_none(),
+            ctx.artifact::<()>("syn-oom").is_none(),
             "a failed experiment must not be cached as success (workers={workers})"
         );
         let second =
@@ -536,7 +536,7 @@ impl Experiment for SweepExp {
                 gpus,
             ))?;
         }
-        Ok(Artifact::Table2)
+        Ok(Artifact::new(()))
     }
     fn render(&self, _artifact: &Artifact) -> String {
         "sweep: ok\n".to_string()

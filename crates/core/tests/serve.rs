@@ -605,3 +605,50 @@ fn zero_and_overflowing_batches_get_typed_answers() {
         );
     }
 }
+
+/// Expected-TTT durations that used to panic the pricing thread. Each
+/// now answers a typed error: a bad request naming the field when the
+/// value is not positive or overflows on conversion to seconds, and
+/// `non-finite` when Daly's model leaves `f64` range. The connection
+/// keeps answering after it.
+macro_rules! ttt_regressions {
+    ($($test:ident: ($mtbf:literal, $interval:literal) => $kind:literal, $message:literal;)+) => {
+        $(
+            #[test]
+            fn $test() {
+                let lines = vec![
+                    format!(
+                        r#"{{"v":1,"id":"ttt","kind":"cell","workload":"MLPf_XFMR_Py","system":"DSS_8440","gpus":4,"cell_kind":"expected-ttt","mtbf_hours":{},"interval":{}}}"#,
+                        $mtbf, $interval
+                    ),
+                    r#"{"v":1,"id":"alive","kind":"ping"}"#.to_string(),
+                ];
+                let frames = answers(stringify!($test), &lines);
+                let want = format!(r#"{{"v":1,"id":"ttt","status":"error","kind":"{}","message":"{}"#, $kind, $message);
+                assert!(frames[0].starts_with(&want), "{}", frames[0]);
+                assert_eq!(frames[1], protocol::pong_frame("alive").trim_end());
+            }
+        )+
+    };
+}
+
+ttt_regressions! {
+    regression_ttt_zero_mtbf: ("0", r#""daly""#)
+        => "bad-request", "field 'mtbf_hours' must be positive and finite in seconds";
+    regression_ttt_negative_mtbf: ("-3", r#""daly""#)
+        => "bad-request", "field 'mtbf_hours' must be positive and finite in seconds";
+    regression_ttt_mtbf_overflowing_seconds: ("1e308", r#""daly""#)
+        => "bad-request", "field 'mtbf_hours' must be positive and finite in seconds";
+    regression_ttt_vanishing_mtbf: ("1e-300", r#""daly""#)
+        => "non-finite", "non-finite output: expected runtime inf s";
+    regression_ttt_mtbf_cancelling_failures: ("1e300", r#""daly""#)
+        => "non-finite", "non-finite output: expected runtime 0e0 s";
+    regression_ttt_zero_interval: ("4", "0")
+        => "bad-request", "field 'interval' must be positive and finite in seconds";
+    regression_ttt_negative_interval: ("4", "-5")
+        => "bad-request", "field 'interval' must be positive and finite in seconds";
+    regression_ttt_interval_overflowing_seconds: ("4", "1e308")
+        => "bad-request", "field 'interval' must be positive and finite in seconds";
+    regression_ttt_interval_overflowing_model: ("4", "1e300")
+        => "non-finite", "non-finite output: expected runtime inf s";
+}

@@ -18,7 +18,7 @@
 //!   `√(2CM)·[1 + ⅓·√(C/2M) + (C/2M)/9] − C` (Daly 2006), clamped to `M`
 //!   when `C ≥ 2M`.
 
-use crate::engine::StepReport;
+use crate::engine::{SimError, StepReport};
 use crate::job::TrainingJob;
 use mlperf_data::storage::StorageDevice;
 use mlperf_hw::units::{Bytes, Seconds};
@@ -101,16 +101,38 @@ pub fn failure_free_overhead(work: Seconds, tau: Seconds, c: Seconds) -> Seconds
 /// cost `r`, under exponential failures with mean time between failures
 /// `mtbf`. Exact for memoryless failures; quasi-convex in `tau`.
 ///
+/// # Errors
+///
+/// [`SimError::NonFinite`] when an extreme `tau` or `mtbf` overflows the
+/// exponentials or cancels the failure term to zero: the result is then
+/// not finite, or below `work`, which the model never is.
+///
 /// # Panics
 ///
 /// Panics unless `tau` and `mtbf` are positive.
-pub fn expected_runtime(work: Seconds, tau: Seconds, c: Seconds, r: Seconds, mtbf: Seconds) -> Seconds {
+pub fn expected_runtime(
+    work: Seconds,
+    tau: Seconds,
+    c: Seconds,
+    r: Seconds,
+    mtbf: Seconds,
+) -> Result<Seconds, SimError> {
     assert!(tau.as_secs() > 0.0, "interval must be positive");
     assert!(mtbf.as_secs() > 0.0, "MTBF must be positive");
     let m = mtbf.as_secs();
     let segments = work.as_secs() / tau.as_secs();
     let per_segment = m * (r.as_secs() / m).exp() * (((tau + c).as_secs() / m).exp() - 1.0);
-    Seconds::new(per_segment * segments)
+    let expected = per_segment * segments;
+    if !(expected.is_finite() && expected >= work.as_secs()) {
+        return Err(SimError::NonFinite {
+            context: format!(
+                "expected runtime {expected:e} s for {:e} s of work (interval {:e} s, MTBF {m:e} s)",
+                work.as_secs(),
+                tau.as_secs(),
+            ),
+        });
+    }
+    Ok(Seconds::new(expected))
 }
 
 /// Daly's higher-order optimal checkpoint interval for write cost `c` and
@@ -118,18 +140,28 @@ pub fn expected_runtime(work: Seconds, tau: Seconds, c: Seconds, r: Seconds, mtb
 /// when `c ≥ 2M` (checkpointing costs more than the expected failure-free
 /// window — write once per MTBF).
 ///
+/// # Errors
+///
+/// [`SimError::NonFinite`] when an extreme `mtbf` overflows `2cM`.
+///
 /// # Panics
 ///
 /// Panics unless both costs are positive.
-pub fn daly_interval(c: Seconds, mtbf: Seconds) -> Seconds {
+pub fn daly_interval(c: Seconds, mtbf: Seconds) -> Result<Seconds, SimError> {
     assert!(c.as_secs() > 0.0, "write cost must be positive");
     assert!(mtbf.as_secs() > 0.0, "MTBF must be positive");
     let (c, m) = (c.as_secs(), mtbf.as_secs());
     if c >= 2.0 * m {
-        return Seconds::new(m);
+        return Ok(Seconds::new(m));
     }
     let x = c / (2.0 * m);
-    Seconds::new((2.0 * c * m).sqrt() * (1.0 + x.sqrt() / 3.0 + x / 9.0) - c)
+    let tau = (2.0 * c * m).sqrt() * (1.0 + x.sqrt() / 3.0 + x / 9.0) - c;
+    if !tau.is_finite() {
+        return Err(SimError::NonFinite {
+            context: format!("Daly interval for write cost {c:e} s and MTBF {m:e} s"),
+        });
+    }
+    Ok(Seconds::new(tau))
 }
 
 #[cfg(test)]
@@ -200,7 +232,7 @@ mod tests {
         // For c << M the higher-order terms vanish: tau ~ sqrt(2cM).
         let c = Seconds::new(10.0);
         let m = Seconds::from_hours(24.0);
-        let tau = daly_interval(c, m);
+        let tau = daly_interval(c, m).unwrap();
         let young = (2.0 * c.as_secs() * m.as_secs()).sqrt();
         let rel = (tau.as_secs() - young).abs() / young;
         assert!(rel < 0.02, "daly {} vs young {young}", tau.as_secs());
@@ -208,7 +240,7 @@ mod tests {
 
     #[test]
     fn daly_interval_clamps_when_checkpoints_dominate() {
-        let tau = daly_interval(Seconds::new(100.0), Seconds::new(30.0));
+        let tau = daly_interval(Seconds::new(100.0), Seconds::new(30.0)).unwrap();
         assert_eq!(tau, Seconds::new(30.0));
     }
 
@@ -221,7 +253,8 @@ mod tests {
             Seconds::new(20.0),
             Seconds::new(60.0),
             Seconds::from_hours(8.0),
-        );
+        )
+        .unwrap();
         assert!(t > work);
         // ...but not absurdly: a healthy-ish cluster loses < 40%.
         assert!(t.as_secs() < 1.4 * work.as_secs(), "{}", t.as_secs());
@@ -235,8 +268,8 @@ mod tests {
             Seconds::new(60.0),
             Seconds::from_hours(4.0),
         );
-        let at = |tau| expected_runtime(work, tau, c, r, m).as_secs();
-        let opt = at(daly_interval(c, m));
+        let at = |tau| expected_runtime(work, tau, c, r, m).unwrap().as_secs();
+        let opt = at(daly_interval(c, m).unwrap());
         assert!(opt < at(Seconds::from_minutes(1.0)), "too-frequent wins?");
         assert!(opt < at(Seconds::from_hours(8.0)), "too-rare wins?");
     }

@@ -363,7 +363,7 @@ mod fault_properties {
                 .collect();
             let times: Vec<f64> = grid
                 .iter()
-                .map(|&tau| expected_runtime(work, Seconds::new(tau), c, r, m).as_secs())
+                .map(|&tau| expected_runtime(work, Seconds::new(tau), c, r, m).unwrap().as_secs())
                 .collect();
             let min_idx = times
                 .iter()
@@ -391,9 +391,9 @@ mod fault_properties {
             let c = Seconds::new(c_secs);
             let r = Seconds::new(2.0 * c_secs + 30.0);
             let m = Seconds::from_hours(mtbf_hours);
-            let opt = daly_interval(c, m);
+            let opt = daly_interval(c, m).unwrap();
             prop_assert!(opt.as_secs() > 0.0);
-            let at = |tau: Seconds| expected_runtime(work, tau, c, r, m).as_secs();
+            let at = |tau: Seconds| expected_runtime(work, tau, c, r, m).unwrap().as_secs();
             let best = at(opt);
             prop_assert!(best <= at(opt.scale(1.0 / spread)) * (1.0 + 1e-6));
             prop_assert!(best <= at(opt.scale(spread)) * (1.0 + 1e-6));

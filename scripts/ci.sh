@@ -15,6 +15,11 @@ cargo test -q --offline
 echo "== clippy (all targets, deny warnings) =="
 cargo clippy --all-targets --offline -- -D warnings
 
+echo "== clippy: the benchmark harness builds against this API =="
+# perfbench/ is a separate package the end-to-end benchmark builds from
+# this checkout; a public-API change that breaks it must fail here.
+cargo clippy --offline --manifest-path perfbench/Cargo.toml -- -D warnings
+
 echo "== executor determinism: golden artifacts at MLPERF_JOBS=1 and 4 =="
 # The executor contract (DESIGN.md "Execution model"): report and CSV
 # bytes may depend only on the simulated numbers, never on the worker
