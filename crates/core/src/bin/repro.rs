@@ -44,22 +44,21 @@ fn usage() -> &'static str {
             artifacts/cache/ when warm; disable with --no-cache or MLPERF_CACHE=off,\n\
             relocate with MLPERF_CACHE_DIR=DIR\n\
      env: MLPERF_JOBS=N (workers), MLPERF_STRICT=1 (fail fast, no degraded mode),\n\
-          MLPERF_RETRIES=N, MLPERF_STEP_BUDGET=N,\n\
-          MLPERF_RUNS=N (seeded replications per training cell; 1 = point estimate),\n\
+          MLPERF_STEP_BUDGET=N (simulation requests per experiment),\n\
+          MLPERF_CHAOS=ID (panic one experiment, to exercise degraded mode),\n\
+          MLPERF_RUNS=N (seeded replications per training cell, 1..512; 1 = point estimate),\n\
           MLPERF_PARTITION=TOKEN (run sweeps on a fractional device, e.g. 1of4x3;\n\
           'full' = whole device; pinned report sections ignore it),\n\
           MLPERF_IO_CHAOS=SPEC (seeded cache I/O fault injection, e.g.\n\
-          seed=7,bit_flip=0.25 — see DESIGN.md §2h), MLPERF_SERVE_READ_TIMEOUT_MS,\n\
-          MLPERF_SERVE_WRITE_TIMEOUT_MS, MLPERF_SERVE_MAX_FRAME (serve hardening)\n\
+          seed=7,bit_flip=0.25 — see DESIGN.md §2h); a malformed knob exits 1\n\
      exit: 0 healthy, 1 error, 2 degraded-but-complete (--report/--csv only)"
 }
 
 /// `repro serve ...`: bind the Unix socket and answer typed what-if
-/// queries until a `shutdown` query arrives. The environment is resolved
-/// into one typed [`Config`] here, once, at startup — per-request
-/// variation happens through the request API (e.g. `budget`), not by
-/// mutating the daemon's environment.
-fn run_serve(args: &[String], no_cache: bool) -> Result<ExitCode, String> {
+/// queries until a `shutdown` query arrives. The daemon keeps the startup
+/// [`Config`] — per-request variation happens through the request API
+/// (e.g. `budget`), not by mutating the daemon's environment.
+fn run_serve(args: &[String], cfg: &Config) -> Result<ExitCode, String> {
     let mut opts = ServeOptions::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -96,7 +95,7 @@ fn run_serve(args: &[String], no_cache: bool) -> Result<ExitCode, String> {
                     .ok_or("--read-timeout-ms needs milliseconds (0 = none)")?
                     .parse()
                     .map_err(|e| format!("--read-timeout-ms: {e}"))?;
-                opts.read_timeout_ms = Some(ms);
+                opts.read_timeout_ms = ms;
             }
             "--write-timeout-ms" => {
                 let ms: u64 = it
@@ -104,7 +103,7 @@ fn run_serve(args: &[String], no_cache: bool) -> Result<ExitCode, String> {
                     .ok_or("--write-timeout-ms needs milliseconds (0 = none)")?
                     .parse()
                     .map_err(|e| format!("--write-timeout-ms: {e}"))?;
-                opts.write_timeout_ms = Some(ms);
+                opts.write_timeout_ms = ms;
             }
             "--max-frame" => {
                 let bytes: usize = it
@@ -112,17 +111,13 @@ fn run_serve(args: &[String], no_cache: bool) -> Result<ExitCode, String> {
                     .ok_or("--max-frame needs bytes (0 = unbounded)")?
                     .parse()
                     .map_err(|e| format!("--max-frame: {e}"))?;
-                opts.max_frame = Some(bytes);
+                opts.max_frame = bytes;
             }
             other => return Err(format!("unknown serve flag '{other}'; {}", usage())),
         }
     }
-    let mut cfg = Config::from_env();
-    if no_cache {
-        cfg.cache_enabled = false;
-    }
     let server =
-        Server::bind(&opts, &cfg).map_err(|e| format!("binding {}: {e}", opts.socket.display()))?;
+        Server::bind(&opts, cfg).map_err(|e| format!("binding {}: {e}", opts.socket.display()))?;
     eprintln!("serve: listening on {}", opts.socket.display());
     server.run().map_err(|e| format!("serve: {e}"))?;
     Ok(ExitCode::SUCCESS)
@@ -153,7 +148,7 @@ fn run_query(args: &[String]) -> Result<ExitCode, String> {
 /// `repro sweep ...`: run registered sweeps and write one long-form CSV
 /// each (a cell that degrades is a data row with `status=error`, not a
 /// process failure — the grid shape is part of the output contract).
-fn run_sweeps(args: &[String], cache: Option<&DiskCache>) -> Result<ExitCode, String> {
+fn run_sweeps(args: &[String], cfg: &Config) -> Result<ExitCode, String> {
     let registry = sweep::registry();
     let mut out_dir = String::from("artifacts/sweeps");
     let mut names: Vec<&str> = Vec::new();
@@ -196,7 +191,7 @@ fn run_sweeps(args: &[String], cache: Option<&DiskCache>) -> Result<ExitCode, St
     // device. A sweep with its own partition axis overrides the base per
     // cell, so the knob never fights an explicit grid; unset, the specs
     // are untouched and the output bytes are exactly the historical ones.
-    let selected: Vec<sweep::SweepSpec> = match Config::from_env().partition {
+    let selected: Vec<sweep::SweepSpec> = match cfg.partition {
         Some(p) => selected
             .into_iter()
             .map(|s| s.fix(sweep::AxisValue::Partition(Some(p))))
@@ -204,7 +199,8 @@ fn run_sweeps(args: &[String], cache: Option<&DiskCache>) -> Result<ExitCode, St
         None => selected,
     };
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("creating {out_dir}: {e}"))?;
-    let pool = Pool::from_env();
+    let pool = Pool::from_config(cfg);
+    let cache = DiskCache::from_config(cfg);
     // Memo-free context: sweep cells are pairwise distinct, so the step
     // memo would only grow O(grid) without ever hitting — the disk cache
     // (content-addressed, batched) is the persistence layer here.
@@ -219,7 +215,7 @@ fn run_sweeps(args: &[String], cache: Option<&DiskCache>) -> Result<ExitCode, St
         let file =
             std::fs::File::create(&path).map_err(|e| format!("creating {path}: {e}"))?;
         let mut out = std::io::BufWriter::new(file);
-        let summary = sweep::run_streamed(&pool, &ctx, spec, cache, &mut out, SHARD)
+        let summary = sweep::run_streamed(&pool, &ctx, spec, cache.as_ref(), &mut out, SHARD)
             .and_then(|s| std::io::Write::flush(&mut out).map(|()| s))
             .map_err(|e| format!("writing {path}: {e}"))?;
         println!(
@@ -231,7 +227,7 @@ fn run_sweeps(args: &[String], cache: Option<&DiskCache>) -> Result<ExitCode, St
     if attempts > 0 {
         eprintln!("fast path: {hits}/{attempts} cells priced analytically");
     }
-    if let Some(c) = cache {
+    if let Some(c) = &cache {
         eprint!("{}", c.summary());
     }
     Ok(ExitCode::SUCCESS)
@@ -270,36 +266,36 @@ fn run_artifact(ctx: &Ctx, id: &str) -> Result<String, String> {
 /// Report the failed experiments on stderr (degraded-mode diagnostics).
 fn report_failures(execution: &mlperf_suite::runner::Execution) {
     for f in &execution.failures {
-        eprintln!(
-            "degraded: {} ({}) failed after {} retries: {}",
-            f.id,
-            f.title,
-            f.retries.len(),
-            f.error
-        );
+        eprintln!("degraded: {} ({}) failed: {}", f.id, f.title, f.error);
     }
 }
 
 fn main() -> ExitCode {
-    // Strict knob check up front: a typo'd MLPERF_IO_CHAOS or serve knob
+    // Every knob is resolved here, once and strictly: a malformed one
     // aborts before any output is written, instead of silently running
     // with a default that would make the configured scenario vacuous.
-    if let Err(e) = Config::try_from_env() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
+    let mut cfg = match Config::try_from_env() {
+        Ok(cfg) => cfg,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // `--no-cache` is positionless and composes with every mode; it (or
     // MLPERF_CACHE=off, or active chaos injection) disables the
-    // persistent result cache for this invocation.
-    let no_cache = args.iter().any(|a| a == "--no-cache");
+    // persistent result cache for this invocation. The cache is opened
+    // only by the modes that read it, since opening it hashes the
+    // executable for the code epoch.
+    if args.iter().any(|a| a == "--no-cache") {
+        cfg.cache_enabled = false;
+    }
     args.retain(|a| a != "--no-cache");
-    let cache = if no_cache { None } else { DiskCache::from_env() };
-    // One memoized context per invocation: tables and figures share their
-    // overlapping simulation points instead of re-pricing them.
-    let ctx = Ctx::new();
     let result: Result<ExitCode, String> = match args.as_slice() {
         [] => {
+            // One memoized context: the tables and figures share their
+            // overlapping simulation points instead of re-pricing them.
+            let ctx = Ctx::from_config(&cfg);
             let mut out = String::new();
             for (_, _, id) in &ARTIFACTS[..10] {
                 match run_artifact(&ctx, id) {
@@ -317,20 +313,20 @@ fn main() -> ExitCode {
             println!("{}", usage());
             Ok(ExitCode::SUCCESS)
         }
-        [cmd, rest @ ..] if cmd == "sweep" => run_sweeps(rest, cache.as_ref()),
-        [cmd, rest @ ..] if cmd == "serve" => run_serve(rest, no_cache),
+        [cmd, rest @ ..] if cmd == "sweep" => run_sweeps(rest, &cfg),
+        [cmd, rest @ ..] if cmd == "serve" => run_serve(rest, &cfg),
         [cmd, rest @ ..] if cmd == "query" => run_query(rest),
         [flag, name] if matches!(flag.as_str(), "--table" | "--figure" | "--extra") => ARTIFACTS
             .iter()
             .find(|(f, n, _)| f == flag && n == name)
             .ok_or_else(|| format!("no {} '{name}'; {}", &flag[2..], usage()))
-            .and_then(|(_, _, id)| run_artifact(&ctx, id))
+            .and_then(|(_, _, id)| run_artifact(&Ctx::from_config(&cfg), id))
             .map(|s| {
                 print!("{s}");
                 ExitCode::SUCCESS
             }),
         [flag, file] if flag == "--report" => {
-            let cfg = ResilienceConfig::from_env();
+            let policy = ResilienceConfig::from_config(&cfg);
             // Strict mode (CI) bypasses the persistent cache and fails
             // fast: the first root-cause failure aborts the run before
             // anything is written. The strict config still honors chaos
@@ -339,14 +335,18 @@ fn main() -> ExitCode {
             // experiments become placeholder sections + a failure
             // appendix, exit 2 tells callers the document is incomplete,
             // and a warm cache answers every section from disk.
-            let cache = if cfg.strict { None } else { cache.as_ref() };
-            let (md, execution) =
-                mlperf_suite::report_gen::build_cached(&Pool::from_env(), &ctx, &cfg, cache);
+            let cache = if policy.strict { None } else { DiskCache::from_config(&cfg) };
+            let (md, execution) = mlperf_suite::report_gen::build_cached(
+                &Pool::from_config(&cfg),
+                &Ctx::from_config(&cfg),
+                &policy,
+                cache.as_ref(),
+            );
             match execution.root_cause() {
-                Some(f) if cfg.strict => Err(f.error.to_string()),
+                Some(f) if policy.strict => Err(f.error.to_string()),
                 _ => {
                     eprint!("{}", execution.stats.summary());
-                    if let Some(c) = cache {
+                    if let Some(c) = &cache {
                         eprint!("{}", c.summary());
                     }
                     report_failures(&execution);
@@ -364,17 +364,17 @@ fn main() -> ExitCode {
             }
         }
         [flag, dir] if flag == "--csv" => {
-            let cfg = ResilienceConfig::from_env();
+            let policy = ResilienceConfig::from_config(&cfg);
             // As for --report: strict mode bypasses the cache, and its
             // root cause aborts the export before any file is written.
-            let cache = if cfg.strict { None } else { cache.as_ref() };
-            match mlperf_suite::csv_export::write_all_cached(std::path::Path::new(dir), &cfg, cache)
-            {
+            let cache = if policy.strict { None } else { DiskCache::from_config(&cfg) };
+            let path = std::path::Path::new(dir);
+            match mlperf_suite::csv_export::write_all_cached(path, &policy, cache.as_ref()) {
                 Ok((written, execution)) => {
                     for path in written {
                         println!("wrote {path}");
                     }
-                    if let Some(c) = cache {
+                    if let Some(c) = &cache {
                         eprint!("{}", c.summary());
                     }
                     report_failures(&execution);

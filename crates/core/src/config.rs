@@ -1,33 +1,21 @@
 //! One typed view of every `MLPERF_*` environment knob.
 //!
-//! Until this module, each subsystem read its own knobs straight from the
-//! environment at whatever moment it was constructed — the pool read
-//! `MLPERF_JOBS`, the context read `MLPERF_RUNS`, the persistent
-//! cache read `MLPERF_CACHE`/`MLPERF_CACHE_DIR` (and peeked at
-//! `MLPERF_CHAOS`), and the resilience layer read the rest. That worked
-//! for a batch CLI where everything is constructed once, but a long-lived
-//! `repro serve` daemon needs *one* configuration resolved at startup and
-//! then explicit per-request overrides — never a mid-flight env read that
-//! could split the server's view of its own knobs.
-//!
-//! [`Config::from_env`] resolves every knob exactly once; the legacy
-//! `from_env` constructors ([`Pool::from_env`](crate::runner::Pool),
-//! [`Ctx::new`](crate::runner::Ctx),
-//! [`DiskCache::from_env`](crate::sweep::DiskCache),
-//! [`ResilienceConfig::from_env`](crate::runner::ResilienceConfig)) all
-//! delegate here, so there is a single parsing truth. Parsing is pure
+//! This module is the one parser of every knob. The `repro` CLI resolves
+//! the environment once, strictly ([`Config::try_from_env`]), and builds
+//! its pool, failure policy, context and cache from that [`Config`]; a
+//! long-lived `repro serve` daemon keeps that startup view and varies
+//! per request only through the request API, never through a mid-flight
+//! env read that could split the server's view of its own knobs. The
+//! constructors that take no config
+//! ([`Pool::from_env`](crate::runner::Pool::from_env),
+//! [`Ctx::new`](crate::runner::Ctx::new),
+//! [`Ctx::without_memo`](crate::runner::Ctx::without_memo)) resolve
+//! through the lenient [`Config::from_env`]. Parsing is pure
 //! ([`Config::resolve`] takes the lookup as a closure), which is what the
 //! unit tests drive — tests must not mutate the process environment,
 //! because the suite runs multi-threaded.
 
-use crate::runner::{
-    ChaosSpec, CHAOS_ATTEMPTS_ENV, CHAOS_ENV, JOBS_ENV, PARTITION_ENV, RETRIES_ENV, RUNS_ENV,
-    STEP_BUDGET_ENV, STRICT_ENV,
-};
-use crate::serve::{
-    DEFAULT_MAX_FRAME, DEFAULT_READ_TIMEOUT_MS, DEFAULT_WRITE_TIMEOUT_MS, SERVE_MAX_FRAME_ENV,
-    SERVE_READ_TIMEOUT_ENV, SERVE_WRITE_TIMEOUT_ENV,
-};
+use crate::runner::{CHAOS_ENV, JOBS_ENV, PARTITION_ENV, RUNS_ENV, STEP_BUDGET_ENV, STRICT_ENV};
 use crate::sweep::cache::{CACHE_DIR_ENV, CACHE_ENV, DEFAULT_CACHE_DIR, IO_CHAOS_ENV};
 use crate::sweep::MAX_RUNS;
 use mlperf_hw::PartitionSpec;
@@ -82,11 +70,12 @@ impl std::error::Error for ConfigError {}
 /// Every `MLPERF_*` knob, resolved once.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Worker-thread count (`MLPERF_JOBS`, else `available_parallelism`).
+    /// Worker-thread count (`MLPERF_JOBS`, a positive integer, else
+    /// `available_parallelism`).
     pub jobs: usize,
-    /// Whether the persistent result cache is enabled (`MLPERF_CACHE` not
-    /// `off`/`0`, and no chaos injection active — injected failures must
-    /// never be masked by warm entries).
+    /// Whether the persistent result cache is enabled (`MLPERF_CACHE` is
+    /// not `off`/`0`, and no chaos injection is active — injected
+    /// failures must never be masked by warm entries).
     pub cache_enabled: bool,
     /// Persistent-cache directory (`MLPERF_CACHE_DIR`, else
     /// `artifacts/cache`).
@@ -95,17 +84,13 @@ pub struct Config {
     /// budget (`MLPERF_STEP_BUDGET`). Counted in requests, never
     /// wall-clock, so verdicts are deterministic.
     pub step_budget: Option<u64>,
-    /// Fail-fast mode (`MLPERF_STRICT=1`).
+    /// Fail-fast mode (`MLPERF_STRICT=1`; `0` or unset is off).
     pub strict: bool,
-    /// Retry-count override for transient failures (`MLPERF_RETRIES`);
-    /// ignored under strict mode, which forces zero retries.
-    pub retries: Option<u32>,
-    /// Deterministic chaos injection (`MLPERF_CHAOS`,
-    /// `MLPERF_CHAOS_ATTEMPTS`), if configured.
-    pub chaos: Option<ChaosSpec>,
-    /// Seeded runs per Training cell (`MLPERF_RUNS`, clamped to
-    /// 1..=[`MAX_RUNS`]; default 1 = point pricing with no replication
-    /// columns, byte-identical to the pre-replication suite).
+    /// Id of the experiment to chaos-panic (`MLPERF_CHAOS`), if any.
+    pub chaos: Option<String>,
+    /// Seeded runs per Training cell (`MLPERF_RUNS`, 1..=[`MAX_RUNS`];
+    /// default 1 = point pricing with no replication columns,
+    /// byte-identical to the pre-replication suite).
     pub runs: u32,
     /// Fractional-device partition applied to the base cell of every
     /// `repro sweep` run (`MLPERF_PARTITION`, e.g. `1of4x3`; `full` and
@@ -119,42 +104,32 @@ pub struct Config {
     /// this keeps the cache *enabled*: the property under test is that a
     /// sabotaged cache still yields byte-identical output.
     pub io_chaos: Option<IoChaosSpec>,
-    /// Serve per-connection read deadline in milliseconds
-    /// (`MLPERF_SERVE_READ_TIMEOUT_MS`; `0` disables it).
-    pub serve_read_timeout_ms: u64,
-    /// Serve per-connection write deadline in milliseconds
-    /// (`MLPERF_SERVE_WRITE_TIMEOUT_MS`; `0` disables it).
-    pub serve_write_timeout_ms: u64,
-    /// Serve maximum request-frame size in bytes
-    /// (`MLPERF_SERVE_MAX_FRAME`; `0` removes the bound).
-    pub serve_max_frame: usize,
 }
 
-/// Strictly parse one unsigned knob: absent or blank means the default,
-/// anything else must parse or the typed error is recorded (and the
-/// default used, for the lenient path).
-fn strict_unsigned(
-    raw: Option<String>,
-    name: &'static str,
-    default: u64,
+/// Strictly parse knob `name`: absent or blank means unset (`None`); any
+/// other text must satisfy `parse`, or the typed error is recorded and
+/// the knob is left unset, so the lenient path falls back to its default.
+fn strict_knob<T>(
+    get: &impl Fn(&str) -> Option<String>,
     errors: &mut Vec<ConfigError>,
-) -> u64 {
-    let Some(raw) = raw else { return default };
+    name: &'static str,
+    expected: &'static str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Option<T> {
+    let raw = get(name)?;
     let text = raw.trim();
     if text.is_empty() {
-        return default;
+        return None;
     }
-    match text.parse::<u64>() {
-        Ok(n) => n,
-        Err(_) => {
-            errors.push(ConfigError::BadKnob {
-                name,
-                value: raw,
-                expected: "a non-negative integer (no overflow)",
-            });
-            default
-        }
+    let parsed = parse(text);
+    if parsed.is_none() {
+        errors.push(ConfigError::BadKnob {
+            name,
+            value: raw,
+            expected,
+        });
     }
+    parsed
 }
 
 impl Config {
@@ -174,10 +149,9 @@ impl Config {
         Config::try_resolve(|name| std::env::var(name).ok())
     }
 
-    /// Strict [`Config::resolve`]: the first malformed strictly-parsed
-    /// knob (`MLPERF_IO_CHAOS`, the serve deadline/frame knobs) is
-    /// returned as a typed error. The legacy knobs keep their documented
-    /// lenient fallbacks either way.
+    /// Strict [`Config::resolve`]: the first malformed knob is returned
+    /// as a typed error. Every knob except the free-form `MLPERF_CHAOS`
+    /// and `MLPERF_CACHE_DIR` is parsed strictly.
     ///
     /// # Errors
     ///
@@ -194,9 +168,9 @@ impl Config {
 
     /// Resolve every knob through `get` (the pure core of
     /// [`Config::from_env`]; tests inject a map instead of mutating the
-    /// process environment). Malformed strictly-parsed knobs are logged
-    /// to stderr and defaulted; use [`Config::try_resolve`] to get them
-    /// as typed errors instead.
+    /// process environment). Malformed knobs are logged to stderr and
+    /// defaulted; use [`Config::try_resolve`] to get them as typed errors
+    /// instead.
     pub fn resolve(get: impl Fn(&str) -> Option<String>) -> Config {
         let (config, errors) = Config::resolve_inner(get);
         for e in errors {
@@ -206,51 +180,44 @@ impl Config {
     }
 
     fn resolve_inner(get: impl Fn(&str) -> Option<String>) -> (Config, Vec<ConfigError>) {
-        let jobs = get(JOBS_ENV)
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let chaos = get(CHAOS_ENV).and_then(|target| {
-            let target = target.trim().to_string();
-            if target.is_empty() {
-                return None;
-            }
-            let attempts = get(CHAOS_ATTEMPTS_ENV)
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .map_or(u32::MAX, |n| n.min(u64::from(u32::MAX)) as u32);
-            Some(ChaosSpec { target, attempts })
+        let mut errors = Vec::new();
+        let jobs = strict_knob(&get, &mut errors, JOBS_ENV, "a positive integer", |t| {
+            t.parse::<usize>().ok().filter(|&n| n >= 1)
+        })
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        let chaos = get(CHAOS_ENV)
+            .map(|target| target.trim().to_string())
+            .filter(|target| !target.is_empty());
+        let cache_on = strict_knob(&get, &mut errors, CACHE_ENV, "on, off, 1 or 0", |t| match t {
+            "on" | "1" => Some(true),
+            "off" | "0" => Some(false),
+            _ => None,
         });
-        let cache_enabled = !get(CACHE_ENV).is_some_and(|v| matches!(v.trim(), "off" | "0"))
-            && chaos.is_none();
+        let cache_enabled = cache_on.unwrap_or(true) && chaos.is_none();
         let cache_dir = get(CACHE_DIR_ENV)
             .map_or_else(|| PathBuf::from(DEFAULT_CACHE_DIR), PathBuf::from);
-        let step_budget = get(STEP_BUDGET_ENV).and_then(|v| v.trim().parse::<u64>().ok());
-        let strict = get(STRICT_ENV).is_some_and(|v| v.trim() == "1");
-        let retries = get(RETRIES_ENV)
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .map(|n| n.min(u64::from(u32::MAX)) as u32);
-        let runs = get(RUNS_ENV)
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .filter(|n| (1..=MAX_RUNS).contains(n))
-            .unwrap_or(1);
-        let mut errors = Vec::new();
-        let partition = get(PARTITION_ENV).and_then(|raw| {
-            let text = raw.trim();
-            if text.is_empty() {
-                return None;
-            }
-            match PartitionSpec::parse(text) {
-                Ok(p) => p,
-                Err(_) => {
-                    errors.push(ConfigError::BadKnob {
-                        name: PARTITION_ENV,
-                        value: raw,
-                        expected: "a partition token: 'full', '1of{2|4|7}', or '1of{k}x{tenants}'",
-                    });
-                    None
-                }
-            }
-        });
+        let step_budget =
+            strict_knob(&get, &mut errors, STEP_BUDGET_ENV, "a non-negative integer", |t| {
+                t.parse::<u64>().ok()
+            });
+        let strict = strict_knob(&get, &mut errors, STRICT_ENV, "0 or 1", |t| match t {
+            "0" => Some(false),
+            "1" => Some(true),
+            _ => None,
+        })
+        .unwrap_or(false);
+        let runs = strict_knob(&get, &mut errors, RUNS_ENV, "an integer from 1 to 512", |t| {
+            t.parse::<u32>().ok().filter(|n| (1..=MAX_RUNS).contains(n))
+        })
+        .unwrap_or(1);
+        let partition = strict_knob(
+            &get,
+            &mut errors,
+            PARTITION_ENV,
+            "a partition token: 'full', '1of{2|4|7}', or '1of{k}x{tenants}'",
+            |t| PartitionSpec::parse(t).ok(),
+        )
+        .flatten();
         let io_chaos = get(IO_CHAOS_ENV).and_then(|text| match IoChaosSpec::parse(&text) {
             Ok(spec) => spec,
             Err(error) => {
@@ -258,25 +225,6 @@ impl Config {
                 None
             }
         });
-        let serve_read_timeout_ms = strict_unsigned(
-            get(SERVE_READ_TIMEOUT_ENV),
-            SERVE_READ_TIMEOUT_ENV,
-            DEFAULT_READ_TIMEOUT_MS,
-            &mut errors,
-        );
-        let serve_write_timeout_ms = strict_unsigned(
-            get(SERVE_WRITE_TIMEOUT_ENV),
-            SERVE_WRITE_TIMEOUT_ENV,
-            DEFAULT_WRITE_TIMEOUT_MS,
-            &mut errors,
-        );
-        let serve_max_frame = strict_unsigned(
-            get(SERVE_MAX_FRAME_ENV),
-            SERVE_MAX_FRAME_ENV,
-            DEFAULT_MAX_FRAME as u64,
-            &mut errors,
-        )
-        .min(usize::MAX as u64) as usize;
         (
             Config {
                 jobs,
@@ -284,14 +232,10 @@ impl Config {
                 cache_dir,
                 step_budget,
                 strict,
-                retries,
                 chaos,
                 runs,
                 partition,
                 io_chaos,
-                serve_read_timeout_ms,
-                serve_write_timeout_ms,
-                serve_max_frame,
             },
             errors,
         )
@@ -329,14 +273,10 @@ mod tests {
         assert_eq!(cfg.cache_dir, PathBuf::from(DEFAULT_CACHE_DIR));
         assert_eq!(cfg.step_budget, None);
         assert!(!cfg.strict);
-        assert_eq!(cfg.retries, None);
         assert!(cfg.chaos.is_none());
         assert_eq!(cfg.runs, 1, "default is point pricing");
         assert!(cfg.partition.is_none(), "default is the whole device");
         assert!(cfg.io_chaos.is_none());
-        assert_eq!(cfg.serve_read_timeout_ms, DEFAULT_READ_TIMEOUT_MS);
-        assert_eq!(cfg.serve_write_timeout_ms, DEFAULT_WRITE_TIMEOUT_MS);
-        assert_eq!(cfg.serve_max_frame, DEFAULT_MAX_FRAME);
     }
 
     #[test]
@@ -347,20 +287,15 @@ mod tests {
             (CACHE_DIR_ENV, "/tmp/alt"),
             (STEP_BUDGET_ENV, "250"),
             (STRICT_ENV, "1"),
-            (RETRIES_ENV, "7"),
             (RUNS_ENV, "8"),
             (PARTITION_ENV, "1of4x3"),
             (IO_CHAOS_ENV, "seed=3,bit_flip=0.5"),
-            (SERVE_READ_TIMEOUT_ENV, "1500"),
-            (SERVE_WRITE_TIMEOUT_ENV, "0"),
-            (SERVE_MAX_FRAME_ENV, "4096"),
         ]);
         assert_eq!(cfg.jobs, 3);
         assert!(cfg.cache_enabled);
         assert_eq!(cfg.cache_dir, PathBuf::from("/tmp/alt"));
         assert_eq!(cfg.step_budget, Some(250));
         assert!(cfg.strict);
-        assert_eq!(cfg.retries, Some(7));
         assert_eq!(cfg.runs, 8);
         assert_eq!(
             cfg.partition.map(|p| p.to_string()).as_deref(),
@@ -368,20 +303,16 @@ mod tests {
         );
         let io = cfg.io_chaos.expect("io-chaos spec parsed");
         assert_eq!((io.seed, io.bit_flip), (3, 0.5));
-        assert_eq!(cfg.serve_read_timeout_ms, 1500);
-        assert_eq!(cfg.serve_write_timeout_ms, 0, "0 = deadline disabled");
-        assert_eq!(cfg.serve_max_frame, 4096);
     }
 
     #[test]
     fn cache_disables_on_off_or_chaos() {
         assert!(!with(&[(CACHE_ENV, "off")]).cache_enabled);
         assert!(!with(&[(CACHE_ENV, "0")]).cache_enabled);
-        let chaotic = with(&[(CHAOS_ENV, "figure3"), (CHAOS_ATTEMPTS_ENV, "2")]);
+        assert!(with(&[(CACHE_ENV, "1")]).cache_enabled);
+        let chaotic = with(&[(CHAOS_ENV, " figure3 ")]);
         assert!(!chaotic.cache_enabled, "chaos runs must not read warm entries");
-        let chaos = chaotic.chaos.expect("chaos spec parsed");
-        assert_eq!(chaos.target, "figure3");
-        assert_eq!(chaos.attempts, 2);
+        assert_eq!(chaotic.chaos.as_deref(), Some("figure3"));
         // A blank chaos target is no chaos at all.
         assert!(with(&[(CHAOS_ENV, "  ")]).chaos.is_none());
     }
@@ -391,11 +322,13 @@ mod tests {
         let cfg = with(&[
             (JOBS_ENV, "0"),
             (STEP_BUDGET_ENV, "lots"),
-            (RETRIES_ENV, "-1"),
+            (STRICT_ENV, "true"),
+            (CACHE_ENV, "false"),
         ]);
         assert!(cfg.jobs >= 1, "non-positive job count is ignored");
         assert_eq!(cfg.step_budget, None);
-        assert_eq!(cfg.retries, None);
+        assert!(!cfg.strict);
+        assert!(cfg.cache_enabled);
     }
 
     fn try_with(pairs: &[(&str, &str)]) -> Result<Config, ConfigError> {
@@ -425,29 +358,53 @@ mod tests {
         assert!(err.to_string().contains(IO_CHAOS_ENV), "{err}");
         // Out-of-range rate.
         assert!(try_with(&[(IO_CHAOS_ENV, "bit_flip=2.0")]).is_err());
-        // Non-numeric deadline.
-        let err = try_with(&[(SERVE_READ_TIMEOUT_ENV, "soon")]).unwrap_err();
-        assert!(matches!(
-            &err,
-            ConfigError::BadKnob { name, value, .. }
-                if *name == SERVE_READ_TIMEOUT_ENV && value == "soon"
-        ));
-        // Overflow is a typed error, not a silent wrap.
-        assert!(try_with(&[(SERVE_MAX_FRAME_ENV, "99999999999999999999999999")]).is_err());
-        assert!(try_with(&[(SERVE_WRITE_TIMEOUT_ENV, "-5")]).is_err());
+        // Every other malformed knob is a BadKnob that names it.
+        for (knob, bad) in [
+            (STEP_BUDGET_ENV, "lots"),
+            (STEP_BUDGET_ENV, "-5"),
+            // Overflow is a typed error, not a silent wrap.
+            (STEP_BUDGET_ENV, "99999999999999999999999999"),
+            (JOBS_ENV, "abc"),
+            (JOBS_ENV, "0"),
+            (JOBS_ENV, "-2"),
+            (STRICT_ENV, "true"),
+            (STRICT_ENV, "yes"),
+            (CACHE_ENV, "false"),
+            (CACHE_ENV, "disabled"),
+        ] {
+            let err = try_with(&[(knob, bad)]).unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    ConfigError::BadKnob { name, value, .. } if *name == knob && value == bad
+                ),
+                "{knob}={bad}: {err}"
+            );
+            assert!(err.to_string().contains(knob), "{err}");
+        }
     }
 
     #[test]
     fn strict_knobs_treat_empty_and_whitespace_as_unset() {
         let cfg = try_with(&[
             (IO_CHAOS_ENV, ""),
-            (SERVE_READ_TIMEOUT_ENV, "   "),
-            (SERVE_MAX_FRAME_ENV, "\t"),
+            (RUNS_ENV, "   "),
+            (JOBS_ENV, "\t"),
+            (STEP_BUDGET_ENV, " "),
+            (STRICT_ENV, ""),
+            (CACHE_ENV, "  "),
+            (PARTITION_ENV, "\t"),
         ])
         .expect("blank knobs are unset, not errors");
         assert!(cfg.io_chaos.is_none());
-        assert_eq!(cfg.serve_read_timeout_ms, DEFAULT_READ_TIMEOUT_MS);
-        assert_eq!(cfg.serve_max_frame, DEFAULT_MAX_FRAME);
+        assert_eq!(cfg.runs, 1);
+        assert!(cfg.jobs >= 1);
+        assert_eq!(cfg.step_budget, None);
+        assert!(!cfg.strict);
+        assert!(cfg.cache_enabled);
+        assert!(cfg.partition.is_none());
+        // Surrounding whitespace is trimmed, not an error.
+        assert_eq!(try_with(&[(JOBS_ENV, " 3 ")]).expect("padded count").jobs, 3);
         // All-whitespace io-chaos text is likewise no injection.
         assert!(try_with(&[(IO_CHAOS_ENV, "  \t ")])
             .expect("whitespace spec")
@@ -457,16 +414,14 @@ mod tests {
 
     #[test]
     fn lenient_resolve_defaults_what_strict_rejects() {
-        // The lenient path (legacy constructors) logs and falls back, so
+        // The lenient path (`Ctx::new`, `Pool::from_env`) logs and falls back, so
         // a bad knob can never abort a batch run mid-flight …
-        let cfg = with(&[
-            (IO_CHAOS_ENV, "bit_flip=lots"),
-            (SERVE_MAX_FRAME_ENV, "huge"),
-        ]);
+        let cfg = with(&[(IO_CHAOS_ENV, "bit_flip=lots"), (RUNS_ENV, "huge")]);
         assert!(cfg.io_chaos.is_none());
-        assert_eq!(cfg.serve_max_frame, DEFAULT_MAX_FRAME);
+        assert_eq!(cfg.runs, 1);
         // … while the strict path rejects the same environment.
         assert!(try_with(&[(IO_CHAOS_ENV, "bit_flip=lots")]).is_err());
+        assert!(try_with(&[(RUNS_ENV, "huge")]).is_err());
     }
 
     #[test]
@@ -510,11 +465,17 @@ mod tests {
     #[test]
     fn runs_knob_clamps_to_the_sane_window() {
         assert_eq!(with(&[(RUNS_ENV, "8")]).runs, 8);
-        assert_eq!(with(&[(RUNS_ENV, "512")]).runs, 512);
-        // Zero, negatives, absurd counts, and garbage all fall back to 1.
-        assert_eq!(with(&[(RUNS_ENV, "0")]).runs, 1);
-        assert_eq!(with(&[(RUNS_ENV, "-4")]).runs, 1);
-        assert_eq!(with(&[(RUNS_ENV, "513")]).runs, 1);
-        assert_eq!(with(&[(RUNS_ENV, "many")]).runs, 1);
+        assert_eq!(try_with(&[(RUNS_ENV, "1")]).expect("lower bound").runs, 1);
+        assert_eq!(try_with(&[(RUNS_ENV, "512")]).expect("upper bound").runs, 512);
+        // Zero, negatives, absurd counts, and garbage are typed errors
+        // under strict resolution and fall back to 1 under the lenient one.
+        for bad in ["0", "-4", "513", "many"] {
+            let err = try_with(&[(RUNS_ENV, bad)]).unwrap_err();
+            assert!(
+                matches!(&err, ConfigError::BadKnob { name, .. } if *name == RUNS_ENV),
+                "{bad}: {err}"
+            );
+            assert_eq!(with(&[(RUNS_ENV, bad)]).runs, 1, "{bad}");
+        }
     }
 }

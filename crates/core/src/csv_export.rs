@@ -209,7 +209,6 @@ pub fn build_all_cached(
         let execution = runner::Execution {
             reports,
             failures: Vec::new(),
-            recoveries: Vec::new(),
             stats: runner::ExecutorStats {
                 workers: pool.workers(),
                 total_wall: Duration::ZERO,

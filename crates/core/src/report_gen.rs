@@ -114,8 +114,8 @@ fn decode_stats(bytes: &[u8]) -> Option<CacheStats> {
 ///   experiments re-run; their healthy sections are re-stored. The
 ///   manifest is never rewritten by a partial run.
 /// - Manifest absent: full cold run. Sections and manifest are stored
-///   only when the run is fully healthy with no retries — a degraded or
-///   flaky run never poisons the warm path.
+///   only when the run is fully healthy — a degraded run never poisons
+///   the warm path.
 pub fn build_cached(
     pool: &Pool,
     ctx: &Ctx,
@@ -130,7 +130,7 @@ pub fn build_cached(
     let man_spec = manifest_spec(&experiments);
     let Some(manifest) = cache.load(&man_spec).and_then(|b| decode_stats(&b)) else {
         let execution = runner::execute_resilient(pool, ctx, &experiments, cfg);
-        if execution.failures.is_empty() && execution.recoveries.is_empty() {
+        if !execution.degraded() {
             for (e, r) in experiments.iter().zip(&execution.reports) {
                 cache.store(&section_spec(*e), r.rendered.as_bytes());
             }
@@ -187,7 +187,6 @@ pub fn build_cached(
     let execution = runner::Execution {
         reports,
         failures: sub_exec.as_ref().map(|s| s.failures.clone()).unwrap_or_default(),
-        recoveries: sub_exec.as_ref().map(|s| s.recoveries.clone()).unwrap_or_default(),
         stats: ExecutorStats {
             workers: pool.workers(),
             total_wall: sub_exec.as_ref().map(|s| s.stats.total_wall).unwrap_or(Duration::ZERO),
@@ -239,64 +238,24 @@ fn assemble(execution: &runner::Execution, disk: Option<DiskStats>) -> String {
     md
 }
 
-/// Render the failure appendix: one row per failed experiment (error
-/// kind, retry count, recorded backoff draws, retry stream) plus the
-/// recovered-after-retry table. Empty string for a fully-healthy,
-/// no-retry run — the appendix never perturbs healthy-run bytes.
+/// Render the failure appendix: one row per failed experiment and its
+/// error. Empty string for a fully-healthy run — the appendix never
+/// perturbs healthy-run bytes.
 fn failure_appendix(execution: &runner::Execution) -> String {
-    if execution.failures.is_empty() && execution.recoveries.is_empty() {
+    if !execution.degraded() {
         return String::new();
     }
-    let backoffs = |retries: &[runner::RetryEvent]| -> String {
-        if retries.is_empty() {
-            "-".to_string()
-        } else {
-            retries
-                .iter()
-                .map(|r| r.backoff_ms.to_string())
-                .collect::<Vec<_>>()
-                .join("+")
-        }
-    };
     let mut md = String::from(
         "\n## Appendix: failures\n\n\
          Degraded mode: the experiments below produced no artifact. Every\n\
-         unaffected section above is byte-identical to a fully-healthy run;\n\
-         retry backoff is drawn from the seeded per-experiment stream and\n\
-         recorded (never slept), so this appendix replays byte-identically.\n\n",
+         unaffected section above is byte-identical to a fully-healthy run.\n\n",
     );
     md.push_str("```text\n");
-    if !execution.failures.is_empty() {
-        let mut t = Table::new(
-            "Failure appendix",
-            ["Experiment", "Error", "Retries", "Backoff (ms)", "Retry stream"],
-        );
-        for f in &execution.failures {
-            t.add_row([
-                f.id.to_string(),
-                f.error.to_string(),
-                f.retries.len().to_string(),
-                backoffs(&f.retries),
-                format!("{:#018x}", f.stream),
-            ]);
-        }
-        md.push_str(&t.to_string());
+    let mut t = Table::new("Failure appendix", ["Experiment", "Error"]);
+    for f in &execution.failures {
+        t.add_row([f.id.to_string(), f.error.to_string()]);
     }
-    if !execution.recoveries.is_empty() {
-        let mut t = Table::new(
-            "Recovered after retry",
-            ["Experiment", "Retries", "Backoff (ms)", "Retry stream"],
-        );
-        for r in &execution.recoveries {
-            t.add_row([
-                r.id.to_string(),
-                r.retries.len().to_string(),
-                backoffs(&r.retries),
-                format!("{:#018x}", r.stream),
-            ]);
-        }
-        md.push_str(&t.to_string());
-    }
+    md.push_str(&t.to_string());
     md.push_str("```\n");
     md
 }

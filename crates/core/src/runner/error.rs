@@ -54,14 +54,6 @@ impl ExperimentError {
             ExperimentError::DependencyFailed { .. } => "dependency-failed",
         }
     }
-
-    /// Whether a retry could plausibly succeed. Simulator errors, budget
-    /// verdicts, and non-finite outputs are pure functions of the input
-    /// point — retrying them re-derives the same answer — but a panic may
-    /// be environmental, so only panics are transient.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, ExperimentError::Panicked { .. })
-    }
 }
 
 impl fmt::Display for ExperimentError {
@@ -122,16 +114,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// FNV-1a 64-bit over a string: the executor's stable experiment-id →
-/// retry-stream mapping (schedule- and declaration-order-invariant).
-/// Delegates to the workspace's single implementation in
-/// [`mlperf_testkit::hash`]; kept as a re-exportable name because the
-/// retry-seed contract (`Rng::stream(retry_seed, fnv1a64(id))`) is
-/// documented against it.
-pub fn fnv1a64(s: &str) -> u64 {
-    mlperf_testkit::hash::fnv1a64_str(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,26 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn only_panics_are_transient() {
-        assert!(ExperimentError::Panicked {
-            message: "m".into()
-        }
-        .is_transient());
-        for e in [
-            ExperimentError::Sim(SimError::BadGpuSet("x".into())),
-            ExperimentError::NonFiniteOutput {
-                context: "c".into(),
-            },
-            ExperimentError::DeadlineExceeded { used: 2, budget: 1 },
-            ExperimentError::DependencyFailed {
-                dependency: "d".into(),
-            },
-        ] {
-            assert!(!e.is_transient(), "{e}");
-        }
-    }
-
-    #[test]
     fn panic_messages_extract_both_string_kinds() {
         let a: Box<dyn std::any::Any + Send> = Box::new("static str");
         let b: Box<dyn std::any::Any + Send> = Box::new(String::from("owned"));
@@ -178,13 +140,5 @@ mod tests {
         assert_eq!(panic_message(a.as_ref()), "static str");
         assert_eq!(panic_message(b.as_ref()), "owned");
         assert_eq!(panic_message(c.as_ref()), "non-string panic payload");
-    }
-
-    #[test]
-    fn fnv_is_stable_and_spreads() {
-        // Reference value pins the hash so retry streams never silently
-        // move between builds.
-        assert_eq!(fnv1a64(""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a64("figure3"), fnv1a64("figure4"));
     }
 }

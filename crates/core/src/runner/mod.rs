@@ -18,11 +18,13 @@
 //!   pool, with output assembled in declaration order (strict,
 //!   fail-fast);
 //! * [`execute_resilient`] — the same schedule with full failure
-//!   isolation: panics, budget trips, and non-finite outputs become
-//!   typed [`ExperimentError`]s, transient failures retry with seeded
-//!   recorded backoff, dependents of a failure degrade as
+//!   isolation: each experiment runs once, its panics, budget trips,
+//!   and non-finite outputs become typed [`ExperimentError`]s,
+//!   dependents of a failure degrade as
 //!   [`ExperimentError::DependencyFailed`], and every independent
-//!   subgraph still completes (see [`ResilienceConfig`]).
+//!   subgraph still completes (see [`ResilienceConfig`]). A failure is
+//!   final: every experiment is a pure function of its inputs, so a
+//!   second attempt would fail again.
 //!
 //! **Determinism policy.** Report and CSV bytes must be identical for any
 //! worker count (`MLPERF_JOBS=1` vs `=N`), so nothing nondeterministic may
@@ -37,7 +39,7 @@ mod error;
 mod memo;
 mod pool;
 
-pub use error::{fnv1a64, BudgetExceeded, ExperimentError};
+pub use error::{BudgetExceeded, ExperimentError};
 pub(crate) use error::panic_message as panic_payload_message;
 pub use memo::ShardedCache;
 pub use pool::{Pool, JOBS_ENV};
@@ -58,7 +60,6 @@ use error::panic_message;
 use mlperf_sim::engine::{RunSpec, SimError, Simulator, StepReport};
 use mlperf_sim::training::{outcome_from_step, train, TrainingOutcome};
 use mlperf_sim::TrainingJob;
-use mlperf_testkit::rng::Rng;
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -946,43 +947,15 @@ pub struct ExperimentReport {
     pub wall: Duration,
 }
 
-/// One deterministic retry of a transient failure: the PRNG draw and the
-/// backoff derived from it are *recorded*, never slept — the run trace is
-/// byte-replayable from the seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryEvent {
-    /// 1-based retry number.
-    pub attempt: u32,
-    /// The raw draw from the experiment's retry stream.
-    pub draw: u64,
-    /// Deterministic exponential backoff with seeded jitter, in ms.
-    pub backoff_ms: u64,
-}
-
-/// One experiment that exhausted its attempts (failure-appendix row).
+/// One experiment that failed (failure-appendix row).
 #[derive(Debug, Clone)]
 pub struct ExperimentFailure {
     /// The experiment's id.
     pub id: &'static str,
     /// Display title.
     pub title: &'static str,
-    /// The final attempt's error.
+    /// Why it produced no artifact.
     pub error: ExperimentError,
-    /// Retries taken before giving up.
-    pub retries: Vec<RetryEvent>,
-    /// The experiment's retry-PRNG stream ([`fnv1a64`] of its id).
-    pub stream: u64,
-}
-
-/// One experiment that failed transiently but succeeded on retry.
-#[derive(Debug, Clone)]
-pub struct ExperimentRecovery {
-    /// The experiment's id.
-    pub id: &'static str,
-    /// Retries taken before the successful attempt.
-    pub retries: Vec<RetryEvent>,
-    /// The experiment's retry-PRNG stream ([`fnv1a64`] of its id).
-    pub stream: u64,
 }
 
 /// Executor instrumentation. Everything here except [`CacheStats`] is
@@ -1028,11 +1001,8 @@ pub struct Execution {
     /// one entry per experiment even in degraded mode (failed ones carry
     /// a placeholder section and their error).
     pub reports: Vec<ExperimentReport>,
-    /// Experiments that exhausted their attempts, in declaration order.
+    /// Experiments that failed, in declaration order.
     pub failures: Vec<ExperimentFailure>,
-    /// Experiments that succeeded only after retrying, in declaration
-    /// order.
-    pub recoveries: Vec<ExperimentRecovery>,
     /// Pool and cache instrumentation.
     pub stats: ExecutorStats,
 }
@@ -1055,15 +1025,10 @@ impl Execution {
 }
 
 /// Environment variable: `MLPERF_STRICT=1` restores fail-fast execution
-/// (no retries, first failure aborts the run) for CI.
+/// (the first failure aborts the run) for CI.
 pub const STRICT_ENV: &str = "MLPERF_STRICT";
 /// Environment variable naming one experiment id to chaos-panic.
 pub const CHAOS_ENV: &str = "MLPERF_CHAOS";
-/// Environment variable bounding how many attempts the chaos injection
-/// sabotages (default: all of them).
-pub const CHAOS_ATTEMPTS_ENV: &str = "MLPERF_CHAOS_ATTEMPTS";
-/// Environment variable overriding the transient-failure retry count.
-pub const RETRIES_ENV: &str = "MLPERF_RETRIES";
 /// Environment variable setting a per-experiment simulation-request
 /// budget (cooperative, deterministic — not wall-clock).
 pub const STEP_BUDGET_ENV: &str = "MLPERF_STEP_BUDGET";
@@ -1079,83 +1044,48 @@ pub const RUNS_ENV: &str = "MLPERF_RUNS";
 /// byte-identical to the pre-partition suite.
 pub const PARTITION_ENV: &str = "MLPERF_PARTITION";
 
-/// Seed of the retry-backoff PRNG; each experiment draws from stream
-/// [`fnv1a64`]`(id)` of this seed, so the trace is schedule-invariant.
-pub const DEFAULT_RETRY_SEED: u64 = 0x4D4C_5045_5246; // "MLPERF"
-
-/// Deterministic chaos injection: force `target`'s first `attempts`
-/// attempts to panic inside the executor's unwind boundary (exercising
-/// the real conversion path).
-#[derive(Debug, Clone)]
-pub struct ChaosSpec {
-    /// Id of the sabotaged experiment.
-    pub target: String,
-    /// How many leading attempts panic; with retries configured and
-    /// `attempts <= retries`, the experiment recovers.
-    pub attempts: u32,
-}
-
 /// How [`execute_resilient`] treats failure.
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
-    /// Max retries per experiment for transient failures.
-    pub retries: u32,
-    /// Seed of the retry-backoff PRNG.
-    pub retry_seed: u64,
     /// Per-experiment simulation-request budget, if any.
     pub step_budget: Option<u64>,
     /// Fail-fast mode: the caller turns the first failure into a hard
     /// error instead of a degraded report.
     pub strict: bool,
-    /// Deterministic fault injection, if any.
-    pub chaos: Option<ChaosSpec>,
+    /// Id of the experiment to chaos-panic, if any: the injected panic
+    /// fires inside the executor's unwind boundary, exercising the path a
+    /// real panic takes.
+    pub chaos: Option<String>,
 }
 
 impl ResilienceConfig {
-    /// Fail-fast: no retries, no chaos, no budget (today's CI behavior).
+    /// Fail-fast: no chaos, no budget (today's CI behavior).
     pub fn strict() -> Self {
         ResilienceConfig {
-            retries: 0,
-            retry_seed: DEFAULT_RETRY_SEED,
             step_budget: None,
             strict: true,
             chaos: None,
         }
     }
 
-    /// Degrade gracefully: up to 2 seeded retries for transient failures.
+    /// Degrade gracefully: a failed experiment becomes a placeholder
+    /// section and a failure-appendix row.
     pub fn resilient() -> Self {
         ResilienceConfig {
-            retries: 2,
             strict: false,
             ..ResilienceConfig::strict()
         }
     }
 
-    /// Read the knobs from the environment: [`STRICT_ENV`],
-    /// [`RETRIES_ENV`], [`STEP_BUDGET_ENV`], [`CHAOS_ENV`] and
-    /// [`CHAOS_ATTEMPTS_ENV`] — all resolved through the typed
-    /// [`Config`](crate::config::Config). Strict mode forces zero retries.
-    pub fn from_env() -> Self {
-        ResilienceConfig::from_config(&crate::config::Config::from_env())
-    }
-
     /// The failure policy an explicitly resolved
-    /// [`Config`](crate::config::Config) dictates.
+    /// [`Config`](crate::config::Config) dictates: [`STRICT_ENV`],
+    /// [`STEP_BUDGET_ENV`] and [`CHAOS_ENV`].
     pub fn from_config(config: &crate::config::Config) -> Self {
-        let mut cfg = if config.strict {
-            ResilienceConfig::strict()
-        } else {
-            ResilienceConfig::resilient()
-        };
-        if !config.strict {
-            if let Some(n) = config.retries {
-                cfg.retries = n;
-            }
+        ResilienceConfig {
+            step_budget: config.step_budget,
+            strict: config.strict,
+            chaos: config.chaos.clone(),
         }
-        cfg.step_budget = config.step_budget;
-        cfg.chaos = config.chaos.clone();
-        cfg
     }
 }
 
@@ -1170,14 +1100,13 @@ fn degraded_section(e: &dyn Experiment, err: &ExperimentError) -> String {
     )
 }
 
-/// One isolated attempt at an experiment: chaos injection, the budget
-/// window, and the unwind boundary that converts panics and budget trips
-/// into typed errors.
+/// One isolated run of an experiment: chaos injection, the budget window,
+/// and the unwind boundary that converts panics and budget trips into
+/// typed errors.
 fn attempt_experiment(
     e: &dyn Experiment,
     ctx: &Ctx,
     cfg: &ResilienceConfig,
-    attempt: u32,
 ) -> Result<String, ExperimentError> {
     if let Some(budget) = cfg.step_budget {
         ctx.arm_budget(budget);
@@ -1185,13 +1114,8 @@ fn attempt_experiment(
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         // The injection panics *inside* the unwind boundary so chaos runs
         // exercise exactly the conversion path a real panic would take.
-        if let Some(chaos) = &cfg.chaos {
-            if chaos.target == e.id() && attempt < chaos.attempts {
-                std::panic::panic_any(format!(
-                    "chaos: injected panic in '{}' (attempt {attempt})",
-                    e.id()
-                ));
-            }
+        if cfg.chaos.as_deref() == Some(e.id()) {
+            std::panic::panic_any(format!("chaos: injected panic in '{}'", e.id()));
         }
         e.run(ctx)
     }));
@@ -1219,20 +1143,13 @@ fn attempt_experiment(
     }
 }
 
-/// One executor task's outcome, before declaration-order assembly.
-struct TaskOutput {
-    rendered: Result<String, ExperimentError>,
-    retries: Vec<RetryEvent>,
-    wall: Duration,
-}
-
 /// Topologically schedule `experiments` onto `pool`, sharing `ctx`'s memo
-/// caches, with full failure isolation: a panicking, erroring, or
-/// over-budget experiment is converted into a typed [`ExperimentError`],
-/// transient failures retry with seeded recorded backoff, dependents of a
-/// failed experiment are marked [`ExperimentError::DependencyFailed`],
-/// and every independent subgraph completes. The returned [`Execution`]
-/// always has one report per experiment.
+/// caches, with full failure isolation: each experiment runs once, a
+/// panic, error, or budget trip becomes a typed [`ExperimentError`],
+/// dependents of a failed experiment are marked
+/// [`ExperimentError::DependencyFailed`], and every independent
+/// subgraph completes. The returned [`Execution`] always has one report
+/// per experiment.
 ///
 /// # Panics
 ///
@@ -1261,106 +1178,52 @@ pub fn execute_resilient(
         .iter()
         .map(|&e| {
             let failed = &failed;
-            move || -> TaskOutput {
+            move || -> (Result<String, ExperimentError>, Duration) {
                 for dep in e.deps() {
                     if lock(failed).contains(dep) {
                         lock(failed).insert(e.id());
-                        return TaskOutput {
-                            rendered: Err(ExperimentError::DependencyFailed {
-                                dependency: (*dep).to_string(),
-                            }),
-                            retries: Vec::new(),
-                            wall: Duration::ZERO,
+                        let err = ExperimentError::DependencyFailed {
+                            dependency: (*dep).to_string(),
                         };
+                        return (Err(err), Duration::ZERO);
                     }
                 }
                 let t0 = Instant::now();
-                let mut rng = Rng::stream(cfg.retry_seed, fnv1a64(e.id()));
-                let mut retries = Vec::new();
-                let mut attempt = 0u32;
-                loop {
-                    match attempt_experiment(e, ctx, cfg, attempt) {
-                        Ok(rendered) => {
-                            return TaskOutput {
-                                rendered: Ok(rendered),
-                                retries,
-                                wall: t0.elapsed(),
-                            };
-                        }
-                        Err(err) => {
-                            if err.is_transient() && attempt < cfg.retries {
-                                attempt += 1;
-                                let draw = rng.gen_u64();
-                                // Exponential backoff with seeded jitter.
-                                // Recorded in the trace, never slept: the
-                                // schedule stays deterministic and fast.
-                                let backoff_ms =
-                                    (50u64 << (attempt - 1).min(6)) + draw % 50;
-                                retries.push(RetryEvent {
-                                    attempt,
-                                    draw,
-                                    backoff_ms,
-                                });
-                                continue;
-                            }
-                            lock(failed).insert(e.id());
-                            return TaskOutput {
-                                rendered: Err(err),
-                                retries,
-                                wall: t0.elapsed(),
-                            };
-                        }
-                    }
+                let rendered = attempt_experiment(e, ctx, cfg);
+                if rendered.is_err() {
+                    lock(failed).insert(e.id());
                 }
+                (rendered, t0.elapsed())
             }
         })
         .collect();
-    // The closures never unwind (each attempt is caught above), so the
-    // pool's own catching layer is purely a backstop here.
+    // The closures never unwind (each run is caught above), so the pool's
+    // own catching layer is purely a backstop here.
     let outputs = pool.run_dag(tasks, &deps);
     let total_wall = started.elapsed();
 
     let mut reports = Vec::with_capacity(outputs.len());
     let mut failures = Vec::new();
-    let mut recoveries = Vec::new();
-    for (e, out) in experiments.iter().zip(outputs) {
-        let stream = fnv1a64(e.id());
-        match out.rendered {
-            Ok(rendered) => {
-                if !out.retries.is_empty() {
-                    recoveries.push(ExperimentRecovery {
-                        id: e.id(),
-                        retries: out.retries,
-                        stream,
-                    });
-                }
-                reports.push(ExperimentReport {
-                    id: e.id(),
-                    title: e.title(),
-                    deps: e.deps(),
-                    rendered,
-                    error: None,
-                    wall: out.wall,
-                });
-            }
+    for (e, (rendered, wall)) in experiments.iter().zip(outputs) {
+        let (rendered, error) = match rendered {
+            Ok(rendered) => (rendered, None),
             Err(err) => {
                 failures.push(ExperimentFailure {
                     id: e.id(),
                     title: e.title(),
                     error: err.clone(),
-                    retries: out.retries,
-                    stream,
                 });
-                reports.push(ExperimentReport {
-                    id: e.id(),
-                    title: e.title(),
-                    deps: e.deps(),
-                    rendered: degraded_section(*e, &err),
-                    error: Some(err),
-                    wall: out.wall,
-                });
+                (degraded_section(*e, &err), Some(err))
             }
-        }
+        };
+        reports.push(ExperimentReport {
+            id: e.id(),
+            title: e.title(),
+            deps: e.deps(),
+            rendered,
+            error,
+            wall,
+        });
     }
     let stats = ExecutorStats {
         workers: pool.workers(),
@@ -1371,14 +1234,12 @@ pub fn execute_resilient(
     Execution {
         reports,
         failures,
-        recoveries,
         stats,
     }
 }
 
-/// Strict (fail-fast) execution: schedule the DAG with no retries and
-/// return the first root-cause failure in declaration order as a hard
-/// error.
+/// Strict (fail-fast) execution: schedule the DAG and return the first
+/// root-cause failure in declaration order as a hard error.
 ///
 /// # Errors
 ///

@@ -42,8 +42,8 @@
 //!   go to stderr at shutdown.
 //! * **Hostile-client hardening** (DESIGN.md §2h) — per-connection
 //!   read/write deadlines bound how long a slow-loris client can hold a
-//!   handler thread; request frames are capped
-//!   (`MLPERF_SERVE_MAX_FRAME`) and an oversized frame gets a typed
+//!   handler thread; request frames are capped (`--max-frame`) and an
+//!   oversized frame gets a typed
 //!   [`protocol::FRAME_TOO_LARGE`] error before the connection closes;
 //!   the frame writer tolerates short writes; stalled readers are
 //!   reaped at the write deadline; and shutdown drains gracefully —
@@ -77,16 +77,6 @@ pub const DEFAULT_QUEUE: usize = 1024;
 /// batch CLI's streaming shard.
 pub const DEFAULT_SHARD: usize = 1024;
 
-/// Environment variable: per-connection read deadline in milliseconds
-/// (also the per-frame wall-clock budget a trickling client gets);
-/// `0` disables the deadline.
-pub const SERVE_READ_TIMEOUT_ENV: &str = "MLPERF_SERVE_READ_TIMEOUT_MS";
-/// Environment variable: per-connection write deadline in milliseconds
-/// (stalled readers are reaped when it expires); `0` disables it.
-pub const SERVE_WRITE_TIMEOUT_ENV: &str = "MLPERF_SERVE_WRITE_TIMEOUT_MS";
-/// Environment variable: maximum request-frame size in bytes (the line,
-/// excluding its newline); `0` removes the bound.
-pub const SERVE_MAX_FRAME_ENV: &str = "MLPERF_SERVE_MAX_FRAME";
 /// Default per-connection read deadline (milliseconds).
 pub const DEFAULT_READ_TIMEOUT_MS: u64 = 30_000;
 /// Default per-connection write deadline (milliseconds).
@@ -110,15 +100,15 @@ pub struct ServeOptions {
     pub queue: usize,
     /// Sweep-streaming shard: cells per `rows` frame.
     pub shard: usize,
-    /// Read-deadline override in milliseconds (`None`: the config knob;
-    /// `Some(0)`: no deadline).
-    pub read_timeout_ms: Option<u64>,
-    /// Write-deadline override in milliseconds (`None`: the config knob;
-    /// `Some(0)`: no deadline).
-    pub write_timeout_ms: Option<u64>,
-    /// Request-frame size cap override in bytes (`None`: the config
-    /// knob; `Some(0)`: unbounded).
-    pub max_frame: Option<usize>,
+    /// Per-connection read deadline in milliseconds, also the per-frame
+    /// wall-clock budget a trickling client gets (`0`: no deadline).
+    pub read_timeout_ms: u64,
+    /// Per-connection write deadline in milliseconds; stalled readers are
+    /// reaped when it expires (`0`: no deadline).
+    pub write_timeout_ms: u64,
+    /// Maximum request-frame size in bytes, the line excluding its
+    /// newline (`0`: unbounded).
+    pub max_frame: usize,
 }
 
 impl Default for ServeOptions {
@@ -128,9 +118,9 @@ impl Default for ServeOptions {
             max_active: None,
             queue: DEFAULT_QUEUE,
             shard: DEFAULT_SHARD,
-            read_timeout_ms: None,
-            write_timeout_ms: None,
-            max_frame: None,
+            read_timeout_ms: DEFAULT_READ_TIMEOUT_MS,
+            write_timeout_ms: DEFAULT_WRITE_TIMEOUT_MS,
+            max_frame: DEFAULT_MAX_FRAME,
         }
     }
 }
@@ -270,8 +260,8 @@ pub struct Server {
 
 impl Server {
     /// Bind the socket and assemble the execution substrate from an
-    /// explicitly resolved [`Config`] (the daemon resolves the
-    /// environment exactly once, at startup).
+    /// explicitly resolved [`Config`] (`repro` resolves the environment
+    /// once, at startup, and the daemon keeps that view).
     ///
     /// # Errors
     ///
@@ -289,9 +279,8 @@ impl Server {
         let listener = UnixListener::bind(&opts.socket)?;
         let pool = Pool::from_config(cfg);
         let max_active = opts.max_active.unwrap_or_else(|| pool.workers());
-        let read_timeout_ms = opts.read_timeout_ms.unwrap_or(cfg.serve_read_timeout_ms);
-        let write_timeout_ms = opts.write_timeout_ms.unwrap_or(cfg.serve_write_timeout_ms);
-        let max_frame = match opts.max_frame.unwrap_or(cfg.serve_max_frame) {
+        let timeout = |ms: u64| (ms > 0).then(|| Duration::from_millis(ms));
+        let max_frame = match opts.max_frame {
             0 => usize::MAX,
             n => n,
         };
@@ -305,8 +294,8 @@ impl Server {
             admission: Admission::new(max_active, opts.queue),
             default_budget: cfg.step_budget,
             shard: opts.shard.max(1),
-            read_timeout: (read_timeout_ms > 0).then(|| Duration::from_millis(read_timeout_ms)),
-            write_timeout: (write_timeout_ms > 0).then(|| Duration::from_millis(write_timeout_ms)),
+            read_timeout: timeout(opts.read_timeout_ms),
+            write_timeout: timeout(opts.write_timeout_ms),
             max_frame,
             shutdown: AtomicBool::new(false),
             queries: AtomicU64::new(0),

@@ -31,8 +31,8 @@
 //! * only deterministic payloads are stored (rendered section bytes, CSV
 //!   bytes, sweep-cell results) — never wall-clock;
 //! * a degraded cell is cached **as the error it produced**, never as a
-//!   success; panics and retried/degraded experiment runs are not
-//!   persisted at all;
+//!   success; a report or CSV run with a failed experiment persists
+//!   none of that experiment's output;
 //! * chaos runs (`MLPERF_CHAOS`) disable the cache entirely, so injected
 //!   failures can never be masked by a warm entry. I/O chaos
 //!   (`MLPERF_IO_CHAOS`) is the one deliberate exception: it keeps the
@@ -41,9 +41,9 @@
 //!   byte-identical output.
 //!
 //! Escape hatches: `--no-cache` on the `repro` CLI, `MLPERF_CACHE=off` in
-//! the environment. `MLPERF_CACHE_DIR` moves the directory,
-//! `MLPERF_CACHE_EPOCH` pins the epoch (tests use this to exercise
-//! invalidation deterministically).
+//! the environment. `MLPERF_CACHE_DIR` moves the directory. Tests pin the
+//! epoch with [`DiskCache::open_with_epoch`] to exercise invalidation
+//! deterministically.
 
 use mlperf_testkit::hash::{fnv1a64, Fnv1a64};
 use mlperf_testkit::iochaos::{IoChaosPlan, ReadFault, RenameFault, WriteFault};
@@ -55,8 +55,6 @@ use std::sync::{Mutex, OnceLock};
 pub const CACHE_ENV: &str = "MLPERF_CACHE";
 /// Environment variable overriding the cache directory.
 pub const CACHE_DIR_ENV: &str = "MLPERF_CACHE_DIR";
-/// Environment variable pinning the code epoch (u64; tests only).
-pub const CACHE_EPOCH_ENV: &str = "MLPERF_CACHE_EPOCH";
 /// Environment variable carrying a seeded I/O fault-injection spec
 /// (see [`mlperf_testkit::iochaos::IoChaosSpec::parse`]).
 pub const IO_CHAOS_ENV: &str = "MLPERF_IO_CHAOS";
@@ -217,12 +215,6 @@ pub struct DiskCache {
 pub fn code_epoch() -> u64 {
     static EPOCH: OnceLock<u64> = OnceLock::new();
     *EPOCH.get_or_init(|| {
-        if let Some(e) = std::env::var(CACHE_EPOCH_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-        {
-            return e;
-        }
         std::env::current_exe()
             .ok()
             .and_then(|p| std::fs::read(p).ok())
@@ -330,18 +322,11 @@ impl DiskCache {
         self
     }
 
-    /// Open the cache as the environment dictates: `None` when
-    /// `MLPERF_CACHE=off`/`0`, when a chaos run is configured
-    /// (`MLPERF_CHAOS` — injected failures must never be masked by warm
-    /// entries), or when the directory cannot be opened. Knobs are
-    /// resolved through the typed [`Config`](crate::config::Config).
-    pub fn from_env() -> Option<DiskCache> {
-        DiskCache::from_config(&crate::config::Config::from_env())
-    }
-
     /// Open the cache an explicitly resolved
-    /// [`Config`](crate::config::Config) dictates (`None` when it says
-    /// the cache is disabled, or when the directory cannot be opened).
+    /// [`Config`](crate::config::Config) dictates: `None` when it says
+    /// the cache is disabled (`MLPERF_CACHE=off`/`0`, or a chaos run
+    /// configured with `MLPERF_CHAOS` — injected failures must never be
+    /// masked by warm entries), or when the directory cannot be opened.
     /// An `MLPERF_IO_CHAOS` spec in the config arms the handle's fault
     /// seam — the cache stays *enabled* under I/O chaos by design.
     pub fn from_config(config: &crate::config::Config) -> Option<DiskCache> {

@@ -1,23 +1,22 @@
 //! Integration tests for the resilient executor: panic isolation, typed
-//! errors, deterministic retry traces, cooperative step budgets, chaos
-//! injection, and degraded-mode report/CSV placeholders.
+//! errors, single attempts, cooperative step budgets, chaos injection,
+//! and degraded-mode report/CSV placeholders.
 //!
 //! The contract under test is DESIGN.md's "Executor failure model": a
-//! failing experiment never takes the run down with it, its transitive
-//! dependents fail typed as `DependencyFailed`, every unaffected
-//! experiment's bytes are identical to a fully-healthy run, and the
-//! retry trace replays byte-for-byte from the public seed.
+//! failing experiment runs once and never takes the run down with it,
+//! its transitive dependents fail typed as `DependencyFailed`, every
+//! unaffected experiment's bytes are identical to a fully-healthy run,
+//! and a degraded report replays byte-for-byte.
 
 use mlperf_hw::SystemId;
 use mlperf_sim::SimError;
 use mlperf_suite::runner::{
-    self, fnv1a64, Artifact, BudgetExceeded, ChaosSpec, Ctx, Experiment, ExperimentError, Pool,
-    ResilienceConfig, TrainPoint, DEFAULT_RETRY_SEED,
+    self, Artifact, BudgetExceeded, Ctx, Experiment, ExperimentError, Pool, ResilienceConfig,
+    TrainPoint,
 };
 use mlperf_suite::{csv_export, report_gen, BenchmarkId};
 use mlperf_testkit::chaos::{ChaosAction, ChaosPlan};
 use mlperf_testkit::prop::*;
-use mlperf_testkit::rng::Rng;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, Once};
@@ -192,10 +191,7 @@ mlperf_testkit::properties! {
     ) {
         quiet_chaos_panics();
         let experiments = synthetic_dag();
-        let cfg = ResilienceConfig {
-            retries: 0,
-            ..ResilienceConfig::resilient()
-        };
+        let cfg = ResilienceConfig::resilient();
         let baseline = runner::execute_resilient(
             &Pool::with_workers(workers),
             &Ctx::new(),
@@ -257,10 +253,7 @@ fn chaos_isolates_the_victim_and_preserves_sibling_bytes() {
     assert!(!baseline.degraded(), "baseline full DAG must be healthy");
 
     let chaos_cfg = ResilienceConfig {
-        chaos: Some(ChaosSpec {
-            target: "figure3".to_string(),
-            attempts: u32::MAX,
-        }),
+        chaos: Some("figure3".to_string()),
         ..ResilienceConfig::resilient()
     };
     let chaotic =
@@ -289,7 +282,6 @@ fn chaos_isolates_the_victim_and_preserves_sibling_bytes() {
         "chaos panics must surface typed as Panicked: {}",
         victim.error
     );
-    assert_eq!(victim.retries.len(), 2, "both configured retries recorded");
 
     for (b, c) in baseline.reports.iter().zip(&chaotic.reports) {
         if c.id == "figure3" {
@@ -312,74 +304,7 @@ fn chaos_isolates_the_victim_and_preserves_sibling_bytes() {
     }
 }
 
-#[test]
-fn retry_trace_replays_byte_identically_from_the_seed() {
-    quiet_chaos_panics();
-    let experiments: Vec<&dyn Experiment> = vec![&ALPHA, &GAMMA];
-    let cfg = ResilienceConfig {
-        chaos: Some(ChaosSpec {
-            target: "syn-alpha".to_string(),
-            attempts: u32::MAX,
-        }),
-        ..ResilienceConfig::resilient()
-    };
-    let run = |workers| {
-        runner::execute_resilient(&Pool::with_workers(workers), &Ctx::new(), &experiments, &cfg)
-    };
-    let (a, b) = (run(1), run(4));
-    assert_eq!(a.failures.len(), 2, "victim plus its dependent");
-    let (fa, fb) = (&a.failures[0], &b.failures[0]);
-    assert_eq!(fa.id, "syn-alpha");
-    assert_eq!(
-        fa.retries, fb.retries,
-        "the retry trace must be schedule-invariant"
-    );
-    assert_eq!(fa.retries.len(), 2);
-
-    // The trace is recomputable from the public contract alone: stream
-    // fnv1a64(id) of the default seed, exponential backoff plus jitter.
-    assert_eq!(fa.stream, fnv1a64("syn-alpha"));
-    let mut rng = Rng::stream(DEFAULT_RETRY_SEED, fnv1a64("syn-alpha"));
-    for (i, ev) in fa.retries.iter().enumerate() {
-        let attempt = i as u32 + 1;
-        let draw = rng.gen_u64();
-        assert_eq!(ev.attempt, attempt);
-        assert_eq!(ev.draw, draw, "recorded draw diverges from the seeded stream");
-        assert_eq!(ev.backoff_ms, (50u64 << (attempt - 1).min(6)) + draw % 50);
-    }
-}
-
-#[test]
-fn transient_chaos_recovers_after_retry_and_records_it() {
-    quiet_chaos_panics();
-    let experiments: Vec<&dyn Experiment> = vec![&ALPHA, &GAMMA];
-    let cfg = ResilienceConfig {
-        chaos: Some(ChaosSpec {
-            target: "syn-alpha".to_string(),
-            attempts: 1,
-        }),
-        ..ResilienceConfig::resilient()
-    };
-    let ctx = Ctx::new();
-    let execution =
-        runner::execute_resilient(&Pool::with_workers(2), &ctx, &experiments, &cfg);
-    assert!(
-        !execution.degraded(),
-        "one sabotaged attempt with two retries must recover"
-    );
-    assert_eq!(execution.recoveries.len(), 1);
-    let r = &execution.recoveries[0];
-    assert_eq!(r.id, "syn-alpha");
-    assert_eq!(r.retries.len(), 1);
-    assert_eq!(r.stream, fnv1a64("syn-alpha"));
-    assert!(execution.reports.iter().all(|rep| rep.error.is_none()));
-    assert!(
-        ctx.artifact::<()>("syn-alpha").is_some(),
-        "the recovered attempt must store its artifact"
-    );
-}
-
-/// Panics on its first attempt *before* pricing anything; the retry
+/// Panics on its first run *before* pricing anything; a second run
 /// prices one point and succeeds.
 struct FlakyBeforePricing {
     attempts: AtomicU32,
@@ -404,8 +329,8 @@ impl Experiment for FlakyBeforePricing {
     }
 }
 
-/// Prices one point successfully, then panics on its first attempt; the
-/// retry re-asks that point (cache hit) and prices a second one.
+/// Prices one point successfully, then panics on its first run; a second
+/// run re-asks that point (cache hit) and prices a second one.
 struct FlakyMidPricing {
     attempts: AtomicU32,
 }
@@ -457,35 +382,39 @@ fn failed_attempts_never_pollute_the_memo_cache() {
     quiet_chaos_panics();
     let cfg = ResilienceConfig::resilient();
     for workers in [1usize, 4] {
-        // A panic before any pricing caches nothing; the successful retry
-        // populates the point exactly once.
+        let pool = Pool::with_workers(workers);
+        // A panic before any pricing caches nothing; a second run on the
+        // same context populates the point exactly once.
         let ctx = Ctx::new();
         let flaky = FlakyBeforePricing {
             attempts: AtomicU32::new(0),
         };
         let experiments: [&dyn Experiment; 1] = [&flaky];
-        let execution =
-            runner::execute_resilient(&Pool::with_workers(workers), &ctx, &experiments, &cfg);
-        assert!(!execution.degraded(), "workers={workers}");
-        assert_eq!(execution.recoveries.len(), 1);
+        let first = runner::execute_resilient(&pool, &ctx, &experiments, &cfg);
+        assert!(first.degraded(), "workers={workers}");
+        assert_eq!(ctx.cache_stats().requests(), 0, "workers={workers}");
+        let second = runner::execute_resilient(&pool, &ctx, &experiments, &cfg);
+        assert!(!second.degraded(), "workers={workers}");
         let stats = ctx.cache_stats();
         assert_eq!(
             stats.step_misses, 1,
-            "retry must populate the cache exactly once (workers={workers}): {stats:?}"
+            "the healthy run must populate the cache exactly once (workers={workers}): {stats:?}"
         );
         assert_eq!(stats.step_hits, 0, "workers={workers}");
 
         // A panic *after* a point completed keeps that point cached (it
-        // is deterministic; retrying re-derives the same answer): the
-        // retry hits it and prices only the new point.
+        // is deterministic; a second run re-derives the same answer): the
+        // second run hits it and prices only the new point.
         let ctx = Ctx::new();
         let flaky = FlakyMidPricing {
             attempts: AtomicU32::new(0),
         };
         let experiments: [&dyn Experiment; 1] = [&flaky];
-        let execution =
-            runner::execute_resilient(&Pool::with_workers(workers), &ctx, &experiments, &cfg);
-        assert!(!execution.degraded(), "workers={workers}");
+        let first = runner::execute_resilient(&pool, &ctx, &experiments, &cfg);
+        assert!(first.degraded(), "workers={workers}");
+        assert_eq!(ctx.cache_stats().step_misses, 1, "workers={workers}");
+        let second = runner::execute_resilient(&pool, &ctx, &experiments, &cfg);
+        assert!(!second.degraded(), "workers={workers}");
         let stats = ctx.cache_stats();
         assert_eq!(stats.step_misses, 2, "workers={workers}: {stats:?}");
         assert_eq!(stats.step_hits, 1, "workers={workers}: {stats:?}");
@@ -496,8 +425,7 @@ fn failed_attempts_never_pollute_the_memo_cache() {
         // from the cache instead of re-pricing.
         let ctx = Ctx::new();
         let experiments: [&dyn Experiment; 1] = [&OomExp];
-        let first =
-            runner::execute_resilient(&Pool::with_workers(workers), &ctx, &experiments, &cfg);
+        let first = runner::execute_resilient(&pool, &ctx, &experiments, &cfg);
         assert!(first.degraded(), "workers={workers}");
         assert!(
             matches!(first.failures[0].error, ExperimentError::Sim(SimError::OutOfMemory { .. })),
@@ -508,8 +436,7 @@ fn failed_attempts_never_pollute_the_memo_cache() {
             ctx.artifact::<()>("syn-oom").is_none(),
             "a failed experiment must not be cached as success (workers={workers})"
         );
-        let second =
-            runner::execute_resilient(&Pool::with_workers(workers), &ctx, &experiments, &cfg);
+        let second = runner::execute_resilient(&pool, &ctx, &experiments, &cfg);
         assert!(second.degraded(), "workers={workers}");
         let stats = ctx.cache_stats();
         assert_eq!(stats.step_misses, 1, "workers={workers}: {stats:?}");
@@ -567,10 +494,6 @@ fn step_budget_trips_deterministically_and_is_typed() {
         a.failures[0].error, b.failures[0].error,
         "the budget trip must be deterministic — it counts requests, not wall-clock"
     );
-    assert!(
-        a.failures[0].retries.is_empty(),
-        "a budget trip is deterministic, never retried"
-    );
 
     let generous = ResilienceConfig {
         step_budget: Some(100),
@@ -579,8 +502,11 @@ fn step_budget_trips_deterministically_and_is_typed() {
     assert!(!run(&generous).degraded(), "a generous budget must pass");
 }
 
-/// Always panics — the root cause for the strict-mode cascade test.
-struct DoomedExp;
+/// Always panics, counting how often it is entered.
+#[derive(Default)]
+struct DoomedExp {
+    calls: AtomicU32,
+}
 
 impl Experiment for DoomedExp {
     fn id(&self) -> &'static str {
@@ -590,10 +516,36 @@ impl Experiment for DoomedExp {
         "always panics"
     }
     fn run(&self, _ctx: &Ctx) -> Result<Artifact, ExperimentError> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
         std::panic::panic_any("chaos: doomed".to_string());
     }
     fn render(&self, _artifact: &Artifact) -> String {
         "doomed: unreachable\n".to_string()
+    }
+}
+
+#[test]
+fn a_failing_experiment_runs_exactly_once() {
+    quiet_chaos_panics();
+    for workers in [1usize, 4] {
+        let doomed = DoomedExp::default();
+        let experiments: [&dyn Experiment; 1] = [&doomed];
+        let execution = runner::execute_resilient(
+            &Pool::with_workers(workers),
+            &Ctx::new(),
+            &experiments,
+            &ResilienceConfig::resilient(),
+        );
+        assert!(
+            matches!(execution.failures[0].error, ExperimentError::Panicked { .. }),
+            "workers={workers}: {}",
+            execution.failures[0].error
+        );
+        assert_eq!(
+            doomed.calls.load(Ordering::SeqCst),
+            1,
+            "a deterministic failure recurs, so it must not be re-run (workers={workers})"
+        );
     }
 }
 
@@ -606,7 +558,8 @@ fn strict_execute_surfaces_the_root_cause_not_the_cascade() {
         system: SystemId::C4140K,
         gpus: 1,
     };
-    let experiments: [&dyn Experiment; 2] = [&DoomedExp, &dependent];
+    let doomed = DoomedExp::default();
+    let experiments: [&dyn Experiment; 2] = [&doomed, &dependent];
     let err = runner::execute(&Pool::with_workers(2), &Ctx::new(), &experiments)
         .expect_err("a panicking experiment must fail a strict run");
     assert!(
@@ -619,10 +572,7 @@ fn strict_execute_surfaces_the_root_cause_not_the_cascade() {
 fn degraded_report_carries_the_failure_appendix_and_replays() {
     quiet_chaos_panics();
     let cfg = ResilienceConfig {
-        chaos: Some(ChaosSpec {
-            target: "figure3".to_string(),
-            attempts: u32::MAX,
-        }),
+        chaos: Some("figure3".to_string()),
         ..ResilienceConfig::resilient()
     };
     let (md_a, execution) =
@@ -633,7 +583,6 @@ fn degraded_report_carries_the_failure_appendix_and_replays() {
         "Failure appendix",
         "figure3",
         "[degraded]",
-        "Retry stream",
     ] {
         assert!(md_a.contains(needle), "degraded report missing: {needle}");
     }
@@ -660,10 +609,7 @@ fn degraded_csv_export_isolates_the_victims_files() {
     );
     assert!(healthy_exec.root_cause().is_none(), "healthy export failed");
     let cfg = ResilienceConfig {
-        chaos: Some(ChaosSpec {
-            target: "figure3".to_string(),
-            attempts: u32::MAX,
-        }),
+        chaos: Some("figure3".to_string()),
         ..ResilienceConfig::resilient()
     };
     let (degraded, execution) =
@@ -707,10 +653,7 @@ fn degraded_csv_export_isolates_the_victims_files() {
 fn strict_csv_export_fails_before_writing_any_file() {
     quiet_chaos_panics();
     let cfg = ResilienceConfig {
-        chaos: Some(ChaosSpec {
-            target: "figure3".to_string(),
-            attempts: u32::MAX,
-        }),
+        chaos: Some("figure3".to_string()),
         ..ResilienceConfig::strict()
     };
     let dir = std::env::temp_dir().join(format!("mlperf_strict_csv_{}", std::process::id()));

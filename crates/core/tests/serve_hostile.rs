@@ -126,7 +126,7 @@ fn oversized_frames_get_a_typed_error_then_the_connection_closes() {
     for jobs in [1usize, 4] {
         let opts = ServeOptions {
             socket: sock(&format!("oversize_j{jobs}")),
-            max_frame: Some(128),
+            max_frame: 128,
             ..ServeOptions::default()
         };
         let expected =
@@ -156,7 +156,7 @@ fn oversized_frames_get_a_typed_error_then_the_connection_closes() {
         // a fence below it (the bad-request answer proves it was parsed).
         let opts = ServeOptions {
             socket: sock(&format!("exact_j{jobs}")),
-            max_frame: Some(128),
+            max_frame: 128,
             ..ServeOptions::default()
         };
         let ((), stats) = with_server(&opts, &test_config(jobs), |socket| {
@@ -196,7 +196,7 @@ fn half_written_requests_are_dropped_without_a_response() {
 fn slow_loris_senders_are_reaped_at_the_frame_deadline() {
     let opts = ServeOptions {
         socket: sock("loris"),
-        read_timeout_ms: Some(300),
+        read_timeout_ms: 300,
         ..ServeOptions::default()
     };
     let ((), stats) = with_server(&opts, &test_config(2), |socket| {
@@ -236,7 +236,7 @@ fn slow_loris_senders_are_reaped_at_the_frame_deadline() {
 fn stalled_readers_are_reaped_at_the_write_deadline() {
     let opts = ServeOptions {
         socket: sock("stalled_reader"),
-        write_timeout_ms: Some(300),
+        write_timeout_ms: 300,
         ..ServeOptions::default()
     };
     let ((), stats) = with_server(&opts, &test_config(2), |socket| {

@@ -1,10 +1,10 @@
 //! FNV-1a — the workspace's one stable, in-tree content hash.
 //!
-//! Three call sites grew private copies of this function (the executor's
-//! retry-stream mapping, the fault study's trace fingerprint, the shard
-//! checksum); they now all route here. The persistent artifact cache
-//! (`mlperf-core::sweep`) also keys on it, so the constants below are a
-//! compatibility contract: the reference vectors in this module pin them.
+//! The fault study's trace fingerprint, the shard checksum, the seeded
+//! replication streams and the serve coalescing key all route here. The
+//! persistent artifact cache (`mlperf-core::sweep`) also keys on it, so
+//! the constants below are a compatibility contract: the reference
+//! vectors in this module pin them.
 //!
 //! FNV-1a is not cryptographic — it is used for cache addressing, stream
 //! splitting, and regression fingerprints, where speed, zero dependencies,

@@ -24,8 +24,8 @@
 //!   over an abstract query vocabulary) for replayable load tests of
 //!   long-lived services;
 //! * [`hash`] — the workspace's single FNV-1a implementation (64- and
-//!   32-bit, with published reference vectors): retry-stream mapping,
-//!   trace fingerprints, shard checksums, and the persistent artifact
+//!   32-bit, with published reference vectors): trace fingerprints,
+//!   shard checksums, replication streams, and the persistent artifact
 //!   cache all key on it.
 //!
 //! The whole workspace builds and tests offline because of this crate: it

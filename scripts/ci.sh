@@ -179,8 +179,7 @@ echo "== chaos gate: injected panic degrades one section, nothing else =="
 # injected panic in one experiment must (a) exit 2 (degraded but
 # complete), (b) name the victim in the failure appendix, (c) leave every
 # CSV outside the victim's blast radius byte-identical to a healthy run,
-# and (d) replay byte-identically — retry backoff is drawn from a seeded
-# stream and recorded, never slept.
+# and (d) replay byte-identically.
 mkdir -p "$report_tmp/csv_healthy" "$report_tmp/csv_chaos"
 cargo run -q --release --offline -p mlperf-suite --bin repro -- \
     --csv "$report_tmp/csv_healthy" >/dev/null
@@ -200,7 +199,7 @@ MLPERF_CHAOS=figure3 cargo run -q --release --offline -p mlperf-suite --bin repr
     --report "$report_tmp/chaos_b.md" >/dev/null 2>/dev/null
 set -e
 diff -u "$report_tmp/chaos_a.md" "$report_tmp/chaos_b.md" \
-    || { echo "degraded report (retry trace included) is not replayable" >&2; exit 1; }
+    || { echo "degraded report (failure appendix included) is not replayable" >&2; exit 1; }
 set +e
 MLPERF_CHAOS=figure3 cargo run -q --release --offline -p mlperf-suite --bin repro -- \
     --csv "$report_tmp/csv_chaos" >/dev/null 2>/dev/null
@@ -313,6 +312,17 @@ set -e
     || { echo "malformed MLPERF_PARTITION must fail fast (exit 1), got $part_status" >&2; exit 1; }
 grep -q "MLPERF_PARTITION" "$report_tmp/part_bad.log" \
     || { echo "malformed-knob error does not name MLPERF_PARTITION" >&2; exit 1; }
+# An out-of-range run count fails fast too, instead of silently pricing
+# one run per cell.
+set +e
+MLPERF_RUNS=513 cargo run -q --release --offline -p mlperf-suite --bin repro -- \
+    --list >/dev/null 2>"$report_tmp/runs_bad.log"
+runs_status=$?
+set -e
+[ "$runs_status" -eq 1 ] \
+    || { echo "out-of-range MLPERF_RUNS must fail fast (exit 1), got $runs_status" >&2; exit 1; }
+grep -q "MLPERF_RUNS" "$report_tmp/runs_bad.log" \
+    || { echo "malformed-knob error does not name MLPERF_RUNS" >&2; exit 1; }
 
 echo "== serve smoke: daemon up, seeded replay byte-identical, clean shutdown =="
 # The query server (DESIGN.md §2f): start the daemon on a scratch socket,
@@ -374,13 +384,13 @@ wait "$serve_pid" \
 
 echo "== serve hostile smoke: oversized frame typed, daemon survives =="
 # Transport-layer hardening (DESIGN.md "Durability model"): a daemon with
-# a small MLPERF_SERVE_MAX_FRAME must answer an oversized request line
+# a small --max-frame must answer an oversized request line
 # with the typed frame-too-large error, keep serving other clients, and
 # still shut down cleanly. (Half-written frames and stalled readers need
 # raw socket control — the serve_hostile test battery above covers them.)
 hostile_sock="$report_tmp/serve_hostile.sock"
-MLPERF_SERVE_MAX_FRAME=200 cargo run -q --release --offline -p mlperf-suite --bin repro -- \
-    --no-cache serve --socket "$hostile_sock" 2>"$report_tmp/serve_hostile.log" &
+cargo run -q --release --offline -p mlperf-suite --bin repro -- \
+    --no-cache serve --socket "$hostile_sock" --max-frame 200 2>"$report_tmp/serve_hostile.log" &
 hostile_pid=$!
 for _ in $(seq 1 100); do
     [ -S "$hostile_sock" ] && break
