@@ -86,7 +86,8 @@ pub struct Config {
     pub step_budget: Option<u64>,
     /// Fail-fast mode (`MLPERF_STRICT=1`; `0` or unset is off).
     pub strict: bool,
-    /// Id of the experiment to chaos-panic (`MLPERF_CHAOS`), if any.
+    /// Id of the experiment to chaos-panic (`MLPERF_CHAOS`, a registered
+    /// experiment id), if any.
     pub chaos: Option<String>,
     /// Seeded runs per Training cell (`MLPERF_RUNS`, 1..=[`MAX_RUNS`];
     /// default 1 = point pricing with no replication columns,
@@ -150,8 +151,8 @@ impl Config {
     }
 
     /// Strict [`Config::resolve`]: the first malformed knob is returned
-    /// as a typed error. Every knob except the free-form `MLPERF_CHAOS`
-    /// and `MLPERF_CACHE_DIR` is parsed strictly.
+    /// as a typed error. Every knob except the free-form
+    /// `MLPERF_CACHE_DIR` is parsed strictly.
     ///
     /// # Errors
     ///
@@ -185,9 +186,11 @@ impl Config {
             t.parse::<usize>().ok().filter(|&n| n >= 1)
         })
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let chaos = get(CHAOS_ENV)
-            .map(|target| target.trim().to_string())
-            .filter(|target| !target.is_empty());
+        // A chaos target that names no experiment would inject nothing and
+        // leave the chaos gate vacuously green.
+        let chaos = strict_knob(&get, &mut errors, CHAOS_ENV, "a registered experiment id", |t| {
+            crate::runner::experiment(t).map(|_| t.to_string())
+        });
         let cache_on = strict_knob(&get, &mut errors, CACHE_ENV, "on, off, 1 or 0", |t| match t {
             "on" | "1" => Some(true),
             "off" | "0" => Some(false),
@@ -371,6 +374,9 @@ mod tests {
             (STRICT_ENV, "yes"),
             (CACHE_ENV, "false"),
             (CACHE_ENV, "disabled"),
+            // A chaos target must name a registered experiment.
+            (CHAOS_ENV, "figure33"),
+            (CHAOS_ENV, "Figure3"),
         ] {
             let err = try_with(&[(knob, bad)]).unwrap_err();
             assert!(
@@ -394,6 +400,7 @@ mod tests {
             (STRICT_ENV, ""),
             (CACHE_ENV, "  "),
             (PARTITION_ENV, "\t"),
+            (CHAOS_ENV, " "),
         ])
         .expect("blank knobs are unset, not errors");
         assert!(cfg.io_chaos.is_none());
@@ -403,8 +410,16 @@ mod tests {
         assert!(!cfg.strict);
         assert!(cfg.cache_enabled);
         assert!(cfg.partition.is_none());
+        assert!(cfg.chaos.is_none());
         // Surrounding whitespace is trimmed, not an error.
         assert_eq!(try_with(&[(JOBS_ENV, " 3 ")]).expect("padded count").jobs, 3);
+        assert_eq!(
+            try_with(&[(CHAOS_ENV, " figure3 ")])
+                .expect("padded chaos target")
+                .chaos
+                .as_deref(),
+            Some("figure3")
+        );
         // All-whitespace io-chaos text is likewise no injection.
         assert!(try_with(&[(IO_CHAOS_ENV, "  \t ")])
             .expect("whitespace spec")
@@ -416,12 +431,18 @@ mod tests {
     fn lenient_resolve_defaults_what_strict_rejects() {
         // The lenient path (`Ctx::new`, `Pool::from_env`) logs and falls back, so
         // a bad knob can never abort a batch run mid-flight …
-        let cfg = with(&[(IO_CHAOS_ENV, "bit_flip=lots"), (RUNS_ENV, "huge")]);
+        let cfg = with(&[
+            (IO_CHAOS_ENV, "bit_flip=lots"),
+            (RUNS_ENV, "huge"),
+            (CHAOS_ENV, "figure33"),
+        ]);
         assert!(cfg.io_chaos.is_none());
         assert_eq!(cfg.runs, 1);
+        assert!(cfg.chaos.is_none(), "an unknown chaos target injects nothing");
         // … while the strict path rejects the same environment.
         assert!(try_with(&[(IO_CHAOS_ENV, "bit_flip=lots")]).is_err());
         assert!(try_with(&[(RUNS_ENV, "huge")]).is_err());
+        assert!(try_with(&[(CHAOS_ENV, "figure33")]).is_err());
     }
 
     #[test]

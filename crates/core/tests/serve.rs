@@ -651,4 +651,6 @@ ttt_regressions! {
         => "bad-request", "field 'interval' must be positive and finite in seconds";
     regression_ttt_interval_overflowing_model: ("4", "1e300")
         => "non-finite", "non-finite output: expected runtime inf s";
+    regression_ttt_mtbf_overflowing_daly_interval: ("4.99e304", r#""daly""#)
+        => "non-finite", "non-finite output: Daly interval for write cost";
 }

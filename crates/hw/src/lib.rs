@@ -31,7 +31,6 @@
 pub mod cpu;
 pub mod gpu;
 pub mod interconnect;
-pub mod numa;
 pub mod partition;
 pub mod power;
 pub mod systems;

@@ -142,7 +142,7 @@ impl StepReport {
 }
 
 /// Everything one engine invocation needs: the job, the GPU ordinals, and
-/// whether to record the per-iteration timeline.
+/// an optional fault scenario to replay.
 ///
 /// This is the engine's single entry-point descriptor — and the unit the
 /// executor's memo cache keys on (a [`RunSpec`] plus the platform identify
@@ -151,7 +151,6 @@ impl StepReport {
 pub struct RunSpec {
     job: TrainingJob,
     gpus: Vec<u32>,
-    record_trace: bool,
     faults: Option<crate::fault::FaultConfig>,
 }
 
@@ -161,7 +160,6 @@ impl RunSpec {
         RunSpec {
             job,
             gpus: gpus.into(),
-            record_trace: false,
             faults: None,
         }
     }
@@ -169,14 +167,6 @@ impl RunSpec {
     /// Run `job` on the first `n` GPUs of the system.
     pub fn on_first(job: TrainingJob, n: u32) -> Self {
         RunSpec::new(job, (0..n).collect::<Vec<u32>>())
-    }
-
-    /// Also record the full per-iteration phase timeline (the
-    /// high-fidelity input the telemetry loggers replay).
-    #[must_use]
-    pub fn traced(mut self) -> Self {
-        self.record_trace = true;
-        self
     }
 
     /// Also replay a seeded fault scenario against the steady-state step:
@@ -198,11 +188,6 @@ impl RunSpec {
         &self.gpus
     }
 
-    /// Whether the per-iteration timeline is recorded.
-    pub fn records_trace(&self) -> bool {
-        self.record_trace
-    }
-
     /// The fault scenario to replay, if any.
     pub fn faults(&self) -> Option<&crate::fault::FaultConfig> {
         self.faults.as_ref()
@@ -214,8 +199,6 @@ impl RunSpec {
 pub struct RunOutcome {
     /// Steady-state accounting.
     pub report: StepReport,
-    /// The per-iteration timeline, when the spec asked for one.
-    pub trace: Option<crate::trace::RunTrace>,
     /// Fault/recovery statistics, when the spec carried a fault scenario.
     pub faults: Option<crate::fault::FaultOutcome>,
 }
@@ -293,7 +276,7 @@ impl<'a> Simulator<'a> {
     }
 
     /// Execute the simulation described by `spec` and report the steady
-    /// state (plus the per-iteration timeline if the spec requested one).
+    /// state (plus the fault replay if the spec carries a scenario).
     ///
     /// # Errors
     ///
@@ -301,7 +284,7 @@ impl<'a> Simulator<'a> {
     /// * [`SimError::OutOfMemory`] — replica + overhead exceeds HBM;
     /// * [`SimError::Topology`] — no route between required endpoints.
     pub fn execute(&self, spec: &RunSpec) -> Result<RunOutcome, SimError> {
-        let (report, trace) = self.run_inner(&spec.job, &spec.gpus, spec.record_trace)?;
+        let report = self.run_inner(&spec.job, &spec.gpus)?;
         // Fault replay is deterministic post-processing of the steady
         // state: the plan walks the run's total steps against the step
         // report, so the healthy numbers are untouched.
@@ -315,11 +298,7 @@ impl<'a> Simulator<'a> {
                 trace: fault_trace,
             }
         });
-        Ok(RunOutcome {
-            report,
-            trace,
-            faults,
-        })
+        Ok(RunOutcome { report, faults })
     }
 
     /// Attempt the analytic fast path for `job` on the GPU ordinals `gpus`.
@@ -331,10 +310,10 @@ impl<'a> Simulator<'a> {
     /// take the `start = step_done` branch on every measured iteration and
     /// the step recurrence collapses to three additions per step. The
     /// returned outcome is then **bit-identical** to what
-    /// [`Simulator::execute`] returns for an untraced, fault-free
-    /// [`RunSpec`] of the same job and ordinals, and the typed errors are
-    /// the same — which `tests/fastpath_diff.rs` pins differentially. The
-    /// inputs are borrowed: no job clone and no GPU-set allocation.
+    /// [`Simulator::execute`] returns for a fault-free [`RunSpec`] of the
+    /// same job and ordinals, and the typed errors are the same — which
+    /// `tests/fastpath_diff.rs` pins differentially. The inputs are
+    /// borrowed: no job clone and no GPU-set allocation.
     ///
     /// Returns `Ok(None)` when eligibility cannot be proven; the caller
     /// falls back to the full DES.
@@ -354,7 +333,6 @@ impl<'a> Simulator<'a> {
         let report = self.finish(job, &p, step_time, data_stall)?;
         Ok(Some(RunOutcome {
             report,
-            trace: None,
             faults: None,
         }))
     }
@@ -582,12 +560,7 @@ impl<'a> Simulator<'a> {
         })
     }
 
-    fn run_inner(
-        &self,
-        job: &TrainingJob,
-        gpus: &[u32],
-        record_trace: bool,
-    ) -> Result<(StepReport, Option<crate::trace::RunTrace>), SimError> {
+    fn run_inner(&self, job: &TrainingJob, gpus: &[u32]) -> Result<StepReport, SimError> {
         let p = self.prepare(job, gpus)?;
 
         // --- iterate the pipeline -----------------------------------------
@@ -601,7 +574,6 @@ impl<'a> Simulator<'a> {
         let mut measured_stall = Seconds::ZERO;
         let mut warmup_end = Seconds::ZERO;
 
-        let mut trace_records = record_trace.then(|| Vec::with_capacity(total_iters as usize));
         for iter in 0..total_iters {
             // Prefetch slot: batch `iter` may be prepped once batch
             // `iter - depth` has fully completed.
@@ -612,7 +584,6 @@ impl<'a> Simulator<'a> {
             };
             let mut iter_compute_done = Seconds::ZERO;
             let mut iter_stall = Seconds::ZERO;
-            let mut phases = record_trace.then(|| Vec::with_capacity(p.k));
             for g in 0..p.k {
                 let prep_done = loader.serve(slot_free, p.prep_service);
                 let data_ready = links[p.link_of[g]].serve(prep_done, p.h2d_services[g]);
@@ -620,25 +591,8 @@ impl<'a> Simulator<'a> {
                 iter_stall += start - step_done;
                 let done = start + p.compute_time;
                 iter_compute_done = iter_compute_done.max(done);
-                if let Some(ps) = phases.as_mut() {
-                    ps.push(crate::trace::GpuPhases {
-                        prep_done,
-                        data_ready,
-                        compute_start: start,
-                        compute_done: done,
-                    });
-                }
             }
             let done = iter_compute_done + p.exposed_comm + p.opt_time;
-            if let (Some(records), Some(ps)) = (trace_records.as_mut(), phases) {
-                records.push(crate::trace::IterationRecord {
-                    iter,
-                    gpus: ps,
-                    sync: iter_compute_done,
-                    allreduce_done: iter_compute_done + p.exposed_comm,
-                    step_done: done,
-                });
-            }
             step_done_history.push(done);
             step_done = done;
             if iter == warmup_iters - 1 {
@@ -653,13 +607,7 @@ impl<'a> Simulator<'a> {
         let step_time = measured_span.scale(1.0 / measure_iters as f64);
         let data_stall = measured_stall.scale(1.0 / measure_iters as f64);
 
-        let trace = trace_records.map(|iterations| crate::trace::RunTrace {
-            iterations,
-            warmup: warmup_iters,
-        });
-
-        let report = self.finish(job, &p, step_time, data_stall)?;
-        Ok((report, trace))
+        self.finish(job, &p, step_time, data_stall)
     }
 
     /// Replay the warmup fill exactly, then try to prove the measured
@@ -777,8 +725,10 @@ impl<'a> Simulator<'a> {
         data_stall: Seconds,
     ) -> Result<StepReport, SimError> {
         // --- derived accounting --------------------------------------------
-        // Launch gaps leave SMs idle ~40% of the time (dmon counts a GPU
-        // busy whenever any kernel is resident).
+        // Busy time, which Table V reports as GPU %: the priced kernels,
+        // the optimizer and the exposed all-reduce count in full, and the
+        // fixed launch/dispatch window counts a quarter busy, since SMs
+        // idle between its short kernels for the rest of it.
         const OVERHEAD_BUSY_FRACTION: f64 = 0.25;
         let busy_per_gpu = (p.compute_time - p.launch_overhead)
             + p.launch_overhead.scale(OVERHEAD_BUSY_FRACTION)
@@ -890,7 +840,7 @@ mod tests {
         .build()
     }
 
-    /// Shorthand for the untraced single-report path the old `run` offered.
+    /// Shorthand for the single-report path the old `run` offered.
     fn step(sim: &Simulator<'_>, job: &TrainingJob, gpus: &[u32]) -> Result<StepReport, SimError> {
         sim.execute(&RunSpec::new(job.clone(), gpus))
             .map(|outcome| outcome.report)
@@ -1120,21 +1070,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn execute_returns_trace_only_when_requested() {
-        let system = SystemId::C4140K.spec();
-        let sim = Simulator::new(&system);
-        let plain = sim
-            .execute(&RunSpec::on_first(resnet_job(), 2))
-            .unwrap();
-        assert!(plain.trace.is_none());
-        let traced = sim
-            .execute(&RunSpec::on_first(resnet_job(), 2).traced())
-            .unwrap();
-        let trace = traced.trace.expect("trace requested");
-        assert_eq!(trace.iterations.len() as u64, WARMUP_ITERS + MEASURE_ITERS);
-        assert_eq!(traced.report, plain.report);
     }
 }

@@ -51,7 +51,6 @@ pub mod engine;
 pub mod fault;
 pub mod job;
 pub mod kernel;
-pub mod trace;
 pub mod training;
 
 pub use allreduce::AllReduceAlgorithm;
@@ -64,5 +63,4 @@ pub use fault::{
 };
 pub use job::{ConvergenceModel, TrainingJob, TrainingJobBuilder};
 pub use kernel::{Efficiency, KernelTimer};
-pub use trace::{GpuPhases, IterationRecord, RunTrace};
 pub use training::{outcome_from_step, train, train_on_first, TrainingOutcome};

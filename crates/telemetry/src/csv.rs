@@ -1,30 +1,11 @@
-//! CSV export, mirroring `dstat --output` and `nvidia-smi dmon` logs.
+//! CSV export of the PCA input matrix.
 //!
-//! The paper's workflow exports sampler output to comma-separated values
-//! "for further analysis"; these helpers write the same shape so downstream
-//! tooling (or a spreadsheet) can consume simulated runs identically.
+//! The paper's workflow exports profiler output to comma-separated values
+//! "for further analysis"; this helper writes the §IV-A feature matrix in
+//! that shape so downstream tooling (or a spreadsheet) can consume it.
 
 use crate::characteristics::{WorkloadCharacteristics, FEATURE_NAMES};
-use crate::sampler::Sample;
 use std::fmt::Write as _;
-
-/// Render sampler ticks as a `dstat`-style CSV document.
-pub fn samples_to_csv(samples: &[Sample]) -> String {
-    let mut out = String::from("time_s,gpu_pct,pcie_mbps,nvlink_mbps,dram_mb\n");
-    for s in samples {
-        writeln!(
-            out,
-            "{:.4},{:.2},{:.1},{:.1},{:.0}",
-            s.t.as_secs(),
-            s.gpu_pct,
-            s.pcie_mbps,
-            s.nvlink_mbps,
-            s.dram_mb
-        )
-        .expect("writing to a String cannot fail");
-    }
-    out
-}
 
 /// Render workload-characteristics rows (the PCA input matrix) as CSV.
 pub fn characteristics_to_csv(rows: &[WorkloadCharacteristics]) -> String {
@@ -57,32 +38,6 @@ pub fn characteristics_to_csv(rows: &[WorkloadCharacteristics]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlperf_hw::units::Seconds;
-
-    #[test]
-    fn samples_csv_has_header_and_rows() {
-        let samples = vec![
-            Sample {
-                t: Seconds::ZERO,
-                gpu_pct: 50.0,
-                pcie_mbps: 10.0,
-                nvlink_mbps: 0.0,
-                dram_mb: 4096.0,
-            },
-            Sample {
-                t: Seconds::new(1.0),
-                gpu_pct: 100.0,
-                pcie_mbps: 20.0,
-                nvlink_mbps: 5.0,
-                dram_mb: 4096.0,
-            },
-        ];
-        let csv = samples_to_csv(&samples);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("time_s,"));
-        assert!(lines[2].starts_with("1.0000,100.00"));
-    }
 
     #[test]
     fn characteristics_csv_round_trips_columns() {
@@ -101,7 +56,6 @@ mod tests {
 
     #[test]
     fn empty_inputs_yield_header_only() {
-        assert_eq!(samples_to_csv(&[]).lines().count(), 1);
         assert_eq!(characteristics_to_csv(&[]).lines().count(), 1);
     }
 }

@@ -3,29 +3,21 @@
 //! The study instruments real training with `nvprof` (kernel FLOP and
 //! memory-transaction counts), `dstat` (CPU/DRAM time series), and
 //! `nvidia-smi dmon` (per-GPU SM/HBM/PCIe/NVLink counters). This crate
-//! reads the same quantities out of the simulation engine:
+//! derives the same quantities from the engine's models rather than by
+//! sampling:
 //!
 //! * [`nvprof`] — [`KernelProfile`]: per-kernel FLOPs/bytes, arithmetic
 //!   intensity, sustained throughput (the Fig. 2 coordinates);
-//! * [`usage`] — [`ResourceUsage`]: the six Table V columns;
-//! * [`sampler`] — periodic `dstat`/`dmon`-style ticks over a steady-state
-//!   step cycle;
-//! * [`dmon`] / [`dstat`] — high-fidelity per-GPU and host loggers that
-//!   replay exact engine [`RunTrace`](mlperf_sim::RunTrace)s;
+//! * [`usage`] — [`ResourceUsage`]: the six Table V columns, closed-form
+//!   accounting over one steady-state [`StepReport`](mlperf_sim::StepReport);
 //! * [`characteristics`] — the 8-feature vector §IV-A feeds to PCA;
 //! * [`csv`] — CSV export matching the paper's analysis workflow.
 
 pub mod characteristics;
 pub mod csv;
-pub mod dmon;
-pub mod dstat;
 pub mod nvprof;
-pub mod sampler;
 pub mod usage;
 
 pub use characteristics::{WorkloadCharacteristics, FEATURE_NAMES};
-pub use dmon::{DmonLog, DmonRow};
-pub use dstat::{DstatLog, DstatRow};
 pub use nvprof::{KernelProfile, KernelRecord};
-pub use sampler::{Sample, Sampler};
 pub use usage::ResourceUsage;

@@ -1,10 +1,10 @@
 //! FNV-1a — the workspace's one stable, in-tree content hash.
 //!
-//! The fault study's trace fingerprint, the shard checksum, the seeded
-//! replication streams and the serve coalescing key all route here. The
-//! persistent artifact cache (`mlperf-core::sweep`) also keys on it, so
-//! the constants below are a compatibility contract: the reference
-//! vectors in this module pin them.
+//! The fault study's trace fingerprint, the seeded replication streams
+//! and the serve coalescing key all route here. The persistent artifact
+//! cache (`mlperf-core::sweep`) also keys on it, so the constants below
+//! are a compatibility contract: the reference vectors in this module
+//! pin them.
 //!
 //! FNV-1a is not cryptographic — it is used for cache addressing, stream
 //! splitting, and regression fingerprints, where speed, zero dependencies,
@@ -14,10 +14,6 @@
 pub const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 pub const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
-/// FNV-1a 32-bit offset basis.
-pub const FNV32_OFFSET: u32 = 0x811c_9dc5;
-/// FNV-1a 32-bit prime.
-pub const FNV32_PRIME: u32 = 0x0100_0193;
 
 /// FNV-1a, 64-bit, over raw bytes.
 #[must_use]
@@ -31,17 +27,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 #[must_use]
 pub fn fnv1a64_str(s: &str) -> u64 {
     fnv1a64(s.as_bytes())
-}
-
-/// FNV-1a, 32-bit, over raw bytes (the shard-checksum width).
-#[must_use]
-pub fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h = FNV32_OFFSET;
-    for &b in bytes {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(FNV32_PRIME);
-    }
-    h
 }
 
 /// Incremental FNV-1a 64-bit hasher, for keys assembled from several
@@ -97,13 +82,6 @@ mod tests {
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
         assert_eq!(fnv1a64_str("foobar"), fnv1a64(b"foobar"));
-    }
-
-    #[test]
-    fn fnv32_reference_vectors() {
-        assert_eq!(fnv1a32(b""), 0x811c_9dc5);
-        assert_eq!(fnv1a32(b"a"), 0xe40c_292c);
-        assert_eq!(fnv1a32(b"foobar"), 0xbf9c_f968);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! reaching for crates.io. Seven modules:
 //!
 //! * [`rng`] — a seedable SplitMix64-seeded xoshiro256++ PRNG with
-//!   stream-splitting, so every shard / record / test case draws from an
-//!   independent, replayable stream;
+//!   stream-splitting, so every replication run, load client and test
+//!   case draws from an independent, replayable stream;
 //! * [`prop`] — a minimal property-testing harness (generators, a
 //!   [`properties!`](crate::properties) macro close to `proptest!`, greedy
 //!   draw-stream shrinking, failure-seed reporting);
@@ -23,10 +23,9 @@
 //! * [`loadgen`] — seeded client-workload plans (skewed hot-subset draws
 //!   over an abstract query vocabulary) for replayable load tests of
 //!   long-lived services;
-//! * [`hash`] — the workspace's single FNV-1a implementation (64- and
-//!   32-bit, with published reference vectors): trace fingerprints,
-//!   shard checksums, replication streams, and the persistent artifact
-//!   cache all key on it.
+//! * [`hash`] — the workspace's single FNV-1a implementation (64-bit,
+//!   with published reference vectors): trace fingerprints, replication
+//!   streams, and the persistent artifact cache all key on it.
 //!
 //! The whole workspace builds and tests offline because of this crate: it
 //! has **zero dependencies** by design. See DESIGN.md §"Offline build &

@@ -4,14 +4,14 @@
 //! 256-bit state filled from successive SplitMix64 outputs of the seed —
 //! the seeding procedure the xoshiro authors recommend. Both algorithms
 //! are pinned by reference vectors in `tests/self_tests.rs`, so the byte
-//! streams tests and synthetic datasets depend on can never drift
-//! silently.
+//! streams that tests, fault plans and seeded replication depend on can
+//! never drift silently.
 //!
 //! Stream splitting: [`Rng::stream`] derives an independent generator
 //! from `(seed, stream)` by mixing both through the SplitMix64 finalizer.
-//! Per-shard / per-record generators built this way are random-access —
-//! record *i* of a dataset is a pure function of `(seed, i)`, regardless
-//! of generation order.
+//! Generators built this way are random-access — replication run *r* of a
+//! cell, or load-generator client *c*, is a pure function of its seed and
+//! stream id, regardless of the order the streams are drawn in.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -60,7 +60,7 @@ impl Rng {
     ///
     /// `stream(s, a)` and `stream(s, b)` are uncorrelated for `a != b`,
     /// and each is a pure function of its arguments — the basis for
-    /// per-shard and per-record determinism.
+    /// per-run and per-client determinism.
     pub fn stream(seed: u64, stream: u64) -> Self {
         Rng::new(mix64(seed) ^ mix64(!stream))
     }

@@ -6,7 +6,8 @@
 //! algorithms; the first SplitMix64 output for seed 0
 //! (`0xE220A8397B1DCDAF`) also matches the widely circulated C test
 //! vector. If any of these tests fail, the byte streams under every
-//! seeded test and synthetic dataset in the workspace have drifted.
+//! seeded test, fault plan and replication run in the workspace have
+//! drifted.
 
 use mlperf_testkit::prop::{self, *};
 use mlperf_testkit::rng::{mix64, splitmix64, Rng};

@@ -1,8 +1,7 @@
-//! Precision study: AMP vs FP32 end to end, with a dmon-style CSV trace.
+//! Precision study: AMP vs FP32 end to end.
 //!
-//! Reruns the Fig. 3 comparison for a chosen benchmark, places both runs on
-//! the V100 roofline, and exports a sampled telemetry trace the way the
-//! paper's `dstat --output` workflow would.
+//! Reruns the Fig. 3 comparison for a chosen benchmark and places both runs
+//! on the V100 roofline.
 //!
 //! ```text
 //! cargo run --release --example precision_study -- MLPf_SSD_Py
@@ -11,11 +10,10 @@
 use mlperf_analysis::roofline::RooflineModel;
 use mlperf_hw::gpu::Precision;
 use mlperf_hw::systems::SystemId;
-use mlperf_hw::units::Seconds;
 use mlperf_models::PrecisionPolicy;
 use mlperf_sim::{train_on_first, Simulator};
 use mlperf_suite::BenchmarkId;
-use mlperf_telemetry::{csv, KernelProfile, Sampler};
+use mlperf_telemetry::KernelProfile;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let wanted = std::env::args()
@@ -64,19 +62,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nmixed-precision speedup: {:.2}x",
         throughputs[0] / throughputs[1]
-    );
-
-    // Export a 200-tick dmon trace of the AMP run.
-    let step = train_on_first(&sim, &amp, 8)?.step;
-    let period = Seconds::new(step.step_time.as_secs() / 10.0);
-    let samples = Sampler::new(step, period).collect(200);
-    let trace = csv::samples_to_csv(&samples);
-    let path = std::env::temp_dir().join("precision_study_trace.csv");
-    std::fs::write(&path, &trace)?;
-    println!(
-        "wrote {} sampler ticks to {}",
-        samples.len(),
-        path.display()
     );
     Ok(())
 }

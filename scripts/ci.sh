@@ -323,6 +323,17 @@ set -e
     || { echo "out-of-range MLPERF_RUNS must fail fast (exit 1), got $runs_status" >&2; exit 1; }
 grep -q "MLPERF_RUNS" "$report_tmp/runs_bad.log" \
     || { echo "malformed-knob error does not name MLPERF_RUNS" >&2; exit 1; }
+# A chaos target that names no experiment fails fast too, instead of
+# injecting nothing and passing the chaos gate vacuously.
+set +e
+MLPERF_CHAOS=figure33 cargo run -q --release --offline -p mlperf-suite --bin repro -- \
+    --list >/dev/null 2>"$report_tmp/chaos_bad.log"
+chaos_bad_status=$?
+set -e
+[ "$chaos_bad_status" -eq 1 ] \
+    || { echo "unknown MLPERF_CHAOS target must fail fast (exit 1), got $chaos_bad_status" >&2; exit 1; }
+grep -q "MLPERF_CHAOS" "$report_tmp/chaos_bad.log" \
+    || { echo "malformed-knob error does not name MLPERF_CHAOS" >&2; exit 1; }
 
 echo "== serve smoke: daemon up, seeded replay byte-identical, clean shutdown =="
 # The query server (DESIGN.md §2f): start the daemon on a scratch socket,

@@ -3,11 +3,10 @@
 use mlperf_analysis::pca::Pca;
 use mlperf_analysis::roofline::RooflineModel;
 use mlperf_hw::systems::SystemId;
-use mlperf_hw::units::Seconds;
 use mlperf_sim::allreduce::AllReduceAlgorithm;
 use mlperf_sim::{train_on_first, RunSpec, Simulator};
 use mlperf_suite::{BenchmarkId, WorkloadSpec};
-use mlperf_telemetry::{csv, KernelProfile, ResourceUsage, Sampler};
+use mlperf_telemetry::KernelProfile;
 
 #[test]
 fn every_benchmark_trains_on_every_multi_gpu_platform() {
@@ -53,31 +52,6 @@ fn telemetry_composes_with_analysis() {
     let pca = Pca::fit(&feature_rows);
     let total: f64 = pca.explained_variance_ratio().iter().sum();
     assert!((total - 1.0).abs() < 1e-9);
-}
-
-#[test]
-fn sampler_csv_round_trip_has_consistent_averages() {
-    let system = SystemId::C4140K.spec();
-    let job = BenchmarkId::MlpfSsdPy.job();
-    let step = Simulator::new(&system)
-        .execute(&RunSpec::on_first(job, 2))
-        .expect("run succeeds")
-        .report;
-    let usage = ResourceUsage::from_step(&system, &step);
-
-    let period = Seconds::new(step.step_time.as_secs() / 50.0);
-    let sampler = Sampler::new(step, period);
-    let samples = sampler.collect(500);
-    let text = csv::samples_to_csv(&samples);
-    assert_eq!(text.lines().count(), 501);
-
-    // The sampled mean GPU activity should approximate the usage row.
-    let mean_gpu: f64 = samples.iter().map(|s| s.gpu_pct).sum::<f64>() / samples.len() as f64;
-    assert!(
-        (mean_gpu - usage.gpu_util_pct).abs() < 25.0,
-        "sampled {mean_gpu:.1} vs usage {:.1}",
-        usage.gpu_util_pct
-    );
 }
 
 #[test]
