@@ -64,7 +64,7 @@ use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
@@ -231,6 +231,13 @@ impl CacheStats {
     }
 }
 
+/// Interned platform specs: one slot per [`SystemId`] variant, indexed by
+/// discriminant (`Dgx1V`, outside [`SystemId::ALL`], is the last variant).
+const SYSTEM_SLOTS: usize = SystemId::Dgx1V as usize + 1;
+/// Interned template jobs: a tuned and a reference slot per
+/// [`BenchmarkId`] variant ([`BenchmarkId::ALL`] lists every one).
+const TEMPLATE_SLOTS: usize = 2 * BenchmarkId::ALL.len();
+
 /// Key of one roofline pre-screen verdict: (benchmark, reference,
 /// system, precision, gpus, partition).
 type ScreenKey = (
@@ -259,13 +266,14 @@ pub struct Ctx {
     /// cleared. Lets [`Ctx::charge`] skip the budget lock entirely in
     /// the common budget-free case (it runs once per priced sweep cell).
     budget_armed: AtomicBool,
-    /// Interned platform specs: building a [`SystemSpec`] walks the whole
-    /// topology, which a million-cell sweep must not repeat per cell.
-    systems: Mutex<HashMap<SystemId, Arc<SystemSpec>>>,
-    /// Interned benchmark template jobs (tuned and reference): cloning a
-    /// template is an `Arc` bump on the model graph, where rebuilding one
-    /// re-allocates the whole operator list per cell.
-    templates: Mutex<HashMap<(BenchmarkId, bool), Arc<TrainingJob>>>,
+    /// Interned platform specs, built on first use: building a
+    /// [`SystemSpec`] and routing its topology must not repeat per cell.
+    /// Lock-free to read, so sweep workers share nothing but the spec.
+    systems: [OnceLock<Arc<SystemSpec>>; SYSTEM_SLOTS],
+    /// Interned benchmark template jobs (tuned, then reference, per
+    /// benchmark): cloning a template is an `Arc` bump on the model graph,
+    /// where rebuilding one re-allocates the whole operator list per cell.
+    templates: [OnceLock<TrainingJob>; TEMPLATE_SLOTS],
     /// Whether the engine's analytic fast path may be attempted at all
     /// (off only in the differential tests' reference contexts).
     fastpath: bool,
@@ -326,8 +334,8 @@ impl Ctx {
             memoize: true,
             budgets: Mutex::new(HashMap::new()),
             budget_armed: AtomicBool::new(false),
-            systems: Mutex::new(HashMap::new()),
-            templates: Mutex::new(HashMap::new()),
+            systems: [const { OnceLock::new() }; SYSTEM_SLOTS],
+            templates: [const { OnceLock::new() }; TEMPLATE_SLOTS],
             fastpath: true,
             fast_screen: Mutex::new(HashMap::new()),
             fast_attempts: AtomicU64::new(0),
@@ -392,34 +400,32 @@ impl Ctx {
 
     /// The interned platform spec for `id`.
     pub fn system_spec(&self, id: SystemId) -> Arc<SystemSpec> {
-        Arc::clone(
-            lock(&self.systems)
-                .entry(id)
-                .or_insert_with(|| Arc::new(id.spec())),
-        )
+        Arc::clone(self.system(id))
+    }
+
+    /// The interned spec, borrowed: the per-cell lane reads it without
+    /// touching the reference count every worker shares.
+    fn system(&self, id: SystemId) -> &Arc<SystemSpec> {
+        self.systems[id as usize].get_or_init(|| Arc::new(id.spec()))
     }
 
     /// The interned template job for a benchmark (tuned or reference
     /// implementation), shared across every cell that starts from it.
-    pub fn base_job(&self, benchmark: BenchmarkId, reference: bool) -> Arc<TrainingJob> {
-        Arc::clone(
-            lock(&self.templates)
-                .entry((benchmark, reference))
-                .or_insert_with(|| {
-                    Arc::new(if reference {
-                        benchmark.reference_job()
-                    } else {
-                        benchmark.job()
-                    })
-                }),
-        )
+    pub fn base_job(&self, benchmark: BenchmarkId, reference: bool) -> &TrainingJob {
+        self.templates[2 * benchmark as usize + usize::from(reference)].get_or_init(|| {
+            if reference {
+                benchmark.reference_job()
+            } else {
+                benchmark.job()
+            }
+        })
     }
 
-    /// Materialize a point's job from the interned template: an `Arc`
-    /// bump plus the override clones, instead of rebuilding the model
-    /// graph from the zoo per request.
+    /// Materialize a point's job from the interned template: one clone
+    /// (`Arc` bumps on the model graph), the overrides applied in place,
+    /// instead of rebuilding the model graph from the zoo per request.
     fn job_for(&self, point: &TrainPoint) -> TrainingJob {
-        let mut job = (*self.base_job(point.benchmark, point.reference)).clone();
+        let mut job = self.base_job(point.benchmark, point.reference).clone();
         if let Some(p) = point.precision {
             job = job.with_precision(p);
         }
@@ -441,8 +447,8 @@ impl Ctx {
     ///
     /// As [`Simulator::preflight`].
     pub fn preflight(&self, point: &TrainPoint) -> Result<Bytes, SimError> {
-        let system = self.system_spec(point.system);
-        Simulator::new(&system).preflight(&self.job_for(point), Ctx::ordinals(&system, point.gpus))
+        let system = self.system(point.system);
+        Simulator::new(system).preflight(&self.job_for(point), Ctx::ordinals(system, point.gpus))
     }
 
     /// The GPU set a point runs on: the system's first `gpus` ordinals,
@@ -568,15 +574,15 @@ impl Ctx {
 
     fn step_for(&self, point: &TrainPoint, job: &TrainingJob) -> Result<StepReport, SimError> {
         self.charge(1);
-        let system = self.system_spec(point.system);
+        let system = self.system(point.system);
         let simulate = || {
-            let sim = Simulator::new(&system);
-            let gpus = Ctx::ordinals(&system, point.gpus);
+            let sim = Simulator::new(system);
+            let gpus = Ctx::ordinals(system, point.gpus);
             // The fast path runs *inside* the memo closure, so hit/miss
             // counters and memoization behavior are identical either way;
             // its result is bit-identical to `execute` by contract
             // (differentially pinned), so so are the cached bytes.
-            if self.fastpath && self.fast_screen(point, job, &system) {
+            if self.fastpath && self.fast_screen(point, job, system) {
                 match sim.execute_fast_on(job, gpus) {
                     Ok(Some(outcome)) => {
                         self.fast_attempts.fetch_add(1, Ordering::Relaxed);
@@ -600,7 +606,7 @@ impl Ctx {
             self.uncached.fetch_add(1, Ordering::Relaxed);
             return simulate();
         }
-        let window = Simulator::new(&system).window();
+        let window = Simulator::new(system).window();
         self.steps.get_or_compute(point.key(job, window), simulate)
     }
 
@@ -640,8 +646,10 @@ impl Ctx {
         // Clone the interned template instead of rebuilding it from the
         // zoo — the verdict is per-combo, but a strided sweep can visit
         // hundreds of combos.
-        let template =
-            (*self.base_job(point.benchmark, point.reference)).clone().with_precision(precision);
+        let template = self
+            .base_job(point.benchmark, point.reference)
+            .clone()
+            .with_precision(precision);
         let k = point.gpus as u64;
         let batch = template.effective_per_gpu_batch(k.max(1));
         let pass = template
@@ -719,13 +727,13 @@ impl Ctx {
                 let outcome = self.outcome(&TrainPoint::new(id, system, gpus))?;
                 Ok(workloads::trainable_from_outcome(
                     id,
-                    &self.system_spec(system),
+                    self.system(system),
                     &outcome,
                 ))
             }
             WorkloadSpec::DeepBench(id) => {
                 self.charge(1);
-                let compute = || workloads::run(spec, &self.system_spec(system), gpus);
+                let compute = || workloads::run(spec, self.system(system), gpus);
                 if !self.memoize {
                     self.uncached.fetch_add(1, Ordering::Relaxed);
                     return compute();
@@ -751,8 +759,8 @@ impl Ctx {
     ) -> Result<TrainingOutcome, SimError> {
         self.charge(1);
         self.uncached.fetch_add(1, Ordering::Relaxed);
-        let spec = self.system_spec(system);
-        train(&Simulator::new(&spec), job, Ctx::ordinals(&spec, gpus))
+        let spec = self.system(system);
+        train(&Simulator::new(spec), job, Ctx::ordinals(spec, gpus))
     }
 
     /// A completed dependency's payload, if the executor stored one of

@@ -36,6 +36,7 @@ impl Knob {
 
     /// Apply a multiplicative factor to this knob on a job copy.
     fn scaled(self, job: &TrainingJob, factor: f64) -> TrainingJob {
+        let job = job.clone();
         match self {
             Knob::TensorEfficiency => {
                 let e = job.efficiency();
@@ -54,7 +55,8 @@ impl Knob {
                 ))
             }
             Knob::CommOverlap => {
-                job.with_comm_overlap((job.comm_overlap() * factor).clamp(0.0, 1.0))
+                let overlap = (job.comm_overlap() * factor).clamp(0.0, 1.0);
+                job.with_comm_overlap(overlap)
             }
         }
     }

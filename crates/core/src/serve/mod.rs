@@ -583,7 +583,8 @@ impl Server {
             // miss runs inline on this thread) and must not charge a
             // *different* client whose identical query got here first.
             let _quiet = self.ctx.suspend_budget();
-            sweep::encode_outcome(&sweep::run_cell(&self.ctx, spec, self.cache.as_ref()).outcome)
+            let (outcome, _) = sweep::run_cell(&self.ctx, spec, self.cache.as_ref());
+            sweep::encode_outcome(&outcome.map_err(CellError::from))
         });
         let frame = match sweep::decode_outcome(spec.kind, sweep::effective_runs(&self.ctx, spec), &bytes) {
             Some(Ok(value)) => {

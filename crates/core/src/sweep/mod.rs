@@ -284,19 +284,23 @@ pub struct CellError {
     pub sim: Option<SimError>,
 }
 
+/// The stable kind token of a simulator error.
+fn sim_kind(e: &SimError) -> &'static str {
+    match e {
+        SimError::OutOfMemory { .. } => "oom",
+        SimError::NonFinite { .. } => "non-finite",
+        SimError::BadGpuSet(_) => "bad-gpu-set",
+        SimError::Topology(_) => "topology",
+        SimError::Partition(_) => "bad-partition",
+    }
+}
+
 impl CellError {
     /// Wrap a typed simulator error as a cell outcome: stable kind
     /// token plus the formatted message rows and caches carry.
     pub fn from_sim(e: SimError) -> CellError {
-        let kind = match &e {
-            SimError::OutOfMemory { .. } => "oom",
-            SimError::NonFinite { .. } => "non-finite",
-            SimError::BadGpuSet(_) => "bad-gpu-set",
-            SimError::Topology(_) => "topology",
-            SimError::Partition(_) => "bad-partition",
-        };
         CellError {
-            kind: kind.to_string(),
+            kind: sim_kind(&e).to_string(),
             message: e.to_string(),
             sim: Some(e),
         }
@@ -322,6 +326,50 @@ impl CellError {
         self.sim.clone().unwrap_or(SimError::NonFinite {
             context: self.message.clone(),
         })
+    }
+}
+
+/// Why a cell produced no value, as the pricing lane leaves it: a
+/// simulator error stays unformatted until something reads its message
+/// (`price_cell`'s caller, a cache entry, a serve frame). A streamed CSV
+/// row reads only the kind token, so a sweep without a cache never
+/// formats one.
+pub(crate) enum Failure {
+    /// The simulator's typed verdict.
+    Sim(SimError),
+    /// An error that is already a [`CellError`]: an invalid spec, a
+    /// replication fault, or an outcome loaded from the disk cache.
+    Cell(CellError),
+}
+
+impl Failure {
+    /// The stable kind token, without formatting the message.
+    fn kind(&self) -> &str {
+        match self {
+            Failure::Sim(e) => sim_kind(e),
+            Failure::Cell(e) => &e.kind,
+        }
+    }
+}
+
+impl From<SimError> for Failure {
+    fn from(e: SimError) -> Failure {
+        Failure::Sim(e)
+    }
+}
+
+impl From<CellError> for Failure {
+    fn from(e: CellError) -> Failure {
+        Failure::Cell(e)
+    }
+}
+
+impl From<Failure> for CellError {
+    fn from(f: Failure) -> CellError {
+        match f {
+            Failure::Sim(e) => CellError::from_sim(e),
+            Failure::Cell(e) => e,
+        }
     }
 }
 
@@ -584,10 +632,16 @@ pub fn effective_runs(ctx: &Ctx, spec: &CellSpec) -> u32 {
 /// A [`CellError`]: `invalid-spec` when a required dimension is missing,
 /// otherwise the simulator's verdict (`oom`, `non-finite`, ...).
 pub fn price_cell(ctx: &Ctx, spec: &CellSpec) -> Result<CellValue, CellError> {
+    price(ctx, spec).map_err(CellError::from)
+}
+
+/// The one pricing body behind [`price_cell`], [`run_serial`],
+/// [`run_streamed`] and the query server, with its error unformatted.
+fn price(ctx: &Ctx, spec: &CellSpec) -> Result<CellValue, Failure> {
     let point = spec.point()?;
     match spec.kind {
         CellKind::Training => {
-            let (step, outcome) = ctx.step_and_outcome(&point).map_err(CellError::from_sim)?;
+            let (step, outcome) = ctx.step_and_outcome(&point)?;
             // Epochs are charged by the *base* job's convergence model at
             // the cell's effective global batch (matching the batch
             // sweep's original accounting). The interned template stands
@@ -632,21 +686,18 @@ pub fn price_cell(ctx: &Ctx, spec: &CellSpec) -> Result<CellValue, CellError> {
             let choice = spec
                 .interval
                 .ok_or_else(|| CellError::invalid("expected-TTT cell has no interval"))?;
-            let outcome = ctx.outcome(&point).map_err(CellError::from_sim)?;
+            let outcome = ctx.outcome(&point)?;
             let work = outcome.total_time;
             let job = ctx.base_job(point.benchmark, false);
             let probe = CheckpointSpec::new(Seconds::from_minutes(10.0), CHECKPOINT_DEVICE);
-            let write_cost = probe.write_cost(&job);
-            let restart_cost = probe.restart_cost(&job);
+            let write_cost = probe.write_cost(job);
+            let restart_cost = probe.restart_cost(job);
             let mtbf = Seconds::from_hours(mtbf_hours);
             let tau = match choice {
                 IntervalChoice::FixedMin(m) => Seconds::from_minutes(m),
-                IntervalChoice::Daly => {
-                    daly_interval(write_cost, mtbf).map_err(CellError::from_sim)?
-                }
+                IntervalChoice::Daly => daly_interval(write_cost, mtbf)?,
             };
-            let expected = expected_runtime(work, tau, write_cost, restart_cost, mtbf)
-                .map_err(CellError::from_sim)?;
+            let expected = expected_runtime(work, tau, write_cost, restart_cost, mtbf)?;
             Ok(CellValue {
                 values: vec![
                     tau.as_minutes(),
@@ -713,42 +764,37 @@ pub(crate) fn decode_outcome(
 }
 
 /// Price one cell, answering from (and filling) the persistent cache
-/// when one is supplied. Degraded cells are stored **as their error** —
-/// a warm run reproduces the same degraded row, never a fake success.
-pub(crate) fn run_cell(ctx: &Ctx, spec: &CellSpec, cache: Option<&DiskCache>) -> CellResult {
+/// when one is supplied; the flag says whether the cache answered.
+/// Degraded cells are stored **as their error** — a warm run reproduces
+/// the same degraded row, never a fake success. The cache store is the
+/// only step here that formats an error message.
+pub(crate) fn run_cell(
+    ctx: &Ctx,
+    spec: &CellSpec,
+    cache: Option<&DiskCache>,
+) -> (Result<CellValue, Failure>, bool) {
+    let Some(cache) = cache else {
+        return (price(ctx, spec), false);
+    };
+    // The cache entry is keyed by the *effective* run count (spelled only
+    // when replication is on): a context-level MLPERF_RUNS=8 and an
+    // explicit runs=8 override are the same computation and share an
+    // entry, while a single-run cell keys exactly as it did before
+    // replication existed.
     let runs = effective_runs(ctx, spec);
-    let entry_spec: Option<Vec<u8>> = cache.map(|_| {
-        // The cache entry is keyed by the *effective* run count (spelled
-        // only when replication is on): a context-level MLPERF_RUNS=8
-        // and an explicit runs=8 override are the same computation and
-        // share an entry, while a single-run cell keys exactly as it
-        // did before replication existed.
-        let mut keyed = spec.clone();
-        keyed.runs = (runs > 1).then_some(runs);
-        let mut s = b"cell:".to_vec();
-        s.extend_from_slice(&keyed.canonical_bytes());
-        s
-    });
-    if let (Some(cache), Some(entry)) = (cache, entry_spec.as_deref()) {
-        if let Some(outcome) =
-            cache.load(entry).and_then(|b| decode_outcome(spec.kind, runs, &b))
-        {
-            return CellResult {
-                spec: spec.clone(),
-                outcome,
-                from_disk: true,
-            };
-        }
+    let mut keyed = spec.clone();
+    keyed.runs = (runs > 1).then_some(runs);
+    let mut entry = b"cell:".to_vec();
+    entry.extend_from_slice(&keyed.canonical_bytes());
+    if let Some(outcome) = cache
+        .load(&entry)
+        .and_then(|b| decode_outcome(spec.kind, runs, &b))
+    {
+        return (outcome.map_err(Failure::Cell), true);
     }
-    let outcome = price_cell(ctx, spec);
-    if let (Some(cache), Some(entry)) = (cache, entry_spec.as_deref()) {
-        cache.store(entry, &encode_outcome(&outcome));
-    }
-    CellResult {
-        spec: spec.clone(),
-        outcome,
-        from_disk: false,
-    }
+    let outcome = price(ctx, spec).map_err(CellError::from);
+    cache.store(&entry, &encode_outcome(&outcome));
+    (outcome.map_err(Failure::Cell), false)
 }
 
 /// Run a sweep serially on the calling thread (what the experiments do —
@@ -759,7 +805,15 @@ pub fn run_serial(ctx: &Ctx, spec: &SweepSpec, cache: Option<&DiskCache>) -> Swe
         title: spec.title,
         kind: spec.kind,
         cells: (0..spec.len())
-            .map(|i| run_cell(ctx, &spec.cell_at(i), cache))
+            .map(|i| {
+                let cell = spec.cell_at(i);
+                let (outcome, from_disk) = run_cell(ctx, &cell, cache);
+                CellResult {
+                    spec: cell,
+                    outcome: outcome.map_err(CellError::from),
+                    from_disk,
+                }
+            })
             .collect(),
     }
 }
@@ -809,11 +863,19 @@ impl Rows {
         self.disk_hits = 0;
     }
 
-    /// Append one cell's row. `runs` must match the header the row goes
-    /// under: it sizes the dash padding of degraded rows; `partitioned`
-    /// likewise gates the partition cell.
-    fn push(&mut self, kind: CellKind, runs: u32, partitioned: bool, cell: &CellResult) {
-        let s = &cell.spec;
+    /// Append one cell's row: its spec, and its values or its error's
+    /// kind token. `runs` must match the header the row goes under: it
+    /// sizes the dash padding of degraded rows; `partitioned` likewise
+    /// gates the partition cell.
+    fn push(
+        &mut self,
+        kind: CellKind,
+        runs: u32,
+        partitioned: bool,
+        s: &CellSpec,
+        outcome: Result<&CellValue, &str>,
+        from_disk: bool,
+    ) {
         let mut row = CsvRecord::new(&mut self.csv);
         row.field(s.workload.map_or("-", BenchmarkId::abbreviation));
         match s.system {
@@ -849,7 +911,7 @@ impl Rows {
                 None => row.field("full"),
             }
         }
-        match &cell.outcome {
+        match outcome {
             Ok(v) => {
                 row.field("ok");
                 for x in v.values() {
@@ -857,20 +919,20 @@ impl Rows {
                 }
                 row.field("-");
             }
-            Err(e) => {
+            Err(error_kind) => {
                 row.field("error");
                 let width = kind.columns().len()
                     + if runs > 1 { kind.run_columns().len() } else { 0 };
                 for _ in 0..width {
                     row.field("-");
                 }
-                row.field(&e.kind);
+                row.field(error_kind);
             }
         }
         row.end();
         self.cells += 1;
-        self.errors += usize::from(cell.outcome.is_err());
-        self.disk_hits += usize::from(cell.from_disk);
+        self.errors += usize::from(outcome.is_err());
+        self.disk_hits += usize::from(from_disk);
     }
 }
 
@@ -926,7 +988,10 @@ pub fn run_streamed(
         |cells, rows: &mut Rows| {
             rows.clear();
             for i in cells {
-                rows.push(spec.kind, runs, partitioned, &run_cell(ctx, &spec.cell_at(i), cache));
+                let cell = spec.cell_at(i);
+                let (outcome, from_disk) = run_cell(ctx, &cell, cache);
+                let outcome = outcome.as_ref().map_err(Failure::kind);
+                rows.push(spec.kind, runs, partitioned, &cell, outcome, from_disk);
             }
         },
         |rows| {
@@ -1103,7 +1168,15 @@ mod tests {
     fn render(run: &SweepRun, runs: u32, partitioned: bool) -> String {
         let mut rows = Rows::default();
         for cell in &run.cells {
-            rows.push(run.kind, runs, partitioned, cell);
+            let outcome = cell.outcome.as_ref().map_err(|e| e.kind.as_str());
+            rows.push(
+                run.kind,
+                runs,
+                partitioned,
+                &cell.spec,
+                outcome,
+                cell.from_disk,
+            );
         }
         let header = crate::report::csv_line(csv_headers(run.kind, runs, partitioned));
         header + std::str::from_utf8(&rows.csv).unwrap()

@@ -236,7 +236,8 @@ fn deepbench(id: DeepBenchId, system: &SystemSpec, n: u32) -> Result<WorkloadRun
                 let mut peer = system
                     .topology()
                     .worst_peer_path(&gpus)
-                    .expect("connected topology");
+                    .expect("connected topology")
+                    .clone();
                 // A saturating collective loop on an NVLink mesh lets NCCL
                 // schedule (n-1) concurrent rings over disjoint links — the
                 // super-linear NVLink counter growth Table V shows for

@@ -159,32 +159,36 @@ fn million_cell_ci_prefix_fingerprint() {
     );
 }
 
-/// The byte reference of the sweep row renderer: the streamed CSV of every
-/// registry sweep at `runs` 1, at `runs` 8 (the replication columns) and
-/// re-based onto a `1of2x2` slice (the `partition` column, as
+/// The pinned streamed CSV fingerprints of every registry sweep: at
+/// `runs` 1, at `runs` 8 (the replication columns) and re-based onto a
+/// `1of2x2` slice (the `partition` column, as
 /// `MLPERF_PARTITION=1of2x2 repro sweep` does). Between them the cases
 /// cover point, expected-TTT, replicated, partitioned and error rows.
-#[test]
-fn registry_sweep_csv_fingerprints() {
+const SWEEP_CSV_PINNED: [(&str, &str, u64); 15] = [
+    ("figure4_scaling", "runs1", 0x9e6f7c7550b361c2),
+    ("figure4_scaling", "runs8", 0x3a272e0b81921ee9),
+    ("figure4_scaling", "1of2x2", 0x4e3e3dd71001fec6),
+    ("batch_wall", "runs1", 0x78b48c5839b43cae),
+    ("batch_wall", "runs8", 0xa04d28643f4c38fe),
+    ("batch_wall", "1of2x2", 0x4f099104bfcca2f1),
+    ("fault_ttt", "runs1", 0x811838071b84a406),
+    ("fault_ttt", "runs8", 0x811838071b84a406),
+    ("fault_ttt", "1of2x2", 0x2841a7fc3b368407),
+    ("million_cell", "runs1", 0x4c343ad7848663f1),
+    ("million_cell", "runs8", 0x99c28dd421edd6d9),
+    ("million_cell", "1of2x2", 0x40950c1315a21d95),
+    ("partition_scaling", "runs1", 0x08cb6f52beda1c4f),
+    ("partition_scaling", "runs8", 0x8ffc435ac045a9ec),
+    ("partition_scaling", "1of2x2", 0x08cb6f52beda1c4f),
+];
+
+/// Every registry sweep in every pinned case, streamed on two workers in
+/// 64-cell shards through `cache`: `(sweep, case, fingerprint)`.
+fn sweep_csv_fingerprints(
+    cache: Option<&mlperf_suite::sweep::DiskCache>,
+) -> Vec<(&'static str, &'static str, u64)> {
     use mlperf_hw::PartitionSpec;
     use mlperf_suite::sweep::{self, AxisValue};
-    const PINNED: [(&str, &str, u64); 15] = [
-        ("figure4_scaling", "runs1", 0x9e6f7c7550b361c2),
-        ("figure4_scaling", "runs8", 0x3a272e0b81921ee9),
-        ("figure4_scaling", "1of2x2", 0x4e3e3dd71001fec6),
-        ("batch_wall", "runs1", 0x78b48c5839b43cae),
-        ("batch_wall", "runs8", 0xa04d28643f4c38fe),
-        ("batch_wall", "1of2x2", 0x4f099104bfcca2f1),
-        ("fault_ttt", "runs1", 0x811838071b84a406),
-        ("fault_ttt", "runs8", 0x811838071b84a406),
-        ("fault_ttt", "1of2x2", 0x2841a7fc3b368407),
-        ("million_cell", "runs1", 0x4c343ad7848663f1),
-        ("million_cell", "runs8", 0x99c28dd421edd6d9),
-        ("million_cell", "1of2x2", 0x40950c1315a21d95),
-        ("partition_scaling", "runs1", 0x08cb6f52beda1c4f),
-        ("partition_scaling", "runs8", 0x8ffc435ac045a9ec),
-        ("partition_scaling", "1of2x2", 0x08cb6f52beda1c4f),
-    ];
     let half = PartitionSpec::parse("1of2x2").expect("valid partition token");
     let mut got = Vec::new();
     for spec in sweep::registry() {
@@ -199,26 +203,67 @@ fn registry_sweep_csv_fingerprints() {
         ];
         for (case, ctx, spec) in cases {
             let mut out = Vec::new();
-            sweep::run_streamed(&Pool::with_workers(2), &ctx, &spec, None, &mut out, 64)
+            sweep::run_streamed(&Pool::with_workers(2), &ctx, &spec, cache, &mut out, 64)
                 .expect("in-memory sink");
             got.push((spec.name, case, fnv1a64(&out)));
         }
     }
+    got
+}
+
+/// Panics with the drifted rows and the current table unless `got`
+/// matches [`SWEEP_CSV_PINNED`].
+fn assert_sweep_csv_pinned(lane: &str, got: &[(&str, &str, u64)]) {
     let drifted: Vec<String> = got
         .iter()
-        .zip(&PINNED)
+        .zip(&SWEEP_CSV_PINNED)
         .filter(|(g, p)| g != p)
         .map(|((name, case, fp), (_, _, want))| {
             format!("{name} {case}: got {fp:#018x}, want {want:#018x}")
         })
         .collect();
     assert!(
-        drifted.is_empty() && got.len() == PINNED.len(),
-        "sweep CSV bytes drifted:\n{}\ncurrent table:\n{}",
+        drifted.is_empty() && got.len() == SWEEP_CSV_PINNED.len(),
+        "{lane} sweep CSV bytes drifted:\n{}\ncurrent table:\n{}",
         drifted.join("\n"),
         got.iter()
-            .map(|(name, case, fp)| format!("        (\"{name}\", \"{case}\", {fp:#018x}),"))
+            .map(|(name, case, fp)| format!("    (\"{name}\", \"{case}\", {fp:#018x}),"))
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+/// The byte reference of the sweep row renderer: the streamed CSV of every
+/// registry sweep without a disk cache.
+#[test]
+fn registry_sweep_csv_fingerprints() {
+    assert_sweep_csv_pinned("uncached", &sweep_csv_fingerprints(None));
+}
+
+/// The cached lane renders the same bytes: a cold cache prices and stores
+/// every cell it has not seen (errors formatted for the entry), a warm one
+/// answers every cell from disk, and both stream the pinned fingerprints.
+#[test]
+fn registry_sweep_csv_fingerprints_through_the_disk_cache() {
+    use mlperf_suite::sweep::DiskCache;
+    let dir = std::env::temp_dir().join(format!("mlperf_conformance_csv_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = DiskCache::open_with_epoch(&dir, 0xC5F).expect("open cache");
+    assert_sweep_csv_pinned("cold-cache", &sweep_csv_fingerprints(Some(&cache)));
+    // Cases that share cells (a partition axis overrides the re-based
+    // slice) hit entries the same pass stored.
+    let cold = cache.stats();
+    assert!(
+        cold.stores > 0 && cold.stores == cold.misses,
+        "cold pass: {cold:?}"
+    );
+    let cache = DiskCache::open_with_epoch(&dir, 0xC5F).expect("reopen cache");
+    assert_sweep_csv_pinned("warm-cache", &sweep_csv_fingerprints(Some(&cache)));
+    let warm = cache.stats();
+    assert_eq!(
+        (warm.hits, warm.misses, warm.stores),
+        (cold.hits + cold.misses, 0, 0),
+        "warm pass: {warm:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -221,6 +221,7 @@ fn ctx_preflight_matches_engine_preflight_on_the_first_n_ordinals() {
                             .with_partition(partition);
                         let job = ctx
                             .base_job(benchmark, false)
+                            .clone()
                             .with_per_gpu_batch(batch)
                             .with_partition(partition);
                         assert_eq!(

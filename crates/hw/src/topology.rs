@@ -33,6 +33,7 @@ use crate::interconnect::Link;
 use crate::units::{Bandwidth, Seconds};
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Opaque handle to a node inside one [`Topology`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -162,6 +163,21 @@ pub struct PeerPath {
     pub path: Path,
 }
 
+impl PeerPath {
+    /// Whether this path ranks below `other` for a collective: a slower
+    /// class, or the same class at lower bandwidth (compared in whole
+    /// bytes per second).
+    pub fn is_worse_than(&self, other: &PeerPath) -> bool {
+        let rank = |p: &PeerPath| {
+            (
+                p.class,
+                std::cmp::Reverse(p.bandwidth.as_bytes_per_sec() as u64),
+            )
+        };
+        rank(self) > rank(other)
+    }
+}
+
 /// Errors raised by topology queries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologyError {
@@ -187,6 +203,45 @@ impl fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
+/// Every GPU's host path and every ordered GPU pair's peer path, routed
+/// together on the first query (see [`Topology::gpu_peer_path`]).
+#[derive(Clone)]
+struct RouteTable {
+    /// Indexed by GPU ordinal.
+    host: Vec<Result<Path, TopologyError>>,
+    /// Indexed by [`RouteTable::slot`]: one entry per ordered pair of
+    /// distinct GPUs.
+    peer: Vec<Result<PeerPath, TopologyError>>,
+}
+
+impl RouteTable {
+    /// Where the ordered pair `(a, b)`, `a != b`, lives in `peer` on a
+    /// chassis of `n` GPUs: row `a`, with the diagonal left out.
+    fn slot(n: usize, a: usize, b: usize) -> usize {
+        a * (n - 1) + if b < a { b } else { b - 1 }
+    }
+}
+
+/// The lazily filled [`RouteTable`]. A function of the graph alone, so it
+/// clones with the topology, is cleared by every edit, is invisible to
+/// equality, and shows in `Debug` only as filled or not.
+#[derive(Clone, Default)]
+struct Routes(OnceLock<RouteTable>);
+
+impl PartialEq for Routes {
+    fn eq(&self, _: &Routes) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for Routes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Routes")
+            .field("filled", &self.0.get().is_some())
+            .finish()
+    }
+}
+
 /// An undirected interconnect graph for one server chassis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
@@ -196,6 +251,7 @@ pub struct Topology {
     adjacency: Vec<Vec<(NodeId, Link)>>,
     gpu_nodes: Vec<NodeId>,
     cpu_nodes: Vec<NodeId>,
+    routes: Routes,
 }
 
 impl Topology {
@@ -207,6 +263,7 @@ impl Topology {
             adjacency: Vec::new(),
             gpu_nodes: Vec::new(),
             cpu_nodes: Vec::new(),
+            routes: Routes::default(),
         }
     }
 
@@ -216,6 +273,7 @@ impl Topology {
     }
 
     fn push_node(&mut self, node: Node) -> NodeId {
+        self.routes = Routes::default();
         let id = NodeId(self.nodes.len());
         self.nodes.push(node);
         self.adjacency.push(Vec::new());
@@ -259,6 +317,7 @@ impl Topology {
             "node id out of range"
         );
         assert_ne!(a, b, "self-loops are not meaningful");
+        self.routes = Routes::default();
         self.adjacency[a.0].push((b, link));
         self.adjacency[b.0].push((a, link));
     }
@@ -362,21 +421,68 @@ impl Topology {
     /// 3. a route crossing a UPI link ⇒ [`P2pClass::ThroughUpi`];
     /// 4. otherwise ⇒ [`P2pClass::ThroughCpu`].
     ///
+    /// The first host- or peer-path query routes every GPU of the chassis
+    /// once; later queries read that table until the graph is edited.
+    ///
     /// # Errors
     ///
     /// Returns [`TopologyError::NoSuchGpu`] for unknown ordinals and
     /// [`TopologyError::Disconnected`] when no route exists.
-    pub fn gpu_peer_path(&self, a: u32, b: u32) -> Result<PeerPath, TopologyError> {
-        let na = *self
-            .gpu_nodes
-            .get(a as usize)
-            .ok_or(TopologyError::NoSuchGpu(a))?;
-        let nb = *self
-            .gpu_nodes
-            .get(b as usize)
-            .ok_or(TopologyError::NoSuchGpu(b))?;
-        assert_ne!(na, nb, "peer path between a GPU and itself is meaningless");
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a == b`.
+    pub fn gpu_peer_path(&self, a: u32, b: u32) -> Result<&PeerPath, TopologyError> {
+        let n = self.gpu_nodes.len();
+        for g in [a, b] {
+            if g as usize >= n {
+                return Err(TopologyError::NoSuchGpu(g));
+            }
+        }
+        assert_ne!(a, b, "peer path between a GPU and itself is meaningless");
+        self.routes().peer[RouteTable::slot(n, a as usize, b as usize)]
+            .as_ref()
+            .map_err(Clone::clone)
+    }
 
+    /// The host route for a GPU: min-hop path to the nearest CPU socket.
+    /// This is the road the input pipeline's H2D copies travel. Read from
+    /// the same table as [`Topology::gpu_peer_path`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TopologyError::NoSuchGpu`], [`TopologyError::NoCpu`], or
+    /// [`TopologyError::Disconnected`] as appropriate.
+    pub fn gpu_host_path(&self, gpu: u32) -> Result<&Path, TopologyError> {
+        if gpu as usize >= self.gpu_nodes.len() {
+            return Err(TopologyError::NoSuchGpu(gpu));
+        }
+        self.routes().host[gpu as usize]
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    /// The route table, filled on first use.
+    fn routes(&self) -> &RouteTable {
+        self.routes.0.get_or_init(|| {
+            let gpus = &self.gpu_nodes;
+            RouteTable {
+                host: gpus.iter().map(|&g| self.host_route(g)).collect(),
+                peer: gpus
+                    .iter()
+                    .flat_map(|&a| {
+                        gpus.iter()
+                            .filter(move |&&b| b != a)
+                            .map(move |&b| self.peer_route(a, b))
+                    })
+                    .collect(),
+            }
+        })
+    }
+
+    /// Classify the route between two distinct GPU nodes (the rules of
+    /// [`Topology::gpu_peer_path`]).
+    fn peer_route(&self, na: NodeId, nb: NodeId) -> Result<PeerPath, TopologyError> {
         // Rule 1: direct NVLink edge.
         if let Some(&(_, link)) = self.adjacency[na.0]
             .iter()
@@ -412,18 +518,9 @@ impl Topology {
         })
     }
 
-    /// The host route for a GPU: min-hop path to the nearest CPU socket.
-    /// This is the road the input pipeline's H2D copies travel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::NoSuchGpu`], [`TopologyError::NoCpu`], or
-    /// [`TopologyError::Disconnected`] as appropriate.
-    pub fn gpu_host_path(&self, gpu: u32) -> Result<Path, TopologyError> {
-        let g = *self
-            .gpu_nodes
-            .get(gpu as usize)
-            .ok_or(TopologyError::NoSuchGpu(gpu))?;
+    /// The min-hop route from a GPU node to its nearest CPU socket (the
+    /// first in socket order among equals).
+    fn host_route(&self, g: NodeId) -> Result<Path, TopologyError> {
         if self.cpu_nodes.is_empty() {
             return Err(TopologyError::NoCpu);
         }
@@ -474,25 +571,13 @@ impl Topology {
     /// # Errors
     ///
     /// Propagates routing errors; errors if `gpus` has fewer than 2 entries.
-    pub fn worst_peer_path(&self, gpus: &[u32]) -> Result<PeerPath, TopologyError> {
+    pub fn worst_peer_path(&self, gpus: &[u32]) -> Result<&PeerPath, TopologyError> {
         assert!(gpus.len() >= 2, "need at least two GPUs for a peer path");
-        let mut worst: Option<PeerPath> = None;
+        let mut worst: Option<&PeerPath> = None;
         for (i, &a) in gpus.iter().enumerate() {
             for &b in &gpus[i + 1..] {
                 let p = self.gpu_peer_path(a, b)?;
-                let replace = match &worst {
-                    None => true,
-                    Some(w) => {
-                        (
-                            p.class,
-                            std::cmp::Reverse(p.bandwidth.as_bytes_per_sec() as u64),
-                        ) > (
-                            w.class,
-                            std::cmp::Reverse(w.bandwidth.as_bytes_per_sec() as u64),
-                        )
-                    }
-                };
-                if replace {
+                if worst.is_none_or(|w| p.is_worse_than(w)) {
                     worst = Some(p);
                 }
             }
@@ -644,6 +729,93 @@ mod tests {
         assert_eq!(worst.class, P2pClass::ThroughCpu);
         let best_subset = t.worst_peer_path(&[0, 1]).unwrap();
         assert_eq!(best_subset.class, P2pClass::NvLinkDirect);
+    }
+
+    type AllRoutes = (
+        Vec<Result<Path, TopologyError>>,
+        Vec<Result<PeerPath, TopologyError>>,
+    );
+
+    /// Every host path and every ordered peer path of `t`, each in ordinal
+    /// order. `backwards` queries the peers first and walks both lists in
+    /// reverse, so the table is filled from the other end.
+    fn all_routes(t: &Topology, backwards: bool) -> AllRoutes {
+        let n = t.gpu_count() as u32;
+        let hosts: Vec<u32> = (0..n).collect();
+        let pairs: Vec<(u32, u32)> = (0..n)
+            .flat_map(|a| (0..n).filter(move |&b| b != a).map(move |b| (a, b)))
+            .collect();
+        let host = |&g: &u32| t.gpu_host_path(g).cloned();
+        let peer = |&(a, b): &(u32, u32)| t.gpu_peer_path(a, b).cloned();
+        if backwards {
+            let mut peers: Vec<_> = pairs.iter().rev().map(peer).collect();
+            let mut hosts: Vec<_> = hosts.iter().rev().map(host).collect();
+            peers.reverse();
+            hosts.reverse();
+            (hosts, peers)
+        } else {
+            (
+                hosts.iter().map(host).collect(),
+                pairs.iter().map(peer).collect(),
+            )
+        }
+    }
+
+    #[test]
+    fn route_table_is_independent_of_query_order_and_survives_clones() {
+        use crate::systems::SystemId;
+        let every = [
+            SystemId::T640,
+            SystemId::C4140B,
+            SystemId::C4140K,
+            SystemId::C4140M,
+            SystemId::R940Xa,
+            SystemId::Dss8440,
+            SystemId::ReferenceP100,
+            SystemId::Dgx1V,
+        ];
+        for id in every {
+            let spec = id.spec();
+            let fresh = spec.topology();
+            let ascending = all_routes(&fresh.clone(), false);
+            let queried = fresh.clone();
+            let descending = all_routes(&queried, true);
+            assert_eq!(ascending, descending, "{id:?}: query order changed a route");
+            assert_eq!(
+                all_routes(&queried.clone(), false),
+                ascending,
+                "{id:?}: filled clone"
+            );
+            assert_eq!(all_routes(fresh, true), ascending, "{id:?}: empty original");
+            assert_eq!(&queried, fresh, "{id:?}: the table is not part of equality");
+            let n = fresh.gpu_count();
+            assert_eq!((ascending.0.len(), ascending.1.len()), (n, n * (n - 1)));
+            assert!(ascending.0.iter().all(Result::is_ok), "{id:?}: host paths");
+            assert!(ascending.1.iter().all(Result::is_ok), "{id:?}: peer paths");
+        }
+    }
+
+    #[test]
+    fn edits_clear_the_route_table() {
+        let mut t = switch_topology();
+        assert_eq!(
+            t.gpu_peer_path(0, 1).unwrap().class,
+            P2pClass::PcieSwitchP2p
+        );
+        assert_eq!(t.gpu_host_path(0).unwrap().hops(), 2);
+        let (g0, g1) = (t.gpus()[0], t.gpus()[1]);
+        t.connect(g0, g1, Link::NvLink { lanes: 2 });
+        assert_eq!(t.gpu_peer_path(0, 1).unwrap().class, P2pClass::NvLinkDirect);
+        // A GPU added after a query is routed on the next one.
+        let cpu = t.cpus()[0];
+        let g2 = t.add_gpu(GpuModel::TeslaV100Pcie16);
+        assert_eq!(
+            t.gpu_host_path(2),
+            Err(TopologyError::Disconnected(g2, cpu))
+        );
+        t.connect(cpu, g2, Link::PCIE3_X16);
+        assert_eq!(t.gpu_host_path(2).unwrap().hops(), 1);
+        assert_eq!(t.gpu_peer_path(2, 0).unwrap().class, P2pClass::ThroughCpu);
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn contention_factor(class: P2pClass, n: u64) -> f64 {
 ///
 /// let system = SystemId::C4140K.spec();
 /// let peer = system.topology().worst_peer_path(&[0, 1, 2, 3])?;
-/// let t = allreduce_time(AllReduceAlgorithm::Ring, Bytes::from_mib(100), 4, &peer);
+/// let t = allreduce_time(AllReduceAlgorithm::Ring, Bytes::from_mib(100), 4, peer);
 /// assert!(t.as_secs() > 0.0);
 /// # Ok::<(), mlperf_hw::TopologyError>(())
 /// ```
@@ -173,8 +173,8 @@ pub fn plan_allreduce(
         }
         parent[x]
     }
-    let mut worst_intra: Option<PeerPath> = None;
-    let mut worst_inter: Option<PeerPath> = None;
+    let mut worst_intra: Option<&PeerPath> = None;
+    let mut worst_inter: Option<&PeerPath> = None;
     let mut pairs = Vec::new();
     for (i, &a) in gpus.iter().enumerate() {
         for (j, &b) in gpus.iter().enumerate().skip(i + 1) {
@@ -195,19 +195,7 @@ pub fn plan_allreduce(
         } else {
             &mut worst_inter
         };
-        let replace = match slot {
-            None => true,
-            Some(w) => {
-                (
-                    p.class,
-                    std::cmp::Reverse(p.bandwidth.as_bytes_per_sec() as u64),
-                ) > (
-                    w.class,
-                    std::cmp::Reverse(w.bandwidth.as_bytes_per_sec() as u64),
-                )
-            }
-        };
-        if replace {
+        if slot.is_none_or(|w| p.is_worse_than(w)) {
             *slot = Some(p);
         }
     }
@@ -218,7 +206,7 @@ pub fn plan_allreduce(
             // Single domain: flat collective.
             let peer = worst_intra.expect("n >= 2 implies at least one pair");
             Ok(CollectivePlan {
-                time: allreduce_time(alg, bytes, n, &peer),
+                time: allreduce_time(alg, bytes, n, peer),
                 worst_class: peer.class,
                 wire_bytes_per_gpu: wire,
             })
@@ -233,12 +221,12 @@ pub fn plan_allreduce(
             let max_domain = domain_sizes.values().copied().max().expect("non-empty");
             let min_domain = domain_sizes.values().copied().min().expect("non-empty");
             let intra_time = match (worst_intra, max_domain) {
-                (Some(peer), k) if k > 1 => allreduce_time(alg, bytes, k, &peer),
+                (Some(peer), k) if k > 1 => allreduce_time(alg, bytes, k, peer),
                 _ => Seconds::ZERO,
             };
             // Each domain leader exchanges its 1/k shard across domains.
             let shard = bytes.scale(1.0 / min_domain.max(1) as f64);
-            let inter_time = allreduce_time(alg, shard, groups, &inter);
+            let inter_time = allreduce_time(alg, shard, groups, inter);
             Ok(CollectivePlan {
                 time: intra_time + inter_time,
                 worst_class: inter.class,
@@ -369,8 +357,7 @@ mod tests {
                 t.connect(cpu, gpu, Link::PcieGen3 { lanes });
             }
             let worst = t.worst_peer_path(&[0, 1, 2, 3]).expect("connected");
-            allreduce_time(AllReduceAlgorithm::Ring, Bytes::from_mib(160), 4, &worst).as_secs()
-                * 1e3
+            allreduce_time(AllReduceAlgorithm::Ring, Bytes::from_mib(160), 4, worst).as_secs() * 1e3
         };
         let (x4, x8, x16) = (ms(4), ms(8), ms(16));
         for (got, want) in [(x4, 300.8), (x8, 150.4), (x16, 75.2)] {

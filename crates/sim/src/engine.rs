@@ -947,7 +947,7 @@ mod tests {
         let system = SystemId::Dss8440.spec();
         let sim = Simulator::new(&system);
         let amp = resnet_job();
-        let fp32 = amp.with_precision(PrecisionPolicy::Fp32);
+        let fp32 = amp.clone().with_precision(PrecisionPolicy::Fp32);
         // Use a smaller batch so FP32 activations fit in 16 GB.
         let r_amp = step_on_first(&sim, &amp, 1);
         let r_fp32 = step_on_first(&sim, &fp32, 1);
@@ -990,7 +990,9 @@ mod tests {
         let system = SystemId::C4140K.spec();
         let sim = Simulator::new(&system);
         let whole = resnet_job();
-        let sliced = whole.with_partition(Some(PartitionSpec::solo(PartitionProfile::Quarter)));
+        let sliced = whole
+            .clone()
+            .with_partition(Some(PartitionSpec::solo(PartitionProfile::Quarter)));
         let r_whole = step(&sim, &whole, &[0]).unwrap();
         let small_sliced = whole
             .with_per_gpu_batch(16)
@@ -1021,7 +1023,7 @@ mod tests {
         let mut last = 0.0;
         for tenants in 1..=4 {
             let spec = PartitionSpec::new(PartitionProfile::Quarter, tenants).unwrap();
-            let r = step(&sim, &base.with_partition(Some(spec)), &[0]).unwrap();
+            let r = step(&sim, &base.clone().with_partition(Some(spec)), &[0]).unwrap();
             assert!(
                 r.step_time.as_secs() > last,
                 "tenants={tenants}: {} not slower than {last}",

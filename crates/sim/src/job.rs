@@ -207,25 +207,25 @@ impl TrainingJob {
         self.precision
     }
 
-    /// A copy of this job at a different precision (for Fig. 3's AMP-vs-FP32
+    /// This job at a different precision (for Fig. 3's AMP-vs-FP32
     /// comparison).
-    pub fn with_precision(&self, precision: PrecisionPolicy) -> TrainingJob {
-        let mut job = self.clone();
-        job.precision = precision;
-        job
+    #[must_use]
+    pub fn with_precision(mut self, precision: PrecisionPolicy) -> TrainingJob {
+        self.precision = precision;
+        self
     }
 
-    /// A copy of this job at a different per-GPU batch size (e.g. the
-    /// smaller batches FP32 reference implementations fit in memory).
+    /// This job at a different per-GPU batch size (e.g. the smaller
+    /// batches FP32 reference implementations fit in memory).
     ///
     /// # Panics
     ///
     /// Panics if `batch` is zero.
-    pub fn with_per_gpu_batch(&self, batch: u64) -> TrainingJob {
+    #[must_use]
+    pub fn with_per_gpu_batch(mut self, batch: u64) -> TrainingJob {
         assert!(batch > 0, "per-GPU batch must be positive");
-        let mut job = self.clone();
-        job.per_gpu_batch = batch;
-        job
+        self.per_gpu_batch = batch;
+        self
     }
 
     /// The MIG-style device slice this job runs on, if any. `None` means
@@ -234,47 +234,46 @@ impl TrainingJob {
         self.partition
     }
 
-    /// A copy of this job placed on a device partition (or back on the
-    /// whole GPU with `None`). The engine slices every GPU the job runs
-    /// on and applies the co-location interference model.
-    pub fn with_partition(&self, partition: Option<PartitionSpec>) -> TrainingJob {
-        let mut job = self.clone();
-        job.partition = partition;
-        job
+    /// This job placed on a device partition (or back on the whole GPU
+    /// with `None`). The engine slices every GPU the job runs on and
+    /// applies the co-location interference model.
+    #[must_use]
+    pub fn with_partition(mut self, partition: Option<PartitionSpec>) -> TrainingJob {
+        self.partition = partition;
+        self
     }
 
-    /// A copy of this job at different sustained efficiencies (e.g. the
+    /// This job at different sustained efficiencies (e.g. the
     /// unoptimized reference implementation instead of the submission).
-    pub fn with_efficiency(&self, efficiency: Efficiency) -> TrainingJob {
-        let mut job = self.clone();
-        job.efficiency = efficiency;
-        job
+    #[must_use]
+    pub fn with_efficiency(mut self, efficiency: Efficiency) -> TrainingJob {
+        self.efficiency = efficiency;
+        self
     }
 
-    /// A copy of this job using a different all-reduce algorithm (ablation).
-    pub fn with_allreduce(&self, alg: AllReduceAlgorithm) -> TrainingJob {
-        let mut job = self.clone();
-        job.allreduce = alg;
-        job
+    /// This job using a different all-reduce algorithm (ablation).
+    #[must_use]
+    pub fn with_allreduce(mut self, alg: AllReduceAlgorithm) -> TrainingJob {
+        self.allreduce = alg;
+        self
     }
 
-    /// A copy of this job with communication/compute overlap disabled
-    /// (ablation).
-    pub fn without_overlap(&self) -> TrainingJob {
+    /// This job with communication/compute overlap disabled (ablation).
+    #[must_use]
+    pub fn without_overlap(self) -> TrainingJob {
         self.with_comm_overlap(0.0)
     }
 
-    /// A copy of this job at a different overlap fraction (sensitivity
-    /// studies).
+    /// This job at a different overlap fraction (sensitivity studies).
     ///
     /// # Panics
     ///
     /// Panics if `overlap` is outside `[0, 1]`.
-    pub fn with_comm_overlap(&self, overlap: f64) -> TrainingJob {
+    #[must_use]
+    pub fn with_comm_overlap(mut self, overlap: f64) -> TrainingJob {
         assert!((0.0..=1.0).contains(&overlap), "overlap must be in [0,1]");
-        let mut job = self.clone();
-        job.comm_overlap = overlap;
-        job
+        self.comm_overlap = overlap;
+        self
     }
 
     /// The convergence model.
@@ -561,7 +560,7 @@ mod tests {
     fn precision_swap_copies() {
         let j = job(64, None);
         assert_eq!(j.precision(), PrecisionPolicy::Amp);
-        let fp32 = j.with_precision(PrecisionPolicy::Fp32);
+        let fp32 = j.clone().with_precision(PrecisionPolicy::Fp32);
         assert_eq!(fp32.precision(), PrecisionPolicy::Fp32);
         assert_eq!(fp32.name(), j.name());
     }

@@ -102,15 +102,6 @@ impl Rng {
         range.sample_from(self)
     }
 
-    /// Fill `dst` with random bytes (little-endian chunks of the `u64`
-    /// stream, so the byte stream is as reproducible as the word stream).
-    pub fn fill_bytes(&mut self, dst: &mut [u8]) {
-        for chunk in dst.chunks_mut(8) {
-            let word = self.gen_u64().to_le_bytes();
-            chunk.copy_from_slice(&word[..chunk.len()]);
-        }
-    }
-
     /// Fisher–Yates shuffle in place.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {

@@ -74,17 +74,6 @@ fn xoshiro256pp_matches_reference_vectors() {
     );
 }
 
-#[test]
-fn fill_bytes_is_the_le_word_stream() {
-    let mut words = Rng::new(9);
-    let mut bytes = Rng::new(9);
-    let mut buf = [0u8; 20];
-    bytes.fill_bytes(&mut buf);
-    assert_eq!(buf[0..8], words.gen_u64().to_le_bytes());
-    assert_eq!(buf[8..16], words.gen_u64().to_le_bytes());
-    assert_eq!(buf[16..20], words.gen_u64().to_le_bytes()[..4]);
-}
-
 // ---------------------------------------------------------------------------
 // rng: gen_range bound semantics
 // ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let amp = benchmark.job();
     // FP32 activations are twice as large: halve the batch so it fits.
     let fp32 = amp
+        .clone()
         .with_precision(PrecisionPolicy::Fp32)
         .with_per_gpu_batch((amp.per_gpu_batch() / 2).max(1));
 

@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t.connect(cpu, g, Link::PCIE3_X8);
     }
     let worst = t.worst_peer_path(&[0, 1, 2, 3])?;
-    let flat = allreduce_time(AllReduceAlgorithm::Ring, grads, 4, &worst);
+    let flat = allreduce_time(AllReduceAlgorithm::Ring, grads, 4, worst);
     println!(
         "  worst path {} at {:.1} GB/s; ring all-reduce {:.1} ms",
         worst.class,
@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         AllReduceAlgorithm::Tree,
         AllReduceAlgorithm::Naive,
     ] {
-        let time = allreduce_time(alg, grads, 4, &worst);
+        let time = allreduce_time(alg, grads, 4, worst);
         println!("  {alg:>5} algorithm: {:.1} ms", time.as_secs() * 1e3);
     }
     Ok(())

@@ -114,6 +114,12 @@ diff -ur "$report_tmp/sweeps_cold" "$report_tmp/sweeps_warm" \
     || { echo "warm sweep CSV bytes differ from cold" >&2; exit 1; }
 grep -q "100% hit rate" "$report_tmp/sweep_warm.log" \
     || { echo "warm sweep run did not report a 100% cache hit rate" >&2; exit 1; }
+# The cached lane formats each error for its entry; the uncached lane
+# prints only the kind token. Both must write the same rows.
+diff -r "$report_tmp/sweeps_j1" "$report_tmp/sweeps_cold" \
+    || { echo "cold cached sweep CSV bytes differ from the --no-cache sweep" >&2; exit 1; }
+diff -r "$report_tmp/sweeps_j1" "$report_tmp/sweeps_warm" \
+    || { echo "warm cached sweep CSV bytes differ from the --no-cache sweep" >&2; exit 1; }
 
 echo "== corruption gate: tampered cache heals to byte-identical output =="
 # The durability model (DESIGN.md "Durability model"): mutilate a

@@ -115,7 +115,7 @@ fn allreduce_algorithms_keep_their_order_through_training() {
         (AllReduceAlgorithm::Naive, 177.6),
         (AllReduceAlgorithm::ParameterServer, 295.2),
     ] {
-        let minutes = train_on_first(&sim, &job.with_allreduce(alg), 4)
+        let minutes = train_on_first(&sim, &job.clone().with_allreduce(alg), 4)
             .expect("run succeeds")
             .total_time
             .as_minutes();

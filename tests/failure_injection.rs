@@ -100,7 +100,7 @@ fn thermal_throttling_stretches_steps() {
     let sim = Simulator::new(&system);
     let base = BenchmarkId::MlpfRes50Mx.job();
     let eff = base.efficiency();
-    let throttled = base.with_efficiency(Efficiency::new(
+    let throttled = base.clone().with_efficiency(Efficiency::new(
         eff.simt * 0.5,
         eff.tensor * 0.5,
         eff.memory * 0.5,
