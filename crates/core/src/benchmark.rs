@@ -40,8 +40,8 @@ impl fmt::Display for Suite {
 /// The trainable benchmarks of the study (Table II, top and middle).
 ///
 /// DeepBench's kernel workloads are not end-to-end training jobs; they are
-/// handled by the unified [`run`](crate::workloads::run) entry point under
-/// [`WorkloadSpec::DeepBench`](crate::workloads::WorkloadSpec).
+/// handled by the unified [`Ctx::workload`](crate::runner::Ctx::workload)
+/// entry point under [`WorkloadSpec::DeepBench`](crate::workloads::WorkloadSpec).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BenchmarkId {
     /// ResNet-50 image classification, TensorFlow (Google submission).

@@ -10,10 +10,7 @@
 use crate::experiments::figure4;
 use crate::report::Table;
 use crate::runner::{Ctx, Decl};
-use mlperf_sim::cluster::{
-    AreaEfficient, Cluster, ClusterJobSpec, ClusterTrace, FcfsWidestFit, GreedyBestFinish,
-    NaiveWidest, SchedulingPolicy, Submission,
-};
+use mlperf_sim::cluster::{Cluster, ClusterJobSpec, ClusterTrace, Policy, Submission};
 use mlperf_sim::SimError;
 
 /// One policy's results on one scenario.
@@ -54,21 +51,14 @@ fn job_specs(ctx: &Ctx) -> Result<Vec<ClusterJobSpec>, SimError> {
 }
 
 fn run_policies(make_subs: impl Fn() -> Vec<Submission>) -> Vec<PolicyResult> {
-    let mut naive = NaiveWidest;
-    let mut greedy = GreedyBestFinish;
-    let mut area = AreaEfficient;
-    let mut fcfs = FcfsWidestFit;
-    let policies: Vec<&mut dyn SchedulingPolicy> =
-        vec![&mut naive, &mut greedy, &mut area, &mut fcfs];
-    policies
+    // The study compares four policies; shortest-job-first runs only in
+    // the fault and co-location studies.
+    Policy::ALL
         .into_iter()
-        .map(|p| {
-            let name = p.name();
-            let trace = Cluster::new(GPUS).run(make_subs(), p);
-            PolicyResult {
-                policy: name,
-                trace,
-            }
+        .filter(|&p| p != Policy::ShortestJobFirst)
+        .map(|p| PolicyResult {
+            policy: p.name(),
+            trace: Cluster::new(GPUS).run(make_subs(), p),
         })
         .collect()
 }

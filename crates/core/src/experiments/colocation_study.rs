@@ -19,8 +19,7 @@ use crate::runner::{Ctx, Decl, ExperimentError};
 use crate::sweep::{self, partition_scaling, CellKind, CellSpec};
 use mlperf_hw::{PartitionProfile, PartitionSpec};
 use mlperf_sim::cluster::{
-    AreaEfficient, Cluster, ClusterJobSpec, ClusterTrace, FcfsWidestFit, GreedyBestFinish,
-    NaiveWidest, PartitionLayout, SchedulingPolicy, ShortestJobFirst, Submission,
+    Cluster, ClusterJobSpec, ClusterTrace, PartitionLayout, Policy, Submission,
 };
 
 /// Training tenant's benchmark (the suite's canonical vision workload).
@@ -143,22 +142,11 @@ pub fn run_ctx(ctx: &Ctx) -> Result<ColocationStudy, ExperimentError> {
         .collect();
     let (specs, skipped) = job_specs(ctx);
     let layout = PartitionLayout::new(LAYOUT_GPUS, LAYOUT_SLICES);
-    let mut naive = NaiveWidest;
-    let mut greedy = GreedyBestFinish;
-    let mut area = AreaEfficient;
-    let mut sjf = ShortestJobFirst;
-    let mut fcfs = FcfsWidestFit;
-    let policies: Vec<&mut dyn SchedulingPolicy> =
-        vec![&mut naive, &mut greedy, &mut area, &mut sjf, &mut fcfs];
-    let policies = policies
+    let policies = Policy::ALL
         .into_iter()
-        .map(|p| {
-            let name = p.name();
-            let trace = Cluster::partitioned(layout).run(submissions(&specs), p);
-            PolicyRow {
-                policy: name,
-                trace,
-            }
+        .map(|p| PolicyRow {
+            policy: p.name(),
+            trace: Cluster::partitioned(layout).run(submissions(&specs), p),
         })
         .collect();
     Ok(ColocationStudy {

@@ -24,10 +24,7 @@ use mlperf_data::storage::StorageDevice;
 use mlperf_hw::systems::SystemId;
 use mlperf_hw::units::Seconds;
 use mlperf_sim::checkpoint::daly_interval;
-use mlperf_sim::cluster::{
-    AreaEfficient, Cluster, ClusterJobSpec, ClusterTrace, FcfsWidestFit, GreedyBestFinish,
-    NaiveWidest, NodeFailure, SchedulingPolicy, ShortestJobFirst, Submission,
-};
+use mlperf_sim::cluster::{Cluster, ClusterJobSpec, ClusterTrace, NodeFailure, Policy, Submission};
 use mlperf_sim::fault::{replay, FaultConfig, FaultPlan, FaultStats, RetryPolicy};
 use mlperf_sim::{CheckpointSpec, SimError};
 use mlperf_testkit::hash::fnv1a64;
@@ -192,21 +189,15 @@ pub fn run_ctx(ctx: &Ctx) -> Result<FaultStudy, SimError> {
         })
         .collect();
     let failure = [NodeFailure::after_minutes(NODE_LOSS_MIN, NODE_LOSS_GPUS)];
-    let mut naive = NaiveWidest;
-    let mut greedy = GreedyBestFinish;
-    let mut area = AreaEfficient;
-    let mut sjf = ShortestJobFirst;
-    let mut fcfs = FcfsWidestFit;
-    let policies: Vec<&mut dyn SchedulingPolicy> =
-        vec![&mut naive, &mut greedy, &mut area, &mut sjf, &mut fcfs];
-    let elastic = policies
+    let elastic = Policy::ALL
         .into_iter()
         .map(|p| {
-            let policy = p.name();
-            let subs: Vec<Submission> =
-                specs.iter().cloned().map(Submission::at_start).collect();
+            let subs: Vec<Submission> = specs.iter().cloned().map(Submission::at_start).collect();
             let trace = Cluster::new(u64::from(GPUS)).run_with_faults(subs, p, &failure);
-            ElasticRow { policy, trace }
+            ElasticRow {
+                policy: p.name(),
+                trace,
+            }
         })
         .collect();
 

@@ -733,7 +733,7 @@ impl Ctx {
             }
             WorkloadSpec::DeepBench(id) => {
                 self.charge(1);
-                let compute = || workloads::run(spec, self.system(system), gpus);
+                let compute = || workloads::deepbench(id, self.system(system), gpus);
                 if !self.memoize {
                     self.uncached.fetch_add(1, Ordering::Relaxed);
                     return compute();

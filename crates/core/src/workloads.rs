@@ -14,7 +14,7 @@ use mlperf_hw::units::{Bytes, Seconds};
 use mlperf_models::zoo::deepbench;
 use mlperf_models::PrecisionPolicy;
 use mlperf_sim::allreduce::{allreduce_time, ring_wire_bytes_per_gpu, AllReduceAlgorithm};
-use mlperf_sim::{train_on_first, Efficiency, KernelTimer, SimError, Simulator};
+use mlperf_sim::{Efficiency, KernelTimer, SimError};
 use mlperf_telemetry::{KernelProfile, ResourceUsage, WorkloadCharacteristics};
 
 /// The DeepBench workloads of Table II (bottom).
@@ -104,31 +104,14 @@ impl WorkloadRun {
     }
 }
 
-/// A workload from any suite, unified behind one [`run`] entry point.
+/// A workload from any suite, unified behind one entry point,
+/// [`Ctx::workload`](crate::runner::Ctx::workload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum WorkloadSpec {
     /// An end-to-end trainable benchmark (MLPerf or DAWNBench).
     Trainable(BenchmarkId),
     /// A DeepBench kernel loop.
     DeepBench(DeepBenchId),
-}
-
-/// Run any workload on the first `gpus` GPUs of a system.
-///
-/// # Errors
-///
-/// Trainable workloads propagate [`SimError`] from the engine. DeepBench
-/// workloads return [`SimError::BadGpuSet`] when `gpus` is zero, exceeds
-/// the system, or names more than one GPU for a single-GPU kernel loop.
-pub fn run(spec: WorkloadSpec, system: &SystemSpec, gpus: u32) -> Result<WorkloadRun, SimError> {
-    match spec {
-        WorkloadSpec::Trainable(id) => {
-            let job = id.job();
-            let outcome = train_on_first(&Simulator::new(system), &job, gpus)?;
-            Ok(trainable_from_outcome(id, system, &outcome))
-        }
-        WorkloadSpec::DeepBench(id) => deepbench(id, system, gpus),
-    }
 }
 
 /// Characterize an already-trained benchmark run. The executor's memo
@@ -163,7 +146,17 @@ fn deepbench_efficiency() -> Efficiency {
     Efficiency::new(0.80, 0.70, 0.85)
 }
 
-fn deepbench(id: DeepBenchId, system: &SystemSpec, n: u32) -> Result<WorkloadRun, SimError> {
+/// Run a DeepBench kernel loop on the first `n` GPUs of a system.
+///
+/// # Errors
+///
+/// [`SimError::BadGpuSet`] when `n` is zero, exceeds the system, or names
+/// more than one GPU for a single-GPU kernel loop.
+pub(crate) fn deepbench(
+    id: DeepBenchId,
+    system: &SystemSpec,
+    n: u32,
+) -> Result<WorkloadRun, SimError> {
     if n < 1 {
         return Err(SimError::BadGpuSet("need at least one GPU".into()));
     }
@@ -325,12 +318,16 @@ fn deepbench(id: DeepBenchId, system: &SystemSpec, n: u32) -> Result<WorkloadRun
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Ctx;
     use mlperf_hw::systems::SystemId;
+
+    fn on_c4140k(spec: WorkloadSpec, gpus: u32) -> Result<WorkloadRun, SimError> {
+        Ctx::new().workload(spec, SystemId::C4140K, gpus)
+    }
 
     #[test]
     fn trainable_run_produces_consistent_telemetry() {
-        let system = SystemId::C4140K.spec();
-        let run = run(WorkloadSpec::Trainable(BenchmarkId::MlpfSsdPy), &system, 1).unwrap();
+        let run = on_c4140k(WorkloadSpec::Trainable(BenchmarkId::MlpfSsdPy), 1).unwrap();
         assert_eq!(run.n_gpus, 1);
         assert!(run.step_secs > 0.0);
         assert!(run.flops_per_step > 0.0);
@@ -343,9 +340,8 @@ mod tests {
 
     #[test]
     fn deepbench_compute_loops_have_high_gpu_low_cpu() {
-        let system = SystemId::C4140K.spec();
         for id in [DeepBenchId::GemmCu, DeepBenchId::ConvCu, DeepBenchId::RnnCu] {
-            let r = run(WorkloadSpec::DeepBench(id), &system, 1).unwrap();
+            let r = on_c4140k(WorkloadSpec::DeepBench(id), 1).unwrap();
             assert!(r.usage.gpu_util_pct > 90.0, "{id:?}");
             assert!(r.usage.cpu_util_pct < 10.0, "{id:?}");
             assert_eq!(r.usage.nvlink_mbps, 0.0);
@@ -355,8 +351,7 @@ mod tests {
 
     #[test]
     fn red_cu_lights_up_nvlink_with_scale() {
-        let system = SystemId::C4140K.spec();
-        let red = |n| run(WorkloadSpec::DeepBench(DeepBenchId::RedCu), &system, n).unwrap();
+        let red = |n| on_c4140k(WorkloadSpec::DeepBench(DeepBenchId::RedCu), n).unwrap();
         let r1 = red(1);
         let r2 = red(2);
         let r4 = red(4);
@@ -369,21 +364,19 @@ mod tests {
     #[test]
     fn red_cu_dwarfs_training_nvlink_rates() {
         // §V-D: Deep_Red_Cu uses the highest NVLink bandwidth of all.
-        let system = SystemId::C4140K.spec();
-        let red = run(WorkloadSpec::DeepBench(DeepBenchId::RedCu), &system, 4).unwrap();
-        let train = run(WorkloadSpec::Trainable(BenchmarkId::MlpfRes50Mx), &system, 4).unwrap();
+        let red = on_c4140k(WorkloadSpec::DeepBench(DeepBenchId::RedCu), 4).unwrap();
+        let train = on_c4140k(WorkloadSpec::Trainable(BenchmarkId::MlpfRes50Mx), 4).unwrap();
         assert!(red.usage.nvlink_mbps > train.usage.nvlink_mbps);
     }
 
     #[test]
     fn unified_run_rejects_deepbench_misuse_as_bad_gpu_set() {
-        let system = SystemId::C4140K.spec();
         for (spec, n, needle) in [
             (WorkloadSpec::DeepBench(DeepBenchId::GemmCu), 2, "single-GPU kernel loop"),
             (WorkloadSpec::DeepBench(DeepBenchId::RedCu), 0, "at least one GPU"),
             (WorkloadSpec::DeepBench(DeepBenchId::RedCu), 99, "system has only"),
         ] {
-            match run(spec, &system, n) {
+            match on_c4140k(spec, n) {
                 Err(SimError::BadGpuSet(msg)) => assert!(msg.contains(needle), "{msg}"),
                 other => panic!("expected BadGpuSet, got {other:?}"),
             }

@@ -75,11 +75,6 @@ impl Node {
     pub fn is_cpu(&self) -> bool {
         matches!(self, Node::Cpu { .. })
     }
-
-    /// Whether this node is a GPU.
-    pub fn is_gpu(&self) -> bool {
-        matches!(self, Node::Gpu { .. })
-    }
 }
 
 /// How a pair of GPUs reaches each other — the property §V-E shows drives

@@ -51,13 +51,6 @@ impl CheckpointSpec {
         }
     }
 
-    /// Override the relaunch latency.
-    #[must_use]
-    pub fn with_relaunch(mut self, relaunch: Seconds) -> Self {
-        self.relaunch = relaunch;
-        self
-    }
-
     /// Bytes one checkpoint of `job` holds: FP32 master weights plus the
     /// optimizer's resident state (both kept in FP32 even under AMP).
     pub fn bytes(&self, job: &TrainingJob) -> Bytes {

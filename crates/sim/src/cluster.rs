@@ -4,22 +4,22 @@
 //! computing clusters might be interested in finding an effective
 //! algorithm to schedule various machine learning training jobs". This
 //! module provides that substrate as an extension: jobs (with measured
-//! per-width durations) *arrive over time*, a pluggable
-//! [`SchedulingPolicy`] decides placements, and the cluster executes
-//! everything on the [`EventQueue`] — non-preemptive, work-conserving at
-//! the policy's discretion.
+//! per-width durations) *arrive over time*, one of five online [`Policy`]s
+//! decides placements, and the cluster executes everything on the
+//! [`EventQueue`] — non-preemptive, work-conserving at the policy's
+//! discretion.
 //!
 //! # Examples
 //!
 //! ```
-//! use mlperf_sim::cluster::{Cluster, ClusterJobSpec, GreedyBestFinish, Submission};
+//! use mlperf_sim::cluster::{Cluster, ClusterJobSpec, Policy, Submission};
 //! use mlperf_hw::Seconds;
 //!
 //! let jobs = vec![
 //!     Submission::at_start(ClusterJobSpec::new("a", [(1, 100.0), (2, 55.0), (4, 30.0)])),
 //!     Submission::at_start(ClusterJobSpec::new("b", [(1, 80.0), (2, 70.0), (4, 65.0)])),
 //! ];
-//! let trace = Cluster::new(4).run(jobs, &mut GreedyBestFinish);
+//! let trace = Cluster::new(4).run(jobs, Policy::GreedyBestFinish);
 //! assert!(trace.makespan > Seconds::ZERO);
 //! assert_eq!(trace.completions.len(), 2);
 //! ```
@@ -163,217 +163,141 @@ impl Submission {
 }
 
 /// A queued job as the policy sees it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PendingJob<'a> {
+struct PendingJob<'a> {
     /// Index into the submission list (stable job identity).
-    pub id: usize,
+    id: usize,
     /// The job description.
-    pub job: &'a ClusterJobSpec,
+    job: &'a ClusterJobSpec,
     /// When it arrived.
-    pub arrival: Seconds,
+    arrival: Seconds,
 }
 
 /// A placement decision: run pending job `id` at `width` GPUs, now.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Decision {
-    /// Which pending job to start.
-    pub id: usize,
-    /// How many GPUs to give it.
-    pub width: u64,
+struct Decision {
+    id: usize,
+    width: u64,
 }
 
-/// A scheduling policy: called whenever GPUs free up, jobs arrive, or
-/// nodes fail; returns the next job to start immediately, or `None` to
-/// wait.
+/// An online scheduling policy: consulted whenever GPUs free up, jobs
+/// arrive, or nodes fail, it names the next job to start immediately, or
+/// none to wait.
 ///
-/// The cluster re-invokes the policy after applying each decision, so a
-/// policy can start several jobs at one instant. `capacity` is the *live*
+/// The cluster re-consults the policy after applying each decision, so a
+/// policy can start several jobs at one instant. Policies see the *live*
 /// pool size — node failures shrink it mid-run, which is how every policy
-/// sees an elastic cluster (a preempted job reappears in `pending` and
-/// can be re-placed at a narrower width).
-pub trait SchedulingPolicy {
-    /// Pick a job to start now on `idle` of the `capacity` surviving
-    /// GPUs, or `None` to leave them idle until the next event. Returned
-    /// decisions must be feasible (`width <= idle` and a measured width
-    /// of the chosen job).
-    fn select(
-        &mut self,
-        pending: &[PendingJob<'_>],
-        idle: u64,
-        capacity: u64,
-        now: Seconds,
-    ) -> Option<Decision>;
+/// sees an elastic cluster (a preempted job reappears in the queue and can
+/// be re-placed at a narrower width).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Policy {
+    /// The paper's naive baseline, online: wait until the *whole*
+    /// surviving cluster is idle, then run the oldest job at its widest
+    /// feasible width.
+    NaiveWidest,
+    /// Greedy best-finish: among queued jobs and feasible widths on the
+    /// idle GPUs, start the (job, width) whose *finish time* is earliest,
+    /// breaking ties toward narrower placements (leaving room for others).
+    GreedyBestFinish,
+    /// Area-efficient packing: start the (job, width) minimizing
+    /// GPU-minutes *area* (width × duration) — i.e. run every job at its
+    /// most efficient width and co-schedule the rest. This is the policy
+    /// that exploits the paper's scaling-diversity observation:
+    /// poorly-scaling jobs go narrow.
+    AreaEfficient,
+    /// Shortest-job-first: among queued jobs, start the one whose *best
+    /// feasible* runtime is shortest, at that width. Minimizes mean wait on
+    /// bursty queues at the cost of starving long jobs.
+    ShortestJobFirst,
+    /// Widest-fit FCFS: start the oldest queued job as wide as the idle
+    /// GPUs allow (no waiting for the full pool).
+    FcfsWidestFit,
+}
+
+impl Policy {
+    /// Every policy, in display order.
+    pub const ALL: [Policy; 5] = [
+        Policy::NaiveWidest,
+        Policy::GreedyBestFinish,
+        Policy::AreaEfficient,
+        Policy::ShortestJobFirst,
+        Policy::FcfsWidestFit,
+    ];
 
     /// The policy's display name.
-    fn name(&self) -> &'static str;
-}
-
-/// The paper's naive baseline, online: wait until the *whole* surviving
-/// cluster is idle, then run the oldest job at its widest feasible width.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NaiveWidest;
-
-impl SchedulingPolicy for NaiveWidest {
-    fn select(
-        &mut self,
-        pending: &[PendingJob<'_>],
-        idle: u64,
-        capacity: u64,
-        _now: Seconds,
-    ) -> Option<Decision> {
-        if idle < capacity {
-            return None; // exclusive use: wait for the full pool
+    pub fn name(self) -> &'static str {
+        match self {
+            Policy::NaiveWidest => "naive-widest",
+            Policy::GreedyBestFinish => "greedy-best-finish",
+            Policy::AreaEfficient => "area-efficient",
+            Policy::ShortestJobFirst => "shortest-job-first",
+            Policy::FcfsWidestFit => "fcfs-widest-fit",
         }
-        let oldest = pending.iter().min_by(|a, b| {
-            a.arrival
-                .partial_cmp(&b.arrival)
-                .expect("arrivals are finite")
-                .then(a.id.cmp(&b.id))
-        })?;
-        let width = oldest.job.widths().filter(|&w| w <= idle).max()?;
-        Some(Decision {
-            id: oldest.id,
-            width,
-        })
     }
 
-    fn name(&self) -> &'static str {
-        "naive-widest"
-    }
-}
-
-/// Greedy best-finish: among queued jobs and feasible widths on the idle
-/// GPUs, start the (job, width) whose *finish time* is earliest, breaking
-/// ties toward narrower placements (leaving room for others).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GreedyBestFinish;
-
-impl SchedulingPolicy for GreedyBestFinish {
-    fn select(
-        &mut self,
-        pending: &[PendingJob<'_>],
-        idle: u64,
-        _capacity: u64,
-        _now: Seconds,
-    ) -> Option<Decision> {
-        let mut best: Option<(f64, u64, usize)> = None; // (minutes, width, id)
-        for p in pending {
-            for w in p.job.widths().filter(|&w| w <= idle) {
-                let d = p.job.minutes_at(w).expect("width from map");
-                let cand = (d, w, p.id);
-                if best.is_none_or(|b| cand < b) {
-                    best = Some(cand);
+    /// Pick a job to start now on `idle` of the `capacity` surviving GPUs,
+    /// or `None` to leave them idle until the next event. Decisions are
+    /// feasible: `width <= idle` and a measured width of the chosen job.
+    fn select(self, pending: &[PendingJob<'_>], idle: u64, capacity: u64) -> Option<Decision> {
+        match self {
+            // Exclusive use: wait for the full pool.
+            Policy::NaiveWidest if idle < capacity => None,
+            Policy::NaiveWidest | Policy::FcfsWidestFit => {
+                let oldest = pending.iter().min_by(|a, b| {
+                    a.arrival
+                        .partial_cmp(&b.arrival)
+                        .expect("arrivals are finite")
+                        .then(a.id.cmp(&b.id))
+                })?;
+                let width = oldest.job.widths().filter(|&w| w <= idle).max()?;
+                Some(Decision {
+                    id: oldest.id,
+                    width,
+                })
+            }
+            Policy::GreedyBestFinish => min_placement(pending, idle, |_, minutes| minutes),
+            Policy::AreaEfficient => {
+                min_placement(pending, idle, |width, minutes| width as f64 * minutes)
+            }
+            Policy::ShortestJobFirst => {
+                let mut best: Option<(f64, usize, u64)> = None; // (minutes, id, width)
+                for p in pending {
+                    let Some((minutes, width)) = p
+                        .job
+                        .widths()
+                        .filter(|&w| w <= idle)
+                        .map(|w| (p.job.minutes_at(w).expect("width from map"), w))
+                        .min_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"))
+                    else {
+                        continue;
+                    };
+                    let cand = (minutes, p.id, width);
+                    if best.is_none_or(|b| (cand.0, cand.1) < (b.0, b.1)) {
+                        best = Some(cand);
+                    }
                 }
+                best.map(|(_, id, width)| Decision { id, width })
             }
         }
-        best.map(|(_, width, id)| Decision { id, width })
-    }
-
-    fn name(&self) -> &'static str {
-        "greedy-best-finish"
     }
 }
 
-/// Area-efficient packing: start the (job, width) minimizing GPU-minutes
-/// *area* (width × duration) — i.e. run every job at its most efficient
-/// width and co-schedule the rest. This is the policy that exploits the
-/// paper's scaling-diversity observation: poorly-scaling jobs go narrow.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AreaEfficient;
-
-impl SchedulingPolicy for AreaEfficient {
-    fn select(
-        &mut self,
-        pending: &[PendingJob<'_>],
-        idle: u64,
-        _capacity: u64,
-        _now: Seconds,
-    ) -> Option<Decision> {
-        let mut best: Option<(f64, u64, usize)> = None; // (area, width, id)
-        for p in pending {
-            for w in p.job.widths().filter(|&w| w <= idle) {
-                let d = p.job.minutes_at(w).expect("width from map");
-                let cand = (w as f64 * d, w, p.id);
-                if best.is_none_or(|b| cand < b) {
-                    best = Some(cand);
-                }
-            }
-        }
-        best.map(|(_, width, id)| Decision { id, width })
-    }
-
-    fn name(&self) -> &'static str {
-        "area-efficient"
-    }
-}
-
-/// Shortest-job-first: among queued jobs, start the one whose *best
-/// feasible* runtime is shortest, at that width. Minimizes mean wait on
-/// bursty queues at the cost of starving long jobs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShortestJobFirst;
-
-impl SchedulingPolicy for ShortestJobFirst {
-    fn select(
-        &mut self,
-        pending: &[PendingJob<'_>],
-        idle: u64,
-        _capacity: u64,
-        _now: Seconds,
-    ) -> Option<Decision> {
-        let mut best: Option<(f64, usize, u64)> = None; // (minutes, id, width)
-        for p in pending {
-            let Some((minutes, width)) = p
-                .job
-                .widths()
-                .filter(|&w| w <= idle)
-                .map(|w| (p.job.minutes_at(w).expect("width from map"), w))
-                .min_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"))
-            else {
-                continue;
-            };
-            let cand = (minutes, p.id, width);
-            if best.is_none_or(|b| (cand.0, cand.1) < (b.0, b.1)) {
+/// The feasible (job, width) placement minimizing `cost(width, minutes)`,
+/// ties broken toward the narrower width, then the lower job id.
+fn min_placement(
+    pending: &[PendingJob<'_>],
+    idle: u64,
+    cost: impl Fn(u64, f64) -> f64,
+) -> Option<Decision> {
+    let mut best: Option<(f64, u64, usize)> = None; // (cost, width, id)
+    for p in pending {
+        for w in p.job.widths().filter(|&w| w <= idle) {
+            let d = p.job.minutes_at(w).expect("width from map");
+            let cand = (cost(w, d), w, p.id);
+            if best.is_none_or(|b| cand < b) {
                 best = Some(cand);
             }
         }
-        best.map(|(_, id, width)| Decision { id, width })
     }
-
-    fn name(&self) -> &'static str {
-        "shortest-job-first"
-    }
-}
-
-/// Widest-fit FCFS: start the oldest queued job as wide as the idle GPUs
-/// allow (no waiting for the full pool).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FcfsWidestFit;
-
-impl SchedulingPolicy for FcfsWidestFit {
-    fn select(
-        &mut self,
-        pending: &[PendingJob<'_>],
-        idle: u64,
-        _capacity: u64,
-        _now: Seconds,
-    ) -> Option<Decision> {
-        let oldest = pending.iter().min_by(|a, b| {
-            a.arrival
-                .partial_cmp(&b.arrival)
-                .expect("arrivals are finite")
-                .then(a.id.cmp(&b.id))
-        })?;
-        let width = oldest.job.widths().filter(|&w| w <= idle).max()?;
-        Some(Decision {
-            id: oldest.id,
-            width,
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "fcfs-widest-fit"
-    }
+    best.map(|(_, width, id)| Decision { id, width })
 }
 
 /// One completed execution in the trace.
@@ -547,11 +471,7 @@ impl Cluster {
     /// Panics if the policy returns an infeasible decision (unknown job,
     /// width exceeding idle GPUs, or a width the job has no time for), or
     /// if some job can never be placed (width larger than the pool).
-    pub fn run(
-        &self,
-        submissions: Vec<Submission>,
-        policy: &mut dyn SchedulingPolicy,
-    ) -> ClusterTrace {
+    pub fn run(&self, submissions: Vec<Submission>, policy: Policy) -> ClusterTrace {
         self.run_with_faults(submissions, policy, &[])
     }
 
@@ -570,7 +490,7 @@ impl Cluster {
     pub fn run_with_faults(
         &self,
         submissions: Vec<Submission>,
-        policy: &mut dyn SchedulingPolicy,
+        policy: Policy,
         failures: &[NodeFailure],
     ) -> ClusterTrace {
         for s in &submissions {
@@ -688,7 +608,7 @@ impl Cluster {
                         arrival: submissions[id].arrival,
                     })
                     .collect();
-                let Some(decision) = policy.select(&pending, idle, capacity, now) else {
+                let Some(decision) = policy.select(&pending, idle, capacity) else {
                     break;
                 };
                 let pos = pending_ids
@@ -767,7 +687,7 @@ mod tests {
 
     #[test]
     fn naive_serializes_at_full_width() {
-        let trace = Cluster::new(4).run(batch(), &mut NaiveWidest);
+        let trace = Cluster::new(4).run(batch(), Policy::NaiveWidest);
         // All three at width 4, back to back: 27 + 76 + 4.
         assert!((trace.makespan.as_minutes() - 107.0).abs() < 1e-9);
         assert!(trace.completions.iter().all(|c| c.width == 4));
@@ -775,8 +695,8 @@ mod tests {
 
     #[test]
     fn area_efficient_beats_naive_on_mixed_batch() {
-        let naive = Cluster::new(4).run(batch(), &mut NaiveWidest);
-        let packed = Cluster::new(4).run(batch(), &mut AreaEfficient);
+        let naive = Cluster::new(4).run(batch(), Policy::NaiveWidest);
+        let packed = Cluster::new(4).run(batch(), Policy::AreaEfficient);
         assert!(
             packed.makespan < naive.makespan,
             "packed {} vs naive {}",
@@ -786,7 +706,7 @@ mod tests {
         assert!(packed.utilization() > 0.3);
         // Greedy-best-finish degenerates to naive on an all-at-once batch
         // (earliest finish is always the widest placement) — never worse.
-        let greedy = Cluster::new(4).run(batch(), &mut GreedyBestFinish);
+        let greedy = Cluster::new(4).run(batch(), Policy::GreedyBestFinish);
         assert!(greedy.makespan <= naive.makespan + Seconds::new(1e-9));
     }
 
@@ -796,7 +716,7 @@ mod tests {
             Submission::at_start(ClusterJobSpec::new("first", [(2, 30.0)])),
             Submission::after_minutes(ClusterJobSpec::new("late", [(2, 10.0)]), 60.0),
         ];
-        let trace = Cluster::new(2).run(subs, &mut GreedyBestFinish);
+        let trace = Cluster::new(2).run(subs, Policy::GreedyBestFinish);
         let late = trace
             .completions
             .iter()
@@ -815,7 +735,7 @@ mod tests {
             Submission::at_start(ClusterJobSpec::new("long", [(1, 100.0)])),
             Submission::at_start(ClusterJobSpec::new("next", [(1, 50.0), (2, 30.0)])),
         ];
-        let trace = Cluster::new(2).run(subs, &mut FcfsWidestFit);
+        let trace = Cluster::new(2).run(subs, Policy::FcfsWidestFit);
         let next = trace
             .completions
             .iter()
@@ -831,7 +751,7 @@ mod tests {
             Submission::at_start(ClusterJobSpec::new("long", [(1, 100.0)])),
             Submission::at_start(ClusterJobSpec::new("next", [(1, 50.0), (2, 30.0)])),
         ];
-        let trace = Cluster::new(2).run(subs, &mut NaiveWidest);
+        let trace = Cluster::new(2).run(subs, Policy::NaiveWidest);
         let next = trace
             .completions
             .iter()
@@ -855,14 +775,14 @@ mod tests {
             Submission::at_start(ClusterJobSpec::new("long", [(2, 100.0)])),
             Submission::at_start(ClusterJobSpec::new("quick", [(2, 5.0)])),
         ];
-        let trace = Cluster::new(2).run(subs, &mut ShortestJobFirst);
+        let trace = Cluster::new(2).run(subs, Policy::ShortestJobFirst);
         assert_eq!(trace.completions[0].name, "quick");
         assert_eq!(trace.completions[0].start, Seconds::ZERO);
     }
 
     #[test]
     fn trace_statistics_are_consistent() {
-        let trace = Cluster::new(4).run(batch(), &mut GreedyBestFinish);
+        let trace = Cluster::new(4).run(batch(), Policy::GreedyBestFinish);
         assert_eq!(trace.completions.len(), 3);
         assert!(trace.utilization() > 0.0 && trace.utilization() <= 1.0);
         assert!(trace.mean_wait().as_secs() >= 0.0);
@@ -877,12 +797,12 @@ mod tests {
             "wide",
             [(8, 10.0)],
         ))];
-        let _ = Cluster::new(4).run(subs, &mut GreedyBestFinish);
+        let _ = Cluster::new(4).run(subs, Policy::GreedyBestFinish);
     }
 
     #[test]
     fn fault_free_runs_report_no_preemptions() {
-        let trace = Cluster::new(4).run(batch(), &mut AreaEfficient);
+        let trace = Cluster::new(4).run(batch(), Policy::AreaEfficient);
         assert_eq!(trace.preemptions, 0);
         assert!(trace.abandoned.is_empty());
     }
@@ -890,15 +810,8 @@ mod tests {
     #[test]
     fn every_policy_survives_a_node_failure() {
         let failure = [NodeFailure::after_minutes(10.0, 2)];
-        let policies: Vec<Box<dyn SchedulingPolicy>> = vec![
-            Box::new(NaiveWidest),
-            Box::new(GreedyBestFinish),
-            Box::new(AreaEfficient),
-            Box::new(ShortestJobFirst),
-            Box::new(FcfsWidestFit),
-        ];
-        for mut policy in policies {
-            let trace = Cluster::new(4).run_with_faults(batch(), policy.as_mut(), &failure);
+        for policy in Policy::ALL {
+            let trace = Cluster::new(4).run_with_faults(batch(), policy, &failure);
             assert_eq!(
                 trace.completions.len(),
                 3,
@@ -926,7 +839,7 @@ mod tests {
         ))];
         let trace = Cluster::new(4).run_with_faults(
             subs,
-            &mut GreedyBestFinish,
+            Policy::GreedyBestFinish,
             &[NodeFailure::after_minutes(5.0, 2)],
         );
         assert_eq!(trace.preemptions, 1);
@@ -947,7 +860,7 @@ mod tests {
         ))];
         let trace = Cluster::new(4).run_with_faults(
             subs,
-            &mut FcfsWidestFit,
+            Policy::FcfsWidestFit,
             &[NodeFailure::after_minutes(5.0, 2)],
         );
         assert_eq!(trace.preemptions, 0);
@@ -969,7 +882,7 @@ mod tests {
         // the survivor keeps one healthy slice).
         let trace = Cluster::partitioned(layout).run_with_faults(
             subs,
-            &mut GreedyBestFinish,
+            Policy::GreedyBestFinish,
             &[NodeFailure::after_minutes(5.0, 3)],
         );
         assert_eq!(trace.preemptions, 1);
@@ -994,8 +907,7 @@ mod tests {
             "suite",
             [(7, 30.0), (14, 18.0)],
         ))];
-        let trace =
-            Cluster::partitioned(layout).run_with_faults(subs, &mut FcfsWidestFit, &[f]);
+        let trace = Cluster::partitioned(layout).run_with_faults(subs, Policy::FcfsWidestFit, &[f]);
         assert_eq!(trace.preemptions, 1);
         assert_eq!(trace.completions[0].width, 7);
         assert!((trace.makespan.as_minutes() - 35.0).abs() < 1e-9);
@@ -1016,15 +928,8 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let policies: Vec<Box<dyn SchedulingPolicy>> = vec![
-            Box::new(NaiveWidest),
-            Box::new(GreedyBestFinish),
-            Box::new(AreaEfficient),
-            Box::new(ShortestJobFirst),
-            Box::new(FcfsWidestFit),
-        ];
-        for mut policy in policies {
-            let trace = Cluster::partitioned(layout).run(subs(), policy.as_mut());
+        for policy in Policy::ALL {
+            let trace = Cluster::partitioned(layout).run(subs(), policy);
             assert_eq!(trace.completions.len(), 4, "{}", policy.name());
             assert!(
                 trace.completions.iter().all(|c| c.width == 1),
@@ -1033,7 +938,7 @@ mod tests {
             );
             // Naive waits for the whole pool between placements; the
             // work-conserving policies co-schedule all four at once.
-            if policy.name() != "naive-widest" {
+            if policy != Policy::NaiveWidest {
                 assert!(
                     (trace.makespan.as_minutes() - 23.0).abs() < 1e-9,
                     "{}: {}",
@@ -1046,9 +951,9 @@ mod tests {
 
     #[test]
     fn whole_device_layout_matches_the_classic_cluster() {
-        let classic = Cluster::new(4).run(batch(), &mut AreaEfficient);
-        let layered =
-            Cluster::partitioned(PartitionLayout::whole_devices(4)).run(batch(), &mut AreaEfficient);
+        let classic = Cluster::new(4).run(batch(), Policy::AreaEfficient);
+        let layered = Cluster::partitioned(PartitionLayout::whole_devices(4))
+            .run(batch(), Policy::AreaEfficient);
         assert_eq!(classic, layered);
     }
 
@@ -1060,7 +965,7 @@ mod tests {
         ))];
         let trace = Cluster::new(4).run_with_faults(
             subs,
-            &mut GreedyBestFinish,
+            Policy::GreedyBestFinish,
             &[NodeFailure::after_minutes(10.0, 3)],
         );
         assert_eq!(trace.preemptions, 1);

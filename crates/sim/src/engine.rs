@@ -141,8 +141,7 @@ impl StepReport {
     }
 }
 
-/// Everything one engine invocation needs: the job, the GPU ordinals, and
-/// an optional fault scenario to replay.
+/// Everything one engine invocation needs: the job and the GPU ordinals.
 ///
 /// This is the engine's single entry-point descriptor — and the unit the
 /// executor's memo cache keys on (a [`RunSpec`] plus the platform identify
@@ -151,7 +150,6 @@ impl StepReport {
 pub struct RunSpec {
     job: TrainingJob,
     gpus: Vec<u32>,
-    faults: Option<crate::fault::FaultConfig>,
 }
 
 impl RunSpec {
@@ -160,22 +158,12 @@ impl RunSpec {
         RunSpec {
             job,
             gpus: gpus.into(),
-            faults: None,
         }
     }
 
     /// Run `job` on the first `n` GPUs of the system.
     pub fn on_first(job: TrainingJob, n: u32) -> Self {
         RunSpec::new(job, (0..n).collect::<Vec<u32>>())
-    }
-
-    /// Also replay a seeded fault scenario against the steady-state step:
-    /// the outcome gains [`FaultOutcome`](crate::fault::FaultOutcome)
-    /// statistics (checkpoint tax, lost work, retries, restarts).
-    #[must_use]
-    pub fn with_faults(mut self, config: crate::fault::FaultConfig) -> Self {
-        self.faults = Some(config);
-        self
     }
 
     /// The job to simulate.
@@ -187,11 +175,6 @@ impl RunSpec {
     pub fn gpus(&self) -> &[u32] {
         &self.gpus
     }
-
-    /// The fault scenario to replay, if any.
-    pub fn faults(&self) -> Option<&crate::fault::FaultConfig> {
-        self.faults.as_ref()
-    }
 }
 
 /// What one [`Simulator::execute`] call produced.
@@ -199,8 +182,6 @@ impl RunSpec {
 pub struct RunOutcome {
     /// Steady-state accounting.
     pub report: StepReport,
-    /// Fault/recovery statistics, when the spec carried a fault scenario.
-    pub faults: Option<crate::fault::FaultOutcome>,
 }
 
 /// The simulation engine for one platform.
@@ -276,7 +257,7 @@ impl<'a> Simulator<'a> {
     }
 
     /// Execute the simulation described by `spec` and report the steady
-    /// state (plus the fault replay if the spec carries a scenario).
+    /// state.
     ///
     /// # Errors
     ///
@@ -285,20 +266,7 @@ impl<'a> Simulator<'a> {
     /// * [`SimError::Topology`] — no route between required endpoints.
     pub fn execute(&self, spec: &RunSpec) -> Result<RunOutcome, SimError> {
         let report = self.run_inner(&spec.job, &spec.gpus)?;
-        // Fault replay is deterministic post-processing of the steady
-        // state: the plan walks the run's total steps against the step
-        // report, so the healthy numbers are untouched.
-        let faults = spec.faults.as_ref().map(|config| {
-            let total_steps =
-                crate::training::outcome_from_step(&spec.job, report.clone()).total_steps();
-            let (stats, fault_trace) =
-                crate::fault::replay(config, &spec.job, &report, total_steps);
-            crate::fault::FaultOutcome {
-                stats,
-                trace: fault_trace,
-            }
-        });
-        Ok(RunOutcome { report, faults })
+        Ok(RunOutcome { report })
     }
 
     /// Attempt the analytic fast path for `job` on the GPU ordinals `gpus`.
@@ -310,8 +278,8 @@ impl<'a> Simulator<'a> {
     /// take the `start = step_done` branch on every measured iteration and
     /// the step recurrence collapses to three additions per step. The
     /// returned outcome is then **bit-identical** to what
-    /// [`Simulator::execute`] returns for a fault-free [`RunSpec`] of the
-    /// same job and ordinals, and the typed errors are the same — which
+    /// [`Simulator::execute`] returns for a [`RunSpec`] of the same job and
+    /// ordinals, and the typed errors are the same — which
     /// `tests/fastpath_diff.rs` pins differentially. The inputs are
     /// borrowed: no job clone and no GPU-set allocation.
     ///
@@ -331,10 +299,7 @@ impl<'a> Simulator<'a> {
             return Ok(None);
         };
         let report = self.finish(job, &p, step_time, data_stall)?;
-        Ok(Some(RunOutcome {
-            report,
-            faults: None,
-        }))
+        Ok(Some(RunOutcome { report }))
     }
 
     /// Admission check only: validate the GPU set and run the device

@@ -311,17 +311,6 @@ impl FaultTrace {
     }
 }
 
-/// What a fault-enabled [`Simulator::execute`](crate::Simulator::execute)
-/// attaches to its [`RunOutcome`](crate::RunOutcome): the accounting and
-/// the byte-exact replay trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultOutcome {
-    /// Fault/recovery accounting.
-    pub stats: FaultStats,
-    /// The replayable trace (plan draw log + replay actions).
-    pub trace: FaultTrace,
-}
-
 /// An active degradation window (throttle or flap slowdown).
 struct ActiveEffect {
     until: Seconds,

@@ -121,57 +121,6 @@ impl KernelTimer {
     pub fn achieved_flop_rate(&self, cost: &IterationCost) -> mlperf_hw::FlopRate {
         cost.total_flops() / self.step_time(cost)
     }
-
-    /// Duration of a single operator's kernels (forward + backward) at the
-    /// given batch and policy: each op is roofline-priced on its own, the
-    /// way `nvprof` attributes time per kernel.
-    pub fn op_time(
-        &self,
-        op: &mlperf_models::Op,
-        batch: u64,
-        policy: mlperf_models::PrecisionPolicy,
-    ) -> Seconds {
-        use mlperf_hw::units::{Bytes, Flops};
-        let flops = op.fwd_flops(batch).as_u64() + op.bwd_flops(batch).as_u64();
-        let on_tensor = policy == mlperf_models::PrecisionPolicy::Amp && op.tensor_core_eligible();
-        let act_elems = op.fwd_act_elems(batch) + op.bwd_act_elems(batch);
-        let bytes = (act_elems as f64
-            * op.fused_traffic_factor()
-            * policy.activation_bytes(op.tensor_core_eligible()) as f64)
-            .round() as u64
-            + 2 * op.params() * policy.activation_bytes(op.tensor_core_eligible());
-        let cost = IterationCost {
-            simt_flops: if on_tensor {
-                Flops::ZERO
-            } else {
-                Flops::new(flops)
-            },
-            tensor_flops: if on_tensor {
-                Flops::new(flops)
-            } else {
-                Flops::ZERO
-            },
-            mem_bytes: Bytes::new(bytes),
-            gradient_bytes: Bytes::ZERO,
-        };
-        self.step_time(&cost)
-    }
-
-    /// Per-operator kernel durations for a whole graph, in execution order:
-    /// `(op name, duration)` — the data behind a duration-sorted "top
-    /// kernels" table.
-    pub fn op_times(
-        &self,
-        graph: &mlperf_models::ModelGraph,
-        batch: u64,
-        policy: mlperf_models::PrecisionPolicy,
-    ) -> Vec<(String, Seconds)> {
-        graph
-            .ops()
-            .iter()
-            .map(|op| (op.name().to_string(), self.op_time(op, batch, policy)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -262,40 +211,5 @@ mod tests {
         let t = Efficiency::tuned();
         let i = Efficiency::irregular();
         assert!(t.simt > i.simt && t.tensor > i.tensor && t.memory > i.memory);
-    }
-
-    #[test]
-    fn per_op_times_sum_near_the_aggregate() {
-        use mlperf_models::zoo::resnet::resnet18_cifar;
-        use mlperf_models::PrecisionPolicy;
-        let g = resnet18_cifar();
-        let timer = KernelTimer::new(GpuModel::TeslaV100Sxm2_16.spec(), Efficiency::tuned());
-        let per_op: f64 = timer
-            .op_times(&g, 128, PrecisionPolicy::Amp)
-            .iter()
-            .map(|(_, t)| t.as_secs())
-            .sum();
-        let aggregate = timer
-            .step_time(&g.pass_cost(128, PrecisionPolicy::Amp))
-            .as_secs();
-        // Per-op pricing loses cross-op compute/memory overlap, so it sits
-        // above the aggregate, but within ~1.6x for a conv-dominated net.
-        assert!(per_op >= aggregate * 0.99, "per-op {per_op} vs {aggregate}");
-        assert!(per_op <= aggregate * 1.6, "per-op {per_op} vs {aggregate}");
-    }
-
-    #[test]
-    fn conv_kernels_dominate_resnet_time() {
-        use mlperf_models::zoo::resnet::resnet18_cifar;
-        use mlperf_models::PrecisionPolicy;
-        let g = resnet18_cifar();
-        let timer = KernelTimer::new(GpuModel::TeslaV100Sxm2_16.spec(), Efficiency::tuned());
-        let mut times = timer.op_times(&g, 128, PrecisionPolicy::Amp);
-        times.sort_by(|a, b| b.1.as_secs().partial_cmp(&a.1.as_secs()).expect("finite"));
-        assert!(
-            times[0].0.contains("conv"),
-            "slowest kernel: {}",
-            times[0].0
-        );
     }
 }

@@ -13,11 +13,13 @@
 //!   precision, calibration knobs);
 //! * [`engine`] — the pipeline simulator producing steady-state
 //!   [`StepReport`]s;
-//! * [`cluster`] — an event-driven multi-GPU cluster with pluggable online
-//!   scheduling policies (the §IV-D "effective algorithm" extension);
+//! * [`cluster`] — an event-driven multi-GPU cluster under one of five
+//!   online scheduling [`Policy`]s (the §IV-D "effective algorithm"
+//!   extension);
 //! * [`training`] — end-to-end time-to-quality runs;
 //! * [`fault`] / [`checkpoint`] — seeded fault injection (GPU death, link
-//!   flaps, stragglers, host stalls) replayed deterministically against a
+//!   flaps, stragglers, host stalls) that [`fault::replay`] walks
+//!   deterministically over a steady-state [`StepReport`], against a
 //!   checkpoint/restart cost model priced through the storage tier.
 //!
 //! # Examples
@@ -55,11 +57,10 @@ pub mod training;
 
 pub use allreduce::AllReduceAlgorithm;
 pub use checkpoint::CheckpointSpec;
-pub use cluster::{Cluster, ClusterJobSpec, ClusterTrace, NodeFailure, SchedulingPolicy, Submission};
+pub use cluster::{Cluster, ClusterJobSpec, ClusterTrace, NodeFailure, Policy, Submission};
 pub use engine::{RunOutcome, RunSpec, SimError, Simulator, StepReport};
 pub use fault::{
-    FaultConfig, FaultEvent, FaultKind, FaultOutcome, FaultPlan, FaultStats, FaultTrace,
-    RetryPolicy,
+    FaultConfig, FaultEvent, FaultKind, FaultPlan, FaultStats, FaultTrace, RetryPolicy,
 };
 pub use job::{ConvergenceModel, TrainingJob, TrainingJobBuilder};
 pub use kernel::{Efficiency, KernelTimer};

@@ -164,10 +164,7 @@ fn regression_interleaved_ties_pop_in_insertion_order() {
 }
 
 mod cluster_properties {
-    use mlperf_sim::cluster::{
-        AreaEfficient, Cluster, ClusterJobSpec, FcfsWidestFit, GreedyBestFinish, NaiveWidest,
-        SchedulingPolicy, Submission,
-    };
+    use mlperf_sim::cluster::{Cluster, ClusterJobSpec, Policy, Submission};
     use mlperf_testkit::prop::*;
 
     /// Random job batches: 1..6 jobs with times at widths 1/2/4, weakly
@@ -198,13 +195,7 @@ mod cluster_properties {
         #[test]
         fn cluster_invariants_hold(subs in arb_submissions(), g in 1u64..=4) {
             let n_jobs = subs.len();
-            let mut naive = NaiveWidest;
-            let mut greedy = GreedyBestFinish;
-            let mut area = AreaEfficient;
-            let mut fcfs = FcfsWidestFit;
-            let policies: Vec<&mut dyn SchedulingPolicy> =
-                vec![&mut naive, &mut greedy, &mut area, &mut fcfs];
-            for p in policies {
+            for p in Policy::ALL {
                 let trace = Cluster::new(g).run(subs.clone(), p);
                 prop_assert_eq!(trace.completions.len(), n_jobs, "{}", p.name());
                 // Arrival causality.

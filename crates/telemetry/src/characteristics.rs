@@ -4,10 +4,8 @@
 //! utilization, GPU utilization, CPU utilization, DDR memory footprint,
 //! HBM2 footprint, FLOP throughput, memory throughput, and number of
 //! epochs — and runs PCA over the suite. [`WorkloadCharacteristics`]
-//! assembles that exact vector from a run's telemetry.
+//! holds that exact vector.
 
-use crate::nvprof::KernelProfile;
-use crate::usage::ResourceUsage;
 use std::fmt;
 
 /// Names of the eight features, in vector order.
@@ -34,37 +32,8 @@ pub struct WorkloadCharacteristics {
 }
 
 impl WorkloadCharacteristics {
-    /// Assemble the vector from a usage row, a kernel profile, the measured
-    /// step time, and the epoch count.
-    pub fn from_telemetry(
-        name: impl Into<String>,
-        suite: impl Into<String>,
-        usage: &ResourceUsage,
-        profile: &KernelProfile,
-        step_secs: f64,
-        epochs: f64,
-    ) -> Self {
-        assert!(step_secs > 0.0, "step time must be positive");
-        let flop_tp = profile.total_flops().as_f64() / step_secs / 1e9;
-        let mem_tp = profile.total_bytes().as_f64() / step_secs / 1e9;
-        WorkloadCharacteristics {
-            name: name.into(),
-            suite: suite.into(),
-            features: [
-                usage.pcie_mbps + usage.nvlink_mbps,
-                usage.gpu_util_pct,
-                usage.cpu_util_pct,
-                usage.dram_mb,
-                usage.hbm_mb,
-                flop_tp,
-                mem_tp,
-                epochs,
-            ],
-        }
-    }
-
-    /// Build directly from raw feature values (DeepBench kernels have no
-    /// training loop, so some features are synthesized).
+    /// Build from the eight feature values, ordered as [`FEATURE_NAMES`]
+    /// (DeepBench kernels have no training loop, so some are synthesized).
     pub fn from_raw(name: impl Into<String>, suite: impl Into<String>, features: [f64; 8]) -> Self {
         assert!(
             features.iter().all(|f| f.is_finite()),

@@ -6,8 +6,8 @@
 //! derives the same quantities from the engine's models rather than by
 //! sampling:
 //!
-//! * [`nvprof`] — [`KernelProfile`]: per-kernel FLOPs/bytes, arithmetic
-//!   intensity, sustained throughput (the Fig. 2 coordinates);
+//! * [`nvprof`] — [`KernelProfile`]: per-step FLOP and byte totals,
+//!   arithmetic intensity, sustained throughput (the Fig. 2 coordinates);
 //! * [`usage`] — [`ResourceUsage`]: the six Table V columns, closed-form
 //!   accounting over one steady-state [`StepReport`](mlperf_sim::StepReport);
 //! * [`characteristics`] — the 8-feature vector §IV-A feeds to PCA;
@@ -19,5 +19,5 @@ pub mod nvprof;
 pub mod usage;
 
 pub use characteristics::{WorkloadCharacteristics, FEATURE_NAMES};
-pub use nvprof::{KernelProfile, KernelRecord};
+pub use nvprof::KernelProfile;
 pub use usage::ResourceUsage;

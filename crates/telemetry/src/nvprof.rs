@@ -1,37 +1,22 @@
-//! `nvprof` analogue: kernel-level profiles of a training step.
+//! `nvprof` analogue: the FLOP and memory-transaction totals of a training
+//! step.
 //!
 //! The paper profiles each benchmark's region of interest with `nvprof`,
-//! collecting kernel invocations/durations, floating-point operation counts,
-//! and memory read/write transactions, then derives the roofline coordinates
-//! of Fig. 2. This module produces the same records from the analytical
-//! graphs: one [`KernelRecord`] per operator per step, grouped by kind, with
-//! the derived FLOP throughput and arithmetic intensity.
+//! collecting floating-point operation counts and memory read/write
+//! transactions, then derives the roofline coordinates of Fig. 2. This
+//! module produces the same per-step totals from the analytical graphs,
+//! with the derived FLOP throughput and arithmetic intensity.
 
 use mlperf_hw::units::{Bytes, Flops, Seconds};
 use mlperf_hw::FlopRate;
-use mlperf_models::{ModelGraph, OpKind, PrecisionPolicy};
-use std::collections::BTreeMap;
-use std::fmt;
+use mlperf_models::{ModelGraph, PrecisionPolicy};
 
-/// One profiled kernel class (all invocations of one operator).
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelRecord {
-    /// Kernel name (the operator's name).
-    pub name: String,
-    /// Operator category.
-    pub kind: OpKind,
-    /// Invocations per training step (forward + backward launches).
-    pub invocations: u64,
-    /// FLOPs per step across those invocations.
-    pub flops: Flops,
-    /// Device-memory traffic per step.
-    pub bytes: Bytes,
-}
-
-/// The profile of one training step of one model.
+/// The profile of one training step of one model: FLOPs executed and
+/// device-memory bytes moved, summed over every kernel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelProfile {
-    records: Vec<KernelRecord>,
+    flops: Flops,
+    bytes: Bytes,
 }
 
 impl KernelProfile {
@@ -39,46 +24,33 @@ impl KernelProfile {
     /// (forward + backward; the optimizer shows up as elementwise kernels
     /// in real traces but is priced separately by the engine).
     pub fn of_step(model: &ModelGraph, batch: u64, policy: PrecisionPolicy) -> Self {
-        let records = model
-            .ops()
-            .iter()
-            .map(|op| {
-                let flops = op.fwd_flops(batch) + op.bwd_flops(batch);
-                let act = (op.fwd_act_elems(batch) + op.bwd_act_elems(batch)) as f64
-                    * op.fused_traffic_factor();
-                let elems = act + (2 * op.params()) as f64;
-                // nvprof counts transactions, which include tiling re-reads.
-                let bytes = Bytes::new(
-                    (elems
-                        * op.profiled_traffic_factor()
-                        * policy.activation_bytes(op.tensor_core_eligible()) as f64)
-                        .round() as u64,
-                );
-                KernelRecord {
-                    name: op.name().to_string(),
-                    kind: op.kind(),
-                    invocations: 2, // one forward + one backward launch
-                    flops,
-                    bytes,
-                }
-            })
-            .collect();
-        KernelProfile { records }
-    }
-
-    /// The individual kernel records.
-    pub fn records(&self) -> &[KernelRecord] {
-        &self.records
+        let mut flops = Flops::ZERO;
+        let mut bytes = Bytes::ZERO;
+        for op in model.ops() {
+            flops += op.fwd_flops(batch) + op.bwd_flops(batch);
+            let act = (op.fwd_act_elems(batch) + op.bwd_act_elems(batch)) as f64
+                * op.fused_traffic_factor();
+            let elems = act + (2 * op.params()) as f64;
+            // nvprof counts transactions, which include tiling re-reads;
+            // each kernel's count is whole bytes.
+            bytes += Bytes::new(
+                (elems
+                    * op.profiled_traffic_factor()
+                    * policy.activation_bytes(op.tensor_core_eligible()) as f64)
+                    .round() as u64,
+            );
+        }
+        KernelProfile { flops, bytes }
     }
 
     /// Total FLOPs per step.
     pub fn total_flops(&self) -> Flops {
-        self.records.iter().map(|r| r.flops).sum()
+        self.flops
     }
 
     /// Total device-memory traffic per step.
     pub fn total_bytes(&self) -> Bytes {
-        self.records.iter().map(|r| r.bytes).sum()
+        self.bytes
     }
 
     /// Arithmetic intensity of the step (FLOP / byte) — the x-coordinate of
@@ -96,63 +68,6 @@ impl KernelProfile {
     pub fn throughput(&self, step_time: Seconds) -> FlopRate {
         self.total_flops() / step_time
     }
-
-    /// Per-kind aggregation: (invocations, FLOPs, bytes) by operator kind —
-    /// the "statistic of kernels" the paper publishes alongside.
-    pub fn by_kind(&self) -> BTreeMap<OpKind, (u64, Flops, Bytes)> {
-        let mut map: BTreeMap<OpKind, (u64, Flops, Bytes)> = BTreeMap::new();
-        for r in &self.records {
-            let e = map.entry(r.kind).or_insert((0, Flops::ZERO, Bytes::ZERO));
-            e.0 += r.invocations;
-            e.1 += r.flops;
-            e.2 += r.bytes;
-        }
-        map
-    }
-
-    /// The `k` kernels with the most FLOPs, descending — `nvprof`'s
-    /// "top kernels by time" table, approximated by work.
-    pub fn top_kernels(&self, k: usize) -> Vec<&KernelRecord> {
-        let mut sorted: Vec<&KernelRecord> = self.records.iter().collect();
-        sorted.sort_by(|a, b| b.flops.cmp(&a.flops).then(a.name.cmp(&b.name)));
-        sorted.truncate(k);
-        sorted
-    }
-
-    /// The `k` kernels with the longest *durations* on a given device —
-    /// exactly `nvprof`'s headline table. Each entry pairs a record with
-    /// its roofline-priced time on the timer's GPU.
-    pub fn top_kernels_by_time(
-        &self,
-        model: &ModelGraph,
-        batch: u64,
-        policy: PrecisionPolicy,
-        timer: &mlperf_sim::KernelTimer,
-        k: usize,
-    ) -> Vec<(String, Seconds)> {
-        let mut times = timer.op_times(model, batch, policy);
-        times.sort_by(|a, b| {
-            b.1.as_secs()
-                .partial_cmp(&a.1.as_secs())
-                .expect("durations are finite")
-                .then(a.0.cmp(&b.0))
-        });
-        times.truncate(k);
-        times
-    }
-}
-
-impl fmt::Display for KernelProfile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} kernel classes, {} / step, {} / step (AI {:.2})",
-            self.records.len(),
-            self.total_flops(),
-            self.total_bytes(),
-            self.arithmetic_intensity(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -166,8 +81,14 @@ mod tests {
 
     #[test]
     fn totals_are_record_sums() {
+        // Each operator's kernels contribute their forward + backward work.
+        let g = resnet18_cifar();
         let p = profile();
-        let f: u64 = p.records().iter().map(|r| r.flops.as_u64()).sum();
+        let f: u64 = g
+            .ops()
+            .iter()
+            .map(|op| (op.fwd_flops(128) + op.bwd_flops(128)).as_u64())
+            .sum();
         assert_eq!(p.total_flops().as_u64(), f);
         assert!(p.total_bytes().as_u64() > 0);
     }
@@ -191,48 +112,5 @@ mod tests {
         assert_eq!(fp32.total_flops(), amp.total_flops());
         assert!(amp.total_bytes() < fp32.total_bytes());
         assert!(amp.arithmetic_intensity() > fp32.arithmetic_intensity());
-    }
-
-    #[test]
-    fn by_kind_partitions_totals() {
-        let p = profile();
-        let total: u64 = p.by_kind().values().map(|(_, f, _)| f.as_u64()).sum();
-        assert_eq!(total, p.total_flops().as_u64());
-    }
-
-    #[test]
-    fn top_kernels_sorted_descending() {
-        let p = profile();
-        let top = p.top_kernels(5);
-        assert_eq!(top.len(), 5);
-        assert!(top.windows(2).all(|w| w[0].flops >= w[1].flops));
-        // Convolutions dominate a ResNet.
-        assert_eq!(top[0].kind, OpKind::Conv);
-    }
-
-    #[test]
-    fn invocations_count_both_passes() {
-        let p = profile();
-        assert!(p.records().iter().all(|r| r.invocations == 2));
-    }
-
-    #[test]
-    fn duration_ranking_can_differ_from_work_ranking() {
-        use mlperf_hw::GpuModel;
-        use mlperf_sim::{Efficiency, KernelTimer};
-        let g = resnet18_cifar();
-        let p = KernelProfile::of_step(&g, 128, PrecisionPolicy::Amp);
-        let timer = KernelTimer::new(GpuModel::TeslaV100Sxm2_16.spec(), Efficiency::tuned());
-        let by_time = p.top_kernels_by_time(&g, 128, PrecisionPolicy::Amp, &timer, 8);
-        assert_eq!(by_time.len(), 8);
-        assert!(by_time
-            .windows(2)
-            .all(|w| w[0].1.as_secs() >= w[1].1.as_secs()));
-        // Under AMP, memory-bound batch norms take disproportionate time
-        // relative to their FLOPs: they appear earlier by time than by work.
-        let by_work: Vec<&str> = p.top_kernels(8).iter().map(|r| r.name.as_str()).collect();
-        assert!(by_work
-            .iter()
-            .all(|n| n.contains("conv") || n.contains("proj")));
     }
 }

@@ -32,13 +32,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // What nvprof would say about one training step.
     let profile = KernelProfile::of_step(job.model(), job.per_gpu_batch(), job.precision());
-    println!("kernel profile: {profile}");
-    println!("top kernels by duration:");
-    let timer = mlperf_sim::KernelTimer::new(system.gpu_model().spec(), job.efficiency());
-    let mut times = timer.op_times(job.model(), job.per_gpu_batch(), job.precision());
-    times.sort_by(|a, b| b.1.as_secs().partial_cmp(&a.1.as_secs()).expect("finite"));
-    for (name, t) in times.iter().take(5) {
-        println!("  {:24} {:.3} ms", name, t.as_secs() * 1e3);
-    }
+    println!(
+        "kernel profile: {} / step, {} / step (AI {:.2})",
+        profile.total_flops(),
+        profile.total_bytes(),
+        profile.arithmetic_intensity()
+    );
     Ok(())
 }

@@ -15,6 +15,16 @@ cargo test -q --offline
 echo "== clippy (all targets, deny warnings) =="
 cargo clippy --all-targets --offline -- -D warnings
 
+echo "== examples: every library-API example runs to completion (release) =="
+# Clippy only compiles the examples; run each one so a panic or an error
+# exit on that surface fails the gate too. Each file under examples/ is
+# declared as an [[example]] of the same name in crates/core/Cargo.toml.
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    cargo run -q --release --offline --example "$name" >/dev/null \
+        || { echo "example $name exited non-zero" >&2; exit 1; }
+done
+
 echo "== clippy: the benchmark harness builds against this API =="
 # perfbench/ is a separate package the end-to-end benchmark builds from
 # this checkout; a public-API change that breaks it must fail here.

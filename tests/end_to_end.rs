@@ -5,6 +5,7 @@ use mlperf_analysis::roofline::RooflineModel;
 use mlperf_hw::systems::SystemId;
 use mlperf_sim::allreduce::AllReduceAlgorithm;
 use mlperf_sim::{train_on_first, RunSpec, Simulator};
+use mlperf_suite::runner::Ctx;
 use mlperf_suite::{BenchmarkId, WorkloadSpec};
 use mlperf_telemetry::KernelProfile;
 
@@ -28,16 +29,18 @@ fn every_benchmark_trains_on_every_multi_gpu_platform() {
 #[test]
 fn telemetry_composes_with_analysis() {
     // Run two benchmarks, profile them, and feed the roofline + PCA layers.
-    let system = SystemId::C4140K.spec();
-    let roofline = RooflineModel::for_gpu(&system.gpu_model().spec());
+    let system = SystemId::C4140K;
+    let roofline = RooflineModel::for_gpu(&system.spec().gpu_model().spec());
 
+    let ctx = Ctx::new();
     let mut feature_rows = Vec::new();
     for id in [
         BenchmarkId::MlpfRes50Mx,
         BenchmarkId::MlpfNcfPy,
         BenchmarkId::DawnRes18Py,
     ] {
-        let run = mlperf_suite::workloads::run(WorkloadSpec::Trainable(id), &system, 1)
+        let run = ctx
+            .workload(WorkloadSpec::Trainable(id), system, 1)
             .expect("run succeeds");
         let point = run.roofline_point().expect("training moves bytes");
         let attain = roofline

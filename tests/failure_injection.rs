@@ -146,14 +146,14 @@ fn dram_loss_starves_imagenet_staging() {
 
 /// Mid-run fail-stop: a GPU dies at step k, the run resumes from the
 /// last checkpoint, and the recomputed-work accounting in the stats
-/// matches the `lost_time` the trace reports — the whole path through
-/// `RunSpec::with_faults` and the engine, not just the replay function.
+/// matches the `lost_time` the trace reports — replayed over the engine's
+/// steady-state step for the run's full step count.
 #[test]
 fn regression_gpu_death_resumes_from_checkpoint_with_matching_accounting() {
     use mlperf_data::storage::StorageDevice;
     use mlperf_hw::units::Seconds;
-    use mlperf_sim::fault::{FaultConfig, FaultEvent, FaultKind, FaultPlan, RetryPolicy};
-    use mlperf_sim::CheckpointSpec;
+    use mlperf_sim::fault::{replay, FaultConfig, FaultEvent, FaultKind, FaultPlan, RetryPolicy};
+    use mlperf_sim::{outcome_from_step, CheckpointSpec};
 
     let system = SystemId::Dss8440.spec();
     let sim = Simulator::new(&system);
@@ -179,25 +179,23 @@ fn regression_gpu_death_resumes_from_checkpoint_with_matching_accounting() {
         checkpoint,
         retry: RetryPolicy::default(),
     };
-    let outcome = sim
-        .execute(&RunSpec::on_first(job, 4).with_faults(cfg))
-        .unwrap();
-    let faults = outcome.faults.expect("fault replay attached");
-    assert_eq!(faults.stats.gpu_failures, 1);
-    assert_eq!(faults.stats.restarts, 1);
-    assert!(faults.stats.recomputed_time.as_secs() > 0.0);
+    let total_steps = outcome_from_step(&job, step.clone()).total_steps();
+    let (stats, trace) = replay(&cfg, &job, &step, total_steps);
+    assert_eq!(stats.gpu_failures, 1);
+    assert_eq!(stats.restarts, 1);
+    assert!(stats.recomputed_time.as_secs() > 0.0);
     // The trace and the stats must tell the same story, byte for byte.
-    let text = String::from_utf8(faults.trace.to_bytes()).unwrap();
+    let text = String::from_utf8(trace.to_bytes()).unwrap();
     assert!(text.contains(&format!("restart from_step={}", 2 * per_ckpt)));
     let traced_lost: f64 = text
         .lines()
         .filter_map(|l| l.split("lost_time=").nth(1))
         .map(|v| v.parse::<f64>().expect("fixed-precision float"))
         .sum();
-    let drift = (traced_lost - faults.stats.recomputed_time.as_secs()).abs();
+    let drift = (traced_lost - stats.recomputed_time.as_secs()).abs();
     assert!(drift < 1e-5, "trace says {traced_lost}, stats disagree");
     // Everything the run paid partitions the wall-clock.
-    let s = &faults.stats;
+    let s = &stats;
     let accounted = s.healthy_time + s.checkpoint_time + s.recomputed_time
         + s.stalled_time
         + s.restart_time;
