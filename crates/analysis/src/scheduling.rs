@@ -345,7 +345,9 @@ pub fn optimal_schedule(jobs: &[JobTimes], gpu_count: u64) -> Schedule {
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by(|&a, &b| {
         let (aa, ab) = (jobs[a].min_area(gpu_count), jobs[b].min_area(gpu_count));
-        ab.partial_cmp(&aa).expect("areas are finite").then(a.cmp(&b))
+        ab.partial_cmp(&aa)
+            .expect("areas are finite")
+            .then(a.cmp(&b))
     });
     let mut search = Search {
         jobs,

@@ -52,7 +52,9 @@ fn quantile_is_monotone_in_q_and_bracketed_by_the_extremes() {
         let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
         let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         if lo < min || hi > max {
-            return Err(format!("[{lo}, {hi}] escapes the sample range [{min}, {max}]"));
+            return Err(format!(
+                "[{lo}, {hi}] escapes the sample range [{min}, {max}]"
+            ));
         }
         Ok(())
     });
@@ -65,11 +67,12 @@ fn quantile_reuses_scratch_without_contamination() {
     let scratch = std::cell::RefCell::new(Vec::new());
     let gen = (arb_sample(1..24), 0u32..=8).prop_map(|(xs, i)| (xs, f64::from(i) / 8.0));
     check("quantile scratch reuse", &gen, |(xs, q)| {
-        let got =
-            quantile_in(&xs, q, &mut scratch.borrow_mut()).map_err(|e| e.to_string())?;
+        let got = quantile_in(&xs, q, &mut scratch.borrow_mut()).map_err(|e| e.to_string())?;
         let clean = quantile(&xs, q).map_err(|e| e.to_string())?;
         if got.to_bits() != clean.to_bits() {
-            return Err(format!("dirty scratch gave {got}, clean buffer gave {clean}"));
+            return Err(format!(
+                "dirty scratch gave {got}, clean buffer gave {clean}"
+            ));
         }
         Ok(())
     });
@@ -96,7 +99,9 @@ fn non_finite_values_are_typed_errors_naming_the_first_offender() {
         let mut scratch = BootstrapScratch::new();
         match bootstrap_ci_median(&xs, 8, 0.9, 1, &mut scratch) {
             Err(StatsError::NonFinite { index, .. }) if index == first => Ok(()),
-            other => Err(format!("bootstrap: expected NonFinite at {first}, got {other:?}")),
+            other => Err(format!(
+                "bootstrap: expected NonFinite at {first}, got {other:?}"
+            )),
         }
     });
 }

@@ -212,8 +212,7 @@ fn run_sweeps(args: &[String], cfg: &Config) -> Result<ExitCode, String> {
     const SHARD: usize = 1024;
     for spec in &selected {
         let path = format!("{out_dir}/{}.csv", spec.name);
-        let file =
-            std::fs::File::create(&path).map_err(|e| format!("creating {path}: {e}"))?;
+        let file = std::fs::File::create(&path).map_err(|e| format!("creating {path}: {e}"))?;
         let mut out = std::io::BufWriter::new(file);
         let summary = sweep::run_streamed(&pool, &ctx, spec, cache.as_ref(), &mut out, SHARD)
             .and_then(|s| std::io::Write::flush(&mut out).map(|()| s))
@@ -260,7 +259,9 @@ const ARTIFACTS: [(&str, &str, &str); 19] = [
 /// Run one registered experiment on `ctx` and render its section.
 fn run_artifact(ctx: &Ctx, id: &str) -> Result<String, String> {
     let e = runner::experiment(id).expect("every CLI name maps to a registered id");
-    e.run(ctx).map(|a| e.render(&a)).map_err(|err| err.to_string())
+    e.run(ctx)
+        .map(|a| e.render(&a))
+        .map_err(|err| err.to_string())
 }
 
 /// Report the failed experiments on stderr (degraded-mode diagnostics).
@@ -335,7 +336,11 @@ fn main() -> ExitCode {
             // experiments become placeholder sections + a failure
             // appendix, exit 2 tells callers the document is incomplete,
             // and a warm cache answers every section from disk.
-            let cache = if policy.strict { None } else { DiskCache::from_config(&cfg) };
+            let cache = if policy.strict {
+                None
+            } else {
+                DiskCache::from_config(&cfg)
+            };
             let (md, execution) = mlperf_suite::report_gen::build_cached(
                 &Pool::from_config(&cfg),
                 &Ctx::from_config(&cfg),
@@ -367,7 +372,11 @@ fn main() -> ExitCode {
             let policy = ResilienceConfig::from_config(&cfg);
             // As for --report: strict mode bypasses the cache, and its
             // root cause aborts the export before any file is written.
-            let cache = if policy.strict { None } else { DiskCache::from_config(&cfg) };
+            let cache = if policy.strict {
+                None
+            } else {
+                DiskCache::from_config(&cfg)
+            };
             let path = std::path::Path::new(dir);
             match mlperf_suite::csv_export::write_all_cached(path, &policy, cache.as_ref()) {
                 Ok((written, execution)) => {

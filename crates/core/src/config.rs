@@ -157,9 +157,7 @@ impl Config {
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] among the strictly parsed knobs.
-    pub fn try_resolve(
-        get: impl Fn(&str) -> Option<String>,
-    ) -> Result<Config, ConfigError> {
+    pub fn try_resolve(get: impl Fn(&str) -> Option<String>) -> Result<Config, ConfigError> {
         let (config, mut errors) = Config::resolve_inner(get);
         match errors.is_empty() {
             true => Ok(config),
@@ -188,30 +186,47 @@ impl Config {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         // A chaos target that names no experiment would inject nothing and
         // leave the chaos gate vacuously green.
-        let chaos = strict_knob(&get, &mut errors, CHAOS_ENV, "a registered experiment id", |t| {
-            crate::runner::experiment(t).map(|_| t.to_string())
-        });
-        let cache_on = strict_knob(&get, &mut errors, CACHE_ENV, "on, off, 1 or 0", |t| match t {
-            "on" | "1" => Some(true),
-            "off" | "0" => Some(false),
-            _ => None,
-        });
+        let chaos = strict_knob(
+            &get,
+            &mut errors,
+            CHAOS_ENV,
+            "a registered experiment id",
+            |t| crate::runner::experiment(t).map(|_| t.to_string()),
+        );
+        let cache_on = strict_knob(
+            &get,
+            &mut errors,
+            CACHE_ENV,
+            "on, off, 1 or 0",
+            |t| match t {
+                "on" | "1" => Some(true),
+                "off" | "0" => Some(false),
+                _ => None,
+            },
+        );
         let cache_enabled = cache_on.unwrap_or(true) && chaos.is_none();
-        let cache_dir = get(CACHE_DIR_ENV)
-            .map_or_else(|| PathBuf::from(DEFAULT_CACHE_DIR), PathBuf::from);
-        let step_budget =
-            strict_knob(&get, &mut errors, STEP_BUDGET_ENV, "a non-negative integer", |t| {
-                t.parse::<u64>().ok()
-            });
+        let cache_dir =
+            get(CACHE_DIR_ENV).map_or_else(|| PathBuf::from(DEFAULT_CACHE_DIR), PathBuf::from);
+        let step_budget = strict_knob(
+            &get,
+            &mut errors,
+            STEP_BUDGET_ENV,
+            "a non-negative integer",
+            |t| t.parse::<u64>().ok(),
+        );
         let strict = strict_knob(&get, &mut errors, STRICT_ENV, "0 or 1", |t| match t {
             "0" => Some(false),
             "1" => Some(true),
             _ => None,
         })
         .unwrap_or(false);
-        let runs = strict_knob(&get, &mut errors, RUNS_ENV, "an integer from 1 to 512", |t| {
-            t.parse::<u32>().ok().filter(|n| (1..=MAX_RUNS).contains(n))
-        })
+        let runs = strict_knob(
+            &get,
+            &mut errors,
+            RUNS_ENV,
+            "an integer from 1 to 512",
+            |t| t.parse::<u32>().ok().filter(|n| (1..=MAX_RUNS).contains(n)),
+        )
         .unwrap_or(1);
         let partition = strict_knob(
             &get,
@@ -314,7 +329,10 @@ mod tests {
         assert!(!with(&[(CACHE_ENV, "0")]).cache_enabled);
         assert!(with(&[(CACHE_ENV, "1")]).cache_enabled);
         let chaotic = with(&[(CHAOS_ENV, " figure3 ")]);
-        assert!(!chaotic.cache_enabled, "chaos runs must not read warm entries");
+        assert!(
+            !chaotic.cache_enabled,
+            "chaos runs must not read warm entries"
+        );
         assert_eq!(chaotic.chaos.as_deref(), Some("figure3"));
         // A blank chaos target is no chaos at all.
         assert!(with(&[(CHAOS_ENV, "  ")]).chaos.is_none());
@@ -412,7 +430,10 @@ mod tests {
         assert!(cfg.partition.is_none());
         assert!(cfg.chaos.is_none());
         // Surrounding whitespace is trimmed, not an error.
-        assert_eq!(try_with(&[(JOBS_ENV, " 3 ")]).expect("padded count").jobs, 3);
+        assert_eq!(
+            try_with(&[(JOBS_ENV, " 3 ")]).expect("padded count").jobs,
+            3
+        );
         assert_eq!(
             try_with(&[(CHAOS_ENV, " figure3 ")])
                 .expect("padded chaos target")
@@ -438,7 +459,10 @@ mod tests {
         ]);
         assert!(cfg.io_chaos.is_none());
         assert_eq!(cfg.runs, 1);
-        assert!(cfg.chaos.is_none(), "an unknown chaos target injects nothing");
+        assert!(
+            cfg.chaos.is_none(),
+            "an unknown chaos target injects nothing"
+        );
         // … while the strict path rejects the same environment.
         assert!(try_with(&[(IO_CHAOS_ENV, "bit_flip=lots")]).is_err());
         assert!(try_with(&[(RUNS_ENV, "huge")]).is_err());
@@ -487,7 +511,10 @@ mod tests {
     fn runs_knob_clamps_to_the_sane_window() {
         assert_eq!(with(&[(RUNS_ENV, "8")]).runs, 8);
         assert_eq!(try_with(&[(RUNS_ENV, "1")]).expect("lower bound").runs, 1);
-        assert_eq!(try_with(&[(RUNS_ENV, "512")]).expect("upper bound").runs, 512);
+        assert_eq!(
+            try_with(&[(RUNS_ENV, "512")]).expect("upper bound").runs,
+            512
+        );
         // Zero, negatives, absurd counts, and garbage are typed errors
         // under strict resolution and fall back to 1 under the lenient one.
         for bad in ["0", "-4", "513", "many"] {

@@ -76,9 +76,8 @@ fn tenant_cell(batch: u64, tenants: u32) -> CellSpec {
         ..partition_scaling().cell_at(0)
     };
     cell.workload = Some(TRAIN_WORKLOAD);
-    cell.partition = Some(
-        PartitionSpec::new(PartitionProfile::Quarter, tenants).expect("valid quarter layout"),
-    );
+    cell.partition =
+        Some(PartitionSpec::new(PartitionProfile::Quarter, tenants).expect("valid quarter layout"));
     cell
 }
 
@@ -100,7 +99,10 @@ fn job_specs(ctx: &Ctx) -> (Vec<ClusterJobSpec>, Vec<&'static str>) {
     for (w, &workload) in BenchmarkId::MLPERF.iter().enumerate() {
         // Index 1 of each workload's block is the packed half slice.
         let cell = grid.cell_at(w * layouts + 1);
-        debug_assert_eq!(cell.partition.map(|p| p.to_string()).as_deref(), Some("1of2x2"));
+        debug_assert_eq!(
+            cell.partition.map(|p| p.to_string()).as_deref(),
+            Some("1of2x2")
+        );
         match sweep::price_cell(ctx, &cell) {
             Ok(v) => {
                 let m1 = v.get(CellKind::Training, "total_minutes");
@@ -117,10 +119,7 @@ fn job_specs(ctx: &Ctx) -> (Vec<ClusterJobSpec>, Vec<&'static str>) {
 fn submissions(specs: &[ClusterJobSpec]) -> Vec<Submission> {
     let mut subs: Vec<Submission> = specs.iter().cloned().map(Submission::at_start).collect();
     for i in 0..INFER_BURSTS {
-        let job = ClusterJobSpec::new(
-            format!("infer-burst-{i}"),
-            [(1u64, INFER_BURST_MIN)],
-        );
+        let job = ClusterJobSpec::new(format!("infer-burst-{i}"), [(1u64, INFER_BURST_MIN)]);
         subs.push(Submission::after_minutes(job, i as f64 * INFER_GAP_MIN));
     }
     subs

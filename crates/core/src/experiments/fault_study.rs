@@ -145,7 +145,10 @@ pub fn run_ctx(ctx: &Ctx) -> Result<FaultStudy, SimError> {
     let mut sweep = Vec::new();
     for cell in &swept.cells {
         use crate::sweep::{CellKind, IntervalChoice};
-        let v = cell.outcome.as_ref().map_err(crate::sweep::CellError::to_sim)?;
+        let v = cell
+            .outcome
+            .as_ref()
+            .map_err(crate::sweep::CellError::to_sim)?;
         sweep.push(SweepRow {
             mtbf_hours: cell.spec.mtbf_hours.expect("mtbf axis set"),
             interval_min: v.get(CellKind::ExpectedTtt, "interval_min"),
@@ -227,13 +230,7 @@ pub fn render(s: &FaultStudy) -> String {
 
     let mut t = Table::new(
         "Expected time-to-train vs MTBF and checkpoint interval (Daly)",
-        [
-            "MTBF (h)",
-            "Interval",
-            "E[TTT] (h)",
-            "Overhead",
-            "Policy",
-        ],
+        ["MTBF (h)", "Interval", "E[TTT] (h)", "Overhead", "Policy"],
     );
     for r in &s.sweep {
         t.add_row([

@@ -40,7 +40,10 @@ pub struct PartitionRow {
 impl PartitionRow {
     /// Aggregate per-device samples/sec at layout `i` (k × per-slice).
     pub fn per_device(&self, i: usize) -> Option<f64> {
-        self.per_slice[i].as_ref().ok().map(|s| s * f64::from(SLICES[i]))
+        self.per_slice[i]
+            .as_ref()
+            .ok()
+            .map(|s| s * f64::from(SLICES[i]))
     }
 
     /// Aggregate efficiency of layout `i` against the whole device.

@@ -184,7 +184,9 @@ pub fn render(t: &Table1) -> String {
 pub static EXP: Decl<Table1> = Decl {
     id: "table1",
     title: "Table I: key insights, re-verified",
-    deps: &["figure1", "figure2", "figure3", "figure4", "figure5", "table4"],
+    deps: &[
+        "figure1", "figure2", "figure3", "figure4", "figure5", "table4",
+    ],
     spec: None,
     run: run_ctx,
     render,

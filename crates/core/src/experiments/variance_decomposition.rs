@@ -241,8 +241,11 @@ pub static EXP: Decl<VarianceDecomposition> = Decl {
     title: "Extension: run-to-run variance decomposition (seed vs batch vs precision)",
     deps: &[],
     spec: Some(|| {
-        let mut s = format!("seed={:016x};runs={VARIANCE_RUNS};", sweep::REPLICATION_SEED)
-            .into_bytes();
+        let mut s = format!(
+            "seed={:016x};runs={VARIANCE_RUNS};",
+            sweep::REPLICATION_SEED
+        )
+        .into_bytes();
         for id in WORKLOADS {
             s.extend_from_slice(&cell(id).canonical_bytes());
             s.push(b';');
@@ -265,8 +268,16 @@ mod tests {
         for (x, y) in a.rows.iter().zip(&b.rows) {
             assert_eq!(x.stats, y.stats, "{}", x.id);
             assert_eq!(
-                (x.seed_var.to_bits(), x.batch_var.to_bits(), x.precision_var.to_bits()),
-                (y.seed_var.to_bits(), y.batch_var.to_bits(), y.precision_var.to_bits()),
+                (
+                    x.seed_var.to_bits(),
+                    x.batch_var.to_bits(),
+                    x.precision_var.to_bits()
+                ),
+                (
+                    y.seed_var.to_bits(),
+                    y.batch_var.to_bits(),
+                    y.precision_var.to_bits()
+                ),
                 "{}",
                 x.id
             );

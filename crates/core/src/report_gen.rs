@@ -9,7 +9,7 @@
 
 use crate::report::Table;
 use crate::runner::{
-    self, CacheStats, Ctx, Experiment, ExecutorStats, ExperimentError, Pool, ResilienceConfig,
+    self, CacheStats, Ctx, ExecutorStats, Experiment, ExperimentError, Pool, ResilienceConfig,
 };
 use crate::sweep::{DiskCache, DiskStats};
 use std::time::Duration;
@@ -147,7 +147,9 @@ pub fn build_cached(
                 .and_then(|b| String::from_utf8(b).ok())
         })
         .collect();
-    let missing: Vec<usize> = (0..experiments.len()).filter(|&i| cached[i].is_none()).collect();
+    let missing: Vec<usize> = (0..experiments.len())
+        .filter(|&i| cached[i].is_none())
+        .collect();
 
     // Re-run only the evicted experiments (none, when fully warm). Their
     // dependencies outside the subset fall back to the memoized context.
@@ -181,15 +183,24 @@ pub fn build_cached(
                 error: None,
                 wall: Duration::ZERO,
             },
-            None => fresh.next().expect("one fresh report per missing section").clone(),
+            None => fresh
+                .next()
+                .expect("one fresh report per missing section")
+                .clone(),
         })
         .collect();
     let execution = runner::Execution {
         reports,
-        failures: sub_exec.as_ref().map(|s| s.failures.clone()).unwrap_or_default(),
+        failures: sub_exec
+            .as_ref()
+            .map(|s| s.failures.clone())
+            .unwrap_or_default(),
         stats: ExecutorStats {
             workers: pool.workers(),
-            total_wall: sub_exec.as_ref().map(|s| s.stats.total_wall).unwrap_or(Duration::ZERO),
+            total_wall: sub_exec
+                .as_ref()
+                .map(|s| s.stats.total_wall)
+                .unwrap_or(Duration::ZERO),
             per_experiment: sub_exec.map(|s| s.stats.per_experiment).unwrap_or_default(),
             // The cold run's counters, from the manifest: the appendix is
             // provenance of the experiments' numbers, not of this process,

@@ -65,7 +65,10 @@ impl fmt::Display for ExperimentError {
                 write!(f, "non-finite output: {context}")
             }
             ExperimentError::DeadlineExceeded { used, budget } => {
-                write!(f, "step budget exceeded: {used} of {budget} simulation requests")
+                write!(
+                    f,
+                    "step budget exceeded: {used} of {budget} simulation requests"
+                )
             }
             ExperimentError::DependencyFailed { dependency } => {
                 write!(f, "dependency '{dependency}' failed")

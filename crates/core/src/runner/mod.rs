@@ -39,8 +39,8 @@ mod error;
 mod memo;
 mod pool;
 
-pub use error::{BudgetExceeded, ExperimentError};
 pub(crate) use error::panic_message as panic_payload_message;
+pub use error::{BudgetExceeded, ExperimentError};
 pub use memo::ShardedCache;
 pub use pool::{Pool, JOBS_ENV};
 
@@ -52,11 +52,11 @@ use crate::experiments::{
 };
 use crate::workloads::{self, WorkloadRun, WorkloadSpec};
 use crate::{sensitivity, validation};
+use error::panic_message;
 use mlperf_analysis::roofline::RooflineModel;
 use mlperf_hw::systems::{SystemId, SystemSpec};
 use mlperf_hw::{Bytes, PartitionSpec, Precision};
 use mlperf_models::PrecisionPolicy;
-use error::panic_message;
 use mlperf_sim::engine::{RunSpec, SimError, Simulator, StepReport};
 use mlperf_sim::training::{outcome_from_step, train, TrainingOutcome};
 use mlperf_sim::TrainingJob;
@@ -507,10 +507,7 @@ impl Ctx {
     /// arms one budget per client connection.
     pub(crate) fn arm_budget(&self, budget: u64) {
         self.budget_armed.store(true, Ordering::Relaxed);
-        lock(&self.budgets).insert(
-            std::thread::current().id(),
-            BudgetCell { used: 0, budget },
-        );
+        lock(&self.budgets).insert(std::thread::current().id(), BudgetCell { used: 0, budget });
     }
 
     /// Disarm the calling thread's budget, returning the units charged.
@@ -652,9 +649,7 @@ impl Ctx {
             .with_precision(precision);
         let k = point.gpus as u64;
         let batch = template.effective_per_gpu_batch(k.max(1));
-        let pass = template
-            .model()
-            .pass_cost(batch, template.precision());
+        let pass = template.model().pass_cost(batch, template.precision());
         let flops = pass.total_flops().as_u64();
         let bytes = pass.mem_bytes.as_u64();
         if flops == 0 || bytes == 0 {
@@ -1178,7 +1173,12 @@ pub fn execute_resilient(
     // `dep_or` fallback recomputes through the shared memo cache instead.
     let deps: Vec<Vec<usize>> = experiments
         .iter()
-        .map(|e| e.deps().iter().filter_map(|d| index.get(d).copied()).collect())
+        .map(|e| {
+            e.deps()
+                .iter()
+                .filter_map(|d| index.get(d).copied())
+                .collect()
+        })
         .collect();
     let failed: Mutex<HashSet<&'static str>> = Mutex::new(HashSet::new());
     let started = Instant::now();

@@ -119,8 +119,7 @@ impl Pool {
         // spawning anything.
         {
             let mut indegree: Vec<usize> = deps.iter().map(Vec::len).collect();
-            let mut ready: VecDeque<usize> =
-                (0..n).filter(|&i| indegree[i] == 0).collect();
+            let mut ready: VecDeque<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
             let mut ordered = 0usize;
             while let Some(i) = ready.pop_front() {
                 ordered += 1;
@@ -331,7 +330,11 @@ impl<T: Default> Stream<T> {
                     return Ok(());
                 }
                 if let Some(Some(_)) = state.ready.front() {
-                    break state.ready.pop_front().flatten().expect("front chunk is finished");
+                    break state
+                        .ready
+                        .pop_front()
+                        .flatten()
+                        .expect("front chunk is finished");
                 }
                 state = Stream::wait(&self.finished, state);
             };
@@ -603,7 +606,11 @@ mod tests {
                             },
                         )
                         .unwrap();
-                    assert_eq!(seen, (0..len).collect::<Vec<_>>(), "{workers}w window {window}");
+                    assert_eq!(
+                        seen,
+                        (0..len).collect::<Vec<_>>(),
+                        "{workers}w window {window}"
+                    );
                     assert!(peak <= window, "{workers}w: peak {peak} > window {window}");
                 }
             }
@@ -631,7 +638,10 @@ mod tests {
                         if range.start == 0 {
                             let deadline = std::time::Instant::now() + Duration::from_secs(20);
                             while in_flight.load(Ordering::SeqCst) < window {
-                                assert!(std::time::Instant::now() < deadline, "window never filled");
+                                assert!(
+                                    std::time::Instant::now() < deadline,
+                                    "window never filled"
+                                );
                                 std::thread::yield_now();
                             }
                         }
@@ -669,7 +679,10 @@ mod tests {
             }))
             .expect_err("the producer panic must reach the caller");
             assert!(panic_message(err.as_ref()).contains("boom at item 50"));
-            assert!(seen.len() <= 50, "{workers}w consumed past the panicking chunk");
+            assert!(
+                seen.len() <= 50,
+                "{workers}w consumed past the panicking chunk"
+            );
             assert_eq!(seen, (0..seen.len()).collect::<Vec<_>>());
         }
     }

@@ -416,7 +416,9 @@ impl Server {
                         protocol::FRAME_TOO_LARGE,
                         &format!("request frame exceeds {} bytes", self.max_frame),
                     );
-                    let _ = writer.write_all(frame.as_bytes()).and_then(|()| writer.flush());
+                    let _ = writer
+                        .write_all(frame.as_bytes())
+                        .and_then(|()| writer.flush());
                     // A Unix socket closed with unread request bytes
                     // resets its peer, which can discard the frame just
                     // written; drain the leftovers (bounded) so a
@@ -457,10 +459,11 @@ impl Server {
                 // its next query, not a closed socket.
                 Ok(Action::Drained) => break,
                 Ok(Action::Continue) => {}
-                Err(e) if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
                 {
                     // The client stopped reading and the socket buffer
                     // filled: the write deadline reaps the connection.
@@ -586,7 +589,11 @@ impl Server {
             let (outcome, _) = sweep::run_cell(&self.ctx, spec, self.cache.as_ref());
             sweep::encode_outcome(&outcome.map_err(CellError::from))
         });
-        let frame = match sweep::decode_outcome(spec.kind, sweep::effective_runs(&self.ctx, spec), &bytes) {
+        let frame = match sweep::decode_outcome(
+            spec.kind,
+            sweep::effective_runs(&self.ctx, spec),
+            &bytes,
+        ) {
             Some(Ok(value)) => {
                 self.ok_responses.fetch_add(1, Ordering::Relaxed);
                 protocol::cell_ok_frame(&req.id, spec.kind, value.values())
@@ -701,7 +708,12 @@ impl<R: Read> BoundedLineReader<R> {
                 }
                 Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
                     return Err(FrameError::Deadline);
                 }
                 Err(e) => return Err(FrameError::Io(e)),
@@ -797,7 +809,8 @@ impl<'a> ShardFramer<'a> {
 
     fn flush_rows(&mut self) -> io::Result<()> {
         if !self.rows.is_empty() {
-            self.out.write_all(protocol::rows_frame(self.id, &self.rows).as_bytes())?;
+            self.out
+                .write_all(protocol::rows_frame(self.id, &self.rows).as_bytes())?;
             self.rows.clear();
         }
         Ok(())
@@ -805,7 +818,8 @@ impl<'a> ShardFramer<'a> {
 
     fn finish(mut self, cells: usize, errors: usize) -> io::Result<()> {
         self.flush_rows()?;
-        self.out.write_all(protocol::done_frame(self.id, cells, errors).as_bytes())
+        self.out
+            .write_all(protocol::done_frame(self.id, cells, errors).as_bytes())
     }
 
     /// One CSV line: the first is the header (the `stream` frame), every
@@ -933,7 +947,10 @@ mod tests {
             }
             drop(first);
         });
-        assert_eq!(queued.load(Ordering::SeqCst) + rejected.load(Ordering::SeqCst), 2);
+        assert_eq!(
+            queued.load(Ordering::SeqCst) + rejected.load(Ordering::SeqCst),
+            2
+        );
         assert_eq!(lock(&a.state).active, 0, "every ticket returned its slot");
     }
 
@@ -941,7 +958,10 @@ mod tests {
     fn admission_overflow_is_rejected_not_blocked() {
         let a = Admission::new(1, 0);
         let _held = a.admit().expect("first slot");
-        assert!(a.admit().is_none(), "zero-depth queue must reject immediately");
+        assert!(
+            a.admit().is_none(),
+            "zero-depth queue must reject immediately"
+        );
     }
 
     /// A reader handing out its script of `Ok(chunk)` / error-kind steps,
@@ -970,7 +990,11 @@ mod tests {
     fn bounded_reader_splits_lines_across_chunks() {
         let mut r = BoundedLineReader::new(
             ScriptedReader {
-                steps: vec![Ok(b"hel".to_vec()), Ok(b"lo\nwor".to_vec()), Ok(b"ld\n".to_vec())],
+                steps: vec![
+                    Ok(b"hel".to_vec()),
+                    Ok(b"lo\nwor".to_vec()),
+                    Ok(b"ld\n".to_vec()),
+                ],
             },
             1024,
             None,
@@ -1136,7 +1160,10 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4, "{text}");
         assert!(lines[0].contains("\"status\":\"stream\"") && lines[0].contains("\"cells\":3"));
-        assert!(lines[1].contains("\"rows\":[\"1,2,3\",\"4,5,6\"]"), "{text}");
+        assert!(
+            lines[1].contains("\"rows\":[\"1,2,3\",\"4,5,6\"]"),
+            "{text}"
+        );
         assert!(lines[2].contains("\"rows\":[\"7,8,9\"]"), "{text}");
         assert!(lines[3].contains("\"status\":\"done\"") && lines[3].contains("\"errors\":1"));
     }

@@ -152,14 +152,15 @@ impl<'a> Cursor<'a> {
                             let hi = self.parse_hex4()?;
                             let c = if (0xD800..0xDC00).contains(&hi) {
                                 // Surrogate pair: the low half must follow.
-                                self.expect(b'\\').map_err(|_| "lone surrogate".to_string())?;
-                                self.expect(b'u').map_err(|_| "lone surrogate".to_string())?;
+                                self.expect(b'\\')
+                                    .map_err(|_| "lone surrogate".to_string())?;
+                                self.expect(b'u')
+                                    .map_err(|_| "lone surrogate".to_string())?;
                                 let lo = self.parse_hex4()?;
                                 if !(0xDC00..0xE000).contains(&lo) {
                                     return Err("invalid low surrogate".into());
                                 }
-                                let cp =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
                                 char::from_u32(cp).ok_or("invalid surrogate pair")?
                             } else {
                                 char::from_u32(hi).ok_or("invalid \\u escape")?
@@ -185,7 +186,11 @@ impl<'a> Cursor<'a> {
     }
 
     fn parse_hex4(&mut self) -> Result<u32, String> {
-        let end = self.i.checked_add(4).filter(|&e| e <= self.s.len()).ok_or("short \\u escape")?;
+        let end = self
+            .i
+            .checked_add(4)
+            .filter(|&e| e <= self.s.len())
+            .ok_or("short \\u escape")?;
         let hex = std::str::from_utf8(&self.s[self.i..end]).map_err(|_| "bad \\u escape")?;
         let v = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
         self.i = end;
@@ -197,7 +202,10 @@ impl<'a> Cursor<'a> {
         if self.peek() == Some(b'-') {
             self.i += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
             self.i += 1;
         }
         if self.i == start {
@@ -237,9 +245,13 @@ impl<'a> Cursor<'a> {
 ///
 /// A human-readable message describing the first syntax problem.
 pub fn parse_object(s: &str) -> Result<Vec<(String, Json)>, String> {
-    let mut c = Cursor { s: s.as_bytes(), i: 0 };
+    let mut c = Cursor {
+        s: s.as_bytes(),
+        i: 0,
+    };
     c.skip_ws();
-    c.expect(b'{').map_err(|_| "request must be a JSON object".to_string())?;
+    c.expect(b'{')
+        .map_err(|_| "request must be a JSON object".to_string())?;
     let mut fields = Vec::new();
     c.skip_ws();
     if c.peek() == Some(b'}') {
@@ -344,7 +356,11 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
 
     match u64_field(&fields, "v").map_err(&fail)? {
         Some(v) if v == u64::from(VERSION) => {}
-        Some(v) => return Err(fail(format!("unsupported schema version {v} (this server speaks v{VERSION})"))),
+        Some(v) => {
+            return Err(fail(format!(
+                "unsupported schema version {v} (this server speaks v{VERSION})"
+            )))
+        }
         None => return Err(fail("missing required field 'v'".to_string())),
     }
     let kind = str_field(&fields, "kind")
@@ -355,7 +371,11 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
     let allowed: Vec<&str> = match kind.as_str() {
         "ping" | "shutdown" => ENVELOPE_FIELDS.to_vec(),
         "cell" => ENVELOPE_FIELDS.iter().chain(CELL_FIELDS).copied().collect(),
-        "sweep" => ENVELOPE_FIELDS.iter().chain(SWEEP_FIELDS).copied().collect(),
+        "sweep" => ENVELOPE_FIELDS
+            .iter()
+            .chain(SWEEP_FIELDS)
+            .copied()
+            .collect(),
         other => return Err(fail(format!("unknown query kind '{other}'"))),
     };
     for (k, _) in &fields {
@@ -385,13 +405,12 @@ fn parse_cell(fields: &[(String, Json)]) -> Result<CellSpec, String> {
         Some("expected-ttt") => CellKind::ExpectedTtt,
         Some(other) => return Err(format!("unknown cell_kind '{other}'")),
     };
-    let workload = str_field(fields, "workload")?
-        .ok_or("missing required field 'workload'")?;
+    let workload = str_field(fields, "workload")?.ok_or("missing required field 'workload'")?;
     let workload = BenchmarkId::from_abbreviation(&workload)
         .ok_or_else(|| format!("unknown workload '{workload}'"))?;
     let system = str_field(fields, "system")?.ok_or("missing required field 'system'")?;
-    let system = SystemId::from_token(&system)
-        .ok_or_else(|| format!("unknown system '{system}'"))?;
+    let system =
+        SystemId::from_token(&system).ok_or_else(|| format!("unknown system '{system}'"))?;
     let gpus = u64_field(fields, "gpus")?.ok_or("missing required field 'gpus'")?;
     let gpus = u32::try_from(gpus).map_err(|_| "field 'gpus' is out of range".to_string())?;
     // A zero batch is a typed bad-request naming the field, like `runs`
@@ -434,9 +453,7 @@ fn parse_cell(fields: &[(String, Json)]) -> Result<CellSpec, String> {
     // cache entry, same answer).
     let runs = match u64_field(fields, "runs")? {
         None => None,
-        Some(n) if (1..=u64::from(MAX_RUNS)).contains(&n) => {
-            (n > 1).then_some(n as u32)
-        }
+        Some(n) if (1..=u64::from(MAX_RUNS)).contains(&n) => (n > 1).then_some(n as u32),
         Some(n) => {
             return Err(format!(
                 "field 'runs' must be between 1 and {MAX_RUNS} (got {n})"
@@ -485,13 +502,19 @@ pub fn json_escape(s: &str) -> String {
 }
 
 fn columns_json(columns: &[&str]) -> String {
-    let cols: Vec<String> = columns.iter().map(|c| format!("\"{}\"", json_escape(c))).collect();
+    let cols: Vec<String> = columns
+        .iter()
+        .map(|c| format!("\"{}\"", json_escape(c)))
+        .collect();
     format!("[{}]", cols.join(","))
 }
 
 /// The `pong` response to a ping.
 pub fn pong_frame(id: &str) -> String {
-    format!("{{\"v\":1,\"id\":\"{}\",\"status\":\"ok\",\"kind\":\"pong\"}}\n", json_escape(id))
+    format!(
+        "{{\"v\":1,\"id\":\"{}\",\"status\":\"ok\",\"kind\":\"pong\"}}\n",
+        json_escape(id)
+    )
 }
 
 /// The acknowledgement written before the server stops accepting.
@@ -509,7 +532,10 @@ pub fn shutdown_frame(id: &str) -> String {
 /// names its distribution columns accordingly.
 pub fn cell_ok_frame(id: &str, kind: CellKind, values: &[f64]) -> String {
     let decimals: Vec<String> = values.iter().map(|v| format!("{v}")).collect();
-    let bits: Vec<String> = values.iter().map(|v| format!("\"{:016x}\"", v.to_bits())).collect();
+    let bits: Vec<String> = values
+        .iter()
+        .map(|v| format!("\"{:016x}\"", v.to_bits()))
+        .collect();
     let kind_token = match kind {
         CellKind::Training => "training",
         CellKind::ExpectedTtt => "expected-ttt",
@@ -561,7 +587,10 @@ pub fn stream_header_frame(id: &str, sweep: &str, cells: usize, columns: &[&str]
 /// One shard of sweep rows (each row one CSV line, comma-joined cells —
 /// the same bytes `repro sweep` writes).
 pub fn rows_frame(id: &str, rows: &[String]) -> String {
-    let quoted: Vec<String> = rows.iter().map(|r| format!("\"{}\"", json_escape(r))).collect();
+    let quoted: Vec<String> = rows
+        .iter()
+        .map(|r| format!("\"{}\"", json_escape(r)))
+        .collect();
     format!(
         "{{\"v\":1,\"id\":\"{}\",\"status\":\"rows\",\"rows\":[{}]}}\n",
         json_escape(id),
@@ -611,14 +640,11 @@ mod tests {
         assert_eq!(spec.workload, Some(BenchmarkId::MlpfRes50Mx));
         assert_eq!(spec.system, Some(SystemId::Dss8440));
         assert_eq!(spec.gpus, Some(4));
-        assert_eq!(
-            req.canonical_bytes(),
-            {
-                let mut b = b"query.v1;kind=cell;".to_vec();
-                b.extend_from_slice(&spec.canonical_bytes());
-                b
-            }
-        );
+        assert_eq!(req.canonical_bytes(), {
+            let mut b = b"query.v1;kind=cell;".to_vec();
+            b.extend_from_slice(&spec.canonical_bytes());
+            b
+        });
     }
 
     #[test]
@@ -665,9 +691,15 @@ mod tests {
                 r#"{"v":1,"kind":"cell","workload":"MLPf_SSD_Py","system":"DSS 8440","gpus":4}"#,
                 "unknown system",
             ),
-            (r#"{"v":1,"kind":"cell","workload":"MLPf_SSD_Py","system":"DSS_8440"}"#, "missing required field 'gpus'"),
+            (
+                r#"{"v":1,"kind":"cell","workload":"MLPf_SSD_Py","system":"DSS_8440"}"#,
+                "missing required field 'gpus'",
+            ),
             (r#"{"v":1,"kind":"ping","v":1}"#, "duplicate field"),
-            (r#"{"v":1,"kind":"cell","workload":"MLPf_SSD_Py","system":"DSS_8440","gpus":[1]}"#, "nested values"),
+            (
+                r#"{"v":1,"kind":"cell","workload":"MLPf_SSD_Py","system":"DSS_8440","gpus":[1]}"#,
+                "nested values",
+            ),
             (
                 r#"{"v":1,"kind":"cell","workload":"MLPf_SSD_Py","system":"DSS_8440","gpus":1,"batch":0}"#,
                 "field 'batch' must be at least 1 (got 0)",
@@ -675,19 +707,25 @@ mod tests {
         ];
         for (line, needle) in cases {
             let (_, msg) = parse_request(line).expect_err(line);
-            assert!(msg.contains(needle), "{line}: got '{msg}', wanted '{needle}'");
+            assert!(
+                msg.contains(needle),
+                "{line}: got '{msg}', wanted '{needle}'"
+            );
         }
     }
 
     #[test]
     fn runs_field_parses_normalizes_and_rejects_out_of_range() {
-        let base = r#"{"v":1,"kind":"cell","workload":"MLPf_Res50_MX","system":"DSS_8440","gpus":4"#;
+        let base =
+            r#"{"v":1,"kind":"cell","workload":"MLPf_Res50_MX","system":"DSS_8440","gpus":4"#;
         let req = parse_request(&format!(r#"{base},"runs":8}}"#)).unwrap();
         let QueryV1::Cell(spec) = &req.query else {
             panic!("expected a cell query")
         };
         assert_eq!(spec.runs, Some(8));
-        assert!(String::from_utf8(req.canonical_bytes()).unwrap().ends_with(";runs=8"));
+        assert!(String::from_utf8(req.canonical_bytes())
+            .unwrap()
+            .ends_with(";runs=8"));
         // "runs":1 is the explicit spelling of the default: identical
         // identity (and thus coalescing key) to omitting the field.
         let one = parse_request(&format!(r#"{base},"runs":1}}"#)).unwrap();
@@ -695,21 +733,26 @@ mod tests {
         assert_eq!(one.canonical_bytes(), plain.canonical_bytes());
         // 0, negative, and huge are typed bad-requests naming the field.
         for bad in ["0", "-3", "513", "1000000000000"] {
-            let (_, msg) =
-                parse_request(&format!(r#"{base},"runs":{bad}}}"#)).expect_err(bad);
+            let (_, msg) = parse_request(&format!(r#"{base},"runs":{bad}}}"#)).expect_err(bad);
             assert!(msg.contains("'runs'"), "runs={bad}: got '{msg}'");
         }
     }
 
     #[test]
     fn partition_field_parses_normalizes_and_rejects_bad_tokens() {
-        let base = r#"{"v":1,"kind":"cell","workload":"MLPf_Res50_MX","system":"C4140_(K)","gpus":1"#;
+        let base =
+            r#"{"v":1,"kind":"cell","workload":"MLPf_Res50_MX","system":"C4140_(K)","gpus":1"#;
         let req = parse_request(&format!(r#"{base},"partition":"1of4x3"}}"#)).unwrap();
         let QueryV1::Cell(spec) = &req.query else {
             panic!("expected a cell query")
         };
-        assert_eq!(spec.partition.map(|p| p.to_string()).as_deref(), Some("1of4x3"));
-        assert!(String::from_utf8(req.canonical_bytes()).unwrap().ends_with(";part=1of4x3"));
+        assert_eq!(
+            spec.partition.map(|p| p.to_string()).as_deref(),
+            Some("1of4x3")
+        );
+        assert!(String::from_utf8(req.canonical_bytes())
+            .unwrap()
+            .ends_with(";part=1of4x3"));
         // "full" (and the solo "x1" spelling) are the explicit default:
         // identical identity — and thus coalescing key — to omitting the
         // field, so old clients and new ones share cache entries.
@@ -721,8 +764,8 @@ mod tests {
         assert_eq!(solo.canonical_bytes(), bare.canonical_bytes());
         // Invalid tokens are typed bad-requests naming the field.
         for bad in ["1of3", "2of4", "1of4x9", "half", "1of4x0", " 1of4"] {
-            let (_, msg) = parse_request(&format!(r#"{base},"partition":"{bad}"}}"#))
-                .expect_err(bad);
+            let (_, msg) =
+                parse_request(&format!(r#"{base},"partition":"{bad}"}}"#)).expect_err(bad);
             assert!(msg.contains("'partition'"), "partition={bad}: got '{msg}'");
         }
     }
@@ -765,13 +808,16 @@ mod tests {
             assert_eq!(BenchmarkId::from_abbreviation(b.abbreviation()), Some(b));
         }
         assert_eq!(BenchmarkId::from_abbreviation("nope"), None);
-        assert_eq!(SystemId::from_token("DSS 8440"), None, "spaces are not wire tokens");
+        assert_eq!(
+            SystemId::from_token("DSS 8440"),
+            None,
+            "spaces are not wire tokens"
+        );
     }
 
     #[test]
     fn string_unescaping_round_trips() {
-        let fields =
-            parse_object(r#"{"id":"a\"b\\c\ndA😀"}"#).unwrap();
+        let fields = parse_object(r#"{"id":"a\"b\\c\ndA😀"}"#).unwrap();
         assert_eq!(fields[0].1, Json::Str("a\"b\\c\ndA😀".to_string()));
         let msg = "quote\" slash\\ newline\n tab\t ctl\u{1}";
         let line = format!("{{\"m\":\"{}\"}}", json_escape(msg));
@@ -784,16 +830,26 @@ mod tests {
         for (frame, status) in [
             (pong_frame("a"), "ok"),
             (shutdown_frame("a"), "ok"),
-            (cell_ok_frame("a", CellKind::Training, &[1.5, 2.0, 3.25, 0.5, 90.0]), "ok"),
+            (
+                cell_ok_frame("a", CellKind::Training, &[1.5, 2.0, 3.25, 0.5, 90.0]),
+                "ok",
+            ),
             (error_frame("a", "oom", "out of memory"), "error"),
             (busy_frame("a"), "busy"),
-            (stream_header_frame("a", "fault_ttt", 15, &["workload", "status"]), "stream"),
+            (
+                stream_header_frame("a", "fault_ttt", 15, &["workload", "status"]),
+                "stream",
+            ),
             (rows_frame("a", &["x,y,1".to_string()]), "rows"),
             (done_frame("a", 15, 0), "done"),
         ] {
             assert!(frame.ends_with('\n'), "{frame}");
             assert_eq!(frame.matches('\n').count(), 1, "{frame}");
-            assert_eq!(response_status(frame.trim_end()).as_deref(), Some(status), "{frame}");
+            assert_eq!(
+                response_status(frame.trim_end()).as_deref(),
+                Some(status),
+                "{frame}"
+            );
         }
     }
 

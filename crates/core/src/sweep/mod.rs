@@ -196,7 +196,8 @@ impl CellSpec {
             self.workload.map_or("-", BenchmarkId::abbreviation),
             self.system.map_or("-", SystemId::name),
             self.gpus.map_or_else(|| "-".to_string(), |g| g.to_string()),
-            self.batch.map_or_else(|| "-".to_string(), |b| b.to_string()),
+            self.batch
+                .map_or_else(|| "-".to_string(), |b| b.to_string()),
             self.precision.map_or("-", |p| match p {
                 PrecisionPolicy::Fp32 => "fp32",
                 PrecisionPolicy::Amp => "amp",
@@ -486,10 +487,11 @@ impl SweepSpec {
     /// partition-free sweeps emit exactly the bytes they always did.
     pub fn partitioned(&self) -> bool {
         self.base.partition.is_some()
-            || self
-                .axes
-                .iter()
-                .any(|a| a.values.iter().any(|v| matches!(v, AxisValue::Partition(_))))
+            || self.axes.iter().any(|a| {
+                a.values
+                    .iter()
+                    .any(|v| matches!(v, AxisValue::Partition(_)))
+            })
     }
 
     /// Keep only the first `max_cells` cells of the deterministic
@@ -738,8 +740,12 @@ pub(crate) fn decode_outcome(
     runs: u32,
     bytes: &[u8],
 ) -> Option<Result<CellValue, CellError>> {
-    let expected =
-        kind.columns().len() + if runs > 1 { kind.run_columns().len() } else { 0 };
+    let expected = kind.columns().len()
+        + if runs > 1 {
+            kind.run_columns().len()
+        } else {
+            0
+        };
     let text = std::str::from_utf8(bytes).ok()?;
     let mut lines = text.lines();
     match lines.next()? {
@@ -922,7 +928,11 @@ impl Rows {
             Err(error_kind) => {
                 row.field("error");
                 let width = kind.columns().len()
-                    + if runs > 1 { kind.run_columns().len() } else { 0 };
+                    + if runs > 1 {
+                        kind.run_columns().len()
+                    } else {
+                        0
+                    };
                 for _ in 0..width {
                     row.field("-");
                 }
@@ -1017,9 +1027,19 @@ pub fn figure4_scaling() -> SweepSpec {
     .fix(AxisValue::System(SystemId::Dss8440))
     .axis(
         "workload",
-        BenchmarkId::MLPERF.iter().copied().map(AxisValue::Workload).collect(),
+        BenchmarkId::MLPERF
+            .iter()
+            .copied()
+            .map(AxisValue::Workload)
+            .collect(),
     )
-    .axis("gpus", [1u32, 2, 4, 8].iter().map(|&g| AxisValue::Gpus(g)).collect())
+    .axis(
+        "gpus",
+        [1u32, 2, 4, 8]
+            .iter()
+            .map(|&g| AxisValue::Gpus(g))
+            .collect(),
+    )
 }
 
 /// The batch sweep: one benchmark on a single V100 of the C4140 (K),
@@ -1055,7 +1075,10 @@ pub fn fault_ttt() -> SweepSpec {
     .fix(AxisValue::Gpus(4))
     .axis(
         "mtbf_hours",
-        [1.0, 4.0, 24.0].iter().map(|&m| AxisValue::MtbfHours(m)).collect(),
+        [1.0, 4.0, 24.0]
+            .iter()
+            .map(|&m| AxisValue::MtbfHours(m))
+            .collect(),
     )
     .axis(
         "interval",
@@ -1084,7 +1107,11 @@ pub fn partition_scaling() -> SweepSpec {
     .fix(AxisValue::Gpus(1))
     .axis(
         "workload",
-        BenchmarkId::MLPERF.iter().copied().map(AxisValue::Workload).collect(),
+        BenchmarkId::MLPERF
+            .iter()
+            .copied()
+            .map(AxisValue::Workload)
+            .collect(),
     )
     .axis(
         "partition",
@@ -1115,7 +1142,11 @@ pub fn million_cell() -> SweepSpec {
     )
     .axis(
         "workload",
-        BenchmarkId::MLPERF.iter().copied().map(AxisValue::Workload).collect(),
+        BenchmarkId::MLPERF
+            .iter()
+            .copied()
+            .map(AxisValue::Workload)
+            .collect(),
     )
     .axis(
         "system",
@@ -1124,7 +1155,13 @@ pub fn million_cell() -> SweepSpec {
             .map(|&s| AxisValue::System(s))
             .collect(),
     )
-    .axis("gpus", [1u32, 2, 4, 8].iter().map(|&g| AxisValue::Gpus(g)).collect())
+    .axis(
+        "gpus",
+        [1u32, 2, 4, 8]
+            .iter()
+            .map(|&g| AxisValue::Gpus(g))
+            .collect(),
+    )
     .axis(
         "precision",
         vec![
@@ -1159,8 +1196,15 @@ mod tests {
         shard: usize,
     ) -> (String, StreamSummary) {
         let mut out = Vec::new();
-        let summary =
-            run_streamed(&Pool::with_workers(workers), ctx, spec, cache, &mut out, shard).unwrap();
+        let summary = run_streamed(
+            &Pool::with_workers(workers),
+            ctx,
+            spec,
+            cache,
+            &mut out,
+            shard,
+        )
+        .unwrap();
         (String::from_utf8(out).unwrap(), summary)
     }
 
@@ -1216,8 +1260,12 @@ mod tests {
         // Truncation is part of the canonical identity...
         assert_ne!(full.canonical_bytes(), cut.canonical_bytes());
         // ...but an untruncated sweep spells exactly as before.
-        assert!(!String::from_utf8(full.canonical_bytes()).unwrap().contains(";trunc="));
-        assert!(String::from_utf8(cut.canonical_bytes()).unwrap().ends_with(";trunc=5"));
+        assert!(!String::from_utf8(full.canonical_bytes())
+            .unwrap()
+            .contains(";trunc="));
+        assert!(String::from_utf8(cut.canonical_bytes())
+            .unwrap()
+            .ends_with(";trunc=5"));
         // A cap wider than the grid is a no-op on the expansion.
         assert_eq!(figure4_scaling().truncate(1000).len(), 28);
     }
@@ -1299,7 +1347,10 @@ mod tests {
         let bytes = encode_outcome(&wide);
         assert_eq!(decode_outcome(CellKind::Training, 8, &bytes), Some(wide));
         assert_eq!(decode_outcome(CellKind::Training, 1, &bytes), None);
-        assert_eq!(decode_outcome(CellKind::Training, 8, &encode_outcome(&ok)), None);
+        assert_eq!(
+            decode_outcome(CellKind::Training, 8, &encode_outcome(&ok)),
+            None
+        );
     }
 
     #[test]
@@ -1309,7 +1360,9 @@ mod tests {
         assert!(!String::from_utf8(plain.clone()).unwrap().contains(";runs="));
         cell.runs = Some(8);
         let replicated = cell.canonical_bytes();
-        assert!(String::from_utf8(replicated.clone()).unwrap().ends_with(";runs=8"));
+        assert!(String::from_utf8(replicated.clone())
+            .unwrap()
+            .ends_with(";runs=8"));
         assert_ne!(plain, replicated, "run count is part of the cache identity");
         // The replication id strips the knob: the PRNG streams of a cell
         // are shared across run counts.
@@ -1323,7 +1376,10 @@ mod tests {
         assert_eq!(effective_runs(&ctx, &spec), 8);
         let v = price_cell(&ctx, &spec).unwrap();
         let kind = CellKind::Training;
-        assert_eq!(v.values().len(), kind.columns().len() + kind.run_columns().len());
+        assert_eq!(
+            v.values().len(),
+            kind.columns().len() + kind.run_columns().len()
+        );
         // Base columns are byte-identical to the single-run pricing.
         let point = price_cell(&Ctx::new(), &spec).unwrap();
         assert_eq!(&v.values()[..point.values().len()], point.values());
@@ -1345,9 +1401,11 @@ mod tests {
         let a = render(&run_serial(&Ctx::new().with_runs(8), &spec, None), 8, false);
         let (b, _) = streamed(4, &Ctx::new().with_runs(8), &spec, None, 3);
         assert_eq!(a, b, "replication draws are scheduling-invariant");
-        assert!(a.lines().next().unwrap().ends_with(
-            ",runs,epochs_median,epochs_p5,epochs_p95,epochs_ci_lo,epochs_ci_hi,error"
-        ));
+        assert!(a
+            .lines()
+            .next()
+            .unwrap()
+            .ends_with(",runs,epochs_median,epochs_p5,epochs_p95,epochs_ci_lo,epochs_ci_hi,error"));
     }
 
     #[test]
@@ -1378,7 +1436,11 @@ mod tests {
                 _ => panic!("warm outcome changed status"),
             }
         }
-        assert_eq!(render(&cold, 1, false), render(&warm, 1, false), "CSV bytes identical");
+        assert_eq!(
+            render(&cold, 1, false),
+            render(&warm, 1, false),
+            "CSV bytes identical"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

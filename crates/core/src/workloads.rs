@@ -372,9 +372,21 @@ mod tests {
     #[test]
     fn unified_run_rejects_deepbench_misuse_as_bad_gpu_set() {
         for (spec, n, needle) in [
-            (WorkloadSpec::DeepBench(DeepBenchId::GemmCu), 2, "single-GPU kernel loop"),
-            (WorkloadSpec::DeepBench(DeepBenchId::RedCu), 0, "at least one GPU"),
-            (WorkloadSpec::DeepBench(DeepBenchId::RedCu), 99, "system has only"),
+            (
+                WorkloadSpec::DeepBench(DeepBenchId::GemmCu),
+                2,
+                "single-GPU kernel loop",
+            ),
+            (
+                WorkloadSpec::DeepBench(DeepBenchId::RedCu),
+                0,
+                "at least one GPU",
+            ),
+            (
+                WorkloadSpec::DeepBench(DeepBenchId::RedCu),
+                99,
+                "system has only",
+            ),
         ] {
             match on_c4140k(spec, n) {
                 Err(SimError::BadGpuSet(msg)) => assert!(msg.contains(needle), "{msg}"),

@@ -149,10 +149,19 @@ fn fuzzed_tampering_never_changes_report_bytes() {
         assert!(junk.exists(), "sweep deleted a non-cache file");
 
         let (warm, _) = report_gen::build_cached(&pool, &Ctx::new(), &cfg(), Some(&cache));
-        assert_eq!(cold, warm, "tampering changed report bytes at {workers} workers");
+        assert_eq!(
+            cold, warm,
+            "tampering changed report bytes at {workers} workers"
+        );
         let s = cache.stats();
-        assert_eq!(s.corrupt, tampered, "every tampered entry must be quarantined");
-        assert_eq!(s.store_failures, 0, "re-stores on healthy disk must succeed");
+        assert_eq!(
+            s.corrupt, tampered,
+            "every tampered entry must be quarantined"
+        );
+        assert_eq!(
+            s.store_failures, 0,
+            "re-stores on healthy disk must succeed"
+        );
 
         // The cache healed: the next run answers everything from disk.
         let healed = DiskCache::open_with_epoch(&dir, EPOCH).unwrap();
@@ -162,7 +171,11 @@ fn fuzzed_tampering_never_changes_report_bytes() {
             exec.stats.per_experiment.is_empty(),
             "healed cache still recomputed an experiment"
         );
-        assert_eq!(healed.stats().corrupt, 0, "healed cache reported corruption");
+        assert_eq!(
+            healed.stats().corrupt,
+            0,
+            "healed cache reported corruption"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -253,7 +266,10 @@ fn io_chaos_store_faults_degrade_loudly_but_never_change_results() {
         .unwrap()
         .with_io_chaos(chaos_plan());
     let (report_b, _) = report_gen::build_cached(&pool, &Ctx::new(), &cfg(), Some(&cache_b));
-    assert_eq!(report_a, report_b, "same seed, same degradation, same bytes");
+    assert_eq!(
+        report_a, report_b,
+        "same seed, same degradation, same bytes"
+    );
     assert_eq!(sa.store_failures, cache_b.stats().store_failures);
 
     // A clean reopen sweeps the torn-rename debris, quarantines any
@@ -268,15 +284,20 @@ fn io_chaos_store_faults_degrade_loudly_but_never_change_results() {
     let clean = DiskCache::open_with_epoch(&dir_a, EPOCH).unwrap();
     assert_eq!(clean.stats().orphans_swept as usize, leftover_tmp);
     let (warm, _) = report_gen::build_cached(&pool, &Ctx::new(), &cfg(), Some(&clean));
-    assert_eq!(warm, reference, "post-chaos warm bytes differ from ground truth");
+    assert_eq!(
+        warm, reference,
+        "post-chaos warm bytes differ from ground truth"
+    );
     assert_eq!(clean.stats().store_failures, 0);
 
     // Converged: a final clean run is fully warm.
     let settled = DiskCache::open_with_epoch(&dir_a, EPOCH).unwrap();
-    let (final_report, exec) =
-        report_gen::build_cached(&pool, &Ctx::new(), &cfg(), Some(&settled));
+    let (final_report, exec) = report_gen::build_cached(&pool, &Ctx::new(), &cfg(), Some(&settled));
     assert_eq!(final_report, reference);
-    assert!(exec.stats.per_experiment.is_empty(), "cache failed to converge");
+    assert!(
+        exec.stats.per_experiment.is_empty(),
+        "cache failed to converge"
+    );
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
 }
@@ -299,13 +320,19 @@ fn io_chaos_read_faults_fall_back_to_recomputation() {
     assert_eq!(report, reference, "read faults changed report bytes");
     let s = hostile.stats();
     assert!(s.misses > 0, "chaos read rates fired no fault");
-    assert!(s.corrupt > 0, "bit-flip reads must be caught by verification");
+    assert!(
+        s.corrupt > 0,
+        "bit-flip reads must be caught by verification"
+    );
     assert_eq!(s.store_failures, 0, "read chaos must not fail stores");
 
     // Quarantined entries were re-stored healthy: a clean run is warm.
     let clean = DiskCache::open_with_epoch(&dir, EPOCH).unwrap();
     let (again, exec) = report_gen::build_cached(&pool, &Ctx::new(), &cfg(), Some(&clean));
     assert_eq!(again, reference);
-    assert!(exec.stats.per_experiment.is_empty(), "cache did not re-heal");
+    assert!(
+        exec.stats.per_experiment.is_empty(),
+        "cache did not re-heal"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -51,14 +51,19 @@ fn regenerated_csvs_match_checked_in_artifacts_byte_for_byte() {
 fn every_artifact_on_disk_is_still_generated() {
     // Coverage in the other direction: no orphaned CSVs lingering after a
     // rename, and no generated table missing from the repo.
-    let built: BTreeSet<String> = build_strict()
-        .files()
-        .map(str::to_string)
-        .collect();
+    let built: BTreeSet<String> = build_strict().files().map(str::to_string).collect();
     let on_disk: BTreeSet<String> = std::fs::read_dir(artifacts_dir())
         .expect("artifacts/ exists")
-        .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 name"))
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8 name")
+        })
         .filter(|n| n.ends_with(".csv"))
         .collect();
-    assert_eq!(built, on_disk, "artifacts/ and csv_export::build_all_cached() must list the same files");
+    assert_eq!(
+        built, on_disk,
+        "artifacts/ and csv_export::build_all_cached() must list the same files"
+    );
 }

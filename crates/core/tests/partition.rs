@@ -16,9 +16,9 @@
 //!     twins key differently, and a warm replay answers every sliced
 //!     cell from disk with identical bytes.
 
+use mlperf_hw::{PartitionProfile, PartitionSpec};
 use mlperf_suite::runner::{Ctx, Pool};
 use mlperf_suite::sweep::{self, DiskCache, StreamSummary, SweepSpec};
-use mlperf_hw::{PartitionProfile, PartitionSpec};
 use std::path::PathBuf;
 
 /// A fixed cache epoch so test keys never depend on the build fingerprint.
@@ -60,7 +60,11 @@ fn whole_device_cells_spell_exactly_as_before_partitioning() {
             assert!(spec.partitioned());
             continue;
         }
-        assert!(!spec.partitioned(), "{} unexpectedly partitioned", spec.name);
+        assert!(
+            !spec.partitioned(),
+            "{} unexpectedly partitioned",
+            spec.name
+        );
         let bytes = spec.cell_at(0).canonical_bytes();
         let text = String::from_utf8(bytes).expect("canonical bytes are ASCII");
         assert!(
@@ -71,12 +75,23 @@ fn whole_device_cells_spell_exactly_as_before_partitioning() {
     }
     // Setting then clearing the partition is a no-op on the identity.
     let mut cell = partition_scaling().cell_at(0);
-    assert_eq!(cell.partition, None, "grid's first layout is the whole device");
+    assert_eq!(
+        cell.partition, None,
+        "grid's first layout is the whole device"
+    );
     let plain = cell.canonical_bytes();
     cell.partition = Some(PartitionSpec::packed(PartitionProfile::Half));
-    assert_ne!(cell.canonical_bytes(), plain, "slicing must change identity");
+    assert_ne!(
+        cell.canonical_bytes(),
+        plain,
+        "slicing must change identity"
+    );
     cell.partition = None;
-    assert_eq!(cell.canonical_bytes(), plain, "clearing must restore identity");
+    assert_eq!(
+        cell.canonical_bytes(),
+        plain,
+        "clearing must restore identity"
+    );
 }
 
 #[test]
@@ -84,7 +99,11 @@ fn partitioned_sweep_bytes_are_identical_across_replays_and_workers() {
     let spec = partition_scaling();
     let (reference, _) = streamed(1, &Ctx::new(), &spec, None);
     assert!(
-        reference.lines().next().expect("header").contains("partition"),
+        reference
+            .lines()
+            .next()
+            .expect("header")
+            .contains("partition"),
         "partitioned sweep must carry the partition column"
     );
     // Every layout token appears in the data rows.
@@ -95,8 +114,7 @@ fn partitioned_sweep_bytes_are_identical_across_replays_and_workers() {
         for replay in 0..2 {
             let (run, _) = streamed(workers, &Ctx::new(), &spec, None);
             assert_eq!(
-                run,
-                reference,
+                run, reference,
                 "replay {replay} at {workers} workers drifted"
             );
         }
@@ -138,7 +156,10 @@ fn disk_cache_keys_are_partition_aware_and_replay_warm() {
     let warm_ctx = Ctx::new();
     let (warm, summary) = streamed(4, &warm_ctx, &spec, Some(&cache));
     assert_eq!(cold, warm, "warm bytes differ");
-    assert_eq!(summary.disk_hits, summary.cells, "warm run recomputed cells");
+    assert_eq!(
+        summary.disk_hits, summary.cells,
+        "warm run recomputed cells"
+    );
     let (attempts, _) = warm_ctx.fast_stats();
     assert_eq!(attempts, 0, "a disk hit must never re-price a cell");
     let _ = std::fs::remove_dir_all(&dir);

@@ -85,7 +85,11 @@ fn replicated_rows_extend_the_point_rows_and_order_their_quantiles() {
 
     let ones: Vec<&str> = one.lines().skip(1).collect();
     let eights: Vec<&str> = eight.lines().skip(1).collect();
-    assert_eq!(ones.len(), eights.len(), "row count changed under replication");
+    assert_eq!(
+        ones.len(),
+        eights.len(),
+        "row count changed under replication"
+    );
 
     let extra = RunStats::COLUMNS.len();
     let mut checked = 0;
@@ -102,7 +106,11 @@ fn replicated_rows_extend_the_point_rows_and_order_their_quantiles() {
         assert_eq!(w.len(), n.len() + extra, "column arithmetic: {wide}");
         // Base columns (everything before the trailing error column) are
         // byte-identical; the six distribution columns slot in before it.
-        assert_eq!(n[..n.len() - 1], w[..n.len() - 1], "base columns moved: {wide}");
+        assert_eq!(
+            n[..n.len() - 1],
+            w[..n.len() - 1],
+            "base columns moved: {wide}"
+        );
         let stats: Vec<f64> = w[n.len() - 1..w.len() - 1]
             .iter()
             .map(|v| v.parse().expect("numeric distribution column"))
@@ -128,14 +136,25 @@ fn disk_cache_keys_are_run_count_aware_and_round_trip() {
     // Distinct run counts must found distinct entries: the second cold
     // sweep stores every cell again instead of hitting the first's.
     let s = cache.stats();
-    assert_eq!((s.hits, s.stores), (0, 2 * cells), "runs=1 and runs=8 shared a cache slot");
+    assert_eq!(
+        (s.hits, s.stores),
+        (0, 2 * cells),
+        "runs=1 and runs=8 shared a cache slot"
+    );
 
     let one_warm = streamed(&Ctx::new(), 1, &grid, Some(&cache));
     let eight_warm = streamed(&Ctx::new().with_runs(8), 1, &grid, Some(&cache));
     let s = cache.stats();
-    assert_eq!((s.hits, s.stores), (2 * cells, 2 * cells), "warm sweeps missed the cache");
+    assert_eq!(
+        (s.hits, s.stores),
+        (2 * cells, 2 * cells),
+        "warm sweeps missed the cache"
+    );
     assert_eq!(one_cold, one_warm, "runs=1 bytes drifted through the cache");
-    assert_eq!(eight_cold, eight_warm, "runs=8 bytes drifted through the cache");
+    assert_eq!(
+        eight_cold, eight_warm,
+        "runs=8 bytes drifted through the cache"
+    );
     assert_ne!(one_cold, eight_cold, "replication never widened the rows");
 
     let _ = std::fs::remove_dir_all(&dir);

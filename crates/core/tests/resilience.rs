@@ -162,10 +162,9 @@ impl Experiment for ChaosExp<'_> {
         }
         match action {
             ChaosAction::Proceed => self.inner.run(ctx),
-            ChaosAction::Panic => std::panic::panic_any(format!(
-                "chaos: scripted panic in '{}'",
-                self.id()
-            )),
+            ChaosAction::Panic => {
+                std::panic::panic_any(format!("chaos: scripted panic in '{}'", self.id()))
+            }
             ChaosAction::Error => Err(ExperimentError::from(SimError::BadGpuSet(format!(
                 "chaos: scripted error in '{}'",
                 self.id()
@@ -256,8 +255,12 @@ fn chaos_isolates_the_victim_and_preserves_sibling_bytes() {
         chaos: Some("figure3".to_string()),
         ..ResilienceConfig::resilient()
     };
-    let chaotic =
-        runner::execute_resilient(&Pool::with_workers(4), &Ctx::new(), &experiments, &chaos_cfg);
+    let chaotic = runner::execute_resilient(
+        &Pool::with_workers(4),
+        &Ctx::new(),
+        &experiments,
+        &chaos_cfg,
+    );
     assert!(chaotic.degraded());
     assert_eq!(
         chaotic.reports.len(),
@@ -321,7 +324,11 @@ impl Experiment for FlakyBeforePricing {
         if self.attempts.fetch_add(1, Ordering::SeqCst) == 0 {
             std::panic::panic_any("chaos: flaky before pricing".to_string());
         }
-        ctx.step(&TrainPoint::new(BenchmarkId::MlpfRes50Mx, SystemId::C4140K, 1))?;
+        ctx.step(&TrainPoint::new(
+            BenchmarkId::MlpfRes50Mx,
+            SystemId::C4140K,
+            1,
+        ))?;
         Ok(Artifact::new(()))
     }
     fn render(&self, _artifact: &Artifact) -> String {
@@ -343,11 +350,19 @@ impl Experiment for FlakyMidPricing {
         "flaky mid pricing"
     }
     fn run(&self, ctx: &Ctx) -> Result<Artifact, ExperimentError> {
-        ctx.step(&TrainPoint::new(BenchmarkId::MlpfRes50Mx, SystemId::C4140K, 1))?;
+        ctx.step(&TrainPoint::new(
+            BenchmarkId::MlpfRes50Mx,
+            SystemId::C4140K,
+            1,
+        ))?;
         if self.attempts.fetch_add(1, Ordering::SeqCst) == 0 {
             std::panic::panic_any("chaos: flaky mid pricing".to_string());
         }
-        ctx.step(&TrainPoint::new(BenchmarkId::MlpfRes50Mx, SystemId::C4140K, 2))?;
+        ctx.step(&TrainPoint::new(
+            BenchmarkId::MlpfRes50Mx,
+            SystemId::C4140K,
+            2,
+        ))?;
         Ok(Artifact::new(()))
     }
     fn render(&self, _artifact: &Artifact) -> String {
@@ -428,7 +443,10 @@ fn failed_attempts_never_pollute_the_memo_cache() {
         let first = runner::execute_resilient(&pool, &ctx, &experiments, &cfg);
         assert!(first.degraded(), "workers={workers}");
         assert!(
-            matches!(first.failures[0].error, ExperimentError::Sim(SimError::OutOfMemory { .. })),
+            matches!(
+                first.failures[0].error,
+                ExperimentError::Sim(SimError::OutOfMemory { .. })
+            ),
             "workers={workers}: {}",
             first.failures[0].error
         );
@@ -537,7 +555,10 @@ fn a_failing_experiment_runs_exactly_once() {
             &ResilienceConfig::resilient(),
         );
         assert!(
-            matches!(execution.failures[0].error, ExperimentError::Panicked { .. }),
+            matches!(
+                execution.failures[0].error,
+                ExperimentError::Panicked { .. }
+            ),
             "workers={workers}: {}",
             execution.failures[0].error
         );

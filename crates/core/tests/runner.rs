@@ -183,8 +183,8 @@ fn errors_are_memoized_like_values() {
     // An OOM point fails identically from cold and warm cache, and the
     // repeat is answered without re-simulation.
     let ctx = Ctx::new();
-    let point = TrainPoint::new(BenchmarkId::MlpfRes50Mx, SystemId::C4140K, 1)
-        .with_per_gpu_batch(1 << 14);
+    let point =
+        TrainPoint::new(BenchmarkId::MlpfRes50Mx, SystemId::C4140K, 1).with_per_gpu_batch(1 << 14);
     let cold = ctx.step(&point).expect_err("64k images cannot fit");
     let warm = ctx.step(&point).expect_err("cached failure");
     assert_eq!(cold.to_string(), warm.to_string());

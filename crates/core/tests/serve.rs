@@ -20,7 +20,10 @@
 
 use mlperf_suite::serve::{self, protocol, ServeOptions, Server};
 use mlperf_suite::sweep::{self, DiskCache};
-use mlperf_suite::{Config, runner::{Ctx, Pool}};
+use mlperf_suite::{
+    runner::{Ctx, Pool},
+    Config,
+};
 use mlperf_testkit::loadgen::LoadSpec;
 use std::io::Cursor;
 use std::path::{Path, PathBuf};
@@ -41,7 +44,12 @@ enum Expect {
 /// cells, expected-TTT cells (valid and invalid), and a ping.
 fn vocabulary() -> Vec<(String, Expect)> {
     let mut v: Vec<(String, Expect)> = Vec::new();
-    for workload in ["MLPf_Res50_MX", "MLPf_SSD_Py", "MLPf_XFMR_Py", "MLPf_GNMT_Py"] {
+    for workload in [
+        "MLPf_Res50_MX",
+        "MLPf_SSD_Py",
+        "MLPf_XFMR_Py",
+        "MLPf_GNMT_Py",
+    ] {
         for gpus in [1u32, 2, 4] {
             v.push((
                 format!(
@@ -90,7 +98,11 @@ fn vocabulary() -> Vec<(String, Expect)> {
 }
 
 fn test_config(jobs: usize) -> Config {
-    Config { jobs, cache_enabled: false, ..Config::default() }
+    Config {
+        jobs,
+        cache_enabled: false,
+        ..Config::default()
+    }
 }
 
 fn sock(name: &str) -> PathBuf {
@@ -126,8 +138,10 @@ fn serve_workload(
             .iter()
             .map(|lines| scope.spawn(|| replay(server.socket(), lines)))
             .collect();
-        let transcripts: Vec<Vec<u8>> =
-            clients.into_iter().map(|c| c.join().expect("client")).collect();
+        let transcripts: Vec<Vec<u8>> = clients
+            .into_iter()
+            .map(|c| c.join().expect("client"))
+            .collect();
         shut_down(server.socket());
         daemon.join().expect("daemon");
         transcripts
@@ -138,11 +152,19 @@ fn serve_workload(
 #[test]
 fn seeded_load_replays_byte_identical_and_coalesces() {
     let vocab = vocabulary();
-    let spec = LoadSpec { vocab: vocab.len(), hot: 6, hot_pct: 70, queries: 140 };
+    let spec = LoadSpec {
+        vocab: vocab.len(),
+        hot: 6,
+        hot_pct: 70,
+        queries: 140,
+    };
     const CLIENTS: u64 = 8;
     let plans = spec.plans(0x4D4C_5045, CLIENTS);
     let total: usize = plans.iter().map(Vec::len).sum();
-    assert!(total >= 1000, "the load-test floor is 1000 queries, got {total}");
+    assert!(
+        total >= 1000,
+        "the load-test floor is 1000 queries, got {total}"
+    );
     let workload: Vec<Vec<String>> = plans
         .iter()
         .map(|plan| plan.iter().map(|&i| vocab[i].0.clone()).collect())
@@ -151,37 +173,60 @@ fn seeded_load_replays_byte_identical_and_coalesces() {
     // The exact coalescing arithmetic this workload must produce: every
     // draw that reaches the pricing layer either founds a cache slot
     // (unique cell) or coalesces onto one.
-    let drawn: std::collections::BTreeSet<usize> =
-        plans.iter().flatten().copied().collect();
-    let unique_priced =
-        drawn.iter().filter(|&&i| vocab[i].1 == Expect::Priced).count() as u64;
+    let drawn: std::collections::BTreeSet<usize> = plans.iter().flatten().copied().collect();
+    let unique_priced = drawn
+        .iter()
+        .filter(|&&i| vocab[i].1 == Expect::Priced)
+        .count() as u64;
     let priced_draws = plans
         .iter()
         .flatten()
         .filter(|&&i| vocab[i].1 == Expect::Priced)
         .count() as u64;
 
-    let opts = ServeOptions { socket: sock("load_a"), ..ServeOptions::default() };
+    let opts = ServeOptions {
+        socket: sock("load_a"),
+        ..ServeOptions::default()
+    };
     let (first, stats) = serve_workload(&test_config(4), &opts, &workload);
 
-    assert_eq!(stats.queries as usize, total + 1, "every line parsed (plus shutdown)");
-    assert_eq!(stats.busy_responses, 0, "the default queue must absorb 8 clients");
+    assert_eq!(
+        stats.queries as usize,
+        total + 1,
+        "every line parsed (plus shutdown)"
+    );
+    assert_eq!(
+        stats.busy_responses, 0,
+        "the default queue must absorb 8 clients"
+    );
     assert_eq!(
         (stats.coalesce_misses, stats.coalesce_hits),
         (unique_priced, priced_draws - unique_priced),
         "coalescing must price each unique cell exactly once"
     );
-    assert!(stats.coalesce_hits > 500, "the hot-set skew must actually collide");
+    assert!(
+        stats.coalesce_hits > 500,
+        "the hot-set skew must actually collide"
+    );
 
     // Replay determinism: same seed, fresh server -> same bytes; and the
     // worker count (the classic nondeterminism lever) must not leak into
     // any transcript.
-    let opts_b = ServeOptions { socket: sock("load_b"), ..ServeOptions::default() };
+    let opts_b = ServeOptions {
+        socket: sock("load_b"),
+        ..ServeOptions::default()
+    };
     let (second, _) = serve_workload(&test_config(4), &opts_b, &workload);
     assert_eq!(first, second, "replay produced different bytes");
-    let opts_c = ServeOptions { socket: sock("load_c"), ..ServeOptions::default() };
+    let opts_c = ServeOptions {
+        socket: sock("load_c"),
+        ..ServeOptions::default()
+    };
     let (serial, _) = serve_workload(&test_config(1), &opts_c, &workload);
-    assert_eq!(first, serial, "MLPERF_JOBS=1 vs 4 leaked into response bytes");
+    assert_eq!(
+        first, serial,
+        "MLPERF_JOBS=1 vs 4 leaked into response bytes"
+    );
 }
 
 #[test]
@@ -198,7 +243,10 @@ fn per_connection_budgets_trip_deterministically() {
         })
         .collect();
     let run = |name: &str| {
-        let opts = ServeOptions { socket: sock(name), ..ServeOptions::default() };
+        let opts = ServeOptions {
+            socket: sock(name),
+            ..ServeOptions::default()
+        };
         let (transcripts, _) = serve_workload(&test_config(2), &opts, std::slice::from_ref(&lines));
         String::from_utf8(transcripts.into_iter().next().unwrap()).unwrap()
     };
@@ -209,17 +257,30 @@ fn per_connection_budgets_trip_deterministically() {
     assert!(frames[1].contains("\"status\":\"ok\""), "{text}");
     assert_eq!(
         frames[2],
-        protocol::error_frame("b4", "deadline-exceeded", "step budget exceeded: 3 of 2 simulation requests").trim_end(),
+        protocol::error_frame(
+            "b4",
+            "deadline-exceeded",
+            "step budget exceeded: 3 of 2 simulation requests"
+        )
+        .trim_end(),
     );
     assert_eq!(
         frames[3],
-        protocol::error_frame("b8", "deadline-exceeded", "step budget exceeded: 4 of 2 simulation requests").trim_end(),
+        protocol::error_frame(
+            "b8",
+            "deadline-exceeded",
+            "step budget exceeded: 4 of 2 simulation requests"
+        )
+        .trim_end(),
     );
     assert_eq!(text, run("budget_b"), "budget verdicts must replay");
 
     // Another connection of the same server is a fresh meter: the same
     // first query answers ok, unaffected by this connection's spent meter.
-    let opts = ServeOptions { socket: sock("budget_c"), ..ServeOptions::default() };
+    let opts = ServeOptions {
+        socket: sock("budget_c"),
+        ..ServeOptions::default()
+    };
     let (transcripts, _) = serve_workload(
         &test_config(2),
         &opts,
@@ -245,7 +306,10 @@ fn partition_queries_price_normalize_and_reject_through_the_server() {
         format!(r#"{{"v":1,"id":"bad",{CELL},"partition":"1of3"}}"#),
         r#"{"v":1,"id":"alive","kind":"ping"}"#.into(),
     ];
-    let opts = ServeOptions { socket: sock("partition"), ..ServeOptions::default() };
+    let opts = ServeOptions {
+        socket: sock("partition"),
+        ..ServeOptions::default()
+    };
     let (transcripts, stats) = serve_workload(&test_config(2), &opts, std::slice::from_ref(&lines));
     let text = String::from_utf8(transcripts.into_iter().next().unwrap()).unwrap();
     let frames: Vec<&str> = text.lines().collect();
@@ -256,20 +320,39 @@ fn partition_queries_price_normalize_and_reject_through_the_server() {
     // The quarter slice runs slower than the whole device: the sliced
     // frame must carry its own numbers, not the full-device ones.
     assert_ne!(frames[0].replace("sliced", "bare"), frames[2], "{text}");
-    assert_eq!(frames[1].replace("spelled", "bare"), frames[2], "'full' must normalize");
+    assert_eq!(
+        frames[1].replace("spelled", "bare"),
+        frames[2],
+        "'full' must normalize"
+    );
     assert!(
         frames[3].contains("bad-request") && frames[3].contains("partition"),
         "{text}"
     );
-    assert_eq!(frames[4], protocol::pong_frame("alive").trim_end(), "{text}");
+    assert_eq!(
+        frames[4],
+        protocol::pong_frame("alive").trim_end(),
+        "{text}"
+    );
     // Two unique physical cells (sliced, whole); the normalized spelling
     // coalesces onto the whole-device slot.
-    assert_eq!((stats.coalesce_misses, stats.coalesce_hits), (2, 1), "{text}");
+    assert_eq!(
+        (stats.coalesce_misses, stats.coalesce_hits),
+        (2, 1),
+        "{text}"
+    );
     assert_eq!(stats.error_responses, 1);
 
-    let opts_b = ServeOptions { socket: sock("partition_b"), ..ServeOptions::default() };
+    let opts_b = ServeOptions {
+        socket: sock("partition_b"),
+        ..ServeOptions::default()
+    };
     let (second, _) = serve_workload(&test_config(2), &opts_b, &[lines]);
-    assert_eq!(text.as_bytes(), &second[0][..], "partition frames must replay");
+    assert_eq!(
+        text.as_bytes(),
+        &second[0][..],
+        "partition frames must replay"
+    );
 }
 
 #[test]
@@ -282,7 +365,10 @@ fn malformed_queries_get_typed_errors_and_the_server_survives() {
         r#"{"v":1,"kind":"sweep","sweep":"nope"}"#.into(),
         r#"{"v":1,"id":"alive","kind":"ping"}"#.into(),
     ];
-    let opts = ServeOptions { socket: sock("malformed"), ..ServeOptions::default() };
+    let opts = ServeOptions {
+        socket: sock("malformed"),
+        ..ServeOptions::default()
+    };
     let (transcripts, stats) = serve_workload(&test_config(2), &opts, std::slice::from_ref(&lines));
     let text = String::from_utf8(transcripts.into_iter().next().unwrap()).unwrap();
     let frames: Vec<&str> = text.lines().collect();
@@ -293,10 +379,17 @@ fn malformed_queries_get_typed_errors_and_the_server_survives() {
             "{bad}"
         );
     }
-    assert_eq!(frames[5], protocol::pong_frame("alive").trim_end(), "{text}");
+    assert_eq!(
+        frames[5],
+        protocol::pong_frame("alive").trim_end(),
+        "{text}"
+    );
     assert_eq!(stats.error_responses, 5);
 
-    let opts_b = ServeOptions { socket: sock("malformed_b"), ..ServeOptions::default() };
+    let opts_b = ServeOptions {
+        socket: sock("malformed_b"),
+        ..ServeOptions::default()
+    };
     let (second, _) = serve_workload(&test_config(2), &opts_b, &[lines]);
     assert_eq!(text.as_bytes(), &second[0][..], "error frames must replay");
 }
@@ -343,10 +436,16 @@ fn streamed_sweep_frames_carry_the_batch_csv_bytes() {
     assert_eq!(stats.ok_responses, 2, "sweep + shutdown");
 
     let unknown = vec![r#"{"v":1,"kind":"sweep","sweep":"nope"}"#.to_string()];
-    let opts_b = ServeOptions { socket: sock("sweep_unknown"), ..ServeOptions::default() };
+    let opts_b = ServeOptions {
+        socket: sock("sweep_unknown"),
+        ..ServeOptions::default()
+    };
     let (transcripts, _) = serve_workload(&test_config(2), &opts_b, &[unknown]);
     let text = String::from_utf8(transcripts.into_iter().next().unwrap()).unwrap();
-    assert!(text.contains("unknown sweep 'nope'") && text.contains("figure4_scaling"), "{text}");
+    assert!(
+        text.contains("unknown sweep 'nope'") && text.contains("figure4_scaling"),
+        "{text}"
+    );
 }
 
 #[test]
@@ -364,7 +463,10 @@ fn replicated_cell_queries_answer_distributions_and_bad_runs_get_typed_errors() 
         format!(r#"{{"v":1,"id":"h",{CELL},"runs":513}}"#),
         format!(r#"{{"v":1,"id":"g",{CELL},"runs":1000000000000}}"#),
     ];
-    let opts = ServeOptions { socket: sock("runs"), ..ServeOptions::default() };
+    let opts = ServeOptions {
+        socket: sock("runs"),
+        ..ServeOptions::default()
+    };
     let (transcripts, stats) = serve_workload(&test_config(2), &opts, std::slice::from_ref(&lines));
     let text = String::from_utf8(transcripts.into_iter().next().unwrap()).unwrap();
     let frames: Vec<&str> = text.lines().collect();
@@ -373,14 +475,31 @@ fn replicated_cell_queries_answer_distributions_and_bad_runs_get_typed_errors() 
     // The replicated frame names every distribution column; the point
     // frames name none of them.
     assert!(frames[0].contains("\"status\":\"ok\""), "{text}");
-    for col in ["runs", "epochs_median", "epochs_p5", "epochs_p95", "epochs_ci_lo", "epochs_ci_hi"]
-    {
-        assert!(frames[0].contains(col), "replicated frame misses '{col}': {}", frames[0]);
+    for col in [
+        "runs",
+        "epochs_median",
+        "epochs_p5",
+        "epochs_p95",
+        "epochs_ci_lo",
+        "epochs_ci_hi",
+    ] {
+        assert!(
+            frames[0].contains(col),
+            "replicated frame misses '{col}': {}",
+            frames[0]
+        );
         if col != "runs" {
-            assert!(!frames[1].contains(col), "point frame leaked '{col}': {}", frames[1]);
+            assert!(
+                !frames[1].contains(col),
+                "point frame leaked '{col}': {}",
+                frames[1]
+            );
         }
     }
-    assert_eq!(frames[1], frames[2], "runs:1 must normalize to the runs-free spelling");
+    assert_eq!(
+        frames[1], frames[2],
+        "runs:1 must normalize to the runs-free spelling"
+    );
 
     for bad in &frames[3..] {
         assert!(
@@ -392,9 +511,16 @@ fn replicated_cell_queries_answer_distributions_and_bad_runs_get_typed_errors() 
     }
     assert_eq!(stats.error_responses, 4);
 
-    let opts_b = ServeOptions { socket: sock("runs_b"), ..ServeOptions::default() };
+    let opts_b = ServeOptions {
+        socket: sock("runs_b"),
+        ..ServeOptions::default()
+    };
     let (second, _) = serve_workload(&test_config(2), &opts_b, &[lines]);
-    assert_eq!(text.as_bytes(), &second[0][..], "replicated frames must replay");
+    assert_eq!(
+        text.as_bytes(),
+        &second[0][..],
+        "replicated frames must replay"
+    );
 }
 
 #[test]
@@ -422,7 +548,10 @@ fn warm_server_and_batch_sweep_share_one_disk_cache_safely() {
 
     // Phase 1: a warm server and a concurrent batch `run_streamed` hammer
     // the same cache directory from many threads at once.
-    let opts = ServeOptions { socket: sock("shared_cache"), ..ServeOptions::default() };
+    let opts = ServeOptions {
+        socket: sock("shared_cache"),
+        ..ServeOptions::default()
+    };
     let server = Server::bind(&opts, &cfg).expect("bind");
     let streamed = std::thread::scope(|scope| {
         let daemon = scope.spawn(|| server.run().expect("serve"));
@@ -445,7 +574,10 @@ fn warm_server_and_batch_sweep_share_one_disk_cache_safely() {
         });
         let transcripts: Vec<Vec<u8>> = clients.into_iter().map(|c| c.join().unwrap()).collect();
         let streamed = batch.join().unwrap();
-        assert!(transcripts.windows(2).all(|w| w[0] == w[1]), "client transcripts diverged");
+        assert!(
+            transcripts.windows(2).all(|w| w[0] == w[1]),
+            "client transcripts diverged"
+        );
         shut_down(server.socket());
         daemon.join().unwrap();
         streamed
@@ -484,25 +616,43 @@ fn warm_server_and_batch_sweep_share_one_disk_cache_safely() {
         assert!(summary.errors > 0, "the grid must cross the OOM wall");
         out
     };
-    assert_eq!(warm, reference, "warm bytes drifted after concurrent access");
+    assert_eq!(
+        warm, reference,
+        "warm bytes drifted after concurrent access"
+    );
     let warm_csv = String::from_utf8(warm).unwrap();
-    assert!(warm_csv.contains(",error,"), "OOM cells must stay typed errors when cached");
+    assert!(
+        warm_csv.contains(",error,"),
+        "OOM cells must stay typed errors when cached"
+    );
 
     // Phase 3: a fresh server over the now-warm directory answers with
     // the same bytes a cache-free server produces (cache state is
     // invisible in responses).
-    let opts_warm = ServeOptions { socket: sock("shared_cache_warm"), ..ServeOptions::default() };
+    let opts_warm = ServeOptions {
+        socket: sock("shared_cache_warm"),
+        ..ServeOptions::default()
+    };
     let (warm_t, _) = serve_workload(&cfg, &opts_warm, std::slice::from_ref(&cell_queries));
-    let opts_cold = ServeOptions { socket: sock("shared_cache_cold"), ..ServeOptions::default() };
+    let opts_cold = ServeOptions {
+        socket: sock("shared_cache_cold"),
+        ..ServeOptions::default()
+    };
     let (cold_t, _) = serve_workload(&test_config(2), &opts_cold, &[cell_queries]);
-    assert_eq!(warm_t, cold_t, "a warm disk cache leaked into response bytes");
+    assert_eq!(
+        warm_t, cold_t,
+        "a warm disk cache leaked into response bytes"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One connection's answers to `lines` on a fresh 2-worker server.
 fn answers(name: &str, lines: &[String]) -> Vec<String> {
-    let opts = ServeOptions { socket: sock(name), ..ServeOptions::default() };
+    let opts = ServeOptions {
+        socket: sock(name),
+        ..ServeOptions::default()
+    };
     let (transcripts, _) = serve_workload(&test_config(2), &opts, &[lines.to_vec()]);
     let text = String::from_utf8(transcripts.into_iter().next().unwrap()).unwrap();
     text.lines().map(str::to_string).collect()

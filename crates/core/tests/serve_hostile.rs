@@ -14,7 +14,11 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 fn test_config(jobs: usize) -> Config {
-    Config { jobs, cache_enabled: false, ..Config::default() }
+    Config {
+        jobs,
+        cache_enabled: false,
+        ..Config::default()
+    }
 }
 
 fn sock(name: &str) -> PathBuf {
@@ -99,9 +103,8 @@ fn with_server<T>(
         // Shut the server down even when the scenario fails an
         // assertion; otherwise the scope hangs joining the daemon and
         // the panic never surfaces.
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            scenario(server.socket())
-        }));
+        let out =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| scenario(server.socket())));
         shut_down(server.socket());
         daemon.join().expect("daemon panicked");
         out.unwrap_or_else(|p| std::panic::resume_unwind(p))
@@ -129,8 +132,11 @@ fn oversized_frames_get_a_typed_error_then_the_connection_closes() {
             max_frame: 128,
             ..ServeOptions::default()
         };
-        let expected =
-            protocol::error_frame("-", protocol::FRAME_TOO_LARGE, "request frame exceeds 128 bytes");
+        let expected = protocol::error_frame(
+            "-",
+            protocol::FRAME_TOO_LARGE,
+            "request frame exceeds 128 bytes",
+        );
         let (frames, stats) = with_server(&opts, &test_config(jobs), |socket| {
             // A terminated oversized line, and an unterminated flood (the
             // limit must trip on buffered bytes without waiting for a
@@ -149,7 +155,10 @@ fn oversized_frames_get_a_typed_error_then_the_connection_closes() {
             frames
         });
         for frame in &frames {
-            assert_eq!(frame, &expected, "oversized-frame answer must be typed and exact");
+            assert_eq!(
+                frame, &expected,
+                "oversized-frame answer must be typed and exact"
+            );
         }
         assert_eq!(stats.frames_too_large, 2);
         // A frame of exactly the limit is legal: the limit is a max, not
@@ -176,7 +185,10 @@ fn oversized_frames_get_a_typed_error_then_the_connection_closes() {
 
 #[test]
 fn half_written_requests_are_dropped_without_a_response() {
-    let opts = ServeOptions { socket: sock("partial"), ..ServeOptions::default() };
+    let opts = ServeOptions {
+        socket: sock("partial"),
+        ..ServeOptions::default()
+    };
     let ((), stats) = with_server(&opts, &test_config(2), |socket| {
         let mut s = connect(socket);
         s.write_all(br#"{"v":1,"kind":"pi"#).expect("partial write");
@@ -189,7 +201,10 @@ fn half_written_requests_are_dropped_without_a_response() {
         assert_alive(socket);
     });
     assert_eq!(stats.dropped_partial, 1);
-    assert_eq!(stats.error_responses, 0, "the fragment must not count as a bad request");
+    assert_eq!(
+        stats.error_responses, 0,
+        "the fragment must not count as a bad request"
+    );
 }
 
 #[test]
@@ -202,7 +217,10 @@ fn slow_loris_senders_are_reaped_at_the_frame_deadline() {
     let ((), stats) = with_server(&opts, &test_config(2), |socket| {
         // A mute connection: never sends a byte.
         let mut mute = connect(socket);
-        assert!(read_to_eof(&mut mute).is_empty(), "mute client got a response");
+        assert!(
+            read_to_eof(&mut mute).is_empty(),
+            "mute client got a response"
+        );
 
         // A trickler: keeps the socket technically active, one byte at a
         // time, but never finishes a frame inside the deadline. Per-read
@@ -229,7 +247,10 @@ fn slow_loris_senders_are_reaped_at_the_frame_deadline() {
         "both the mute and the trickling client must be reaped, got {}",
         stats.reaped
     );
-    assert_eq!(stats.queries, 2, "only the liveness ping and shutdown were parsed");
+    assert_eq!(
+        stats.queries, 2,
+        "only the liveness ping and shutdown were parsed"
+    );
 }
 
 #[test]
@@ -273,7 +294,8 @@ fn shutdown_drains_established_connections_with_a_typed_frame() {
 
             // Client A establishes a healthy session...
             let mut a = connect(server.socket());
-            a.write_all(b"{\"v\":1,\"id\":\"a1\",\"kind\":\"ping\"}\n").unwrap();
+            a.write_all(b"{\"v\":1,\"id\":\"a1\",\"kind\":\"ping\"}\n")
+                .unwrap();
             assert_eq!(read_frame(&mut a), protocol::pong_frame("a1"));
 
             // ...then client B orders shutdown and holds the ack. The

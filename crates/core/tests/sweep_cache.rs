@@ -62,14 +62,22 @@ fn warm_report_is_byte_identical_with_zero_recomputation() {
         assert!(!cold_exec.degraded(), "cold run must be healthy");
         // Cold: one manifest probe missed, every section + manifest stored.
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.stores), (0, 1, entries), "cold counters");
+        assert_eq!(
+            (s.hits, s.misses, s.stores),
+            (0, 1, entries),
+            "cold counters"
+        );
 
         let (warm, warm_exec) = report_gen::build_cached(&pool, &Ctx::new(), &cfg(), Some(&cache));
         assert_eq!(cold, warm, "warm report bytes differ at {workers} workers");
         // Warm: manifest + every section hit, nothing stored, and no
         // experiment ran (per-experiment wall list stays empty).
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.stores), (entries, 1, entries), "warm counters");
+        assert_eq!(
+            (s.hits, s.misses, s.stores),
+            (entries, 1, entries),
+            "warm counters"
+        );
         assert!(
             warm_exec.stats.per_experiment.is_empty(),
             "warm run recomputed an experiment"
@@ -230,7 +238,12 @@ fn evicting_a_random_section_reproduces_identical_report_bytes() {
             victim.id()
         );
         // Exactly the victim re-ran.
-        let reran: Vec<&str> = exec.stats.per_experiment.iter().map(|(id, _)| *id).collect();
+        let reran: Vec<&str> = exec
+            .stats
+            .per_experiment
+            .iter()
+            .map(|(id, _)| *id)
+            .collect();
         assert_eq!(reran, [victim.id()], "partial rebuild ran the wrong set");
 
         // Evicting the manifest forces a full cold rebuild — same bytes.
@@ -264,7 +277,11 @@ fn evicting_a_random_csv_entry_reproduces_identical_bytes() {
         );
         let (healed, _) = csv_export::build_all_cached(&pool, &Ctx::new(), &cfg(), Some(&cache));
         for (a, b) in cold.iter().zip(healed.iter()) {
-            assert_eq!(a.contents, b.contents, "{} changed after evicting {victim}", a.file);
+            assert_eq!(
+                a.contents, b.contents,
+                "{} changed after evicting {victim}",
+                a.file
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -331,8 +348,7 @@ fn sweep_cells_cache_and_replay_through_the_engine() {
             let (warm, summary) = streamed(&pool, &Ctx::new(), &spec, Some(&cache));
             assert_eq!(cold, warm, "sweep '{}' warm bytes differ", spec.name);
             assert_eq!(
-                summary.disk_hits,
-                summary.cells,
+                summary.disk_hits, summary.cells,
                 "sweep '{}' warm run recomputed cells",
                 spec.name
             );

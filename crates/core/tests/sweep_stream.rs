@@ -19,9 +19,15 @@ const PREFIX: usize = 100_032;
 
 fn streamed(workers: usize, spec: &SweepSpec, shard: usize) -> (String, StreamSummary) {
     let mut out = Vec::new();
-    let summary =
-        sweep::run_streamed(&Pool::with_workers(workers), &Ctx::new(), spec, None, &mut out, shard)
-            .expect("in-memory sink");
+    let summary = sweep::run_streamed(
+        &Pool::with_workers(workers),
+        &Ctx::new(),
+        spec,
+        None,
+        &mut out,
+        shard,
+    )
+    .expect("in-memory sink");
     (String::from_utf8(out).expect("CSV is UTF-8"), summary)
 }
 
@@ -45,7 +51,10 @@ fn streamed_hundred_thousand_cells_match_in_memory_bytes() {
 
     // One window over the whole prefix: any cell may stay resident.
     let (in_memory, _) = streamed(4, &spec, PREFIX);
-    assert_eq!(text, in_memory, "streamed bytes diverge from the resident run");
+    assert_eq!(
+        text, in_memory,
+        "streamed bytes diverge from the resident run"
+    );
 
     // Row accounting: header + one line per cell, errors spelled as rows.
     assert_eq!(text.lines().count(), PREFIX + 1);
@@ -83,7 +92,10 @@ fn bytes_and_counts_are_invariant_across_workers_and_shards() {
     for workers in [1, 2, 3, 4, 7] {
         for shard in [1, 3, 64, 1024] {
             let (bytes, got) = streamed(workers, &spec, shard);
-            assert_eq!(bytes, reference, "{workers} workers, shard {shard}: bytes differ");
+            assert_eq!(
+                bytes, reference,
+                "{workers} workers, shard {shard}: bytes differ"
+            );
             assert_eq!(
                 (got.cells, got.errors, got.disk_hits),
                 (want.cells, want.errors, want.disk_hits),

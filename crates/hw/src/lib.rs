@@ -39,8 +39,8 @@ pub mod units;
 
 pub use cpu::{CpuModel, CpuSpec, DimmConfig};
 pub use gpu::{FormFactor, GpuModel, GpuSpec, Precision};
-pub use partition::{PartitionError, PartitionProfile, PartitionSpec};
 pub use interconnect::Link;
+pub use partition::{PartitionError, PartitionProfile, PartitionSpec};
 pub use systems::{SystemId, SystemSpec};
 pub use topology::{Node, NodeId, P2pClass, Path, PeerPath, Topology, TopologyError};
 pub use units::{Bandwidth, Bytes, FlopRate, Flops, Seconds};

@@ -680,10 +680,7 @@ mod tests {
         assert!((stats.healthy_time.as_secs() - ideal.as_secs()).abs() < 1e-6);
         assert!(stats.checkpoints_written > 0);
         assert!(
-            (stats.total_time.as_secs()
-                - ideal.as_secs()
-                - stats.checkpoint_time.as_secs())
-            .abs()
+            (stats.total_time.as_secs() - ideal.as_secs() - stats.checkpoint_time.as_secs()).abs()
                 < 1e-6
         );
     }
@@ -692,8 +689,7 @@ mod tests {
     fn gpu_death_restarts_from_last_checkpoint() {
         let step = report(4);
         let interval = Seconds::from_minutes(2.0);
-        let per_ckpt =
-            CheckpointSpec::new(interval, StorageDevice::NvmeSsd).interval_steps(&step);
+        let per_ckpt = CheckpointSpec::new(interval, StorageDevice::NvmeSsd).interval_steps(&step);
         // Kill a GPU mid-way through the second checkpoint window.
         let kill_at = step.step_time.scale(1.5 * per_ckpt as f64);
         let cfg = config(FaultPlan::from_events(
@@ -804,7 +800,10 @@ mod tests {
         let total_steps = 50;
         let (stats, _) = replay(&cfg, &resnet_job(), &step, total_steps);
         let ideal = step.step_time.scale(total_steps as f64);
-        assert!(stats.healthy_time > ideal, "straggler did not stretch steps");
+        assert!(
+            stats.healthy_time > ideal,
+            "straggler did not stretch steps"
+        );
         assert_eq!(stats.restarts, 0);
         // Bounded: even halving clocks at most doubles the affected window.
         assert!(stats.healthy_time.as_secs() < 1.5 * ideal.as_secs());
@@ -823,7 +822,11 @@ mod tests {
             }],
         ));
         let baseline = {
-            let clean = config(FaultPlan::from_events(5, Seconds::from_hours(1.0), Vec::new()));
+            let clean = config(FaultPlan::from_events(
+                5,
+                Seconds::from_hours(1.0),
+                Vec::new(),
+            ));
             replay(&clean, &resnet_job(), &step, 200).0.total_time
         };
         let (stats, _) = replay(&cfg, &resnet_job(), &step, 200);
@@ -835,7 +838,8 @@ mod tests {
     #[test]
     fn replay_is_byte_deterministic() {
         let step = report(8);
-        let plan = FaultPlan::generate(77, Seconds::from_hours(2.0), Seconds::from_minutes(10.0), 8);
+        let plan =
+            FaultPlan::generate(77, Seconds::from_hours(2.0), Seconds::from_minutes(10.0), 8);
         let cfg = config(plan);
         let (s1, t1) = replay(&cfg, &resnet_job(), &step, 20_000);
         let (s2, t2) = replay(&cfg, &resnet_job(), &step, 20_000);

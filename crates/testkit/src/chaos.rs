@@ -150,7 +150,11 @@ mod tests {
 
     #[test]
     fn always_plans_are_degenerate() {
-        for action in [ChaosAction::Panic, ChaosAction::Error, ChaosAction::NonFinite] {
+        for action in [
+            ChaosAction::Panic,
+            ChaosAction::Error,
+            ChaosAction::NonFinite,
+        ] {
             let mut plan = ChaosPlan::always(9, action);
             for _ in 0..32 {
                 assert_eq!(plan.decide("s"), action, "{}", action.name());

@@ -180,10 +180,12 @@ impl IoChaosSpec {
             }
             seen.push(key.to_string());
             if key == "seed" {
-                spec.seed = value.parse::<u64>().map_err(|_| IoChaosParseError::BadValue {
-                    key: key.to_string(),
-                    value: value.to_string(),
-                })?;
+                spec.seed = value
+                    .parse::<u64>()
+                    .map_err(|_| IoChaosParseError::BadValue {
+                        key: key.to_string(),
+                        value: value.to_string(),
+                    })?;
                 continue;
             }
             let slot = match key {
@@ -194,10 +196,12 @@ impl IoChaosSpec {
                 "unreadable" => &mut spec.unreadable,
                 _ => return Err(IoChaosParseError::UnknownKey(key.to_string())),
             };
-            let rate = value.parse::<f64>().map_err(|_| IoChaosParseError::BadValue {
-                key: key.to_string(),
-                value: value.to_string(),
-            })?;
+            let rate = value
+                .parse::<f64>()
+                .map_err(|_| IoChaosParseError::BadValue {
+                    key: key.to_string(),
+                    value: value.to_string(),
+                })?;
             if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
                 return Err(IoChaosParseError::OutOfRange {
                     key: key.to_string(),

@@ -84,8 +84,16 @@ mod tests {
     #[test]
     fn plans_replay_exactly_and_differ_across_clients_and_seeds() {
         let a = SPEC.client_plan(42, 3);
-        assert_eq!(a, SPEC.client_plan(42, 3), "same (seed, client) must replay");
-        assert_ne!(a, SPEC.client_plan(42, 4), "clients draw independent streams");
+        assert_eq!(
+            a,
+            SPEC.client_plan(42, 3),
+            "same (seed, client) must replay"
+        );
+        assert_ne!(
+            a,
+            SPEC.client_plan(42, 4),
+            "clients draw independent streams"
+        );
         assert_ne!(a, SPEC.client_plan(43, 3), "seeds re-deal the workload");
         assert_eq!(a.len(), SPEC.queries);
         assert!(a.iter().all(|&i| i < SPEC.vocab));
@@ -111,6 +119,10 @@ mod tests {
         assert_eq!(SPEC.hot_set(7), SPEC.hot_set(7));
         let plans = SPEC.plans(7, 4);
         assert_eq!(plans.len(), 4);
-        assert_eq!(plans[2], SPEC.client_plan(7, 2), "plans() is just the per-client map");
+        assert_eq!(
+            plans[2],
+            SPEC.client_plan(7, 2),
+            "plans() is just the per-client map"
+        );
     }
 }

@@ -374,8 +374,7 @@ where
         let mut rng = TestRng::fresh(case_seed);
         if let Some(message) = eval(gen, prop, &mut rng) {
             let draws = rng.draws().to_vec();
-            let (min_draws, min_message) =
-                shrink(gen, prop, draws, message, cfg.max_shrink_evals);
+            let (min_draws, min_message) = shrink(gen, prop, draws, message, cfg.max_shrink_evals);
             let mut replay = TestRng::replay(min_draws);
             let minimal = gen.generate(&mut replay);
             return Some(Failure {

@@ -205,10 +205,23 @@ fn shrinking_holds_the_failure_while_minimizing() {
     })
     .expect("failing inputs are common");
     assert_eq!(failure.minimal.len(), 2);
-    let large: Vec<u64> = failure.minimal.iter().copied().filter(|&x| x >= 500).collect();
-    assert_eq!(large, vec![500], "the witness element shrinks to the boundary");
+    let large: Vec<u64> = failure
+        .minimal
+        .iter()
+        .copied()
+        .filter(|&x| x >= 500)
+        .collect();
+    assert_eq!(
+        large,
+        vec![500],
+        "the witness element shrinks to the boundary"
+    );
     assert!(
-        failure.minimal.iter().filter(|&&x| x < 500).all(|&x| x == 0),
+        failure
+            .minimal
+            .iter()
+            .filter(|&&x| x < 500)
+            .all(|&x| x == 0),
         "non-witness elements shrink to the range start: {:?}",
         failure.minimal
     );
@@ -216,15 +229,14 @@ fn shrinking_holds_the_failure_while_minimizing() {
 
 #[test]
 fn find_failure_reports_a_replayable_seed() {
-    let failure =
-        prop::find_failure(&small_config(), &(0u64..1000), &|x| {
-            if x < 990 {
-                Ok(())
-            } else {
-                Err("big".to_string())
-            }
-        })
-        .expect("1% of cases fail");
+    let failure = prop::find_failure(&small_config(), &(0u64..1000), &|x| {
+        if x < 990 {
+            Ok(())
+        } else {
+            Err("big".to_string())
+        }
+    })
+    .expect("1% of cases fail");
     // Re-running with the reported seed must fail at case 0.
     let replay = Config {
         seed: failure.seed,
@@ -272,7 +284,10 @@ fn composed_generators_cover_their_stated_domains() {
     }
     assert!(buckets.iter().all(|&b| b), "every alternative is reachable");
 
-    let pairs = vec_of((0usize..4).prop_flat_map(|n| (just(n), 0u64..=9)), 1usize..5);
+    let pairs = vec_of(
+        (0usize..4).prop_flat_map(|n| (just(n), 0u64..=9)),
+        1usize..5,
+    );
     for _ in 0..64 {
         for (n, v) in pairs.generate(&mut rng) {
             assert!(n < 4 && v <= 9);

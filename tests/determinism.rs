@@ -26,7 +26,9 @@ fn gpu_ordinal_choice_is_irrelevant_on_symmetric_topologies() {
     let a = sim
         .execute(&RunSpec::new(job.clone(), [0, 1]))
         .expect("run succeeds");
-    let b = sim.execute(&RunSpec::new(job, [2, 3])).expect("run succeeds");
+    let b = sim
+        .execute(&RunSpec::new(job, [2, 3]))
+        .expect("run succeeds");
     assert!((a.report.step_time.as_secs() - b.report.step_time.as_secs()).abs() < 1e-12);
 }
 

@@ -196,9 +196,8 @@ fn regression_gpu_death_resumes_from_checkpoint_with_matching_accounting() {
     assert!(drift < 1e-5, "trace says {traced_lost}, stats disagree");
     // Everything the run paid partitions the wall-clock.
     let s = &stats;
-    let accounted = s.healthy_time + s.checkpoint_time + s.recomputed_time
-        + s.stalled_time
-        + s.restart_time;
+    let accounted =
+        s.healthy_time + s.checkpoint_time + s.recomputed_time + s.stalled_time + s.restart_time;
     assert!((accounted.as_secs() - s.total_time.as_secs()).abs() < 1e-3);
 }
 
