@@ -7,8 +7,6 @@
 //! * [`roofline`] — the Fig. 2 V100 roofline and workload placement;
 //! * [`scheduling`] — the Fig. 4 naive-vs-optimal makespan search;
 //! * [`scaling`] — the Table IV speedup/efficiency metrics;
-//! * [`clustering`] — agglomerative clustering over the workload space
-//!   (making §IV-A's eyeballed groupings algorithmic);
 //! * [`stats`] — shared statistics helpers.
 //!
 //! # Examples
@@ -25,7 +23,6 @@
 //! assert!(best.makespan <= naive.makespan);
 //! ```
 
-pub mod clustering;
 pub mod linalg;
 pub mod pca;
 pub mod roofline;
@@ -33,7 +30,6 @@ pub mod scaling;
 pub mod scheduling;
 pub mod stats;
 
-pub use clustering::{cluster, Dendrogram, Linkage};
 pub use linalg::{symmetric_eigen, Matrix, SymmetricEigen};
 pub use pca::Pca;
 pub use roofline::{Boundedness, RooflineModel, RooflinePoint};

@@ -213,6 +213,25 @@ mod tests {
         let r = v100();
         assert!(r.ridge(Precision::Double) < r.ridge(Precision::Single));
         assert!(r.ridge(Precision::Single) < r.ridge(Precision::TensorCore));
+        // V100 FP32 ridge is around 17 FLOP/byte empirically.
+        let fp32 = r.ridge(Precision::Single);
+        assert!(fp32 > 10.0 && fp32 < 25.0, "fp32 ridge = {fp32}");
+        // Every modelled GPU has positive ridges ordered by precision speed.
+        for model in [
+            GpuModel::TeslaV100Sxm2_16,
+            GpuModel::TeslaV100Sxm2_32,
+            GpuModel::TeslaV100Pcie16,
+            GpuModel::TeslaV100Pcie32,
+            GpuModel::TeslaP100Pcie16,
+        ] {
+            let r = RooflineModel::for_gpu(&model.spec());
+            let [fp64, fp32, tc] =
+                [Precision::Double, Precision::Single, Precision::TensorCore].map(|p| r.ridge(p));
+            assert!(
+                0.0 < fp64 && fp64 <= fp32 && fp32 <= tc,
+                "{model:?}: {fp64} / {fp32} / {tc}"
+            );
+        }
     }
 
     #[test]

@@ -176,25 +176,4 @@ mlperf_testkit::properties! {
     fn scheduling_invariants(jobs in arb_jobs(), g in 1u64..=4) {
         check_scheduling_invariants(&jobs, g)?;
     }
-
-    /// Pearson correlation is bounded and symmetric.
-    #[test]
-    fn pearson_bounded(
-        pairs in vec_of((-1e3f64..1e3, -1e3f64..1e3), 2usize..40)
-    ) {
-        let xs: Vec<f64> = pairs.iter().map(|p| p.0).collect();
-        let ys: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-        let r = stats::pearson(&xs, &ys);
-        prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r));
-        prop_assert!((r - stats::pearson(&ys, &xs)).abs() < 1e-12);
-    }
-
-    /// Geometric mean lies between min and max.
-    #[test]
-    fn geomean_between_extremes(xs in vec_of(0.001f64..1e6, 1usize..30)) {
-        let g = stats::geometric_mean(&xs);
-        let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = xs.iter().cloned().fold(0.0f64, f64::max);
-        prop_assert!(g >= lo - 1e-9 && g <= hi + 1e-9);
-    }
 }

@@ -104,24 +104,6 @@ pub fn run_ctx(ctx: &Ctx) -> Result<Figure1, SimError> {
     Ok(Figure1 { pca, projections })
 }
 
-/// Extension: algorithmic clustering of the 13 workloads in PC1-PC4 space
-/// (the paper eyeballs its clusters; this makes them reproducible). Returns
-/// `(workload name, suite, cluster label)` at a 3-way cut.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn clustered(f: &Figure1) -> Vec<(String, String, usize)> {
-    use mlperf_analysis::clustering::{cluster, Linkage};
-    let rows: Vec<Vec<f64>> = f.projections.iter().map(|(_, _, p)| p.clone()).collect();
-    let labels = cluster(&rows, Linkage::Average).cut(3);
-    f.projections
-        .iter()
-        .zip(labels)
-        .map(|((name, suite, _), label)| (name.clone(), suite.clone(), label))
-        .collect()
-}
-
 /// Render the projections and variance summary.
 pub fn render(f: &Figure1) -> String {
     let mut t = Table::new(
@@ -239,24 +221,6 @@ mod tests {
                 assert!(d2.sqrt() > 0.2, "two MLPerf points nearly coincide");
             }
         }
-    }
-
-    #[test]
-    fn algorithmic_clustering_groups_the_kernel_suite() {
-        // The three DeepBench compute kernels must land in one cluster,
-        // apart from the heavyweight MLPerf workloads.
-        let f = run_ctx(&Ctx::new()).unwrap();
-        let labels = clustered(&f);
-        let of = |name: &str| {
-            labels
-                .iter()
-                .find(|(n, _, _)| n == name)
-                .map(|(_, _, l)| *l)
-                .expect("workload present")
-        };
-        assert_eq!(of("Deep_GEMM_Cu"), of("Deep_Conv_Cu"));
-        assert_eq!(of("Deep_Conv_Cu"), of("Deep_RNN_Cu"));
-        assert_ne!(of("Deep_GEMM_Cu"), of("MLPf_Res50_TF"));
     }
 
     #[test]

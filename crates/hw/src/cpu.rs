@@ -3,10 +3,10 @@
 //! Table III of the paper lists Intel Xeon Gold 6148 (2.40 GHz) and 6142
 //! (2.60 GHz) processors with DDR4 DIMM configurations. The host matters to
 //! the study through three quantities: core throughput available for input
-//! preprocessing, DRAM capacity/bandwidth for dataset staging, and PCIe lane
-//! budget for attaching GPUs.
+//! preprocessing, DRAM capacity for dataset staging, and PCIe lane budget
+//! for attaching GPUs.
 
-use crate::units::{Bandwidth, Bytes};
+use crate::units::Bytes;
 use std::fmt;
 
 /// Xeon SKUs used across the six systems.
@@ -28,9 +28,6 @@ impl CpuModel {
                 cores: 20,
                 base_freq_ghz: 2.40,
                 pcie_lanes: 48,
-                memory_channels: 6,
-                // DDR4-2666: 21.3 GB/s per channel.
-                channel_bandwidth: Bandwidth::from_gb_per_sec(21.3),
             },
             CpuModel::XeonGold6142 => CpuSpec {
                 model: self,
@@ -38,16 +35,8 @@ impl CpuModel {
                 cores: 16,
                 base_freq_ghz: 2.60,
                 pcie_lanes: 48,
-                memory_channels: 6,
-                channel_bandwidth: Bandwidth::from_gb_per_sec(21.3),
             },
         }
-    }
-}
-
-impl fmt::Display for CpuModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.spec().name)
     }
 }
 
@@ -59,8 +48,6 @@ pub struct CpuSpec {
     cores: u32,
     base_freq_ghz: f64,
     pcie_lanes: u32,
-    memory_channels: u32,
-    channel_bandwidth: Bandwidth,
 }
 
 impl CpuSpec {
@@ -87,18 +74,6 @@ impl CpuSpec {
     /// PCIe 3.0 lanes provided by this socket.
     pub fn pcie_lanes(&self) -> u32 {
         self.pcie_lanes
-    }
-
-    /// Number of DDR4 memory channels.
-    pub fn memory_channels(&self) -> u32 {
-        self.memory_channels
-    }
-
-    /// Aggregate local DRAM bandwidth of the socket (all channels populated).
-    ///
-    /// The paper quotes ≈128 GB/s for a hexa-channel Skylake-SP socket.
-    pub fn local_memory_bandwidth(&self) -> Bandwidth {
-        self.channel_bandwidth.scale(self.memory_channels as f64)
     }
 
     /// A scalar "preprocessing throughput" proxy: core count × frequency.
@@ -168,15 +143,6 @@ mod tests {
         let b = CpuModel::XeonGold6142.spec();
         assert!(b.base_freq_ghz() > a.base_freq_ghz());
         assert!(b.cores() < a.cores());
-    }
-
-    #[test]
-    fn hexa_channel_bandwidth_near_128_gbps() {
-        let bw = CpuModel::XeonGold6148.spec().local_memory_bandwidth();
-        assert!(
-            (bw.as_gb_per_sec() - 127.8).abs() < 1.0,
-            "got {bw}, paper quotes ~128 GB/s"
-        );
     }
 
     #[test]

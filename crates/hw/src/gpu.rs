@@ -161,12 +161,6 @@ impl GpuModel {
     }
 }
 
-impl fmt::Display for GpuModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.spec().name)
-    }
-}
-
 /// Full specification of a GPU SKU.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
@@ -257,13 +251,6 @@ impl GpuSpec {
     /// Number of NVLink lanes this form factor exposes (0 for PCIe cards).
     pub fn nvlink_lanes(&self) -> u32 {
         self.nvlink_lanes
-    }
-
-    /// Arithmetic intensity (FLOP/byte) of the roofline ridge point at the
-    /// given precision: workloads below it are memory-bound on this device.
-    pub fn ridge_point(&self, precision: Precision) -> f64 {
-        self.empirical_flop_rate(precision).as_flops_per_sec()
-            / self.empirical_hbm_bandwidth().as_bytes_per_sec()
     }
 
     /// A MIG-style slice of this device: `sm_count` granted SMs with every
@@ -381,17 +368,6 @@ mod tests {
                     < spec.hbm_bandwidth().as_bytes_per_sec()
             );
         }
-    }
-
-    #[test]
-    fn ridge_point_grows_with_precision_speed() {
-        let spec = GpuModel::TeslaV100Sxm2_16.spec();
-        let fp64 = spec.ridge_point(Precision::Double);
-        let fp32 = spec.ridge_point(Precision::Single);
-        let tc = spec.ridge_point(Precision::TensorCore);
-        assert!(fp64 < fp32 && fp32 < tc);
-        // V100 FP32 ridge is around 17 FLOP/byte empirically.
-        assert!(fp32 > 10.0 && fp32 < 25.0, "fp32 ridge = {fp32}");
     }
 
     #[test]

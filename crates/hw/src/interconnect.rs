@@ -7,7 +7,6 @@
 //! matching the paper's convention.
 
 use crate::units::{Bandwidth, Seconds};
-use std::fmt;
 
 /// PCIe 3.0 unidirectional bandwidth per lane (GB/s).
 const PCIE3_PER_LANE_GB: f64 = 0.9846;
@@ -96,16 +95,6 @@ impl Link {
     }
 }
 
-impl fmt::Display for Link {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Link::PcieGen3 { lanes } => write!(f, "PCIe 3.0 x{lanes}"),
-            Link::NvLink { lanes } => write!(f, "NVLink x{lanes}"),
-            Link::Upi { links } => write!(f, "UPI x{links}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,12 +150,5 @@ mod tests {
         assert!(
             Link::NvLink { lanes: 2 }.latency().as_secs() < Link::PCIE3_X16.latency().as_secs()
         );
-    }
-
-    #[test]
-    fn display_names() {
-        assert_eq!(Link::PCIE3_X16.to_string(), "PCIe 3.0 x16");
-        assert_eq!(Link::NvLink { lanes: 6 }.to_string(), "NVLink x6");
-        assert_eq!(Link::UPI_X1.to_string(), "UPI x1");
     }
 }

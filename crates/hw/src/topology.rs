@@ -534,32 +534,6 @@ impl Topology {
         best.ok_or(TopologyError::Disconnected(g, self.cpu_nodes[0]))
     }
 
-    /// Render the topology as GraphViz DOT (for documentation and
-    /// debugging; `dot -Tsvg` draws the chassis).
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = format!("graph \"{}\" {{\n", self.name);
-        for (i, node) in self.nodes.iter().enumerate() {
-            let (label, shape) = match node {
-                Node::Cpu { socket, model } => (format!("CPU{socket}\\n{model}"), "box"),
-                Node::Gpu { index, model } => (format!("GPU{index}\\n{model}"), "ellipse"),
-                Node::PcieSwitch { index } => (format!("SW{index}"), "diamond"),
-            };
-            writeln!(out, "  n{i} [label=\"{label}\", shape={shape}];")
-                .expect("writing to a String cannot fail");
-        }
-        for (a, neighbors) in self.adjacency.iter().enumerate() {
-            for &(b, link) in neighbors {
-                if a < b.0 {
-                    writeln!(out, "  n{a} -- n{} [label=\"{link}\"];", b.0)
-                        .expect("writing to a String cannot fail");
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// The worst (slowest-class, then lowest-bandwidth) peer path over all
     /// GPU pairs in a set — the link a ring all-reduce must cross.
     ///
@@ -823,17 +797,5 @@ mod tests {
     fn display_mentions_counts() {
         let t = switch_topology();
         assert_eq!(t.to_string(), "switch (1 CPUs, 2 GPUs)");
-    }
-
-    #[test]
-    fn dot_export_lists_every_node_and_edge_once() {
-        let t = switch_topology();
-        let dot = t.to_dot();
-        assert!(dot.starts_with("graph \"switch\" {"));
-        assert_eq!(dot.matches("shape=box").count(), 1); // CPU
-        assert_eq!(dot.matches("shape=ellipse").count(), 2); // GPUs
-        assert_eq!(dot.matches("shape=diamond").count(), 1); // switch
-        assert_eq!(dot.matches(" -- ").count(), 3, "undirected edges once each");
-        assert!(dot.contains("PCIe 3.0 x16"));
     }
 }

@@ -296,11 +296,6 @@ impl Bandwidth {
         self.0 / 1e9
     }
 
-    /// The rate in megabits per second (the unit Table V of the paper reports).
-    pub fn as_mbit_per_sec(self) -> f64 {
-        self.0 * 8.0 / 1e6
-    }
-
     /// Scale by a dimensionless efficiency factor.
     ///
     /// # Panics
@@ -666,8 +661,7 @@ mod tests {
     fn bandwidth_units() {
         let bw = Bandwidth::from_gb_per_sec(15.8);
         assert!((bw.as_gb_per_sec() - 15.8).abs() < 1e-9);
-        // 1 MB/s == 8 Mbit/s.
-        assert!((Bandwidth::from_mb_per_sec(1.0).as_mbit_per_sec() - 8.0).abs() < 1e-9);
+        assert_eq!(Bandwidth::from_mb_per_sec(1.0).as_bytes_per_sec(), 1e6);
         assert_eq!(
             bw.min(Bandwidth::from_gb_per_sec(10.0)).as_gb_per_sec(),
             10.0

@@ -117,25 +117,6 @@ mlperf_testkit::properties! {
         prop_assert_eq!(x.max(y).as_secs() + x.min(y).as_secs(), a + b);
     }
 
-    /// Every GPU model's ridge point is positive and ordered by precision
-    /// speed.
-    #[test]
-    fn ridge_points_ordered(idx in 0usize..4) {
-        let model = [
-            GpuModel::TeslaV100Sxm2_16,
-            GpuModel::TeslaV100Pcie16,
-            GpuModel::TeslaV100Pcie32,
-            GpuModel::TeslaP100Pcie16,
-        ][idx];
-        let spec = model.spec();
-        let mut last = 0.0;
-        for p in [Precision::Double, Precision::Single, Precision::TensorCore] {
-            let ridge = spec.ridge_point(p);
-            prop_assert!(ridge >= last);
-            last = ridge;
-        }
-    }
-
     /// PCIe bandwidth is linear in lane count.
     #[test]
     fn pcie_linear_in_lanes(lanes in 1u32..=16) {

@@ -1,11 +1,12 @@
-//! Operator graphs and whole-iteration cost assembly.
+//! Operator graphs and per-step pass-cost assembly.
 //!
 //! A [`ModelGraph`] is an ordered collection of [`Op`]s — order is execution
 //! order, which matters only for reporting. Its headline product is
-//! [`ModelGraph::iteration_cost`]: the FLOPs (split by SIMT vs Tensor Core),
-//! device-memory traffic, and gradient volume of one training step at a given
-//! batch size and [`PrecisionPolicy`]. The simulator prices these against a
-//! GPU's roofline to get step time.
+//! [`ModelGraph::pass_cost`]: the FLOPs (split by SIMT vs Tensor Core),
+//! device-memory traffic, and gradient volume of one training step's
+//! forward and backward passes at a given batch size and
+//! [`PrecisionPolicy`]. The simulator prices these against a GPU's roofline,
+//! and the optimizer update separately, to get step time.
 
 use crate::op::{Op, OpKind};
 use crate::optimizer::Optimizer;
@@ -159,6 +160,19 @@ impl ModelGraph {
     /// the same (template, policy, batch) from many cells. The memo
     /// stores exact results of the table walk, so hits are bit-identical
     /// by construction.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mlperf_models::zoo::resnet::resnet18_cifar;
+    /// use mlperf_models::PrecisionPolicy;
+    ///
+    /// let g = resnet18_cifar();
+    /// let amp = g.pass_cost(128, PrecisionPolicy::Amp);
+    /// let fp32 = g.pass_cost(128, PrecisionPolicy::Fp32);
+    /// assert!(amp.tensor_flops.as_u64() > 0);
+    /// assert!(amp.mem_bytes < fp32.mem_bytes);
+    /// ```
     pub fn pass_cost(&self, batch: u64, policy: PrecisionPolicy) -> IterationCost {
         let tables = self.tables.get_or_init(|| PassTables {
             fp32: PassCostTable::build(&self.ops, PrecisionPolicy::Fp32),
@@ -214,36 +228,6 @@ impl ModelGraph {
         }
     }
 
-    /// The complete cost of one training iteration.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mlperf_models::zoo::resnet::resnet18_cifar;
-    /// use mlperf_models::{Optimizer, PrecisionPolicy};
-    ///
-    /// let g = resnet18_cifar();
-    /// let amp = g.iteration_cost(128, PrecisionPolicy::Amp, Optimizer::SgdMomentum);
-    /// let fp32 = g.iteration_cost(128, PrecisionPolicy::Fp32, Optimizer::SgdMomentum);
-    /// assert!(amp.tensor_flops.as_u64() > 0);
-    /// assert!(amp.mem_bytes < fp32.mem_bytes);
-    /// ```
-    pub fn iteration_cost(
-        &self,
-        batch: u64,
-        policy: PrecisionPolicy,
-        optimizer: Optimizer,
-    ) -> IterationCost {
-        let pass = self.pass_cost(batch, policy);
-        let params = self.params();
-        IterationCost {
-            simt_flops: pass.simt_flops + optimizer.step_flops(params),
-            tensor_flops: pass.tensor_flops,
-            mem_bytes: pass.mem_bytes + optimizer.step_bytes(params),
-            gradient_bytes: pass.gradient_bytes,
-        }
-    }
-
     /// Resident device-memory footprint of a training replica at the given
     /// per-GPU batch: weights + gradients + optimizer state + activations.
     /// Saturates at `u64::MAX` bytes, so a huge batch reads as out of
@@ -290,15 +274,17 @@ impl Extend<Op> for ModelGraph {
     }
 }
 
-/// The priced cost of one training iteration (one batch, fwd+bwd+update).
+/// The priced device work of one batch: the forward and backward passes
+/// ([`ModelGraph::pass_cost`]) or, priced by the simulator, the optimizer
+/// update.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationCost {
     /// FLOPs executed on the regular FP32 SIMT pipeline.
     pub simt_flops: Flops,
     /// FLOPs executed on Tensor Cores (zero under [`PrecisionPolicy::Fp32`]).
     pub tensor_flops: Flops,
-    /// Device-memory traffic (activations both passes + weight streams +
-    /// optimizer step).
+    /// Device-memory traffic (activations of both passes + weight streams,
+    /// or the optimizer update's reads and writes).
     pub mem_bytes: Bytes,
     /// Gradient bytes exchanged by the data-parallel all-reduce.
     pub gradient_bytes: Bytes,
@@ -310,18 +296,13 @@ impl IterationCost {
         self.simt_flops + self.tensor_flops
     }
 
-    /// Arithmetic intensity of the iteration (FLOP per byte of HBM traffic).
-    pub fn arithmetic_intensity(&self) -> f64 {
-        self.total_flops() / self.mem_bytes
-    }
-
     /// The integrity violation this cost would inject into downstream f64
     /// pricing, if any.
     ///
     /// The cost fields themselves are integers (always finite), so the
     /// dangerous shapes are the *degenerate* ones: zero memory traffic
-    /// makes [`arithmetic_intensity`](IterationCost::arithmetic_intensity)
-    /// and every roofline division non-finite, and an all-zero cost prices
+    /// makes the arithmetic intensity (FLOP per byte) and every roofline
+    /// division non-finite, and an all-zero cost prices
     /// to a zero step time that later shows up as infinite throughput.
     /// The simulation engine checks this at the model boundary and turns a
     /// violation into a typed `NonFinite` error naming the offending
@@ -385,8 +366,8 @@ mod tests {
     #[test]
     fn amp_moves_flops_to_tensor_cores_and_shrinks_traffic() {
         let g = tiny_graph();
-        let fp32 = g.iteration_cost(32, PrecisionPolicy::Fp32, Optimizer::SgdMomentum);
-        let amp = g.iteration_cost(32, PrecisionPolicy::Amp, Optimizer::SgdMomentum);
+        let fp32 = g.pass_cost(32, PrecisionPolicy::Fp32);
+        let amp = g.pass_cost(32, PrecisionPolicy::Amp);
         assert_eq!(fp32.tensor_flops, Flops::ZERO);
         assert!(amp.tensor_flops.as_u64() > 0);
         assert_eq!(fp32.total_flops(), amp.total_flops());
@@ -397,7 +378,7 @@ mod tests {
     #[test]
     fn gradient_bytes_track_params() {
         let g = tiny_graph();
-        let cost = g.iteration_cost(8, PrecisionPolicy::Fp32, Optimizer::SgdMomentum);
+        let cost = g.pass_cost(8, PrecisionPolicy::Fp32);
         assert_eq!(cost.gradient_bytes.as_u64(), g.params() * 4);
     }
 
@@ -419,13 +400,6 @@ mod tests {
             let fp32 = g.replica_footprint(batch, PrecisionPolicy::Fp32, Optimizer::SgdMomentum);
             assert!(amp <= fp32, "batch {batch}: {amp} > {fp32}");
         }
-    }
-
-    #[test]
-    fn arithmetic_intensity_is_positive() {
-        let g = tiny_graph();
-        let c = g.iteration_cost(16, PrecisionPolicy::Fp32, Optimizer::SgdMomentum);
-        assert!(c.arithmetic_intensity() > 0.0);
     }
 
     #[test]

@@ -40,11 +40,6 @@ impl TensorShape {
         TensorShape::new([rows, cols])
     }
 
-    /// Feature-map shape `[channels, height, width]` (per sample).
-    pub fn chw(channels: usize, height: usize, width: usize) -> Self {
-        TensorShape::new([channels, height, width])
-    }
-
     /// The dimension sizes.
     pub fn dims(&self) -> &[usize] {
         &self.0
@@ -103,7 +98,6 @@ mod tests {
     fn element_counts() {
         assert_eq!(TensorShape::vector(10).elements(), 10);
         assert_eq!(TensorShape::matrix(3, 4).elements(), 12);
-        assert_eq!(TensorShape::chw(64, 56, 56).elements(), 64 * 56 * 56);
         assert_eq!(TensorShape::new([2, 3, 4, 5]).rank(), 4);
     }
 

@@ -129,13 +129,6 @@ pub fn ssd300() -> ModelGraph {
     g
 }
 
-/// The number of default boxes SSD300 predicts (~8732 in the original paper;
-/// the ResNet-34 variant differs slightly).
-pub fn ssd300_default_boxes() -> u64 {
-    let maps: [(usize, usize); 6] = [(38, 4), (19, 6), (10, 6), (5, 6), (3, 4), (1, 4)];
-    maps.iter().map(|&(hw, a)| (hw * hw * a) as u64).sum()
-}
-
 /// RoIs sampled per image during Mask R-CNN training.
 const TRAIN_ROIS: usize = 512;
 
@@ -279,12 +272,6 @@ mod tests {
         // Light-weight detector: tens of GFLOP per 300x300 image
         // (the truncated ResNet-34 keeps stage 3 at 38x38).
         assert!((15.0..50.0).contains(&gf), "SSD fwd = {gf} GFLOP");
-    }
-
-    #[test]
-    fn ssd_default_box_count_near_8732() {
-        let boxes = ssd300_default_boxes();
-        assert!((8000..9500).contains(&boxes), "{boxes} default boxes");
     }
 
     #[test]

@@ -90,24 +90,6 @@ mlperf_testkit::properties! {
         prop_assert_eq!(fp32.tensor_flops.as_u64(), 0);
     }
 
-    /// The iteration cost equals pass cost plus the optimizer step.
-    #[test]
-    fn iteration_decomposes(g in arb_graph(), batch in 1u64..32) {
-        for opt in [Optimizer::SgdMomentum, Optimizer::Adam] {
-            let pass = g.pass_cost(batch, PrecisionPolicy::Amp);
-            let iter = g.iteration_cost(batch, PrecisionPolicy::Amp, opt);
-            prop_assert_eq!(
-                iter.simt_flops.as_u64(),
-                pass.simt_flops.as_u64() + opt.step_flops(g.params()).as_u64()
-            );
-            prop_assert_eq!(iter.tensor_flops, pass.tensor_flops);
-            prop_assert_eq!(
-                iter.mem_bytes.as_u64(),
-                pass.mem_bytes.as_u64() + opt.step_bytes(g.params()).as_u64()
-            );
-        }
-    }
-
     /// Replica footprint is monotone in batch size and in optimizer state.
     #[test]
     fn footprint_monotonicity(g in arb_graph(), batch in 1u64..64) {

@@ -66,7 +66,6 @@ fn ssd_head_counts_cover_six_maps() {
         .count();
     assert_eq!(loc_heads, 6);
     assert_eq!(conf_heads, 6);
-    assert!((8000..9500).contains(&detection::ssd300_default_boxes()));
 }
 
 #[test]

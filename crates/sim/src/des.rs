@@ -104,12 +104,6 @@ impl<E> EventQueue<E> {
         self.seq += 1;
     }
 
-    /// Schedule `event` after a delay from the current time.
-    pub fn schedule_after(&mut self, delay: Seconds, event: E) {
-        let at = self.now + delay;
-        self.schedule(at, event);
-    }
-
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(Seconds, E)> {
         let entry = self.heap.pop()?;
@@ -223,16 +217,6 @@ mod tests {
         assert_eq!(q.now(), Seconds::ZERO);
         q.pop();
         assert_eq!(q.now(), Seconds::new(5.0));
-    }
-
-    #[test]
-    fn schedule_after_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(Seconds::new(2.0), "first");
-        q.pop();
-        q.schedule_after(Seconds::new(3.0), "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, Seconds::new(5.0));
     }
 
     #[test]

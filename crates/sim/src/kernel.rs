@@ -115,12 +115,6 @@ impl KernelTimer {
         let (major, minor) = if c >= m { (c, m) } else { (m, c) };
         major + minor.scale(EXPOSED_MINOR_FRACTION)
     }
-
-    /// The achieved FLOP rate implied by [`KernelTimer::step_time`] —
-    /// what `nvprof` would report as sustained throughput.
-    pub fn achieved_flop_rate(&self, cost: &IterationCost) -> mlperf_hw::FlopRate {
-        cost.total_flops() / self.step_time(cost)
-    }
 }
 
 #[cfg(test)]
@@ -189,15 +183,6 @@ mod tests {
         let p100 = KernelTimer::new(GpuModel::TeslaP100Pcie16.spec(), eff);
         let c = cost(2_000.0, 8_000.0, 200);
         assert!(p100.step_time(&c).as_secs() > 3.0 * v100.step_time(&c).as_secs());
-    }
-
-    #[test]
-    fn achieved_rate_below_peak() {
-        let t = v100_timer();
-        let c = cost(5_000.0, 0.0, 500);
-        let achieved = t.achieved_flop_rate(&c);
-        assert!(achieved.as_tflops() < 15.7);
-        assert!(achieved.as_tflops() > 0.0);
     }
 
     #[test]

@@ -6,6 +6,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== rustfmt: every workspace crate, test and example is formatted =="
+# perfbench/ is not a workspace member, so --all leaves it out.
+cargo fmt --all -- --check
+
 echo "== build (release, offline) =="
 cargo build --release --offline
 
