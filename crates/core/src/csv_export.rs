@@ -4,7 +4,7 @@
 //! further analysis" (§III-C); `repro --csv DIR` writes the reproduction's
 //! data the same way: one file per table/figure, plus the raw PCA feature
 //! matrix. The source experiments are scheduled on the
-//! [`runner`](crate::runner) pool sharing one memoized context, and the
+//! [`runner`] pool sharing one memoized context, and the
 //! exports are assembled in file-name order — the bytes are identical for
 //! any `MLPERF_JOBS` worker count.
 

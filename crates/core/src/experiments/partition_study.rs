@@ -5,7 +5,7 @@
 //! Every MLPerf benchmark is priced on one GPU of the C4140 (K), whole
 //! and at the packed 2-/4-/7-way slice layouts (every co-tenant busy —
 //! the worst-case memory-bandwidth and L2 contention point), through the
-//! [`partition_scaling`](crate::sweep::partition_scaling) grid. Device
+//! [`partition_scaling`] grid. Device
 //! throughput at k-way is k × the per-slice rate; the efficiency column
 //! is that aggregate against the whole device. The slices pay the
 //! interference model's multiplicative slowdown, so device-bound

@@ -79,7 +79,7 @@ impl VarianceRow {
 /// The study result.
 #[derive(Debug, Clone)]
 pub struct VarianceDecomposition {
-    /// One row per benchmark, in [`WORKLOADS`] order.
+    /// One row per benchmark, in the study's fixed benchmark order.
     pub rows: Vec<VarianceRow>,
 }
 

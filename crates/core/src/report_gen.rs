@@ -3,7 +3,7 @@
 //! Assembles every regenerated artifact, the validation summary, and the
 //! extension studies into a single self-contained markdown document — the
 //! shape of an artifact-evaluation appendix. The experiments are scheduled
-//! as a dependency DAG onto the [`runner`](crate::runner) pool with shared
+//! as a dependency DAG onto the [`runner`] pool with shared
 //! memoization; the document is assembled in declaration order, so its
 //! bytes are identical for any `MLPERF_JOBS` worker count.
 

@@ -29,8 +29,8 @@
 //! **Determinism policy.** Report and CSV bytes must be identical for any
 //! worker count (`MLPERF_JOBS=1` vs `=N`), so nothing nondeterministic may
 //! flow into rendered output: results are assembled in declaration order,
-//! cache hit/miss counts are scheduling-invariant (see [`memo`]'s module
-//! docs), and per-experiment wall-clock — inherently nondeterministic —
+//! cache hit/miss counts are scheduling-invariant (see [`CacheStats`]),
+//! and per-experiment wall-clock — inherently nondeterministic —
 //! stays in [`ExecutorStats`], which is surfaced on stderr and read by
 //! perfbench, never in the report body. DESIGN.md "Execution model" is
 //! the long-form writeup.
@@ -194,7 +194,7 @@ struct KernelKey {
 }
 
 /// Cache counters, scheduling-invariant by construction (compute-once
-/// caches over a fixed request set — see [`memo`]).
+/// caches over a fixed request set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Training-step requests answered from the memo cache.

@@ -27,9 +27,9 @@
 //!   override) arms a per-connection meter. Each query charges its whole
 //!   cost up front on the connection thread — one unit per cell, `len()`
 //!   units per sweep — and pricing then runs unmetered (a cell inline
-//!   under [`Ctx::suspend_budget`], a sweep on the pool's workers), so
-//!   pricing can never double-charge and the verdict is a pure function
-//!   of the client's own query sequence: invariant across
+//!   with the connection's budget suspended, a sweep on the pool's
+//!   workers), so pricing can never double-charge and the verdict is a
+//!   pure function of the client's own query sequence: invariant across
 //!   `MLPERF_JOBS`, cache state, and whoever else is hammering the
 //!   server.
 //! * **Degraded responses** — every failure is a typed error frame on

@@ -1,7 +1,7 @@
 //! Vectorized per-op cost accumulation.
 //!
 //! [`ModelGraph::pass_cost`](crate::ModelGraph::pass_cost) is the hottest
-//! model-side loop in a sweep: it walks every [`Op`](crate::Op) — name
+//! model-side loop in a sweep: it walks every [`Op`] — name
 //! strings, enum matches and all — once per priced cell. A
 //! [`PassCostTable`] hoists everything batch-independent out of that walk
 //! into structure-of-arrays form at graph-build time (per-sample FLOP and

@@ -4,7 +4,7 @@
 //! flaps, thermal-throttle stragglers, host stalls — drawn through the
 //! testkit's [`FaultScript`] so the whole scenario replays byte-identically
 //! from its seed. [`replay`] walks the plan against a steady-state
-//! [`StepReport`] on the DES [`EventQueue`](crate::des::EventQueue):
+//! [`StepReport`] on the DES [`EventQueue`]:
 //! training advances step by step, checkpoints are written on the cadence
 //! of a [`CheckpointSpec`], a fail-stop fault rolls the run back to the
 //! last checkpoint (paying the restart cost), transient faults retry with

@@ -4,7 +4,7 @@
 //! A [`ChaosPlan`] decides, at named draw points, whether the surrounding
 //! code should proceed normally or fail — by panicking, by returning a
 //! typed error, or by emitting a non-finite value — with every decision
-//! drawn through a [`FaultScript`](crate::fault::FaultScript) so the whole
+//! drawn through a [`FaultScript`] so the whole
 //! failure scenario replays byte-identically from its seed. The executor's
 //! resilience suite wraps real experiments in a chaos adapter driven by
 //! this type and property-tests that an injected failure in one corner of

@@ -1,7 +1,7 @@
 //! Seeded-replay fault scripting: a labeled draw log for deterministic
 //! fault injection.
 //!
-//! A [`FaultScript`] wraps a seeded [`Rng`](crate::rng::Rng) and records
+//! A [`FaultScript`] wraps a seeded [`Rng`] and records
 //! every draw together with a short label naming what the draw decided
 //! (`"interarrival"`, `"kind"`, `"victim"`, …). The recorded log renders
 //! to bytes ([`FaultScript::trace_bytes`]), which gives fault-plan

@@ -7,7 +7,7 @@
 //! writes, torn renames (a simulated crash between the temp-file write
 //! and the publishing rename), bit flips on read, `ENOSPC`, and
 //! unreadable files. Every decision is drawn through a
-//! [`FaultScript`](crate::fault::FaultScript), so a whole corruption
+//! [`FaultScript`], so a whole corruption
 //! scenario replays byte-identically from its seed and the recorded
 //! trace names the exact operations that were sabotaged.
 //!

@@ -19,6 +19,11 @@ cargo test -q --offline
 echo "== clippy (all targets, deny warnings) =="
 cargo clippy --all-targets --offline -- -D warnings
 
+echo "== rustdoc: every workspace crate documents without a warning =="
+# Catches intra-doc links that break, or that point public docs at
+# private items and so render dead.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "== examples: every library-API example runs to completion (release) =="
 # Clippy only compiles the examples; run each one so a panic or an error
 # exit on that surface fails the gate too. Each file under examples/ is
@@ -134,6 +139,34 @@ diff -r "$report_tmp/sweeps_j1" "$report_tmp/sweeps_cold" \
     || { echo "cold cached sweep CSV bytes differ from the --no-cache sweep" >&2; exit 1; }
 diff -r "$report_tmp/sweeps_j1" "$report_tmp/sweeps_warm" \
     || { echo "warm cached sweep CSV bytes differ from the --no-cache sweep" >&2; exit 1; }
+
+echo "== epoch gate: the cache keys on the executable's bytes, not its path =="
+# The code epoch (DESIGN.md §2d "Persistent cache") hashes every byte of
+# the running executable. A byte-identical copy of repro at another path
+# must hit every entry of the warm cache; the same copy with one byte
+# appended (the ELF still runs) must hit none, invalidate every entry,
+# and still write the committed report. Both run on a copy of the warm
+# cache, so the corruption gate below still sees this build's entries.
+epoch_dir="$report_tmp/epoch"
+mkdir -p "$epoch_dir"
+cp "${CARGO_TARGET_DIR:-target}/release/repro" "$epoch_dir/repro"
+cp -r "$MLPERF_CACHE_DIR" "$epoch_dir/cache"
+MLPERF_CACHE_DIR="$epoch_dir/cache" "$epoch_dir/repro" \
+    --report "$epoch_dir/copy.md" >/dev/null 2>"$epoch_dir/copy.log"
+grep -q "100% hit rate" "$epoch_dir/copy.log" \
+    || { echo "a byte-identical copy of repro did not hit the whole warm cache" >&2; \
+         cat "$epoch_dir/copy.log" >&2; exit 1; }
+diff -u REPORT.md "$epoch_dir/copy.md" \
+    || { echo "a byte-identical copy of repro changed report bytes" >&2; exit 1; }
+entries="$(find "$epoch_dir/cache" -name '*.art' | wc -l)"
+printf '\0' >> "$epoch_dir/repro"
+MLPERF_CACHE_DIR="$epoch_dir/cache" "$epoch_dir/repro" \
+    --report "$epoch_dir/grown.md" >/dev/null 2>"$epoch_dir/grown.log"
+grep -Eq ": 0 hits / [0-9]+ misses .*, $entries invalidated," "$epoch_dir/grown.log" \
+    || { echo "a repro one byte longer did not miss and invalidate all $entries entries" >&2; \
+         cat "$epoch_dir/grown.log" >&2; exit 1; }
+diff -u REPORT.md "$epoch_dir/grown.md" \
+    || { echo "a repro one byte longer changed report bytes" >&2; exit 1; }
 
 echo "== corruption gate: tampered cache heals to byte-identical output =="
 # The durability model (DESIGN.md "Durability model"): mutilate a
