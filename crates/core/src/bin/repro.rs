@@ -204,7 +204,7 @@ fn run_sweeps(args: &[String], cfg: &Config) -> Result<ExitCode, String> {
     // Memo-free context: sweep cells are pairwise distinct, so the step
     // memo would only grow O(grid) without ever hitting — the disk cache
     // (content-addressed, batched) is the persistence layer here.
-    let ctx = Ctx::without_memo();
+    let ctx = Ctx::without_memo().with_runs(cfg.runs);
     // Pool workers price and render chunks of rows that this thread
     // appends in order; at most one shard of cells is in flight, so memory
     // is bounded by the shard regardless of the grid (the million-cell

@@ -5,12 +5,13 @@
 //! its pool, failure policy, context and cache from that [`Config`]; a
 //! long-lived `repro serve` daemon keeps that startup view and varies
 //! per request only through the request API, never through a mid-flight
-//! env read that could split the server's view of its own knobs. The
-//! constructors that take no config
-//! ([`Pool::from_env`](crate::runner::Pool::from_env),
-//! [`Ctx::new`](crate::runner::Ctx::new),
-//! [`Ctx::without_memo`](crate::runner::Ctx::without_memo)) resolve
-//! through the lenient [`Config::from_env`]. Parsing is pure
+//! env read that could split the server's view of its own knobs.
+//! [`Ctx::new`](crate::runner::Ctx::new) and
+//! [`Ctx::without_memo`](crate::runner::Ctx::without_memo) take the
+//! defaults and read no environment; the one constructor that takes no
+//! config and still does,
+//! [`Pool::from_env`](crate::runner::Pool::from_env), resolves through
+//! the lenient [`Config::from_env`]. Parsing is pure
 //! ([`Config::resolve`] takes the lookup as a closure), which is what the
 //! unit tests drive — tests must not mutate the process environment,
 //! because the suite runs multi-threaded.
@@ -450,7 +451,7 @@ mod tests {
 
     #[test]
     fn lenient_resolve_defaults_what_strict_rejects() {
-        // The lenient path (`Ctx::new`, `Pool::from_env`) logs and falls back, so
+        // The lenient path (`Pool::from_env`) logs and falls back, so
         // a bad knob can never abort a batch run mid-flight …
         let cfg = with(&[
             (IO_CHAOS_ENV, "bit_flip=lots"),

@@ -14,7 +14,7 @@ use crate::experiments::{
 use crate::report::Table;
 use crate::runner::{self, Ctx, ExperimentError, Pool, ResilienceConfig};
 use crate::sweep::DiskCache;
-use mlperf_telemetry::csv::characteristics_to_csv;
+use mlperf_telemetry::FEATURE_NAMES;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
@@ -349,19 +349,28 @@ fn assemble(ctx: &Ctx, execution: &runner::Execution) -> ArtifactSet {
         );
     }
 
-    // Figure 1: both the raw feature matrix and the projections. The
-    // workload runs are all cache hits by now (Figure 1 just priced them).
+    // Figure 1: both the raw feature matrix (the PCA input) and the
+    // projections. A feature's column is its name, lowercased, with every
+    // other character an underscore.
+    let features_headers = || {
+        let mut headers = vec!["workload".to_string(), "suite".to_string()];
+        headers.extend(FEATURE_NAMES.iter().map(|name| {
+            name.replace(|c: char| !c.is_ascii_alphanumeric(), "_")
+                .to_ascii_lowercase()
+        }));
+        Table::new("", headers)
+    };
     let f1_headers = || Table::new("", ["workload", "suite", "pc1", "pc2", "pc3", "pc4"]);
-    let f1_runs = ctx
-        .artifact::<figure1::Figure1>("figure1")
-        .and_then(|f1| figure1::collect_runs_ctx(ctx).ok().map(|runs| (f1, runs)));
-    if let Some((f1, runs)) = f1_runs {
-        let chars: Vec<_> = runs.iter().map(|r| r.characteristics()).collect();
-        out.insert(
-            "figure1",
-            "figure1_features.csv",
-            characteristics_to_csv(&chars),
-        );
+    if let Some(f1) = ctx.artifact::<figure1::Figure1>("figure1") {
+        let mut csv = features_headers();
+        for c in &f1.features {
+            csv.add_row(
+                [c.name.clone(), c.suite.clone()]
+                    .into_iter()
+                    .chain(c.features.iter().map(|v| format!("{v:.4}"))),
+            );
+        }
+        out.insert("figure1", "figure1_features.csv", csv.to_csv());
         let mut csv = f1_headers();
         for (name, suite, p) in &f1.projections {
             csv.add_row([
@@ -378,7 +387,7 @@ fn assemble(ctx: &Ctx, execution: &runner::Execution) -> ArtifactSet {
         out.insert(
             "figure1",
             "figure1_features.csv",
-            placeholder(Table::new("", ["workload"]), &note("figure1")),
+            placeholder(features_headers(), &note("figure1")),
         );
         out.insert(
             "figure1",

@@ -18,11 +18,13 @@ use crate::workloads::{DeepBenchId, WorkloadRun, WorkloadSpec};
 use mlperf_analysis::pca::Pca;
 use mlperf_hw::systems::SystemId;
 use mlperf_sim::SimError;
-use mlperf_telemetry::FEATURE_NAMES;
+use mlperf_telemetry::{WorkloadCharacteristics, FEATURE_NAMES};
 
-/// The fitted PCA plus every workload's projection.
+/// The PCA input matrix, the fitted PCA and every workload's projection.
 #[derive(Debug, Clone)]
 pub struct Figure1 {
+    /// Each workload's eight characteristics, in projection order.
+    pub features: Vec<WorkloadCharacteristics>,
     /// The fitted model.
     pub pca: Pca,
     /// `(name, suite, PC1..PC4 projection)` per workload.
@@ -58,12 +60,8 @@ impl Figure1 {
 /// all-reduce benchmark, single-GPU for the DAWNBench submissions and the
 /// DeepBench kernel loops — the same shapes Table V measures), through a
 /// shared executor context, so the quad-GPU points are computed once
-/// across Figure 1, Table V, and the CSV exports.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn collect_runs_ctx(ctx: &Ctx) -> Result<Vec<WorkloadRun>, SimError> {
+/// across Figure 1 and Table V.
+fn collect_runs_ctx(ctx: &Ctx) -> Result<Vec<WorkloadRun>, SimError> {
     let system = SystemId::C4140K;
     let mut runs = Vec::new();
     for id in BenchmarkId::MLPERF {
@@ -84,24 +82,28 @@ pub fn collect_runs_ctx(ctx: &Ctx) -> Result<Vec<WorkloadRun>, SimError> {
 ///
 /// Propagates [`SimError`] from the engine.
 pub fn run_ctx(ctx: &Ctx) -> Result<Figure1, SimError> {
-    let runs = collect_runs_ctx(ctx)?;
-    let rows: Vec<Vec<f64>> = runs
+    let features: Vec<WorkloadCharacteristics> = collect_runs_ctx(ctx)?
         .iter()
-        .map(|r| r.characteristics().features.to_vec())
+        .map(WorkloadRun::characteristics)
         .collect();
+    let rows: Vec<Vec<f64>> = features.iter().map(|c| c.features.to_vec()).collect();
     let pca = Pca::fit(&rows);
-    let projections = runs
+    let projections = features
         .iter()
         .zip(&rows)
-        .map(|(r, row)| {
+        .map(|(c, row)| {
             (
-                r.name.clone(),
-                r.suite.to_string(),
+                c.name.clone(),
+                c.suite.clone(),
                 pca.project(row, 4.min(pca.n_features())),
             )
         })
         .collect();
-    Ok(Figure1 { pca, projections })
+    Ok(Figure1 {
+        features,
+        pca,
+        projections,
+    })
 }
 
 /// Render the projections and variance summary.

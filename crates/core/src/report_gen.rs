@@ -277,7 +277,7 @@ fn failure_appendix(execution: &runner::Execution) -> String {
 fn appendix(execution: &runner::Execution, disk: Option<DiskStats>) -> String {
     let mut md = String::from(
         "## Appendix: execution\n\n\
-         Experiments run as a dependency DAG on a work-stealing pool\n\
+         Experiments run as a dependency DAG on a thread pool\n\
          (`MLPERF_JOBS` workers) sharing one memoized simulation cache;\n\
          output is assembled in declaration order, so this document is\n\
          byte-identical for any worker count.\n\n",

@@ -8,7 +8,8 @@
 //! DSS-8440 scaling sweep, and validation re-derived three whole tables.
 //! This module fixes that structurally:
 //!
-//! * [`Pool`] — a zero-dependency scoped-thread work-stealing pool;
+//! * [`Pool`] — a zero-dependency scoped-thread pool that runs a DAG
+//!   from one locked ready queue;
 //! * [`ShardedCache`] — a compute-once memo cache keyed by [`RunKey`], so
 //!   each simulation point is priced exactly once per report;
 //! * [`Experiment`] — what the executor schedules; every experiment module
@@ -313,11 +314,12 @@ impl Drop for BudgetSuspension<'_> {
 }
 
 impl Ctx {
-    /// A fresh memoizing context, its knobs resolved through
-    /// [`Config::from_env`](crate::config::Config::from_env), the single
-    /// parsing truth for every `MLPERF_*` variable.
+    /// A fresh memoizing context at the default knobs; it reads no
+    /// environment, so it prices one run per cell unless
+    /// [`Ctx::with_runs`] says otherwise. `repro` builds its contexts with
+    /// [`Ctx::from_config`] from the one `Config` it resolves.
     pub fn new() -> Ctx {
-        Ctx::from_config(&crate::config::Config::from_env())
+        Ctx::from_config(&crate::config::Config::default())
     }
 
     /// A fresh memoizing context under an explicitly resolved [`Config`]
@@ -365,10 +367,9 @@ impl Ctx {
         self
     }
 
-    /// Override the per-cell replication count, normally resolved from
-    /// [`RUNS_ENV`] through the one-shot `Config` (what tests and the
-    /// variance experiment use to pin a run count independent of the
-    /// environment).
+    /// Override the per-cell replication count (what `repro sweep` sets
+    /// from [`RUNS_ENV`] through its `Config`, and what tests and the
+    /// variance experiment use to pin a run count).
     ///
     /// # Panics
     ///

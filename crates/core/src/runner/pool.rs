@@ -1,16 +1,15 @@
-//! Scoped work-stealing thread pool (std only).
+//! Scoped thread pool (std only).
 //!
 //! The executor wants parallelism but the workspace has a zero-dependency
 //! policy (see "Offline build & determinism policy" in DESIGN.md), so this
-//! is a small work-stealing scheduler built directly on
-//! [`std::thread::scope`]: each worker owns a LIFO deque, a task's
-//! newly-ready dependents land on the completing worker's own deque
-//! (locality), and idle workers steal FIFO from peers or drain the shared
-//! injector. The worker count comes from [`MLPERF_JOBS`](JOBS_ENV) or
-//! [`std::thread::available_parallelism`]; nothing produced *through* the
-//! pool may depend on it — results come back in submission order and the
-//! experiment layer is memoized, so report bytes are identical for any
-//! worker count (the determinism policy in DESIGN.md "Execution model").
+//! is a small scheduler built directly on [`std::thread::scope`]. A task
+//! DAG ([`Pool::run_dag`]) runs from one ready queue behind one lock, and
+//! every finished task wakes the idle workers. The worker count comes from
+//! [`MLPERF_JOBS`](JOBS_ENV) or [`std::thread::available_parallelism`];
+//! nothing produced *through* the pool may depend on it — results come
+//! back in submission order and the experiment layer is memoized, so
+//! report bytes are identical for any worker count (the determinism
+//! policy in DESIGN.md "Execution model").
 //!
 //! Bulk streams (a sweep's rows) skip the DAG machinery: see
 //! [`Pool::stream_ordered`], where workers claim contiguous chunks and the
@@ -19,33 +18,20 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::Thread;
-use std::time::Duration;
 
 /// Environment variable overriding the worker count (`MLPERF_JOBS=1`
 /// forces fully serial execution; unset falls back to
 /// `available_parallelism`).
 pub const JOBS_ENV: &str = "MLPERF_JOBS";
 
-/// How long an idle worker parks before re-scanning the deques. Wake-ups
-/// are sent eagerly on every completion, so this is only a lost-wakeup
-/// backstop, not the scheduling cadence.
-const IDLE_PARK: Duration = Duration::from_micros(100);
-
-/// Lock that survives a poisoned mutex: a panicking task must not wedge
-/// the pool (failures are recorded per slot and the DAG keeps draining,
-/// see [`Pool::run_dag`]), so every internal lock recovers the guard
-/// instead of propagating the poison.
+/// Lock that survives a poisoned mutex. Tasks and stream callbacks never
+/// run under a pool lock, and the pool catches or re-raises their panics
+/// itself (see [`Pool::run_dag`] and [`Pool::stream_ordered`]), so a
+/// poisoned guard carries no failure worth propagating.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
-
-/// A DAG task's slot marker for "produced no value": the task panicked,
-/// or an upstream task failed so it never ran.
-#[derive(Debug)]
-struct TaskFailure;
 
 /// A fixed-width scoped thread pool executing dependency DAGs of tasks.
 #[derive(Debug, Clone)]
@@ -84,7 +70,10 @@ impl Pool {
     ///
     /// `deps[i]` lists the task indices task `i` waits for (independent
     /// tasks get empty lists). Tasks whose dependencies are satisfied run
-    /// concurrently.
+    /// concurrently on up to [`workers`](Pool::workers) threads, the
+    /// caller among them. They wait in one ready queue: the independent
+    /// tasks in submission order, and a dependent that becomes ready goes
+    /// to the front.
     ///
     /// # Panics
     ///
@@ -93,7 +82,7 @@ impl Pool {
     /// the panicking one still runs to completion (transitive dependents
     /// are skipped). Also panics on malformed input: `deps` and `tasks`
     /// lengths differing, an out-of-range or self dependency, or a
-    /// dependency cycle.
+    /// dependency cycle, once every task the cycle does not block has run.
     pub fn run_dag<T, F>(&self, tasks: Vec<F>, deps: &[Vec<usize>]) -> Vec<T>
     where
         T: Send,
@@ -101,76 +90,78 @@ impl Pool {
     {
         let n = tasks.len();
         assert_eq!(n, deps.len(), "one dependency list per task");
-        if n == 0 {
-            return Vec::new();
-        }
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut pending: Vec<AtomicUsize> = Vec::with_capacity(n);
         for (i, ds) in deps.iter().enumerate() {
             for &d in ds {
                 assert!(d < n, "task {i} depends on out-of-range task {d}");
                 assert_ne!(d, i, "task {i} depends on itself");
                 dependents[d].push(i);
             }
-            pending.push(AtomicUsize::new(ds.len()));
         }
-        // Kahn pass up front: a cycle would leave its tasks permanently
-        // unready and the workers parked forever, so reject it before
-        // spawning anything.
-        {
-            let mut indegree: Vec<usize> = deps.iter().map(Vec::len).collect();
-            let mut ready: VecDeque<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-            let mut ordered = 0usize;
-            while let Some(i) = ready.pop_front() {
-                ordered += 1;
-                for &dep in &dependents[i] {
-                    indegree[dep] -= 1;
-                    if indegree[dep] == 0 {
-                        ready.push_back(dep);
+        let dag = Mutex::new(DagState {
+            tasks: tasks.into_iter().map(Some).collect(),
+            results: (0..n).map(|_| None).collect(),
+            pending: deps.iter().map(Vec::len).collect(),
+            ready: (0..n).filter(|&i| deps[i].is_empty()).collect(),
+            running: 0,
+            panic: None,
+        });
+        // Notified whenever a task finishes: it may have readied dependents,
+        // or been the last one running.
+        let progress = Condvar::new();
+        // Each worker runs ready tasks until the queue is empty with nothing
+        // running: the DAG is done, or every task left waits on a cycle.
+        let work = || {
+            let mut state = lock(&dag);
+            loop {
+                state = progress
+                    .wait_while(state, |s| s.ready.is_empty() && s.running > 0)
+                    .unwrap_or_else(PoisonError::into_inner);
+                let Some(i) = state.ready.pop_front() else {
+                    return;
+                };
+                if deps[i].iter().all(|&d| state.results[d].is_some()) {
+                    let task = state.tasks[i].take().expect("task runs exactly once");
+                    state.running += 1;
+                    drop(state);
+                    let outcome = catch_unwind(AssertUnwindSafe(task));
+                    state = lock(&dag);
+                    state.running -= 1;
+                    match outcome {
+                        Ok(value) => state.results[i] = Some(value),
+                        Err(payload) if state.panic.is_none() => state.panic = Some(payload),
+                        Err(_) => {}
                     }
                 }
+                // Newly ready dependents go to the front of the queue, so a
+                // chain continues as soon as its head finishes.
+                for &dep in &dependents[i] {
+                    state.pending[dep] -= 1;
+                    if state.pending[dep] == 0 {
+                        state.ready.push_front(dep);
+                    }
+                }
+                progress.notify_all();
             }
-            assert_eq!(ordered, n, "task DAG contains a dependency cycle");
-        }
-        let workers = self.workers.min(n);
-        let state = DagState {
-            tasks: tasks.into_iter().map(|t| Mutex::new(Some(t))).collect(),
-            results: (0..n).map(|_| Mutex::new(None)).collect(),
-            pending,
-            deps: deps.to_vec(),
-            dependents,
-            remaining: AtomicUsize::new(n),
-            panic: Mutex::new(None),
-            injector: Mutex::new((0..n).filter(|&i| deps[i].is_empty()).collect()),
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            parked: Mutex::new(Vec::new()),
         };
         std::thread::scope(|scope| {
-            let st = &state;
-            for w in 0..workers {
-                scope.spawn(move || st.work(w));
+            for _ in 1..self.workers.min(n) {
+                scope.spawn(work);
             }
+            work();
         });
-        assert_eq!(
-            state.remaining.load(Ordering::SeqCst),
-            0,
+        let state = dag.into_inner().unwrap_or_else(PoisonError::into_inner);
+        // The workers stopped with the queue empty and nothing running, so
+        // a task still waiting on a dependency sits on a cycle.
+        assert!(
+            state.pending.iter().all(|&p| p == 0),
             "task DAG contains a dependency cycle"
         );
-        let panic = lock(&state.panic).take();
-        if let Some(payload) = panic {
+        if let Some(payload) = state.panic {
             resume_unwind(payload);
         }
-        state
-            .results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .and_then(Result::ok)
-                    // A failed slot implies a panic, re-raised above.
-                    .expect("every task completed")
-            })
-            .collect()
+        let results: Option<Vec<T>> = state.results.into_iter().collect();
+        results.expect("an empty slot implies a panic, re-raised above")
     }
 
     /// Produce items `0..len` on the workers and consume them, in index
@@ -366,110 +357,30 @@ impl<T> Drop for StopOnDrop<'_, T> {
     }
 }
 
-/// Shared scheduler state for one `run_dag` call.
+/// Scheduler state of one [`Pool::run_dag`] call, behind its one lock.
 struct DagState<F, T> {
-    /// Each task, taken exactly once by the worker that executes it.
-    tasks: Vec<Mutex<Option<F>>>,
-    /// Result slots, indexed like `tasks`. A slot is filled exactly once:
-    /// with the task's value, or a failure if it panicked or an upstream
-    /// failure kept it from running — so a failure never abandons the DAG.
-    results: Vec<Mutex<Option<Result<T, TaskFailure>>>>,
+    /// Each task, taken by the worker that runs it (a skipped task stays).
+    tasks: Vec<Option<F>>,
+    /// Result slots, indexed like `tasks`. A slot stays empty when its task
+    /// panicked, or was skipped because a dependency's slot is empty — so
+    /// a failure cascades to its dependents and never abandons the DAG.
+    results: Vec<Option<T>>,
     /// Unmet-dependency counts; a task is ready when its count hits 0.
-    pending: Vec<AtomicUsize>,
-    /// Forward edges, consulted before running a ready task so failures
-    /// cascade to dependents instead of abandoning them.
-    deps: Vec<Vec<usize>>,
-    /// Reverse edges: who becomes ready when task `i` completes.
-    dependents: Vec<Vec<usize>>,
-    /// Tasks not yet completed (cycle detection + shutdown signal).
-    remaining: AtomicUsize,
-    /// First panic payload, re-raised by `run_dag` once the DAG drains.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// Global FIFO holding the initially-ready tasks.
-    injector: Mutex<VecDeque<usize>>,
-    /// Per-worker deques: owner pops LIFO, thieves steal FIFO.
-    locals: Vec<Mutex<VecDeque<usize>>>,
-    /// Handles of all workers, unparked whenever new work appears.
-    parked: Mutex<Vec<Thread>>,
-}
-
-impl<F: FnOnce() -> T + Send, T: Send> DagState<F, T> {
-    fn work(&self, me: usize) {
-        lock(&self.parked).push(std::thread::current());
-        loop {
-            if self.remaining.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            match self.find_task(me) {
-                Some(task) => self.run_task(me, task),
-                // Nothing runnable right now (dependencies of the leftover
-                // tasks are still executing elsewhere): park until a
-                // completion wakes us, with a timeout as a lost-wakeup
-                // backstop.
-                None => std::thread::park_timeout(IDLE_PARK),
-            }
-        }
-    }
-
-    fn find_task(&self, me: usize) -> Option<usize> {
-        if let Some(i) = lock(&self.locals[me]).pop_back() {
-            return Some(i);
-        }
-        if let Some(i) = lock(&self.injector).pop_front() {
-            return Some(i);
-        }
-        let k = self.locals.len();
-        for off in 1..k {
-            if let Some(i) = lock(&self.locals[(me + off) % k]).pop_front() {
-                return Some(i);
-            }
-        }
-        None
-    }
-
-    fn run_task(&self, me: usize, i: usize) {
-        // A failed dependency cascades: the task is dropped unrun and its
-        // slot records a failure. Dependency slots are already filled (the
-        // pool only readies a task after all its deps completed), so the
-        // probe never races a concurrent write.
-        let upstream_failed = self.deps[i]
-            .iter()
-            .any(|&d| matches!(*lock(&self.results[d]), Some(Err(TaskFailure))));
-        let outcome = if upstream_failed {
-            Err(TaskFailure)
-        } else {
-            let task = lock(&self.tasks[i]).take().expect("task runs exactly once");
-            catch_unwind(AssertUnwindSafe(task)).map_err(|payload| {
-                lock(&self.panic).get_or_insert(payload);
-                TaskFailure
-            })
-        };
-        *lock(&self.results[i]) = Some(outcome);
-        // Push newly-ready dependents onto our own deque: we will pop
-        // them LIFO (cache-warm), peers steal them FIFO if we stay busy.
-        // Failures ready their dependents too — those cascade above
-        // instead of vanishing from the result set.
-        for &dep in &self.dependents[i] {
-            if self.pending[dep].fetch_sub(1, Ordering::AcqRel) == 1 {
-                lock(&self.locals[me]).push_back(dep);
-            }
-        }
-        self.remaining.fetch_sub(1, Ordering::AcqRel);
-        self.wake_all();
-    }
-
-    fn wake_all(&self) {
-        for t in lock(&self.parked).iter() {
-            t.unpark();
-        }
-    }
+    pending: Vec<usize>,
+    /// Ready tasks, the next one to run first.
+    ready: VecDeque<usize>,
+    /// Tasks running outside the lock.
+    running: usize,
+    /// The first task panic, re-raised by `run_dag` once the DAG drains.
+    panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::error::panic_message;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn results_come_back_in_submission_order() {
@@ -581,6 +492,40 @@ mod tests {
         let pool = Pool::with_workers(2);
         let tasks: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![Box::new(|| 1), Box::new(|| 2)];
         pool.run_dag(tasks, &[vec![1], vec![0]]);
+    }
+
+    /// A dependent that becomes ready runs before the independent tasks
+    /// still queued, so a chain continues as soon as its head finishes.
+    #[test]
+    fn ready_dependents_run_before_queued_tasks() {
+        let order = Mutex::new(Vec::new());
+        let tasks: Vec<_> = (0..3)
+            .map(|i| {
+                let order = &order;
+                move || lock(order).push(i)
+            })
+            .collect();
+        Pool::with_workers(1).run_dag(tasks, &[vec![], vec![], vec![0]]);
+        assert_eq!(order.into_inner().unwrap(), [0, 2, 1]);
+    }
+
+    /// A cycle behind a runnable prefix (0, then 1 <-> 2) panics once the
+    /// prefix has run instead of leaving the workers waiting.
+    #[test]
+    fn cycle_behind_a_runnable_prefix_is_detected() {
+        for workers in [1, 4] {
+            let tasks: Vec<Box<dyn FnOnce() -> u32 + Send>> =
+                vec![Box::new(|| 0), Box::new(|| 1), Box::new(|| 2)];
+            let deps = [vec![], vec![0, 2], vec![1]];
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                Pool::with_workers(workers).run_dag(tasks, &deps)
+            }))
+            .expect_err("a cycle must panic");
+            assert!(
+                panic_message(err.as_ref()).contains("dependency cycle"),
+                "{workers}w"
+            );
+        }
     }
 
     /// Index order for every worker count, window and length, including

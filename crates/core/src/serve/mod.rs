@@ -6,7 +6,7 @@
 //! zero-dependency daemon on a Unix-domain socket. The request API is the
 //! versioned, typed [`protocol`] (newline-delimited JSON, hand-rolled
 //! like everything else in the workspace); the execution substrate is the
-//! batch path's, unchanged: the memoizing [`Ctx`], the work-stealing
+//! batch path's, unchanged: the memoizing [`Ctx`], the thread
 //! [`Pool`], the persistent [`DiskCache`], and the sweep layer's
 //! cell pricing and streaming.
 //!

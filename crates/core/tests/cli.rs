@@ -75,3 +75,40 @@ fn bare_run_prints_the_paper_artifacts_block() {
     let len = report[start..].find("```\n").expect("block is closed");
     assert_eq!(repro(&[]), format!("{}\n", &report[start..start + len]));
 }
+
+/// `repro sweep` prices at the run count of the `Config` it resolves:
+/// `MLPERF_RUNS=8` appends the replication columns to the header, and
+/// without the variable the sweep writes the point header.
+#[test]
+fn sweep_takes_its_run_count_from_the_environment() {
+    let dir = std::env::temp_dir().join(format!("mlperf_cli_sweep_runs_{}", std::process::id()));
+    let header = |runs: Option<&str>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+        cmd.args(["--no-cache", "sweep", "figure4_scaling", "--out"])
+            .arg(&dir);
+        match runs {
+            Some(n) => cmd.env("MLPERF_RUNS", n),
+            None => cmd.env_remove("MLPERF_RUNS"),
+        };
+        let out = cmd.output().expect("repro starts");
+        assert!(
+            out.status.success(),
+            "repro sweep (MLPERF_RUNS={runs:?}) exited {:?}: {}",
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let csv = std::fs::read_to_string(dir.join("figure4_scaling.csv")).expect("sweep CSV");
+        csv.lines().next().expect("a header row").to_string()
+    };
+    let replicated = header(Some("8"));
+    assert!(
+        replicated.contains(",epochs,runs,epochs_median,"),
+        "MLPERF_RUNS=8 must add the replication columns: {replicated}"
+    );
+    let point = header(None);
+    assert!(
+        point.ends_with(",epochs,error") && !point.contains("runs"),
+        "without MLPERF_RUNS the sweep writes the point header: {point}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -619,6 +619,9 @@ fn degraded_report_carries_the_failure_appendix_and_replays() {
     );
 }
 
+/// Each export owner in turn is the chaos victim: its files become
+/// placeholders that keep the real header row, and every other file keeps
+/// its healthy bytes.
 #[test]
 fn degraded_csv_export_isolates_the_victims_files() {
     quiet_chaos_panics();
@@ -629,45 +632,51 @@ fn degraded_csv_export_isolates_the_victims_files() {
         None,
     );
     assert!(healthy_exec.root_cause().is_none(), "healthy export failed");
-    let cfg = ResilienceConfig {
-        chaos: Some("figure3".to_string()),
-        ..ResilienceConfig::resilient()
-    };
-    let (degraded, execution) =
-        csv_export::build_all_cached(&Pool::with_workers(2), &Ctx::new(), &cfg, None);
-    assert!(execution.degraded());
-    assert_eq!(
-        healthy.len(),
-        degraded.len(),
-        "degraded export must still emit every file"
-    );
-    let mut placeholders = 0;
-    for (h, d) in healthy.iter().zip(degraded.iter()) {
-        assert_eq!(h.file, d.file);
-        if d.experiment == "figure3" {
-            placeholders += 1;
-            assert!(
-                d.contents.contains("# degraded: figure3"),
-                "placeholder must name the failed experiment: {}",
-                d.file
-            );
-            // The placeholder keeps the real header row, so downstream
-            // parsers see a valid (empty) table.
-            assert_eq!(
-                h.contents.lines().next(),
-                d.contents.lines().next(),
-                "placeholder header must match the real export: {}",
-                d.file
-            );
-        } else {
-            assert_eq!(
-                h.contents, d.contents,
-                "unaffected CSV bytes changed under chaos: {}",
-                d.file
-            );
+    let mut victims: Vec<&str> = csv_export::EXPORT_FILES.iter().map(|(_, id)| *id).collect();
+    victims.sort_unstable();
+    victims.dedup();
+    assert_eq!(victims.len(), 7, "one turn per export owner");
+    for victim in victims {
+        let cfg = ResilienceConfig {
+            chaos: Some(victim.to_string()),
+            ..ResilienceConfig::resilient()
+        };
+        let (degraded, execution) =
+            csv_export::build_all_cached(&Pool::with_workers(2), &Ctx::new(), &cfg, None);
+        assert!(execution.degraded(), "{victim}");
+        assert_eq!(
+            healthy.len(),
+            degraded.len(),
+            "degraded export must still emit every file ({victim})"
+        );
+        let mut placeholders = 0;
+        for (h, d) in healthy.iter().zip(degraded.iter()) {
+            assert_eq!(h.file, d.file);
+            if d.experiment == victim {
+                placeholders += 1;
+                assert!(
+                    d.contents.contains(&format!("# degraded: {victim}")),
+                    "placeholder must name the failed experiment: {}",
+                    d.file
+                );
+                // The placeholder keeps the real header row, so downstream
+                // parsers see a valid (empty) table.
+                assert_eq!(
+                    h.contents.lines().next(),
+                    d.contents.lines().next(),
+                    "placeholder header must match the real export: {}",
+                    d.file
+                );
+            } else {
+                assert_eq!(
+                    h.contents, d.contents,
+                    "unaffected CSV bytes changed with {victim} failed: {}",
+                    d.file
+                );
+            }
         }
+        assert!(placeholders > 0, "{victim} exports at least one file");
     }
-    assert!(placeholders > 0, "figure3 exports at least one file");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! The determinism contract under test is the one DESIGN.md's "Execution
 //! model" section states: nothing a consumer can observe — report bytes,
 //! CSV bytes, DAG results — may depend on the worker count or on the
-//! interleaving the work-stealing pool happens to pick.
+//! interleaving the pool's workers happen to run.
 
 use mlperf_hw::SystemId;
 use mlperf_models::PrecisionPolicy;

@@ -198,8 +198,8 @@ fn build_system(id: SystemId) -> SystemSpec {
         SystemId::T640 => {
             // Two sockets, two PCIe GPUs hanging off each socket's root ports.
             let mut t = Topology::new("T640");
-            let c0 = t.add_cpu(CpuModel::XeonGold6148);
-            let c1 = t.add_cpu(CpuModel::XeonGold6148);
+            let c0 = t.add_cpu();
+            let c1 = t.add_cpu();
             t.connect(c0, c1, Link::UPI_X1);
             for cpu in [c0, c0, c1, c1] {
                 let g = t.add_gpu(GpuModel::TeslaV100Pcie32);
@@ -218,8 +218,8 @@ fn build_system(id: SystemId) -> SystemSpec {
             // One 96-lane PCIe switch hosts all four GPUs: single root
             // complex, GPUDirect P2P over the switch.
             let mut t = Topology::new("C4140 (B)");
-            let c0 = t.add_cpu(CpuModel::XeonGold6148);
-            let c1 = t.add_cpu(CpuModel::XeonGold6148);
+            let c0 = t.add_cpu();
+            let c1 = t.add_cpu();
             t.connect(c0, c1, Link::UPI_X1);
             let sw = t.add_switch();
             t.connect(c0, sw, Link::PCIE3_X16);
@@ -240,8 +240,8 @@ fn build_system(id: SystemId) -> SystemSpec {
             // NVLink mesh between SXM2 GPUs; host attach aggregated through
             // a PCIe switch.
             let mut t = Topology::new("C4140 (K)");
-            let c0 = t.add_cpu(CpuModel::XeonGold6148);
-            let c1 = t.add_cpu(CpuModel::XeonGold6148);
+            let c0 = t.add_cpu();
+            let c1 = t.add_cpu();
             t.connect(c0, c1, Link::UPI_X1);
             let sw = t.add_switch();
             t.connect(c0, sw, Link::PCIE3_X16);
@@ -264,8 +264,8 @@ fn build_system(id: SystemId) -> SystemSpec {
         SystemId::C4140M => {
             // NVLink mesh; each GPU also has a dedicated x16 to a socket.
             let mut t = Topology::new("C4140 (M)");
-            let c0 = t.add_cpu(CpuModel::XeonGold6148);
-            let c1 = t.add_cpu(CpuModel::XeonGold6148);
+            let c0 = t.add_cpu();
+            let c1 = t.add_cpu();
             t.connect(c0, c1, Link::UPI_X1);
             let mut gpus = Vec::new();
             for (i, cpu) in [c0, c0, c1, c1].into_iter().enumerate() {
@@ -287,7 +287,7 @@ fn build_system(id: SystemId) -> SystemSpec {
         SystemId::R940Xa => {
             // Four sockets in a UPI ring, one GPU per socket.
             let mut t = Topology::new("R940 XA");
-            let cpus: Vec<_> = (0..4).map(|_| t.add_cpu(CpuModel::XeonGold6148)).collect();
+            let cpus: Vec<_> = (0..4).map(|_| t.add_cpu()).collect();
             for i in 0..4 {
                 t.connect(cpus[i], cpus[(i + 1) % 4], Link::UPI_X1);
             }
@@ -307,8 +307,8 @@ fn build_system(id: SystemId) -> SystemSpec {
         SystemId::Dss8440 => {
             // Two sockets; each hosts a PCIe switch domain with four GPUs.
             let mut t = Topology::new("DSS 8440");
-            let c0 = t.add_cpu(CpuModel::XeonGold6142);
-            let c1 = t.add_cpu(CpuModel::XeonGold6142);
+            let c0 = t.add_cpu();
+            let c1 = t.add_cpu();
             t.connect(c0, c1, Link::UPI_X1);
             for cpu in [c0, c1] {
                 let sw = t.add_switch();
@@ -333,8 +333,8 @@ fn build_system(id: SystemId) -> SystemSpec {
             // plus four single links. Pairs without a direct link (e.g.
             // 0-5) relay over a one-hop NVLink neighbour.
             let mut t = Topology::new("DGX-1V");
-            let c0 = t.add_cpu(CpuModel::XeonGold6148);
-            let c1 = t.add_cpu(CpuModel::XeonGold6148);
+            let c0 = t.add_cpu();
+            let c1 = t.add_cpu();
             t.connect(c0, c1, Link::UPI_X1);
             let mut gpus = Vec::new();
             for cpu in [c0, c1] {
@@ -380,7 +380,7 @@ fn build_system(id: SystemId) -> SystemSpec {
         }
         SystemId::ReferenceP100 => {
             let mut t = Topology::new("MLPerf reference (P100)");
-            let c0 = t.add_cpu(CpuModel::XeonGold6148);
+            let c0 = t.add_cpu();
             let g = t.add_gpu(GpuModel::TeslaP100Pcie16);
             t.connect(c0, g, Link::PCIE3_X16);
             SystemSpec {

@@ -12,11 +12,10 @@
 //! ```
 //! use mlperf_hw::topology::{Topology, P2pClass};
 //! use mlperf_hw::gpu::GpuModel;
-//! use mlperf_hw::cpu::CpuModel;
 //! use mlperf_hw::interconnect::Link;
 //!
 //! let mut t = Topology::new("toy");
-//! let cpu = t.add_cpu(CpuModel::XeonGold6148);
+//! let cpu = t.add_cpu();
 //! let sw = t.add_switch();
 //! let g0 = t.add_gpu(GpuModel::TeslaV100Pcie16);
 //! let g1 = t.add_gpu(GpuModel::TeslaV100Pcie16);
@@ -27,7 +26,6 @@
 //! assert_eq!(path.class, P2pClass::PcieSwitchP2p);
 //! ```
 
-use crate::cpu::CpuModel;
 use crate::gpu::GpuModel;
 use crate::interconnect::Link;
 use crate::units::{Bandwidth, Seconds};
@@ -50,30 +48,20 @@ impl NodeId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Node {
     /// A CPU socket.
-    Cpu {
-        /// Socket number (0-based).
-        socket: u32,
-        /// CPU SKU installed in this socket.
-        model: CpuModel,
-    },
+    Cpu,
     /// A GPU accelerator.
     Gpu {
-        /// GPU ordinal (0-based, dense).
-        index: u32,
         /// GPU SKU.
         model: GpuModel,
     },
     /// A PCIe switch (e.g. a PLX 96-lane part).
-    PcieSwitch {
-        /// Switch ordinal (0-based).
-        index: u32,
-    },
+    PcieSwitch,
 }
 
 impl Node {
     /// Whether this node is a CPU socket.
     pub fn is_cpu(&self) -> bool {
-        matches!(self, Node::Cpu { .. })
+        matches!(self, Node::Cpu)
     }
 }
 
@@ -276,29 +264,22 @@ impl Topology {
     }
 
     /// Add a CPU socket; sockets are numbered in insertion order.
-    pub fn add_cpu(&mut self, model: CpuModel) -> NodeId {
-        let socket = self.cpu_nodes.len() as u32;
-        let id = self.push_node(Node::Cpu { socket, model });
+    pub fn add_cpu(&mut self) -> NodeId {
+        let id = self.push_node(Node::Cpu);
         self.cpu_nodes.push(id);
         id
     }
 
     /// Add a GPU; GPUs are numbered in insertion order.
     pub fn add_gpu(&mut self, model: GpuModel) -> NodeId {
-        let index = self.gpu_nodes.len() as u32;
-        let id = self.push_node(Node::Gpu { index, model });
+        let id = self.push_node(Node::Gpu { model });
         self.gpu_nodes.push(id);
         id
     }
 
     /// Add a PCIe switch.
     pub fn add_switch(&mut self) -> NodeId {
-        let index = self
-            .nodes
-            .iter()
-            .filter(|n| matches!(n, Node::PcieSwitch { .. }))
-            .count() as u32;
-        self.push_node(Node::PcieSwitch { index })
+        self.push_node(Node::PcieSwitch)
     }
 
     /// Connect two nodes with a link (undirected).
@@ -315,15 +296,6 @@ impl Topology {
         self.routes = Routes::default();
         self.adjacency[a.0].push((b, link));
         self.adjacency[b.0].push((a, link));
-    }
-
-    /// The node payload for an id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn node(&self, id: NodeId) -> Node {
-        self.nodes[id.0]
     }
 
     /// Number of GPUs in the chassis.
@@ -357,7 +329,7 @@ impl Topology {
             .get(gpu as usize)
             .ok_or(TopologyError::NoSuchGpu(gpu))?;
         match self.nodes[id.0] {
-            Node::Gpu { model, .. } => Ok(model),
+            Node::Gpu { model } => Ok(model),
             _ => unreachable!("gpu_nodes only holds GPU nodes"),
         }
     }
@@ -574,7 +546,7 @@ mod tests {
     /// Two GPUs behind one switch behind one CPU.
     fn switch_topology() -> Topology {
         let mut t = Topology::new("switch");
-        let cpu = t.add_cpu(CpuModel::XeonGold6148);
+        let cpu = t.add_cpu();
         let sw = t.add_switch();
         let g0 = t.add_gpu(GpuModel::TeslaV100Pcie16);
         let g1 = t.add_gpu(GpuModel::TeslaV100Pcie16);
@@ -587,8 +559,8 @@ mod tests {
     /// Two sockets, one GPU each, joined by UPI.
     fn upi_topology() -> Topology {
         let mut t = Topology::new("upi");
-        let c0 = t.add_cpu(CpuModel::XeonGold6148);
-        let c1 = t.add_cpu(CpuModel::XeonGold6148);
+        let c0 = t.add_cpu();
+        let c1 = t.add_cpu();
         let g0 = t.add_gpu(GpuModel::TeslaV100Pcie32);
         let g1 = t.add_gpu(GpuModel::TeslaV100Pcie32);
         t.connect(c0, c1, Link::UPI_X1);
@@ -632,7 +604,7 @@ mod tests {
     #[test]
     fn same_socket_pcie_is_through_cpu() {
         let mut t = Topology::new("t");
-        let c = t.add_cpu(CpuModel::XeonGold6148);
+        let c = t.add_cpu();
         let g0 = t.add_gpu(GpuModel::TeslaV100Pcie16);
         let g1 = t.add_gpu(GpuModel::TeslaV100Pcie16);
         t.connect(c, g0, Link::PCIE3_X16);
@@ -661,7 +633,7 @@ mod tests {
     #[test]
     fn disconnected_nodes_error() {
         let mut t = Topology::new("parts");
-        let c = t.add_cpu(CpuModel::XeonGold6148);
+        let c = t.add_cpu();
         let g = t.add_gpu(GpuModel::TeslaV100Pcie16);
         // no edge between them
         assert_eq!(t.route(c, g), Err(TopologyError::Disconnected(c, g)));
@@ -685,7 +657,7 @@ mod tests {
     fn worst_peer_path_picks_slowest_class() {
         // 4 GPUs: 0-1 NVLink'd, 2-3 NVLink'd, pairs bridged only through CPU.
         let mut t = Topology::new("mixed");
-        let c = t.add_cpu(CpuModel::XeonGold6148);
+        let c = t.add_cpu();
         let gpus: Vec<_> = (0..4)
             .map(|_| t.add_gpu(GpuModel::TeslaV100Sxm2_16))
             .collect();

@@ -1,6 +1,5 @@
 //! Property-based tests for the hardware substrate.
 
-use mlperf_hw::cpu::CpuModel;
 use mlperf_hw::gpu::{GpuModel, Precision};
 use mlperf_hw::interconnect::Link;
 use mlperf_hw::partition::{PartitionError, PartitionProfile, PartitionSpec};
@@ -21,7 +20,7 @@ const SLICEABLE: [GpuModel; 4] = [
 fn check_star_topology(lane_choices: &[usize]) -> Result<(), String> {
     let widths = [4u32, 8, 16];
     let mut t = Topology::new("star");
-    let cpu = t.add_cpu(CpuModel::XeonGold6148);
+    let cpu = t.add_cpu();
     let mut gpu_bw = Vec::new();
     for &c in lane_choices {
         let g = t.add_gpu(GpuModel::TeslaV100Pcie16);

@@ -10,11 +10,9 @@
 //!   arithmetic intensity, sustained throughput (the Fig. 2 coordinates);
 //! * [`usage`] — [`ResourceUsage`]: the six Table V columns, closed-form
 //!   accounting over one steady-state [`StepReport`](mlperf_sim::StepReport);
-//! * [`characteristics`] — the 8-feature vector §IV-A feeds to PCA;
-//! * [`csv`] — CSV export matching the paper's analysis workflow.
+//! * [`characteristics`] — the 8-feature vector §IV-A feeds to PCA.
 
 pub mod characteristics;
-pub mod csv;
 pub mod nvprof;
 pub mod usage;
 

@@ -9,7 +9,6 @@
 //! cargo run --release --example topology_explorer
 //! ```
 
-use mlperf_hw::cpu::CpuModel;
 use mlperf_hw::gpu::GpuModel;
 use mlperf_hw::interconnect::Link;
 use mlperf_hw::systems::SystemId;
@@ -41,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Beyond the paper: a budget server with x8 slots.
     println!("\nhypothetical budget box: 4x V100 on PCIe 3.0 x8 (one socket)");
     let mut t = Topology::new("budget-x8");
-    let cpu = t.add_cpu(CpuModel::XeonGold6148);
+    let cpu = t.add_cpu();
     let gpus: Vec<_> = (0..4)
         .map(|_| t.add_gpu(GpuModel::TeslaV100Pcie16))
         .collect();

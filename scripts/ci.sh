@@ -72,6 +72,9 @@ echo "== replication battery: MLPERF_RUNS contract at MLPERF_JOBS=1 and 4 =="
 # disk-cache keys are run-count-aware.
 MLPERF_JOBS=1 cargo test -q --offline -p mlperf-suite --test replication
 MLPERF_JOBS=4 cargo test -q --offline -p mlperf-suite --test replication
+# Library contexts read no environment: the point-estimate fingerprints
+# and the runs=1 cache keys hold with MLPERF_RUNS=8 exported.
+MLPERF_RUNS=8 cargo test -q --offline -p mlperf-suite --test conformance --test replication
 
 echo "== fault injection: suite serial and oversubscribed =="
 # The fault subsystem's determinism contract: seeded plans, DES replay,

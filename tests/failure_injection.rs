@@ -3,7 +3,6 @@
 //! errors rather than masking them.
 
 use mlperf_data::{DatasetId, InputPipeline};
-use mlperf_hw::cpu::CpuModel;
 use mlperf_hw::gpu::GpuModel;
 use mlperf_hw::interconnect::Link;
 use mlperf_hw::systems::SystemId;
@@ -20,7 +19,7 @@ fn degraded_nvlink_mesh_slows_the_collective() {
     let grads = Bytes::from_mib(400);
     let build = |lanes: u32| {
         let mut t = Topology::new("degraded");
-        let c0 = t.add_cpu(CpuModel::XeonGold6148);
+        let c0 = t.add_cpu();
         let sw = t.add_switch();
         t.connect(c0, sw, Link::PCIE3_X16);
         let gpus: Vec<_> = (0..4)
@@ -64,7 +63,7 @@ fn nvlink_fabric_failure_falls_back_to_pcie() {
         .step_time;
     // Failed fabric: same box, no NVLink edges.
     let mut t = Topology::new("c4140k-no-nvlink");
-    let c0 = t.add_cpu(CpuModel::XeonGold6148);
+    let c0 = t.add_cpu();
     let sw = t.add_switch();
     t.connect(c0, sw, Link::PCIE3_X16);
     for _ in 0..4 {
