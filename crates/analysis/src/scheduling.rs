@@ -7,7 +7,7 @@
 //! naive baseline, an LPT heuristic, and an exact branch-and-bound search
 //! over (job order × width) choices on identical GPUs.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 /// One benchmark's training time (minutes) at each GPU width it can run at.
@@ -241,9 +241,19 @@ fn earliest_gpus(free: &[f64], w: usize) -> (Vec<usize>, f64) {
 /// assert!(best.makespan < naive_schedule(&jobs, 4).makespan);
 /// ```
 ///
-/// The search space is bounded by always packing a job onto the
-/// earliest-free GPUs — optimal among identical GPUs for this placement
-/// discipline — and pruned with an area lower bound.
+/// Every decision packs the job onto the earliest-free GPUs — optimal
+/// among identical GPUs for this placement discipline. The search branches
+/// over jobs in descending best-case GPU-minutes area (ties to the lower
+/// index) and, per job, over its widths widest first; when every GPU frees
+/// up at the same instant only the first unplaced job is tried.
+///
+/// The result is the *first* least-makespan leaf in that branching order:
+/// a leaf replaces the incumbent only when strictly shorter, and every
+/// prune (the area, committed-work and per-job earliest-end lower bounds,
+/// and skipping a revisited (placed set, free-time profile) state) only
+/// drops leaves that cannot be strictly shorter. The winning decisions are
+/// replayed onto GPU indices, lowest index first among equally free GPUs,
+/// so the schedule (the Figure 4 Gantt) depends on nothing but the inputs.
 ///
 /// # Panics
 ///
@@ -261,78 +271,92 @@ pub fn optimal_schedule(jobs: &[JobTimes], gpu_count: u64) -> Schedule {
     }
 
     struct Search<'a> {
-        jobs: &'a [JobTimes],
+        /// Per job: its (width, minutes) choices within the pool, widest
+        /// first — wide placements finish the big jobs early, so the first
+        /// incumbents are strong and the bounds prune most of the
+        /// permutation space.
+        choices: &'a [Vec<(usize, f64)>],
+        /// Per job: its best-case GPU-minutes area.
+        areas: &'a [f64],
         /// Branching order: jobs descending by best-case GPU-minutes area,
         /// so the biggest commitments are decided (and pruned) first.
         order: &'a [usize],
         g: usize,
+        /// The sorted free-time profile of each depth on the current path,
+        /// depth `d` at `profiles[d * g..(d + 1) * g]`. The GPUs are
+        /// identical, so the multiset of free times is all the search
+        /// reads: a width-`w` job takes the `w` earliest entries.
+        profiles: Vec<f64>,
         best_makespan: f64,
         best: Vec<(usize, u64)>, // (job, width) in placement order
         current: Vec<(usize, u64)>,
-        remaining_area: f64,
-        /// States already expanded, keyed by (placed set, sorted free
-        /// profile). Under the earliest-free-GPUs placement discipline two
-        /// decision sequences reaching the same placed set with the same
-        /// free-time multiset lead to identical futures, and the incumbent
-        /// only tightens over time — so a revisit can never improve on the
-        /// first visit and is pruned. This collapses the permutation
-        /// symmetry of independent placements.
-        seen: std::collections::HashSet<(u64, Vec<u64>)>,
+        /// States already expanded, keyed by the placed set followed by
+        /// the free-time profile. Two decision sequences reaching the same
+        /// placed set with the same profile lead to identical futures, and
+        /// the incumbent only tightens over time — so a revisit can never
+        /// improve on the first visit and is pruned. This collapses the
+        /// permutation symmetry of independent placements.
+        seen: HashSet<Vec<u64>>,
     }
 
     impl Search<'_> {
-        fn dfs(&mut self, free: &mut Vec<f64>, placed_mask: u64) {
-            if self.current.len() == self.jobs.len() {
-                let makespan = free.iter().cloned().fold(0.0, f64::max);
-                if makespan < self.best_makespan {
-                    self.best_makespan = makespan;
+        fn dfs(&mut self, placed_mask: u64, remaining_area: f64) {
+            let (g, depth) = (self.g, self.current.len());
+            let (choices, order) = (self.choices, self.order);
+            let profile = &self.profiles[depth * g..(depth + 1) * g];
+            let latest = profile[g - 1];
+            if depth == choices.len() {
+                if latest < self.best_makespan {
+                    self.best_makespan = latest;
                     self.best = self.current.clone();
                 }
                 return;
             }
-            // Lower bound: area argument + furthest committed completion.
-            let committed: f64 = free.iter().sum();
-            let lb_area = (committed + self.remaining_area) / self.g as f64;
-            let lb_max = free.iter().cloned().fold(0.0, f64::max);
-            if lb_area.max(lb_max) >= self.best_makespan {
+            // Lower bounds: area argument + furthest committed completion,
+            // then each unplaced job's earliest possible end (the profile
+            // only rises, so a width-`w` job starts at `profile[w - 1]` or
+            // later).
+            let committed: f64 = profile.iter().sum();
+            let lb_area = (committed + remaining_area) / g as f64;
+            if lb_area.max(latest) >= self.best_makespan {
                 return;
             }
-            let mut profile: Vec<u64> = free.iter().map(|f| f.to_bits()).collect();
-            profile.sort_unstable();
-            if !self.seen.insert((placed_mask, profile)) {
-                return;
-            }
-            for &j in self.order {
-                if placed_mask & (1 << j) != 0 {
-                    continue;
+            let unplaced = order.iter().filter(|&&j| placed_mask & (1 << j) == 0);
+            for &j in unplaced.clone() {
+                let earliest_end = choices[j]
+                    .iter()
+                    .map(|&(w, t)| profile[w - 1] + t)
+                    .fold(f64::INFINITY, f64::min);
+                if earliest_end >= self.best_makespan {
+                    return;
                 }
-                let area_j = self.jobs[j].min_area(self.g as u64);
-                let g64 = self.g as u64;
-                // Widest first: wide placements finish the big jobs early,
-                // so the first incumbents are strong and the area bound
-                // prunes most of the permutation space.
-                let mut widths: Vec<u64> = self.jobs[j].widths().filter(|&w| w <= g64).collect();
-                widths.reverse();
-                for w in widths {
-                    let d = self.jobs[j].time_at(w).expect("width from map");
-                    let (gpus, start) = earliest_gpus(free, w as usize);
-                    let end = start + d;
-                    let saved: Vec<f64> = gpus.iter().map(|&g| free[g]).collect();
-                    for &g in &gpus {
-                        free[g] = end;
-                    }
-                    self.current.push((j, w));
-                    self.remaining_area -= area_j;
-                    self.dfs(free, placed_mask | (1 << j));
-                    self.remaining_area += area_j;
+            }
+            let key = std::iter::once(placed_mask)
+                .chain(profile.iter().map(|f| f.to_bits()))
+                .collect();
+            if !self.seen.insert(key) {
+                return;
+            }
+            // Symmetry break: when all GPUs are idle at the same time,
+            // which unplaced job goes first is symmetric — fix it.
+            let all_idle_together = profile[0] == latest;
+            for &j in unplaced {
+                for &(w, t) in &choices[j] {
+                    // The child profile: the parent's `g - w` latest
+                    // entries merged with `w` copies of the job's end.
+                    let (head, tail) = self.profiles.split_at_mut((depth + 1) * g);
+                    let rest = &head[depth * g + w..];
+                    let end = head[depth * g + w - 1] + t;
+                    let before = rest.partition_point(|&f| f <= end);
+                    let child = &mut tail[..g];
+                    child[..before].copy_from_slice(&rest[..before]);
+                    child[before..before + w].fill(end);
+                    child[before + w..].copy_from_slice(&rest[before..]);
+                    self.current.push((j, w as u64));
+                    self.dfs(placed_mask | (1 << j), remaining_area - self.areas[j]);
                     self.current.pop();
-                    for (&g, &s) in gpus.iter().zip(&saved) {
-                        free[g] = s;
-                    }
                 }
-                // Symmetry break: when all GPUs are idle at the same time,
-                // which unplaced job goes first is symmetric — fix it.
-                if free.iter().all(|&f| f == free[0]) {
+                if all_idle_together {
                     break;
                 }
             }
@@ -342,25 +366,34 @@ pub fn optimal_schedule(jobs: &[JobTimes], gpu_count: u64) -> Schedule {
     assert!(jobs.len() <= 64, "branch-and-bound supports up to 64 jobs");
     // Seed with LPT so pruning bites immediately.
     let seed = lpt_schedule(jobs, gpu_count);
+    let g = gpu_count as usize;
+    let areas: Vec<f64> = jobs.iter().map(|j| j.min_area(gpu_count)).collect();
+    let choices: Vec<Vec<(usize, f64)>> = jobs
+        .iter()
+        .map(|j| {
+            let fits = j.times.iter().filter(|(&w, _)| w <= gpu_count);
+            fits.rev().map(|(&w, &t)| (w as usize, t)).collect()
+        })
+        .collect();
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by(|&a, &b| {
-        let (aa, ab) = (jobs[a].min_area(gpu_count), jobs[b].min_area(gpu_count));
-        ab.partial_cmp(&aa)
+        areas[b]
+            .partial_cmp(&areas[a])
             .expect("areas are finite")
             .then(a.cmp(&b))
     });
     let mut search = Search {
-        jobs,
+        choices: &choices,
+        areas: &areas,
         order: &order,
-        g: gpu_count as usize,
+        g,
+        profiles: vec![0.0; (jobs.len() + 1) * g],
         best_makespan: seed.makespan + 1e-9,
         best: Vec::new(),
         current: Vec::new(),
-        remaining_area: jobs.iter().map(|j| j.min_area(gpu_count)).sum(),
-        seen: std::collections::HashSet::new(),
+        seen: HashSet::new(),
     };
-    let mut free = vec![0.0f64; gpu_count as usize];
-    search.dfs(&mut free, 0);
+    search.dfs(0, areas.iter().sum());
 
     let decisions = if search.best.is_empty() {
         // Seed was already optimal: reconstruct its decisions.

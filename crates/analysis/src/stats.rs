@@ -53,13 +53,19 @@ fn check_sample(xs: &[f64]) -> Result<(), StatsError> {
     Ok(())
 }
 
+/// The R-7 position of quantile `q` in a sorted sample of `n`: the two
+/// neighbouring ranks and the weight of the upper one.
+fn r7_rank(n: usize, q: f64) -> (usize, usize, f64) {
+    let h = (n - 1) as f64 * q;
+    let lo = h.floor() as usize;
+    (lo, h.ceil() as usize, h - lo as f64)
+}
+
 /// Linear-interpolation quantile (the R-7 / NumPy default) of the values
 /// already sorted in `sorted`. `q` in `[0, 1]`.
 fn quantile_of_sorted(sorted: &[f64], q: f64) -> f64 {
-    let h = (sorted.len() - 1) as f64 * q;
-    let lo = h.floor() as usize;
-    let hi = h.ceil() as usize;
-    sorted[lo] + (h - lo as f64) * (sorted[hi] - sorted[lo])
+    let (lo, hi, weight) = r7_rank(sorted.len(), q);
+    sorted[lo] + weight * (sorted[hi] - sorted[lo])
 }
 
 /// Linear-interpolation quantile (R-7), sorting into the caller's
@@ -106,13 +112,13 @@ pub fn median(xs: &[f64]) -> Result<f64, StatsError> {
 }
 
 /// Reusable buffers for [`bootstrap_ci_median`]: one sorted copy of the
-/// base sample, one resample buffer, one buffer of resample medians.
-/// Reusing a scratch across calls keeps the resampling loop free of
-/// allocation.
+/// base sample, one count of draws per sorted index, one buffer of
+/// resample medians. Reusing a scratch across calls keeps the resampling
+/// loop free of allocation.
 #[derive(Debug, Clone, Default)]
 pub struct BootstrapScratch {
     sorted: Vec<f64>,
-    resample: Vec<f64>,
+    counts: Vec<usize>,
     medians: Vec<f64>,
 }
 
@@ -130,6 +136,13 @@ impl BootstrapScratch {
 /// seed)`), returning the `(lo, hi)` percentile interval of the resample
 /// medians at confidence `level` (e.g. `0.95`). The hot loop reuses
 /// `scratch` and allocates nothing once the buffers have grown.
+///
+/// Each resample draws `rng.gen_range(0..n)` indices into the sorted
+/// sample and is never materialised: counting the draws per index and
+/// walking the counts to the two middle order statistics yields exactly
+/// the values a sorted resample holds there, so the result is
+/// bit-identical to building, sorting and taking the R-7 median of every
+/// resample.
 ///
 /// # Errors
 ///
@@ -157,17 +170,31 @@ pub fn bootstrap_ci_median(
     scratch.sorted.extend_from_slice(xs);
     scratch.sorted.sort_unstable_by(f64::total_cmp);
     let mut rng = Rng::new(seed);
+    let (lo, hi, weight) = r7_rank(n, 0.5);
+    scratch.counts.clear();
+    scratch.counts.resize(n, 0);
     scratch.medians.clear();
     scratch.medians.reserve(resamples);
     for _ in 0..resamples {
-        scratch.resample.clear();
+        let counts = &mut scratch.counts;
+        counts.fill(0);
         for _ in 0..n {
-            scratch.resample.push(scratch.sorted[rng.gen_range(0..n)]);
+            counts[rng.gen_range(0..n)] += 1;
         }
-        scratch.resample.sort_unstable_by(f64::total_cmp);
-        scratch
-            .medians
-            .push(quantile_of_sorted(&scratch.resample, 0.5));
+        // Walk to the resample's order statistics `lo` and `hi`: the
+        // sorted index at which the running draw count first exceeds each.
+        let (mut i, mut drawn) = (0, counts[0]);
+        while drawn <= lo {
+            i += 1;
+            drawn += counts[i];
+        }
+        let below = scratch.sorted[i];
+        while drawn <= hi {
+            i += 1;
+            drawn += counts[i];
+        }
+        let above = scratch.sorted[i];
+        scratch.medians.push(below + weight * (above - below));
     }
     scratch.medians.sort_unstable_by(f64::total_cmp);
     let tail = (1.0 - level) / 2.0;

@@ -2,7 +2,9 @@
 
 use mlperf_analysis::linalg::{symmetric_eigen, Matrix};
 use mlperf_analysis::pca::Pca;
-use mlperf_analysis::scheduling::{lpt_schedule, naive_schedule, optimal_schedule, JobTimes};
+use mlperf_analysis::scheduling::{
+    lpt_schedule, naive_schedule, optimal_schedule, JobTimes, Placement, Schedule,
+};
 use mlperf_analysis::stats;
 use mlperf_testkit::prop::*;
 
@@ -39,6 +41,132 @@ fn arb_jobs() -> impl Gen<Value = Vec<JobTimes>> {
             .map(|(i, (t1, t2, t4))| JobTimes::new(format!("job{i}"), [(1, t1), (2, t2), (4, t4)]))
             .collect()
     })
+}
+
+/// Small instances on a coarse time grid, so that many schedules tie on
+/// makespan: 1..=5 jobs, each measured at a non-empty subset of the widths
+/// {1, 2, 4, 8}, every time a multiple of 7.5 minutes (sums stay exact).
+/// The pool is at least as wide as every job's narrowest width.
+fn arb_tied_instance() -> impl Gen<Value = (Vec<JobTimes>, u64)> {
+    let job = (1u32..16, vec_of(1u32..=12, just(4))).prop_map(|(mask, steps)| {
+        [1u64, 2, 4, 8]
+            .into_iter()
+            .zip(steps)
+            .enumerate()
+            .filter(|(bit, _)| mask & (1 << bit) != 0)
+            .map(|(_, (w, k))| (w, f64::from(k) * 7.5))
+            .collect::<Vec<_>>()
+    });
+    (vec_of(job, 1usize..=5), 1u64..=8).prop_map(|(specs, g)| {
+        let narrowest = specs.iter().map(|s| s[0].0).max().expect("one job");
+        let jobs = specs
+            .into_iter()
+            .enumerate()
+            .map(|(i, times)| JobTimes::new(format!("job{i}"), times))
+            .collect();
+        (jobs, g.max(narrowest))
+    })
+}
+
+/// The `w` earliest-free GPUs (ties to the lower index) and the time the
+/// last of them frees up.
+fn earliest_free(free: &[f64], w: usize) -> (Vec<usize>, f64) {
+    let mut idx: Vec<usize> = (0..free.len()).collect();
+    idx.sort_by(|&a, &b| free[a].total_cmp(&free[b]).then(a.cmp(&b)));
+    idx.truncate(w);
+    let start = idx.iter().map(|&i| free[i]).fold(0.0, f64::max);
+    (idx, start)
+}
+
+/// Exhaustive reference for `optimal_schedule`: the same branching order
+/// (jobs by best-case GPU-minutes, largest first, ties to the lower index;
+/// widths widest first) and the same all-idle symmetry break, with no
+/// bound and no dedupe. Returns the first leaf in branching order of least
+/// makespan, its decisions replayed onto the earliest-free GPUs.
+fn exhaustive_schedule(jobs: &[JobTimes], g: u64) -> Schedule {
+    struct Walk<'a> {
+        jobs: &'a [JobTimes],
+        order: Vec<usize>,
+        g: u64,
+        path: Vec<(usize, u64)>,
+        best: Option<(f64, Vec<(usize, u64)>)>,
+    }
+    impl Walk<'_> {
+        fn dfs(&mut self, free: &mut Vec<f64>) {
+            if self.path.len() == self.jobs.len() {
+                let makespan = free.iter().copied().fold(0.0, f64::max);
+                if self.best.as_ref().is_none_or(|(m, _)| makespan < *m) {
+                    self.best = Some((makespan, self.path.clone()));
+                }
+                return;
+            }
+            for k in 0..self.order.len() {
+                let j = self.order[k];
+                if self.path.iter().any(|&(p, _)| p == j) {
+                    continue;
+                }
+                let widths: Vec<u64> = self.jobs[j].widths().filter(|&w| w <= self.g).collect();
+                for &w in widths.iter().rev() {
+                    let (gpus, start) = earliest_free(free, w as usize);
+                    let end = start + self.jobs[j].time_at(w).expect("listed width");
+                    let saved = free.clone();
+                    for &i in &gpus {
+                        free[i] = end;
+                    }
+                    self.path.push((j, w));
+                    self.dfs(free);
+                    self.path.pop();
+                    *free = saved;
+                }
+                if free.iter().all(|&f| f == free[0]) {
+                    break;
+                }
+            }
+        }
+    }
+    let min_area = |j: &JobTimes| {
+        j.widths()
+            .filter(|&w| w <= g)
+            .map(|w| w as f64 * j.time_at(w).expect("listed width"))
+            .fold(f64::INFINITY, f64::min)
+    };
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by(|&a, &b| {
+        min_area(&jobs[b])
+            .total_cmp(&min_area(&jobs[a]))
+            .then(a.cmp(&b))
+    });
+    let mut walk = Walk {
+        jobs,
+        order,
+        g,
+        path: Vec::new(),
+        best: None,
+    };
+    walk.dfs(&mut vec![0.0; g as usize]);
+    let (_, decisions) = walk.best.expect("every instance has a leaf");
+
+    let mut free = vec![0.0; g as usize];
+    let mut placements = Vec::new();
+    for (job, w) in decisions {
+        let duration = jobs[job].time_at(w).expect("listed width");
+        let (gpus, start) = earliest_free(&free, w as usize);
+        for &i in &gpus {
+            free[i] = start + duration;
+        }
+        placements.push(Placement {
+            job,
+            gpus,
+            start,
+            duration,
+        });
+    }
+    placements.sort_by(|a, b| a.start.total_cmp(&b.start));
+    Schedule {
+        placements,
+        gpu_count: g as usize,
+        makespan: free.iter().copied().fold(0.0, f64::max),
+    }
 }
 
 /// Shared checker for `scheduling_invariants`, so the pinned regression
@@ -175,5 +303,14 @@ mlperf_testkit::properties! {
     #[test]
     fn scheduling_invariants(jobs in arb_jobs(), g in 1u64..=4) {
         check_scheduling_invariants(&jobs, g)?;
+    }
+
+    /// The search returns exactly the schedule the exhaustive reference
+    /// does: the first least-makespan leaf in branching order, so a
+    /// tighter bound can never move the Figure 4 Gantt.
+    #[test]
+    fn optimal_schedule_is_the_first_least_makespan_leaf(instance in arb_tied_instance()) {
+        let (jobs, g) = instance;
+        prop_assert_eq!(optimal_schedule(&jobs, g), exhaustive_schedule(&jobs, g));
     }
 }

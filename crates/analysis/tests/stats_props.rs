@@ -10,6 +10,7 @@ use mlperf_analysis::stats::{
     bootstrap_ci_median, median, quantile, quantile_in, BootstrapScratch, StatsError,
 };
 use mlperf_testkit::prop::*;
+use mlperf_testkit::rng::Rng;
 
 /// Finite samples on a 1/128 grid (ties and negatives included).
 fn arb_sample(len: std::ops::Range<usize>) -> impl Gen<Value = Vec<f64>> {
@@ -24,6 +25,55 @@ fn reference_quantile(xs: &[f64], q: f64) -> f64 {
     let below = sorted[rank.floor() as usize];
     let above = sorted[rank.ceil() as usize];
     below + (above - below) * rank.fract()
+}
+
+/// A sort-based reference for the bootstrap: the same seeded index draws
+/// into the sorted sample, but each resample is built and sorted whole and
+/// its median taken with `reference_quantile`.
+fn reference_bootstrap(xs: &[f64], resamples: usize, level: f64, seed: u64) -> (f64, f64) {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite reference input"));
+    let mut rng = Rng::new(seed);
+    let medians: Vec<f64> = (0..resamples)
+        .map(|_| {
+            let resample: Vec<f64> = (0..xs.len())
+                .map(|_| sorted[rng.gen_range(0..xs.len())])
+                .collect();
+            reference_quantile(&resample, 0.5)
+        })
+        .collect();
+    let tail = (1.0 - level) / 2.0;
+    (
+        reference_quantile(&medians, tail),
+        reference_quantile(&medians, 1.0 - tail),
+    )
+}
+
+#[test]
+fn bootstrap_is_bit_identical_to_sorting_each_resample() {
+    // A quarter of the samples fold onto seven values, so most resamples
+    // tie at the middle order statistics.
+    let sample = (vec_of(-80_000i64..80_000, 1usize..=64), 0u32..4).prop_map(|(ms, mode)| {
+        ms.into_iter()
+            .map(|m| if mode == 0 { m % 4 } else { m } as f64 / 128.0)
+            .collect::<Vec<f64>>()
+    });
+    let levels = elements(&[0.5, 0.8, 0.9, 0.95, 0.99]);
+    let gen = (sample, 1usize..=64, levels, 0u64..1 << 32);
+    let scratch = std::cell::RefCell::new(BootstrapScratch::new());
+    check(
+        "bootstrap vs sorted resamples",
+        &gen,
+        |(xs, resamples, level, seed)| {
+            let got = bootstrap_ci_median(&xs, resamples, level, seed, &mut scratch.borrow_mut())
+                .map_err(|e| e.to_string())?;
+            let want = reference_bootstrap(&xs, resamples, level, seed);
+            if (got.0.to_bits(), got.1.to_bits()) != (want.0.to_bits(), want.1.to_bits()) {
+                return Err(format!("bootstrap {got:?}, reference {want:?}"));
+            }
+            Ok(())
+        },
+    );
 }
 
 #[test]

@@ -42,5 +42,5 @@ pub use gpu::{FormFactor, GpuModel, GpuSpec, Precision};
 pub use interconnect::Link;
 pub use partition::{PartitionError, PartitionProfile, PartitionSpec};
 pub use systems::{SystemId, SystemSpec};
-pub use topology::{Node, NodeId, P2pClass, Path, PeerPath, Topology, TopologyError};
+pub use topology::{NodeId, P2pClass, Path, PeerPath, Topology, TopologyError};
 pub use units::{Bandwidth, Bytes, FlopRate, Flops, Seconds};

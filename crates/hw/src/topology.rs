@@ -46,7 +46,7 @@ impl NodeId {
 
 /// A vertex of the topology graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Node {
+enum Node {
     /// A CPU socket.
     Cpu,
     /// A GPU accelerator.
@@ -60,7 +60,7 @@ pub enum Node {
 
 impl Node {
     /// Whether this node is a CPU socket.
-    pub fn is_cpu(&self) -> bool {
+    fn is_cpu(&self) -> bool {
         matches!(self, Node::Cpu)
     }
 }

@@ -2,14 +2,15 @@
 //!
 //! A deterministic event queue ([`EventQueue`]) ordered by simulated time
 //! with FIFO tie-breaking, plus a [`FifoResource`] helper for serially-shared
-//! resources (the host data loader, a contended link). The cluster and
-//! fault replays ([`cluster`](crate::cluster), [`fault`](crate::fault)) run
-//! on the queue; the training engine in [`engine`](crate::engine) uses only
-//! [`FifoResource`].
+//! resources (the host data loader, a contended link). The cluster replay
+//! ([`cluster`](crate::cluster)) runs on the queue; the training engine in
+//! [`engine`](crate::engine) uses only [`FifoResource`], and the fault
+//! replay ([`fault`](crate::fault)) needs neither: it walks its time-sorted
+//! faults against the one in-flight step.
 //!
-//! [`EventQueue`] is a `BinaryHeap`: its callers keep about one pending
-//! event per job, arrival or fault, so a queue holds a handful of entries
-//! and a heap is all the structure it needs.
+//! [`EventQueue`] is a `BinaryHeap`: the cluster replay keeps about one
+//! pending event per job, arrival or node loss, so a queue holds a handful
+//! of entries and a heap is all the structure it needs.
 //!
 //! # Examples
 //!

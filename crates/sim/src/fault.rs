@@ -4,12 +4,11 @@
 //! flaps, thermal-throttle stragglers, host stalls — drawn through the
 //! testkit's [`FaultScript`] so the whole scenario replays byte-identically
 //! from its seed. [`replay`] walks the plan against a steady-state
-//! [`StepReport`] on the DES [`EventQueue`]:
-//! training advances step by step, checkpoints are written on the cadence
-//! of a [`CheckpointSpec`], a fail-stop fault rolls the run back to the
-//! last checkpoint (paying the restart cost), transient faults retry with
-//! exponential backoff under a [`RetryPolicy`], and every second of
-//! wall-clock is attributed to exactly one bucket of [`FaultStats`]:
+//! [`StepReport`]: training advances step by step, checkpoints are written
+//! on the cadence of a [`CheckpointSpec`], a fail-stop fault rolls the run
+//! back to the last checkpoint (paying the restart cost), transient faults
+//! retry with exponential backoff under a [`RetryPolicy`], and every second
+//! of wall-clock is attributed to exactly one bucket of [`FaultStats`]:
 //!
 //! ```text
 //! total = healthy + checkpoint + recomputed + stalled + restart
@@ -19,12 +18,11 @@
 //! checkpoint spec, retry policy)` produce byte-identical [`FaultTrace`]s.
 //! Faults are quantized to step boundaries (a throttle drawn mid-step
 //! slows the *next* step) except stalls and failures, which interrupt the
-//! in-flight step; events landing on the exact instant of a step boundary
-//! resolve by the queue's FIFO tie-break, which is what pins the replay
-//! bytes down.
+//! in-flight step. Faults apply in (time, plan index) order, and a fault
+//! landing on the exact instant a step ends applies before that step
+//! commits, which is what pins the replay bytes down.
 
 use crate::checkpoint::CheckpointSpec;
-use crate::des::EventQueue;
 use crate::engine::StepReport;
 use crate::job::TrainingJob;
 use mlperf_hw::units::Seconds;
@@ -160,8 +158,9 @@ impl FaultPlan {
         }
     }
 
-    /// A plan with explicit events (tests, regression pins). The script
-    /// trace records only the seed.
+    /// A plan with explicit events (tests, regression pins), kept in the
+    /// order given; [`replay`] applies them in (time, index) order. The
+    /// script trace records only the seed.
     pub fn from_events(seed: u64, mtbf: Seconds, events: Vec<FaultEvent>) -> Self {
         let script_trace = FaultScript::new(seed).trace_bytes();
         FaultPlan {
@@ -182,7 +181,8 @@ impl FaultPlan {
         self.mtbf
     }
 
-    /// The scheduled faults, in time order.
+    /// The scheduled faults: in time order from [`FaultPlan::generate`],
+    /// as given to [`FaultPlan::from_events`].
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
     }
@@ -317,11 +317,6 @@ struct ActiveEffect {
     step_multiplier: f64,
 }
 
-enum ReplayEvent {
-    StepDone { generation: u64 },
-    Fault { idx: usize },
-}
-
 /// Replay `config.plan` against the steady-state `step` report of `job`,
 /// running `total_steps` optimizer steps to completion. Returns the
 /// accounting and the byte-exact trace.
@@ -343,10 +338,10 @@ pub fn replay(
     let write_cost = config.checkpoint.write_cost(job);
     let restart_cost = config.checkpoint.restart_cost(job);
 
-    let mut q: EventQueue<ReplayEvent> = EventQueue::new();
-    for (idx, _) in config.plan.events().iter().enumerate() {
-        q.schedule(config.plan.events()[idx].at, ReplayEvent::Fault { idx });
-    }
+    // Faults in (time, plan index) order; the sort is stable.
+    let mut faults: Vec<&FaultEvent> = config.plan.events().iter().collect();
+    faults.sort_by(|a, b| a.at.partial_cmp(&b.at).expect("fault times are finite"));
+    let mut faults = faults.into_iter().peekable();
 
     let mut stats = FaultStats {
         gpu_failures: 0,
@@ -377,7 +372,6 @@ pub fn replay(
     );
 
     let mut effects: Vec<ActiveEffect> = Vec::new();
-    let mut generation = 0u64;
     // Uncommitted step wall-clock since the last checkpoint; committed to
     // `healthy_time` at checkpoints/completion, to `recomputed_time` on
     // rollback.
@@ -388,7 +382,6 @@ pub fn replay(
     // much of that span is stall extension (already attributed to
     // `stalled_time`) rather than step work.
     let mut step_start = Seconds::ZERO;
-    let mut step_end;
     let mut inflight_stall = Seconds::ZERO;
 
     let step_duration = |effects: &[ActiveEffect], start: Seconds| {
@@ -399,9 +392,7 @@ pub fn replay(
             .product();
         base_step.scale(mult)
     };
-
-    step_end = step_start + step_duration(&effects, step_start);
-    q.schedule(step_end, ReplayEvent::StepDone { generation });
+    let mut step_end = step_start + step_duration(&effects, step_start);
 
     // Roll back to the last checkpoint at fault time `at`: the in-flight
     // partial step and all uncommitted steps become recomputed work, any
@@ -441,40 +432,47 @@ pub fn replay(
         *step_start = at.max(*step_start) + restart_cost;
     };
 
-    while let Some((at, event)) = q.pop() {
-        match event {
-            ReplayEvent::StepDone { generation: g } if g == generation => {
-                pending_work += (step_end - step_start) - inflight_stall;
-                inflight_stall = Seconds::ZERO;
-                committed_steps += 1;
-                stats.completed_steps = committed_steps;
-                let mut next_start = step_end;
-                if committed_steps >= total_steps {
-                    stats.healthy_time += pending_work;
-                    stats.total_time = step_end;
-                    break;
+    loop {
+        // A fault at the instant the in-flight step ends applies first.
+        if let Some(fault) = faults.next_if(|f| f.at <= step_end) {
+            let at = fault.at;
+            trace.push(at, &format!("fault {}", fault.kind));
+            match fault.kind {
+                FaultKind::GpuFailure { .. } => {
+                    stats.gpu_failures += 1;
+                    restart(
+                        at,
+                        &mut stats,
+                        &mut trace,
+                        &mut pending_work,
+                        &mut committed_steps,
+                        &mut step_start,
+                        &mut inflight_stall,
+                        last_checkpoint_step,
+                    );
+                    // The replacement GPU starts cool: degradation windows do
+                    // not survive a restart.
+                    effects.clear();
+                    step_end = step_start + step_duration(&effects, step_start);
                 }
-                if committed_steps - last_checkpoint_step >= interval_steps {
-                    stats.checkpoints_written += 1;
-                    stats.checkpoint_time += write_cost;
-                    stats.healthy_time += pending_work;
-                    pending_work = Seconds::ZERO;
-                    last_checkpoint_step = committed_steps;
-                    trace.push(at, &format!("checkpoint step={committed_steps}"));
-                    next_start += write_cost;
-                }
-                step_start = next_start;
-                step_end = step_start + step_duration(&effects, step_start);
-                generation += 1;
-                q.schedule(step_end, ReplayEvent::StepDone { generation });
-            }
-            ReplayEvent::StepDone { .. } => {} // stale: superseded by a fault
-            ReplayEvent::Fault { idx } => {
-                let fault = config.plan.events()[idx];
-                trace.push(at, &format!("fault {}", fault.kind));
-                match fault.kind {
-                    FaultKind::GpuFailure { .. } => {
-                        stats.gpu_failures += 1;
+                FaultKind::LinkFlap { duration } => {
+                    stats.link_flaps += 1;
+                    if step.n_gpus <= 1 {
+                        trace.push(at, "flap ignored single_gpu");
+                        continue;
+                    }
+                    // Retry with exponential backoff until the link is back or
+                    // the policy gives up.
+                    let mut waited = 0.0;
+                    let mut attempts = 0u32;
+                    while waited < duration.as_secs() && attempts < config.retry.max_retries {
+                        waited +=
+                            config.retry.base.as_secs() * config.retry.factor.powi(attempts as i32);
+                        attempts += 1;
+                    }
+                    stats.retries += attempts;
+                    if waited < duration.as_secs() {
+                        trace.push(at, &format!("flap escalated attempts={attempts}"));
                         restart(
                             at,
                             &mut stats,
@@ -485,79 +483,62 @@ pub fn replay(
                             &mut inflight_stall,
                             last_checkpoint_step,
                         );
-                        // The replacement GPU starts cool: degradation
-                        // windows do not survive a restart.
-                        effects.clear();
                         step_end = step_start + step_duration(&effects, step_start);
-                        generation += 1;
-                        q.schedule(step_end, ReplayEvent::StepDone { generation });
-                    }
-                    FaultKind::LinkFlap { duration } => {
-                        stats.link_flaps += 1;
-                        if step.n_gpus <= 1 {
-                            trace.push(at, "flap ignored single_gpu");
-                            continue;
-                        }
-                        // Retry with exponential backoff until the link is
-                        // back or the policy gives up.
-                        let mut waited = 0.0;
-                        let mut attempts = 0u32;
-                        while waited < duration.as_secs() && attempts < config.retry.max_retries {
-                            waited += config.retry.base.as_secs()
-                                * config.retry.factor.powi(attempts as i32);
-                            attempts += 1;
-                        }
-                        stats.retries += attempts;
-                        if waited < duration.as_secs() {
-                            trace.push(at, &format!("flap escalated attempts={attempts}"));
-                            restart(
-                                at,
-                                &mut stats,
-                                &mut trace,
-                                &mut pending_work,
-                                &mut committed_steps,
-                                &mut step_start,
-                                &mut inflight_stall,
-                                last_checkpoint_step,
-                            );
-                            step_end = step_start + step_duration(&effects, step_start);
-                        } else {
-                            let delay = Seconds::new(waited);
-                            stats.stalled_time += delay;
-                            inflight_stall += delay;
-                            trace.push(
-                                at,
-                                &format!("flap retried attempts={attempts} delay={waited:.6}"),
-                            );
-                            step_end += delay;
-                        }
-                        generation += 1;
-                        q.schedule(step_end, ReplayEvent::StepDone { generation });
-                    }
-                    FaultKind::ThermalThrottle {
-                        factor, duration, ..
-                    } => {
-                        stats.throttle_events += 1;
-                        // The straggler stretches only the compute phase of
-                        // the synchronous step; comm/opt are unchanged.
-                        let mult = 1.0 + compute_share * (1.0 / factor - 1.0);
-                        effects.push(ActiveEffect {
-                            until: at + duration,
-                            step_multiplier: mult,
-                        });
-                        trace.push(at, &format!("throttle mult={mult:.6}"));
-                    }
-                    FaultKind::HostStall { duration } => {
-                        stats.host_stalls += 1;
-                        stats.stalled_time += duration;
-                        inflight_stall += duration;
-                        step_end += duration;
-                        generation += 1;
-                        q.schedule(step_end, ReplayEvent::StepDone { generation });
+                    } else {
+                        let delay = Seconds::new(waited);
+                        stats.stalled_time += delay;
+                        inflight_stall += delay;
+                        trace.push(
+                            at,
+                            &format!("flap retried attempts={attempts} delay={waited:.6}"),
+                        );
+                        step_end += delay;
                     }
                 }
+                FaultKind::ThermalThrottle {
+                    factor, duration, ..
+                } => {
+                    stats.throttle_events += 1;
+                    // The straggler stretches only the compute phase of the
+                    // synchronous step; comm/opt are unchanged.
+                    let mult = 1.0 + compute_share * (1.0 / factor - 1.0);
+                    effects.push(ActiveEffect {
+                        until: at + duration,
+                        step_multiplier: mult,
+                    });
+                    trace.push(at, &format!("throttle mult={mult:.6}"));
+                }
+                FaultKind::HostStall { duration } => {
+                    stats.host_stalls += 1;
+                    stats.stalled_time += duration;
+                    inflight_stall += duration;
+                    step_end += duration;
+                }
             }
+            continue;
         }
+        // The in-flight step completes.
+        pending_work += (step_end - step_start) - inflight_stall;
+        inflight_stall = Seconds::ZERO;
+        committed_steps += 1;
+        stats.completed_steps = committed_steps;
+        let mut next_start = step_end;
+        if committed_steps >= total_steps {
+            stats.healthy_time += pending_work;
+            stats.total_time = step_end;
+            break;
+        }
+        if committed_steps - last_checkpoint_step >= interval_steps {
+            stats.checkpoints_written += 1;
+            stats.checkpoint_time += write_cost;
+            stats.healthy_time += pending_work;
+            pending_work = Seconds::ZERO;
+            last_checkpoint_step = committed_steps;
+            trace.push(step_end, &format!("checkpoint step={committed_steps}"));
+            next_start += write_cost;
+        }
+        step_start = next_start;
+        step_end = step_start + step_duration(&effects, step_start);
     }
 
     assert!(
@@ -846,5 +827,93 @@ mod tests {
         assert_eq!(s1, s2);
         assert_eq!(t1.to_bytes(), t2.to_bytes());
         assert!(s1.restarts + s1.retries + s1.throttle_events + s1.host_stalls > 0);
+    }
+
+    /// A 0.25 s step (exact in binary, so step ends land exactly on
+    /// multiples of it) with a checkpoint every 10 steps.
+    fn quarter_second_config(events: Vec<FaultEvent>) -> (StepReport, FaultConfig) {
+        let mut step = report(4);
+        step.step_time = Seconds::new(0.25);
+        step.compute_time = Seconds::new(0.125);
+        let mut cfg = config(FaultPlan::from_events(9, Seconds::from_hours(1.0), events));
+        cfg.checkpoint.interval = Seconds::new(2.5);
+        assert_eq!(cfg.checkpoint.interval_steps(&step), 10);
+        (step, cfg)
+    }
+
+    #[test]
+    fn failure_at_a_step_end_lands_before_the_step_commits() {
+        // Step 10 ends, and would write checkpoint 10, at exactly 2.5 s;
+        // the failure at the same instant goes first, so the step is lost
+        // with the nine before it and the run restarts from step 0.
+        let (step, cfg) = quarter_second_config(vec![FaultEvent {
+            at: Seconds::new(2.5),
+            kind: FaultKind::GpuFailure { gpu: 1 },
+        }]);
+        let (stats, trace) = replay(&cfg, &resnet_job(), &step, 40);
+        assert_eq!(
+            trace.lines()[1..3],
+            [
+                "t=2.500000 fault gpu_failure gpu=1",
+                "t=2.500000 restart from_step=0 lost_steps=9 lost_time=2.500000",
+            ]
+        );
+        assert_eq!(stats.restarts, 1);
+        assert_eq!(stats.recomputed_time, Seconds::new(2.5));
+        assert_eq!(stats.completed_steps, 40);
+    }
+
+    #[test]
+    fn unsorted_plans_replay_like_their_time_sorted_copy() {
+        let at = |steps: f64, kind| FaultEvent {
+            at: Seconds::new(0.25 * steps),
+            kind,
+        };
+        let throttle = FaultKind::ThermalThrottle {
+            gpu: 0,
+            factor: 0.5,
+            duration: Seconds::new(3.0),
+        };
+        let stall = FaultKind::HostStall {
+            duration: Seconds::new(0.75),
+        };
+        let flap = FaultKind::LinkFlap {
+            duration: Seconds::new(1.5),
+        };
+        let unsorted = vec![
+            at(30.0, FaultKind::GpuFailure { gpu: 3 }),
+            at(4.0, throttle),
+            at(20.0, stall),
+            at(4.0, stall),
+            at(10.0, FaultKind::GpuFailure { gpu: 0 }),
+            at(45.0, flap),
+            at(12.0, throttle),
+            at(25.0, flap),
+        ];
+        let mut sorted = unsorted.clone();
+        // Stable: the two faults at 1.0 s keep their listed order.
+        sorted.sort_by(|a, b| a.at.partial_cmp(&b.at).unwrap());
+        assert_ne!(sorted, unsorted);
+        let (step, shuffled) = quarter_second_config(unsorted);
+        let (_, in_order) = quarter_second_config(sorted);
+        let (s1, t1) = replay(&shuffled, &resnet_job(), &step, 120);
+        let (s2, t2) = replay(&in_order, &resnet_job(), &step, 120);
+        assert_eq!(s1, s2);
+        assert_eq!(t1.to_bytes(), t2.to_bytes());
+        assert_eq!(s1.restarts, 2);
+        assert_eq!(s1.throttle_events + s1.host_stalls + s1.link_flaps, 6);
+        // Faults at one instant apply in plan order.
+        let tied: Vec<&String> = t1
+            .lines()
+            .iter()
+            .filter(|l| l.starts_with("t=1.000000 fault"))
+            .collect();
+        assert_eq!(
+            tied,
+            [
+                "t=1.000000 fault thermal_throttle gpu=0 factor=0.500000 duration=3.000000",
+                "t=1.000000 fault host_stall duration=0.750000",
+            ]
+        );
     }
 }

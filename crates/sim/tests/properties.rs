@@ -267,9 +267,9 @@ mod fault_properties {
         })
     }
 
-    /// Named regression for the DES tie-break contract the fault replay
+    /// Named regression for the DES tie-break contract the cluster replay
     /// leans on: events scheduled at the *same* instant pop in insertion
-    /// order, so a checkpoint landing on a fault's timestamp resolves
+    /// order, so a completion landing on a node loss's timestamp resolves
     /// the same way on every run.
     #[test]
     fn regression_equal_timestamps_pop_fifo() {

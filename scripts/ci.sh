@@ -83,6 +83,13 @@ MLPERF_JOBS=1 cargo test -q --offline -p mlperf-suite --test failure_injection
 MLPERF_JOBS=4 cargo test -q --offline -p mlperf-suite --test failure_injection
 MLPERF_JOBS=4 cargo test -q --offline -p mlperf-sim fault
 
+echo "== same-schedule and bit-identical-bootstrap contracts, 2000 cases =="
+# optimal_schedule must return the exhaustive reference's schedule, and
+# the bootstrap must equal sorting every resample, far past tier-1's 96
+# property cases.
+MLPERF_PROP_CASES=2000 cargo test -q --release --offline -p mlperf-analysis \
+    --test properties --test stats_props
+
 report_tmp="$(mktemp -d)"
 trap 'rm -rf "$report_tmp"' EXIT
 # Hermetic persistent cache for everything below: never read or pollute
