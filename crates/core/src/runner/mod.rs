@@ -576,6 +576,11 @@ impl Ctx {
         let simulate = || {
             let sim = Simulator::new(system);
             let gpus = Ctx::ordinals(system, point.gpus);
+            // Gate before the screen: the admission check is the one both
+            // engines run first, in the same order, so a rejected cell
+            // returns the error pricing would and never touches the shared
+            // screen map or a fast-path counter.
+            sim.preflight(job, gpus)?;
             // The fast path runs *inside* the memo closure, so hit/miss
             // counters and memoization behavior are identical either way;
             // its result is bit-identical to `execute` by contract

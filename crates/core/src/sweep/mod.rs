@@ -891,11 +891,11 @@ impl Rows {
             None => row.field("-"),
         }
         match s.gpus {
-            Some(g) => row.field_fmt(format_args!("{g}")),
+            Some(g) => row.field_u64(g.into()),
             None => row.field("-"),
         }
         match s.batch {
-            Some(b) => row.field_fmt(format_args!("{b}")),
+            Some(b) => row.field_u64(b),
             None => row.field("-"),
         }
         row.field(s.precision.map_or("-", |p| match p {
@@ -920,8 +920,8 @@ impl Rows {
         match outcome {
             Ok(v) => {
                 row.field("ok");
-                for x in v.values() {
-                    row.field_fmt(format_args!("{x:.4}"));
+                for &x in v.values() {
+                    row.field_fixed4(x);
                 }
                 row.field("-");
             }

@@ -159,6 +159,62 @@ fn million_cell_ci_prefix_fingerprint() {
     );
 }
 
+/// The whole million-cell grid's shape, thinned to every 61st batch: every
+/// workload x system x GPU count x precision, with the full grid's mix of
+/// out-of-memory and viable cells, streamed memo-free at one and at two
+/// workers. The CI prefix above covers only the first of those
+/// combinations; this pins every row the renderer writes for all of them.
+#[test]
+fn million_cell_probe_grid_is_pinned() {
+    use mlperf_suite::sweep::{self, CellKind, SweepSpec};
+    let full = sweep::million_cell();
+    let mut probe = SweepSpec::new(
+        "probe_grid",
+        "million_cell with every 61st batch",
+        CellKind::Training,
+    );
+    for axis in full.axes() {
+        let values = if axis.name == "batch" {
+            axis.values.iter().step_by(61).copied().collect()
+        } else {
+            axis.values.clone()
+        };
+        probe = probe.axis(axis.name, values);
+    }
+    assert_eq!(probe.len(), 16_464);
+    for workers in [1, 2] {
+        let ctx = Ctx::without_memo();
+        let mut out = Vec::new();
+        let summary = sweep::run_streamed(
+            &Pool::with_workers(workers),
+            &ctx,
+            &probe,
+            None,
+            &mut out,
+            1024,
+        )
+        .expect("in-memory sink");
+        let got = (
+            summary.cells,
+            summary.errors,
+            out.len(),
+            fnv1a64(&out),
+            ctx.fast_stats(),
+        );
+        let want = (
+            16_464,
+            12_477,
+            1_062_597,
+            0x64e8_2ceb_9c5f_bf4c,
+            (3_863, 3_863),
+        );
+        assert_eq!(
+            got, want,
+            "probe grid at {workers} workers: (cells, errors, bytes, fnv, fast path) drifted"
+        );
+    }
+}
+
 /// The pinned streamed CSV fingerprints of every registry sweep: at
 /// `runs` 1, at `runs` 8 (the replication columns) and re-based onto a
 /// `1of2x2` slice (the `partition` column, as

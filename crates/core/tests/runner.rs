@@ -235,3 +235,47 @@ fn ctx_preflight_matches_engine_preflight_on_the_first_n_ordinals() {
         }
     }
 }
+
+/// Pricing rejects a point with the error its preflight gives, so gating
+/// ahead of the roofline screen changes no verdict: for every point the
+/// test above sees rejected, `Ctx::step` returns the identical
+/// `SimError`, and no rejected point counts as a fast-path attempt or hit.
+#[test]
+fn ctx_step_rejects_every_preflight_rejection_with_the_same_error() {
+    use mlperf_hw::{PartitionProfile, PartitionSpec};
+    let ctx = Ctx::without_memo();
+    let partitions = [
+        None,
+        Some(PartitionSpec::solo(PartitionProfile::Half)),
+        Some(PartitionSpec::packed(PartitionProfile::Quarter)),
+    ];
+    let mut rejected = 0;
+    for system in SystemId::ALL.into_iter().chain([SystemId::Dgx1V]) {
+        for n in 0..=system.spec().gpu_count() as u32 + 3 {
+            for benchmark in BenchmarkId::MLPERF {
+                for batch in [1, 256, 4096, u64::MAX] {
+                    for partition in partitions {
+                        let point = TrainPoint::new(benchmark, system, n)
+                            .with_per_gpu_batch(batch)
+                            .with_partition(partition);
+                        let Err(gate) = ctx.preflight(&point) else {
+                            continue;
+                        };
+                        rejected += 1;
+                        assert_eq!(
+                            ctx.step(&point).map(|_| ()),
+                            Err(gate),
+                            "{benchmark:?} on {system:?}, {n} GPUs, batch {batch}, {partition:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(rejected > 0, "no point was rejected");
+    assert_eq!(
+        ctx.fast_stats(),
+        (0, 0),
+        "a rejected point reached the fast path"
+    );
+}

@@ -49,11 +49,17 @@ pub struct ModelGraph {
     /// Vectorized pass-cost coefficients, built on first pricing and
     /// shared by clones (a clone prices the same ops).
     tables: Arc<OnceLock<PassTables>>,
+    /// Sum of every op's parameters, kept as ops are appended so the
+    /// device-memory gate reads it without walking the graph.
+    params: u64,
+    /// Sum of every op's written forward activation elements per sample
+    /// (half its forward traffic), kept like `params`.
+    written_act_elems: u64,
 }
 
 impl PartialEq for ModelGraph {
     fn eq(&self, other: &Self) -> bool {
-        // The tables are a cache of `ops`, not state.
+        // The tables and the sums are caches of `ops`, not state.
         self.name == other.name && self.ops == other.ops
     }
 }
@@ -65,6 +71,8 @@ impl ModelGraph {
             name: name.into(),
             ops: Arc::new(Vec::new()),
             tables: Arc::new(OnceLock::new()),
+            params: 0,
+            written_act_elems: 0,
         }
     }
 
@@ -75,8 +83,7 @@ impl ModelGraph {
 
     /// Append an operator.
     pub fn push(&mut self, op: Op) -> &mut Self {
-        Arc::make_mut(&mut self.ops).push(op);
-        self.tables = Arc::new(OnceLock::new());
+        self.extend([op]);
         self
     }
 
@@ -97,7 +104,7 @@ impl ModelGraph {
 
     /// Total trainable parameters.
     pub fn params(&self) -> u64 {
-        self.ops.iter().map(Op::params).sum()
+        self.params
     }
 
     /// Forward FLOPs for one batch.
@@ -144,9 +151,7 @@ impl ModelGraph {
         /// Fraction of produced activations frameworks actually keep:
         /// in-place ops, fused kernels, and buffer reuse free the rest.
         const RESIDENT_FRACTION: f64 = 0.55;
-        // Half of the fwd read+write traffic is the written (kept) half.
-        let written: u64 = self.ops.iter().map(|op| op.fwd_act_elems(1) / 2).sum();
-        (written as f64 * RESIDENT_FRACTION).round() as u64
+        (self.written_act_elems as f64 * RESIDENT_FRACTION).round() as u64
     }
 
     /// The cost of the forward+backward passes alone (no optimizer step) —
@@ -269,7 +274,14 @@ impl fmt::Display for ModelGraph {
 
 impl Extend<Op> for ModelGraph {
     fn extend<T: IntoIterator<Item = Op>>(&mut self, iter: T) {
-        Arc::make_mut(&mut self.ops).extend(iter);
+        let ops = Arc::make_mut(&mut self.ops);
+        let start = ops.len();
+        ops.extend(iter);
+        for op in &ops[start..] {
+            self.params += op.params();
+            // Half of the fwd read+write traffic is the written (kept) half.
+            self.written_act_elems += op.fwd_act_elems(1) / 2;
+        }
         self.tables = Arc::new(OnceLock::new());
     }
 }

@@ -1,12 +1,13 @@
 //! Property-based tests for the operator/graph cost models.
 
 use mlperf_models::zoo::resnet::resnet18_cifar;
+use mlperf_models::zoo::{deepbench, detection, drqa, ncf, resnet, translation};
 use mlperf_models::{ModelGraph, Op, Optimizer, PrecisionPolicy};
 use mlperf_testkit::prop::*;
 
-/// A generator producing small random-but-valid operator graphs.
-fn arb_graph() -> impl Gen<Value = ModelGraph> {
-    let op = one_of(vec![
+/// A generator producing small random-but-valid operators.
+fn arb_op() -> impl Gen<Value = Op> {
+    one_of(vec![
         (1usize..64, 1usize..64)
             .prop_map(|(i, o)| Op::dense(format!("fc{i}x{o}"), i, o))
             .boxed(),
@@ -22,15 +23,81 @@ fn arb_graph() -> impl Gen<Value = ModelGraph> {
         (100usize..5000, 4usize..64, 1usize..8)
             .prop_map(|(v, d, l)| Op::embedding(format!("emb{v}"), v, d, l))
             .boxed(),
-    ]);
-    vec_of(op, 1usize..12).prop_map(|ops| {
+    ])
+}
+
+/// A generator producing small random-but-valid operator graphs.
+fn arb_graph() -> impl Gen<Value = ModelGraph> {
+    vec_of(arb_op(), 1usize..12).prop_map(|ops| {
         let mut g = ModelGraph::new("random");
         g.extend(ops);
         g
     })
 }
 
+/// One way to grow (or share) a graph.
+#[derive(Debug)]
+enum Growth {
+    Push(Op),
+    Extend(Vec<Op>),
+    /// Keep a clone aside; later growth must not reach it.
+    Clone,
+    /// Build the cost tables, as pricing does.
+    Price(u64),
+}
+
+fn arb_growth() -> impl Gen<Value = Growth> {
+    one_of(vec![
+        arb_op().prop_map(Growth::Push).boxed(),
+        vec_of(arb_op(), 0usize..4).prop_map(Growth::Extend).boxed(),
+        just(()).prop_map(|()| Growth::Clone).boxed(),
+        (1u64..512).prop_map(Growth::Price).boxed(),
+    ])
+}
+
+/// `params()` and `resident_activation_elems_per_sample()` equal a fresh
+/// walk over `ops()`: the parameter sum, and 55% of the written half of
+/// every op's per-sample forward activation traffic.
+fn totals_match_a_walk(g: &ModelGraph) -> Result<(), String> {
+    let params: u64 = g.ops().iter().map(Op::params).sum();
+    let written: u64 = g.ops().iter().map(|op| op.fwd_act_elems(1) / 2).sum();
+    let resident = (written as f64 * 0.55).round() as u64;
+    prop_assert_eq!(g.params(), params, "{}: params", g.name());
+    prop_assert_eq!(
+        g.resident_activation_elems_per_sample(),
+        resident,
+        "{}: resident activation elements",
+        g.name()
+    );
+    Ok(())
+}
+
 mlperf_testkit::properties! {
+    /// The kept totals follow any mix of pushes and extends, including
+    /// growth after a clone (which leaves the clone's totals alone) and
+    /// after pricing built the cost tables.
+    #[test]
+    fn graph_totals_match_a_walk_through_any_growth(steps in vec_of(arb_growth(), 0usize..16)) {
+        let mut g = ModelGraph::new("grown");
+        let mut kept = Vec::new();
+        for step in steps {
+            match step {
+                Growth::Push(op) => {
+                    g.push(op);
+                }
+                Growth::Extend(ops) => g.extend(ops),
+                Growth::Clone => kept.push(g.clone()),
+                Growth::Price(batch) => {
+                    g.pass_cost(batch, PrecisionPolicy::Amp);
+                }
+            }
+            totals_match_a_walk(&g)?;
+        }
+        for clone in &kept {
+            totals_match_a_walk(clone)?;
+        }
+    }
+
     /// Differential battery for the vectorized cost tables: the
     /// table-backed `pass_cost` must be bit-identical to the original
     /// scalar op walk on fuzzed graphs, batches, and both policies — and
@@ -121,6 +188,34 @@ mlperf_testkit::properties! {
         let fp32 = g.pass_cost(batch, PrecisionPolicy::Fp32);
         prop_assert_eq!(amp.gradient_bytes.as_u64(), 2 * g.params());
         prop_assert_eq!(fp32.gradient_bytes.as_u64(), 4 * g.params());
+    }
+}
+
+/// Every zoo graph, DeepBench's one-op kernels included, carries the
+/// totals a walk over its ops gives.
+#[test]
+fn zoo_graph_totals_match_a_walk() {
+    let kernels = [
+        deepbench::gemm_kernels(),
+        deepbench::conv_kernels(),
+        deepbench::rnn_kernels(),
+    ];
+    let graphs = [
+        resnet::resnet50(),
+        resnet::resnet18_cifar(),
+        resnet::resnet34_ssd_backbone(300).0,
+        resnet::resnet50_fpn_backbone(800, 1344).0,
+        detection::ssd300(),
+        detection::mask_rcnn(),
+        translation::transformer_big(),
+        translation::gnmt(),
+        ncf::ncf(),
+        drqa::drqa(),
+    ]
+    .into_iter()
+    .chain(kernels.iter().flatten().map(|k| k.as_graph()));
+    for g in graphs {
+        totals_match_a_walk(&g).unwrap();
     }
 }
 

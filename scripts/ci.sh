@@ -90,6 +90,13 @@ echo "== same-schedule and bit-identical-bootstrap contracts, 2000 cases =="
 MLPERF_PROP_CASES=2000 cargo test -q --release --offline -p mlperf-analysis \
     --test properties --test stats_props
 
+echo "== sweep row kernel: byte-identical to core::fmt's {:.4}, 200000 cases =="
+# The fixed-point writer that spells every streamed sweep metric must
+# match format!("{x:.4}") on random bit patterns, near-ties, exact ties
+# and the fallback threshold, far past tier-1's 96 property cases.
+MLPERF_PROP_CASES=200000 cargo test -q --release --offline -p mlperf-suite \
+    --lib report::tests::fixed4
+
 report_tmp="$(mktemp -d)"
 trap 'rm -rf "$report_tmp"' EXIT
 # Hermetic persistent cache for everything below: never read or pollute
