@@ -37,11 +37,13 @@
 //! the long-form writeup.
 
 mod error;
+mod lane;
 mod memo;
 mod pool;
 
 pub(crate) use error::panic_message as panic_payload_message;
 pub use error::{BudgetExceeded, ExperimentError};
+pub(crate) use lane::Lane;
 pub use memo::ShardedCache;
 pub use pool::{Pool, JOBS_ENV};
 
@@ -58,8 +60,8 @@ use mlperf_analysis::roofline::RooflineModel;
 use mlperf_hw::systems::{SystemId, SystemSpec};
 use mlperf_hw::{Bytes, PartitionSpec, Precision};
 use mlperf_models::PrecisionPolicy;
-use mlperf_sim::engine::{RunSpec, SimError, Simulator, StepReport};
-use mlperf_sim::training::{outcome_from_step, train, TrainingOutcome};
+use mlperf_sim::engine::{SimError, Simulator, StepReport};
+use mlperf_sim::training::{train, TrainingOutcome};
 use mlperf_sim::TrainingJob;
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
@@ -283,6 +285,8 @@ pub struct Ctx {
     /// so the cached verdict is scheduling-invariant.
     fast_screen: Mutex<HashMap<ScreenKey, bool>>,
     /// Unique simulation points that attempted the analytic fast path.
+    /// Like `uncached`, each pricing lane adds its own count once, when it
+    /// drops.
     fast_attempts: AtomicU64,
     /// Unique simulation points the fast path actually priced.
     fast_hits: AtomicU64,
@@ -422,23 +426,6 @@ impl Ctx {
         })
     }
 
-    /// Materialize a point's job from the interned template: one clone
-    /// (`Arc` bumps on the model graph), the overrides applied in place,
-    /// instead of rebuilding the model graph from the zoo per request.
-    fn job_for(&self, point: &TrainPoint) -> TrainingJob {
-        let mut job = self.base_job(point.benchmark, point.reference).clone();
-        if let Some(p) = point.precision {
-            job = job.with_precision(p);
-        }
-        if let Some(b) = point.per_gpu_batch {
-            job = job.with_per_gpu_batch(b);
-        }
-        if point.partition.is_some() {
-            job = job.with_partition(point.partition);
-        }
-        job
-    }
-
     /// The engine's admission check for a training point — GPU set,
     /// partition and device-memory gate, in the order pricing runs them —
     /// without pricing anything. Returns the admitted per-GPU HBM
@@ -448,8 +435,7 @@ impl Ctx {
     ///
     /// As [`Simulator::preflight`].
     pub fn preflight(&self, point: &TrainPoint) -> Result<Bytes, SimError> {
-        let system = self.system(point.system);
-        Simulator::new(system).preflight(&self.job_for(point), Ctx::ordinals(system, point.gpus))
+        Lane::new(self).preflight(point)
     }
 
     /// The GPU set a point runs on: the system's first `gpus` ordinals,
@@ -468,8 +454,7 @@ impl Ctx {
     /// Propagates [`SimError`] from the engine (errors are memoized too:
     /// a point that OOMs once OOMs always).
     pub fn step(&self, point: &TrainPoint) -> Result<StepReport, SimError> {
-        let job = self.job_for(point);
-        self.step_for(point, &job)
+        Lane::new(self).step(point)
     }
 
     /// The full training outcome for a point: the memoized step report
@@ -479,15 +464,13 @@ impl Ctx {
     ///
     /// As [`Ctx::step`].
     pub fn outcome(&self, point: &TrainPoint) -> Result<TrainingOutcome, SimError> {
-        let job = self.job_for(point);
-        let step = self.step_for(point, &job)?;
-        Ok(outcome_from_step(&job, step))
+        Lane::new(self).outcome(point)
     }
 
     /// The step report and the outcome derived from it, sharing one job
-    /// materialization and one engine request — the sweep's per-cell lane
-    /// (calling [`Ctx::step`] then [`Ctx::outcome`] costs two of each).
-    /// Values are identical to the separate calls by construction.
+    /// materialization and one engine request (calling [`Ctx::step`] then
+    /// [`Ctx::outcome`] costs two of each). Values are identical to the
+    /// separate calls by construction.
     ///
     /// # Errors
     ///
@@ -496,10 +479,7 @@ impl Ctx {
         &self,
         point: &TrainPoint,
     ) -> Result<(StepReport, TrainingOutcome), SimError> {
-        let job = self.job_for(point);
-        let step = self.step_for(point, &job)?;
-        let outcome = outcome_from_step(&job, step.clone());
-        Ok((step, outcome))
+        Lane::new(self).step_and_outcome(point)
     }
 
     /// Arm a cooperative step budget for the calling thread: subsequent
@@ -568,49 +548,6 @@ impl Ctx {
                 std::panic::panic_any(exceeded);
             }
         }
-    }
-
-    fn step_for(&self, point: &TrainPoint, job: &TrainingJob) -> Result<StepReport, SimError> {
-        self.charge(1);
-        let system = self.system(point.system);
-        let simulate = || {
-            let sim = Simulator::new(system);
-            let gpus = Ctx::ordinals(system, point.gpus);
-            // Gate before the screen: the admission check is the one both
-            // engines run first, in the same order, so a rejected cell
-            // returns the error pricing would and never touches the shared
-            // screen map or a fast-path counter.
-            sim.preflight(job, gpus)?;
-            // The fast path runs *inside* the memo closure, so hit/miss
-            // counters and memoization behavior are identical either way;
-            // its result is bit-identical to `execute` by contract
-            // (differentially pinned), so so are the cached bytes.
-            if self.fastpath && self.fast_screen(point, job, system) {
-                match sim.execute_fast_on(job, gpus) {
-                    Ok(Some(outcome)) => {
-                        self.fast_attempts.fetch_add(1, Ordering::Relaxed);
-                        self.fast_hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(outcome.report);
-                    }
-                    // A decline counts as an attempt that missed; an error
-                    // counts as neither — both engines reject the cell in
-                    // shared validation before either loop runs, so error
-                    // cells say nothing about fast-path coverage.
-                    Ok(None) => {
-                        self.fast_attempts.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            sim.execute(&RunSpec::new(job.clone(), gpus))
-                .map(|outcome| outcome.report)
-        };
-        if !self.memoize {
-            self.uncached.fetch_add(1, Ordering::Relaxed);
-            return simulate();
-        }
-        let window = Simulator::new(system).window();
-        self.steps.get_or_compute(point.key(job, window), simulate)
     }
 
     /// Roofline pre-screen for the analytic fast path: worth attempting

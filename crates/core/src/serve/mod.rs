@@ -56,7 +56,7 @@ pub mod protocol;
 
 use crate::config::Config;
 use crate::runner::{
-    panic_payload_message, BudgetExceeded, Ctx, ExperimentError, Pool, ShardedCache,
+    panic_payload_message, BudgetExceeded, Ctx, ExperimentError, Lane, Pool, ShardedCache,
 };
 use crate::sweep::{self, registry, CellError, CellKind, CellSpec, DiskCache};
 use mlperf_testkit::hash::fnv1a64;
@@ -586,7 +586,8 @@ impl Server {
             // miss runs inline on this thread) and must not charge a
             // *different* client whose identical query got here first.
             let _quiet = self.ctx.suspend_budget();
-            let (outcome, _) = sweep::run_cell(&self.ctx, spec, self.cache.as_ref());
+            let mut lane = Lane::new(&self.ctx);
+            let (outcome, _) = sweep::run_cell(&mut lane, spec, self.cache.as_ref());
             sweep::encode_outcome(&outcome.map_err(CellError::from))
         });
         let frame = match sweep::decode_outcome(

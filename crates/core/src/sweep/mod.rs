@@ -30,7 +30,7 @@ pub use replication::{Replication, ReplicationScratch, RunStats, MAX_RUNS, REPLI
 
 use crate::benchmark::BenchmarkId;
 use crate::report::CsvRecord;
-use crate::runner::{Ctx, Pool, TrainPoint};
+use crate::runner::{Ctx, Lane, Pool, TrainPoint};
 use mlperf_data::storage::StorageDevice;
 use mlperf_hw::systems::SystemId;
 use mlperf_hw::units::Seconds;
@@ -38,6 +38,7 @@ use mlperf_hw::{PartitionProfile, PartitionSpec};
 use mlperf_models::PrecisionPolicy;
 use mlperf_sim::checkpoint::{daly_interval, expected_runtime};
 use mlperf_sim::{CheckpointSpec, SimError};
+use std::ops::Range;
 
 /// How a checkpoint interval is chosen in an expected-TTT cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -527,8 +528,13 @@ impl SweepSpec {
     /// Panics if `i >= self.len()`.
     pub fn cell_at(&self, i: usize) -> CellSpec {
         assert!(i < self.len(), "cell index {i} out of range {}", self.len());
+        self.decode(i).1
+    }
+
+    /// Index `i` decoded into one coordinate per axis, last fastest, and
+    /// the cell those coordinates select.
+    fn decode(&self, i: usize) -> (Vec<usize>, CellSpec) {
         let mut cell = self.base.clone();
-        // Decode index i into one coordinate per axis, last fastest.
         let mut coords = vec![0usize; self.axes.len()];
         let mut rest = i;
         for (k, axis) in self.axes.iter().enumerate().rev() {
@@ -541,15 +547,61 @@ impl SweepSpec {
                 cell.apply(*v);
             }
         }
-        cell
+        (coords, cell)
+    }
+
+    /// Cells `range` of the expansion, in order: the first decoded as
+    /// [`SweepSpec::cell_at`] decodes it, each next one by stepping the
+    /// last axis and carrying into the axes before it. A step applies only
+    /// the axes it moved — one value per cell inside a run of the last axis
+    /// — in declaration order from the outermost moved one, so later axes
+    /// win exactly as they do in `cell_at`. An empty axis holds one
+    /// coordinate and applies nothing, as in `cell_at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is non-empty and ends past [`SweepSpec::len`].
+    pub fn walk(&self, range: Range<usize>) -> impl ExactSizeIterator<Item = CellSpec> + '_ {
+        assert!(
+            range.is_empty() || range.end <= self.len(),
+            "cells {range:?} out of range {}",
+            self.len()
+        );
+        let start = range.start;
+        let (mut coords, mut cell) = self.decode(start);
+        range.map(move |i| {
+            if i > start {
+                self.step(&mut coords, &mut cell);
+            }
+            cell.clone()
+        })
+    }
+
+    /// Advance `coords` one cell, last axis fastest, and apply to `cell`
+    /// the value of every axis that moved.
+    fn step(&self, coords: &mut [usize], cell: &mut CellSpec) {
+        let mut k = self.axes.len();
+        while k > 0 {
+            k -= 1;
+            coords[k] += 1;
+            if coords[k] < self.axes[k].values.len().max(1) {
+                break;
+            }
+            coords[k] = 0;
+        }
+        for (axis, &c) in self.axes[k..].iter().zip(&coords[k..]) {
+            if let Some(v) = axis.values.get(c) {
+                cell.apply(*v);
+            }
+        }
     }
 
     /// Deterministic expansion into cells (odometer over the axes,
     /// last axis fastest — exactly the nested-loop order the experiments
     /// used to hand-roll). Materializes the whole grid; million-cell
-    /// sweeps should walk [`SweepSpec::cell_at`] instead.
+    /// sweeps should [`SweepSpec::walk`] it in ranges instead.
     pub fn cells(&self) -> Vec<CellSpec> {
-        (0..self.len()).map(|i| self.cell_at(i)).collect()
+        self.walk(0..self.len()).collect()
     }
 
     /// The sweep's canonical identity: name, kind, and every axis value
@@ -634,16 +686,17 @@ pub fn effective_runs(ctx: &Ctx, spec: &CellSpec) -> u32 {
 /// A [`CellError`]: `invalid-spec` when a required dimension is missing,
 /// otherwise the simulator's verdict (`oom`, `non-finite`, ...).
 pub fn price_cell(ctx: &Ctx, spec: &CellSpec) -> Result<CellValue, CellError> {
-    price(ctx, spec).map_err(CellError::from)
+    price(&mut Lane::new(ctx), spec).map_err(CellError::from)
 }
 
 /// The one pricing body behind [`price_cell`], [`run_serial`],
 /// [`run_streamed`] and the query server, with its error unformatted.
-fn price(ctx: &Ctx, spec: &CellSpec) -> Result<CellValue, Failure> {
+fn price(lane: &mut Lane, spec: &CellSpec) -> Result<CellValue, Failure> {
+    let ctx = lane.ctx();
     let point = spec.point()?;
     match spec.kind {
         CellKind::Training => {
-            let (step, outcome) = ctx.step_and_outcome(&point)?;
+            let (step, outcome) = lane.step_and_outcome(&point)?;
             // Epochs are charged by the *base* job's convergence model at
             // the cell's effective global batch (matching the batch
             // sweep's original accounting). The interned template stands
@@ -688,7 +741,7 @@ fn price(ctx: &Ctx, spec: &CellSpec) -> Result<CellValue, Failure> {
             let choice = spec
                 .interval
                 .ok_or_else(|| CellError::invalid("expected-TTT cell has no interval"))?;
-            let outcome = ctx.outcome(&point)?;
+            let outcome = lane.outcome(&point)?;
             let work = outcome.total_time;
             let job = ctx.base_job(point.benchmark, false);
             let probe = CheckpointSpec::new(Seconds::from_minutes(10.0), CHECKPOINT_DEVICE);
@@ -775,19 +828,19 @@ pub(crate) fn decode_outcome(
 /// the same degraded row, never a fake success. The cache store is the
 /// only step here that formats an error message.
 pub(crate) fn run_cell(
-    ctx: &Ctx,
+    lane: &mut Lane,
     spec: &CellSpec,
     cache: Option<&DiskCache>,
 ) -> (Result<CellValue, Failure>, bool) {
     let Some(cache) = cache else {
-        return (price(ctx, spec), false);
+        return (price(lane, spec), false);
     };
     // The cache entry is keyed by the *effective* run count (spelled only
     // when replication is on): a context-level MLPERF_RUNS=8 and an
     // explicit runs=8 override are the same computation and share an
     // entry, while a single-run cell keys exactly as it did before
     // replication existed.
-    let runs = effective_runs(ctx, spec);
+    let runs = effective_runs(lane.ctx(), spec);
     let mut keyed = spec.clone();
     keyed.runs = (runs > 1).then_some(runs);
     let mut entry = b"cell:".to_vec();
@@ -798,22 +851,24 @@ pub(crate) fn run_cell(
     {
         return (outcome.map_err(Failure::Cell), true);
     }
-    let outcome = price(ctx, spec).map_err(CellError::from);
+    let outcome = price(lane, spec).map_err(CellError::from);
     cache.store(&entry, &encode_outcome(&outcome));
     (outcome.map_err(Failure::Cell), false)
 }
 
 /// Run a sweep serially on the calling thread (what the experiments do —
-/// they already execute inside a pool worker).
+/// they already execute inside a pool worker), walking its cells through
+/// one pricing lane.
 pub fn run_serial(ctx: &Ctx, spec: &SweepSpec, cache: Option<&DiskCache>) -> SweepRun {
+    let mut lane = Lane::new(ctx);
     SweepRun {
         name: spec.name,
         title: spec.title,
         kind: spec.kind,
-        cells: (0..spec.len())
-            .map(|i| {
-                let cell = spec.cell_at(i);
-                let (outcome, from_disk) = run_cell(ctx, &cell, cache);
+        cells: spec
+            .walk(0..spec.len())
+            .map(|cell| {
+                let (outcome, from_disk) = run_cell(&mut lane, &cell, cache);
                 CellResult {
                     spec: cell,
                     outcome: outcome.map_err(CellError::from),
@@ -963,9 +1018,10 @@ pub struct StreamSummary {
 
 /// Run a sweep as one streaming pipeline and write its long-form CSV to
 /// `out`: header first, then one row per cell in expansion order. Pool
-/// workers claim contiguous chunks of cells, decode them
-/// ([`SweepSpec::cell_at`]), price them and render their rows into reused
-/// buffers; the calling thread only appends finished chunks in order. At
+/// workers claim contiguous chunks of cells, walk each chunk
+/// ([`SweepSpec::walk`]), price it through one pricing lane and render its
+/// rows into reused buffers; the calling thread only appends finished
+/// chunks in order. At
 /// most `shard` cells are claimed but not yet written, so a 10⁶-cell sweep
 /// runs in memory bounded by the shard, never by the grid. The bytes are
 /// the same for every worker count and shard size.
@@ -997,9 +1053,9 @@ pub fn run_streamed(
         shard,
         |cells, rows: &mut Rows| {
             rows.clear();
-            for i in cells {
-                let cell = spec.cell_at(i);
-                let (outcome, from_disk) = run_cell(ctx, &cell, cache);
+            let mut lane = Lane::new(ctx);
+            for cell in spec.walk(cells) {
+                let (outcome, from_disk) = run_cell(&mut lane, &cell, cache);
                 let outcome = outcome.as_ref().map_err(Failure::kind);
                 rows.push(spec.kind, runs, partitioned, &cell, outcome, from_disk);
             }

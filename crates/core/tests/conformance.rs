@@ -163,7 +163,9 @@ fn million_cell_ci_prefix_fingerprint() {
 /// workload x system x GPU count x precision, with the full grid's mix of
 /// out-of-memory and viable cells, streamed memo-free at one and at two
 /// workers. The CI prefix above covers only the first of those
-/// combinations; this pins every row the renderer writes for all of them.
+/// combinations; this pins every row the renderer writes for all of them,
+/// and the counts the pricing lanes add to the context: every cell once as
+/// uncached, and the fast path's attempts and hits.
 #[test]
 fn million_cell_probe_grid_is_pinned() {
     use mlperf_suite::sweep::{self, CellKind, SweepSpec};
@@ -200,6 +202,7 @@ fn million_cell_probe_grid_is_pinned() {
             out.len(),
             fnv1a64(&out),
             ctx.fast_stats(),
+            ctx.cache_stats().uncached,
         );
         let want = (
             16_464,
@@ -207,10 +210,12 @@ fn million_cell_probe_grid_is_pinned() {
             1_062_597,
             0x64e8_2ceb_9c5f_bf4c,
             (3_863, 3_863),
+            16_464,
         );
         assert_eq!(
             got, want,
-            "probe grid at {workers} workers: (cells, errors, bytes, fnv, fast path) drifted"
+            "probe grid at {workers} workers: \
+             (cells, errors, bytes, fnv, fast path, uncached) drifted"
         );
     }
 }

@@ -153,3 +153,114 @@ mlperf_testkit::properties! {
         prop_assert_eq!(job.pipeline().dataset(), b.dataset());
     }
 }
+
+/// The odometer walk against decoding every index on its own.
+mod sweep_walk {
+    use mlperf_suite::sweep::{self, AxisValue, CellKind, CellSpec, SweepSpec};
+    use mlperf_suite::BenchmarkId;
+    use mlperf_testkit::prop::*;
+
+    /// What [`SweepSpec::cell_at`] decodes for each index of `range`.
+    fn decoded(spec: &SweepSpec, range: std::ops::Range<usize>) -> Vec<CellSpec> {
+        range.map(|i| spec.cell_at(i)).collect()
+    }
+
+    /// The million grid with an empty axis after the workloads and another
+    /// as its last axis, and only 97 batches: the walk must carry through
+    /// both as `cell_at` decodes them.
+    fn with_empty_axes() -> SweepSpec {
+        let full = sweep::million_cell();
+        let mut spec = SweepSpec::new("empty_axes", "empty axes", CellKind::Training);
+        for axis in full.axes() {
+            let values = if axis.name == "batch" {
+                axis.values[..97].to_vec()
+            } else {
+                axis.values.clone()
+            };
+            spec = spec.axis(axis.name, values);
+            if axis.name == "workload" {
+                spec = spec.axis("none", Vec::new());
+            }
+        }
+        spec.axis("tail", Vec::new())
+    }
+
+    /// Cells per step of axis `k`: the product of the later axes' lengths
+    /// (an empty axis is one coordinate wide).
+    fn stride(spec: &SweepSpec, k: usize) -> usize {
+        spec.axes()[k + 1..]
+            .iter()
+            .map(|a| a.values.len().max(1))
+            .product()
+    }
+
+    #[test]
+    fn walk_matches_cell_at_on_every_registry_sweep() {
+        for spec in sweep::registry() {
+            let walked: Vec<CellSpec> = spec.walk(0..spec.len()).collect();
+            assert_eq!(walked, decoded(&spec, 0..spec.len()), "{}", spec.name);
+            for i in 0..spec.len() {
+                let tail: Vec<CellSpec> = spec.walk(i..spec.len()).collect();
+                assert_eq!(tail[..], walked[i..], "{} from {i}", spec.name);
+            }
+        }
+        // A batch override in the base and on an axis: the later value
+        // wins after a carry, as it does in `cell_at`.
+        let spec = SweepSpec::new("override", "override", CellKind::Training)
+            .fix(AxisValue::Batch(7))
+            .axis(
+                "workload",
+                BenchmarkId::MLPERF[..3]
+                    .iter()
+                    .map(|&b| AxisValue::Workload(b))
+                    .collect(),
+            )
+            .axis("batch", (1..=3).map(AxisValue::Batch).collect())
+            .axis("gpus", (1..=2).map(AxisValue::Gpus).collect());
+        assert_eq!(spec.walk(0..spec.len()).collect::<Vec<_>>(), spec.cells());
+        assert_eq!(spec.cells(), decoded(&spec, 0..spec.len()));
+    }
+
+    mlperf_testkit::properties! {
+        /// Random ranges of the million grid, of a truncated copy and of a
+        /// copy with empty axes: each starts on an axis boundary or one
+        /// cell either side of it, and ends a random span later or on,
+        /// before or after the next step of an inner axis (in the million
+        /// grid: the next lane, GPU count or system). Empty, inverted and
+        /// end-of-grid ranges included.
+        #[test]
+        fn walk_matches_cell_at_on_random_ranges(
+            which in 0usize..3,
+            trunc in 1usize..999_936,
+            start_at in (0usize..5, 0usize..1_000_000, 0usize..3),
+            end_at in (0usize..4, 0usize..20_000, 0usize..3),
+            inverted in 0usize..8
+        ) {
+            let spec = match which {
+                0 => sweep::million_cell(),
+                1 => sweep::million_cell().truncate(trunc),
+                _ => with_empty_axes(),
+            };
+            let (axis, raw, jitter) = start_at;
+            let axis = axis.min(spec.axes().len() - 1);
+            let s = stride(&spec, axis);
+            let start = ((raw % (spec.len() / s + 1)) * s + jitter)
+                .saturating_sub(1)
+                .min(spec.len());
+            let (inner, span, jitter) = end_at;
+            let end = if inner == 0 {
+                start + span
+            } else {
+                // The next step of the second, third or fourth axis from
+                // the end, or one cell either side of it.
+                let s = stride(&spec, spec.axes().len() - 1 - inner);
+                ((start / s + 1) * s + jitter).saturating_sub(1)
+            }
+            .min(spec.len());
+            let range = if inverted == 0 { end..start } else { start..end };
+            let walked: Vec<CellSpec> = spec.walk(range.clone()).collect();
+            prop_assert_eq!(spec.walk(range.clone()).len(), range.len());
+            prop_assert!(walked == decoded(&spec, range.clone()), "{} over {range:?}", spec.name);
+        }
+    }
+}

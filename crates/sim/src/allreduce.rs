@@ -127,7 +127,25 @@ pub struct CollectivePlan {
     pub wire_bytes_per_gpu: Bytes,
 }
 
+/// GPU sets up to this size plan on the stack; larger ones borrow one heap
+/// buffer for the union-find and the domain counts.
+const STACK_GPUS: usize = 64;
+
+/// The union-find root of `x`, compressing the path to it.
+fn find(parent: &mut [usize], x: usize) -> usize {
+    if parent[x] != x {
+        let root = find(parent, parent[x]);
+        parent[x] = root;
+    }
+    parent[x]
+}
+
 /// Plan an all-reduce of `bytes` over the given GPU ordinals of a topology.
+///
+/// Allocation-free for up to 64 GPUs: the union-find and the domain counts
+/// live in a stack array, and the GPU pairs are walked twice, once to merge
+/// the P2P domains and once to classify each pair against them, so no pair
+/// is kept.
 ///
 /// # Errors
 ///
@@ -164,39 +182,46 @@ pub fn plan_allreduce(
         });
     }
 
-    // Partition into P2P domains with union-find over pairwise paths.
-    let mut parent: Vec<usize> = (0..gpus.len()).collect();
-    fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-        if parent[x] != x {
-            let root = find(parent, parent[x]);
-            parent[x] = root;
-        }
-        parent[x]
+    // Partition into P2P domains with union-find over pairwise paths:
+    // `parent` holds the forest, `sizes` later counts each root's domain.
+    let len = gpus.len();
+    let mut stack = [0usize; 2 * STACK_GPUS];
+    let mut heap = Vec::new();
+    let scratch = if len <= STACK_GPUS {
+        &mut stack[..2 * len]
+    } else {
+        heap.resize(2 * len, 0);
+        &mut heap[..]
+    };
+    let (parent, sizes) = scratch.split_at_mut(len);
+    for (i, p) in parent.iter_mut().enumerate() {
+        *p = i;
     }
-    let mut worst_intra: Option<&PeerPath> = None;
-    let mut worst_inter: Option<&PeerPath> = None;
-    let mut pairs = Vec::new();
     for (i, &a) in gpus.iter().enumerate() {
         for (j, &b) in gpus.iter().enumerate().skip(i + 1) {
-            let p = topo.gpu_peer_path(a, b)?;
-            if p.class.supports_p2p() {
-                let (ra, rb) = (find(&mut parent, i), find(&mut parent, j));
+            if topo.gpu_peer_path(a, b)?.class.supports_p2p() {
+                let (ra, rb) = (find(parent, i), find(parent, j));
                 if ra != rb {
                     parent[ra] = rb;
                 }
             }
-            pairs.push((i, j, p));
         }
     }
-    for (i, j, p) in pairs {
-        let same = find(&mut parent, i) == find(&mut parent, j);
-        let slot = if same {
-            &mut worst_intra
-        } else {
-            &mut worst_inter
-        };
-        if slot.is_none_or(|w| p.is_worse_than(w)) {
-            *slot = Some(p);
+    // Second walk, in the same pair order, against the final domains; on a
+    // tie the earlier pair keeps the slot.
+    let mut worst_intra: Option<&PeerPath> = None;
+    let mut worst_inter: Option<&PeerPath> = None;
+    for (i, &a) in gpus.iter().enumerate() {
+        for (j, &b) in gpus.iter().enumerate().skip(i + 1) {
+            let p = topo.gpu_peer_path(a, b)?;
+            let slot = if find(parent, i) == find(parent, j) {
+                &mut worst_intra
+            } else {
+                &mut worst_inter
+            };
+            if slot.is_none_or(|w| p.is_worse_than(w)) {
+                *slot = Some(p);
+            }
         }
     }
 
@@ -213,13 +238,15 @@ pub fn plan_allreduce(
         }
         Some(inter) => {
             // Hierarchical: in-domain ring + cross-domain shard exchange.
-            let mut domain_sizes = std::collections::HashMap::new();
-            for i in 0..gpus.len() {
-                *domain_sizes.entry(find(&mut parent, i)).or_insert(0u64) += 1;
+            for i in 0..len {
+                sizes[find(parent, i)] += 1;
             }
-            let groups = domain_sizes.len() as u64;
-            let max_domain = domain_sizes.values().copied().max().expect("non-empty");
-            let min_domain = domain_sizes.values().copied().min().expect("non-empty");
+            let (mut groups, mut max_domain, mut min_domain) = (0u64, 0u64, u64::MAX);
+            for &size in sizes.iter().filter(|&&s| s > 0) {
+                groups += 1;
+                max_domain = max_domain.max(size as u64);
+                min_domain = min_domain.min(size as u64);
+            }
             let intra_time = match (worst_intra, max_domain) {
                 (Some(peer), k) if k > 1 => allreduce_time(alg, bytes, k, peer),
                 _ => Seconds::ZERO,

@@ -223,9 +223,19 @@ impl TrainingJob {
     /// Panics if `batch` is zero.
     #[must_use]
     pub fn with_per_gpu_batch(mut self, batch: u64) -> TrainingJob {
+        self.set_per_gpu_batch(batch);
+        self
+    }
+
+    /// Change the per-GPU batch size in place: what a sweep lane does per
+    /// cell, where every other field of its job stays put.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` is zero.
+    pub fn set_per_gpu_batch(&mut self, batch: u64) {
         assert!(batch > 0, "per-GPU batch must be positive");
         self.per_gpu_batch = batch;
-        self
     }
 
     /// The MIG-style device slice this job runs on, if any. `None` means

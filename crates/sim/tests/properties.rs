@@ -408,3 +408,239 @@ fn algorithm_crossover_exists() {
             < allreduce_time(AllReduceAlgorithm::Tree, huge, 16, &p).as_secs()
     );
 }
+
+/// The allocation-free all-reduce planner against the implementation it
+/// replaced, kept here verbatim as the oracle: pairs collected into a
+/// `Vec`, union-find in a `Vec`, domain sizes in a `HashMap`.
+mod planner_oracle {
+    use mlperf_hw::gpu::GpuModel;
+    use mlperf_hw::interconnect::Link;
+    use mlperf_hw::systems::SystemId;
+    use mlperf_hw::topology::{P2pClass, PeerPath, Topology};
+    use mlperf_hw::units::{Bytes, Seconds};
+    use mlperf_hw::TopologyError;
+    use mlperf_sim::allreduce::{
+        allreduce_time, plan_allreduce, ring_wire_bytes_per_gpu, AllReduceAlgorithm, CollectivePlan,
+    };
+    use mlperf_testkit::prop::*;
+    use std::sync::OnceLock;
+
+    fn plan_allreduce_reference(
+        topo: &Topology,
+        gpus: &[u32],
+        alg: AllReduceAlgorithm,
+        bytes: Bytes,
+    ) -> Result<CollectivePlan, TopologyError> {
+        assert!(gpus.len() >= 2, "collective needs at least two GPUs");
+        let n = gpus.len() as u64;
+        if alg == AllReduceAlgorithm::ParameterServer {
+            let mut worst_host = f64::INFINITY;
+            let mut latency = Seconds::ZERO;
+            for &g in gpus {
+                let path = topo.gpu_host_path(g)?;
+                worst_host = worst_host.min(path.bottleneck_bandwidth().as_bytes_per_sec());
+                latency = latency.max(path.latency());
+            }
+            let per_worker = mlperf_hw::Bandwidth::new(worst_host / n as f64);
+            let time = (bytes / per_worker).scale(2.0) + latency.scale(2.0);
+            return Ok(CollectivePlan {
+                time,
+                worst_class: P2pClass::ThroughCpu,
+                wire_bytes_per_gpu: bytes.scale(2.0),
+            });
+        }
+        let mut parent: Vec<usize> = (0..gpus.len()).collect();
+        fn find(parent: &mut Vec<usize>, x: usize) -> usize {
+            if parent[x] != x {
+                let root = find(parent, parent[x]);
+                parent[x] = root;
+            }
+            parent[x]
+        }
+        let mut worst_intra: Option<&PeerPath> = None;
+        let mut worst_inter: Option<&PeerPath> = None;
+        let mut pairs = Vec::new();
+        for (i, &a) in gpus.iter().enumerate() {
+            for (j, &b) in gpus.iter().enumerate().skip(i + 1) {
+                let p = topo.gpu_peer_path(a, b)?;
+                if p.class.supports_p2p() {
+                    let (ra, rb) = (find(&mut parent, i), find(&mut parent, j));
+                    if ra != rb {
+                        parent[ra] = rb;
+                    }
+                }
+                pairs.push((i, j, p));
+            }
+        }
+        for (i, j, p) in pairs {
+            let same = find(&mut parent, i) == find(&mut parent, j);
+            let slot = if same {
+                &mut worst_intra
+            } else {
+                &mut worst_inter
+            };
+            if slot.is_none_or(|w| p.is_worse_than(w)) {
+                *slot = Some(p);
+            }
+        }
+        let wire = ring_wire_bytes_per_gpu(bytes, n);
+        match worst_inter {
+            None => {
+                let peer = worst_intra.expect("n >= 2 implies at least one pair");
+                Ok(CollectivePlan {
+                    time: allreduce_time(alg, bytes, n, peer),
+                    worst_class: peer.class,
+                    wire_bytes_per_gpu: wire,
+                })
+            }
+            Some(inter) => {
+                let mut domain_sizes = std::collections::HashMap::new();
+                for i in 0..gpus.len() {
+                    *domain_sizes.entry(find(&mut parent, i)).or_insert(0u64) += 1;
+                }
+                let groups = domain_sizes.len() as u64;
+                let max_domain = domain_sizes.values().copied().max().expect("non-empty");
+                let min_domain = domain_sizes.values().copied().min().expect("non-empty");
+                let intra_time = match (worst_intra, max_domain) {
+                    (Some(peer), k) if k > 1 => allreduce_time(alg, bytes, k, peer),
+                    _ => Seconds::ZERO,
+                };
+                let shard = bytes.scale(1.0 / min_domain.max(1) as f64);
+                let inter_time = allreduce_time(alg, shard, groups, inter);
+                Ok(CollectivePlan {
+                    time: intra_time + inter_time,
+                    worst_class: inter.class,
+                    wire_bytes_per_gpu: wire,
+                })
+            }
+        }
+    }
+
+    const ALGORITHMS: [AllReduceAlgorithm; 4] = [
+        AllReduceAlgorithm::Ring,
+        AllReduceAlgorithm::Tree,
+        AllReduceAlgorithm::Naive,
+        AllReduceAlgorithm::ParameterServer,
+    ];
+
+    /// Every platform the suite models, the extension chassis included.
+    fn systems() -> &'static [Topology] {
+        static SYSTEMS: OnceLock<Vec<Topology>> = OnceLock::new();
+        SYSTEMS.get_or_init(|| {
+            SystemId::ALL
+                .iter()
+                .chain([&SystemId::Dgx1V])
+                .map(|id| id.spec().topology().clone())
+                .collect()
+        })
+    }
+
+    /// A 72-GPU chassis, past the planner's 64-GPU stack buffer: two
+    /// sockets joined by UPI, three PCIe switches of 12 GPUs per socket,
+    /// and NVLink between neighbouring GPUs of a switch. Peer paths of
+    /// every class, and P2P domains of every size a subset can cut.
+    fn wide() -> &'static Topology {
+        static WIDE: OnceLock<Topology> = OnceLock::new();
+        WIDE.get_or_init(|| {
+            let mut t = Topology::new("wide-72");
+            let cpus = [t.add_cpu(), t.add_cpu()];
+            t.connect(cpus[0], cpus[1], Link::UPI_X1);
+            for cpu in cpus {
+                for _ in 0..3 {
+                    let switch = t.add_switch();
+                    t.connect(cpu, switch, Link::PCIE3_X16);
+                    let mut prev = None;
+                    for g in 0..12 {
+                        let gpu = t.add_gpu(GpuModel::TeslaV100Pcie16);
+                        t.connect(switch, gpu, Link::PCIE3_X16);
+                        if g % 2 == 1 {
+                            t.connect(
+                                prev.expect("odd GPUs follow one"),
+                                gpu,
+                                Link::NvLink { lanes: 2 },
+                            );
+                        }
+                        prev = Some(gpu);
+                    }
+                }
+            }
+            t
+        })
+    }
+
+    /// The first `len` ordinals of `0..count` in the random order `keys`
+    /// sorts them into.
+    fn subset(count: usize, keys: &[u32], len: usize) -> Vec<u32> {
+        let mut gpus: Vec<u32> = (0..count as u32).collect();
+        gpus.sort_by_key(|&g| (keys[g as usize % keys.len()], g));
+        gpus.truncate(len);
+        gpus
+    }
+
+    /// Both planners on one input: the same plan, `time` compared by its
+    /// bits, or the same error.
+    fn agree(
+        topo: &Topology,
+        gpus: &[u32],
+        alg: AllReduceAlgorithm,
+        bytes: Bytes,
+    ) -> Result<(), String> {
+        let got = plan_allreduce(topo, gpus, alg, bytes);
+        let want = plan_allreduce_reference(topo, gpus, alg, bytes);
+        let same = match (&got, &want) {
+            (Ok(a), Ok(b)) => {
+                a.time.as_secs().to_bits() == b.time.as_secs().to_bits()
+                    && a.worst_class == b.worst_class
+                    && a.wire_bytes_per_gpu == b.wire_bytes_per_gpu
+            }
+            (Err(a), Err(b)) => a == b,
+            _ => false,
+        };
+        prop_assert!(
+            same,
+            "{alg} over {gpus:?} of {}: {got:?} vs {want:?}",
+            topo.name()
+        );
+        Ok(())
+    }
+
+    mlperf_testkit::properties! {
+        /// On every platform and algorithm, over random ordered GPU subsets
+        /// and payloads, the planner returns the oracle's plan; with an
+        /// absent ordinal spliced in, it returns the oracle's error.
+        #[test]
+        fn plan_allreduce_matches_its_oracle(
+            sys in 0usize..8,
+            keys in vec_of(0u32..1_000_000, 8usize..=8),
+            len in 2usize..=8,
+            bytes in 0u64..1 << 36,
+            absent in (0u32..4, 0usize..8)
+        ) {
+            let topo = &systems()[sys];
+            let count = topo.gpu_count();
+            for alg in ALGORITHMS {
+                if count >= 2 {
+                    let gpus = subset(count, &keys, 2 + (len - 2) % (count - 1));
+                    agree(topo, &gpus, alg, Bytes::new(bytes))?;
+                }
+                let mut gpus = subset(count, &keys, len.min(count));
+                gpus.insert(absent.1 % (gpus.len() + 1), count as u32 + absent.0);
+                agree(topo, &gpus, alg, Bytes::new(bytes))?;
+            }
+        }
+
+        /// The same past 64 GPUs, where the planner's scratch moves to
+        /// the heap.
+        #[test]
+        fn plan_allreduce_matches_its_oracle_past_the_stack(
+            keys in vec_of(0u32..1_000_000, 72usize..=72),
+            len in 2usize..=72,
+            bytes in 0u64..1 << 36
+        ) {
+            let gpus = subset(wide().gpu_count(), &keys, len);
+            for alg in ALGORITHMS {
+                agree(wide(), &gpus, alg, Bytes::new(bytes))?;
+            }
+        }
+    }
+}

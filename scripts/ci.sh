@@ -83,12 +83,18 @@ MLPERF_JOBS=1 cargo test -q --offline -p mlperf-suite --test failure_injection
 MLPERF_JOBS=4 cargo test -q --offline -p mlperf-suite --test failure_injection
 MLPERF_JOBS=4 cargo test -q --offline -p mlperf-sim fault
 
-echo "== same-schedule and bit-identical-bootstrap contracts, 2000 cases =="
-# optimal_schedule must return the exhaustive reference's schedule, and
-# the bootstrap must equal sorting every resample, far past tier-1's 96
+echo "== same-schedule, bit-identical-bootstrap, odometer and planner contracts, 2000 cases =="
+# optimal_schedule must return the exhaustive reference's schedule, the
+# bootstrap must equal sorting every resample, the sweep's odometer walk
+# must yield what cell_at decodes, and the allocation-free all-reduce
+# planner must equal the implementation it replaced, far past tier-1's 96
 # property cases.
 MLPERF_PROP_CASES=2000 cargo test -q --release --offline -p mlperf-analysis \
     --test properties --test stats_props
+MLPERF_PROP_CASES=2000 cargo test -q --release --offline -p mlperf-suite \
+    --test properties sweep_walk
+MLPERF_PROP_CASES=2000 cargo test -q --release --offline -p mlperf-sim \
+    --test properties planner_oracle
 
 echo "== sweep row kernel: byte-identical to core::fmt's {:.4}, 200000 cases =="
 # The fixed-point writer that spells every streamed sweep metric must
