@@ -1,7 +1,8 @@
 //! One typed view of every `MLPERF_*` environment knob.
 //!
-//! This module is the one parser of every knob. The `repro` CLI resolves
-//! the environment once, strictly ([`Config::try_from_env`]), and builds
+//! This module is the one parser of every knob, and it parses strictly.
+//! The `repro` CLI resolves the environment once
+//! ([`Config::try_from_env`]), exits 1 on a malformed knob, and builds
 //! its pool, failure policy, context and cache from that [`Config`]; a
 //! long-lived `repro serve` daemon keeps that startup view and varies
 //! per request only through the request API, never through a mid-flight
@@ -10,11 +11,11 @@
 //! [`Ctx::without_memo`](crate::runner::Ctx::without_memo) take the
 //! defaults and read no environment; the one constructor that takes no
 //! config and still does,
-//! [`Pool::from_env`](crate::runner::Pool::from_env), resolves through
-//! the lenient [`Config::from_env`]. Parsing is pure
-//! ([`Config::resolve`] takes the lookup as a closure), which is what the
-//! unit tests drive — tests must not mutate the process environment,
-//! because the suite runs multi-threaded.
+//! [`Pool::from_env`](crate::runner::Pool::from_env), logs a malformed
+//! knob and takes the defaults. Parsing is pure ([`Config::try_resolve`]
+//! takes the lookup as a closure), which is what the unit tests drive —
+//! tests must not mutate the process environment, because the suite runs
+//! multi-threaded.
 
 use crate::runner::{CHAOS_ENV, JOBS_ENV, PARTITION_ENV, RUNS_ENV, STEP_BUDGET_ENV, STRICT_ENV};
 use crate::sweep::cache::{CACHE_DIR_ENV, CACHE_ENV, DEFAULT_CACHE_DIR, IO_CHAOS_ENV};
@@ -24,13 +25,10 @@ use mlperf_testkit::iochaos::{IoChaosParseError, IoChaosSpec};
 use std::fmt;
 use std::path::PathBuf;
 
-/// Why a knob was rejected by the strict resolver
-/// ([`Config::try_resolve`]). The lenient [`Config::resolve`] logs the
-/// same error to stderr and falls back to the knob's default; the `repro`
-/// CLI and the serve daemon go through the strict path, so a typo'd knob
-/// fails fast instead of silently running with a default — a mistyped
-/// `MLPERF_IO_CHAOS` that injected nothing would make a durability gate
-/// vacuously green.
+/// Why a knob was rejected ([`Config::try_resolve`]). The `repro` CLI and
+/// the serve daemon fail fast on it instead of silently running with a
+/// default — a mistyped `MLPERF_IO_CHAOS` that injected nothing would
+/// make a durability gate vacuously green.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
     /// A knob's value did not parse as its type.
@@ -109,40 +107,34 @@ pub struct Config {
 }
 
 /// Strictly parse knob `name`: absent or blank means unset (`None`); any
-/// other text must satisfy `parse`, or the typed error is recorded and
-/// the knob is left unset, so the lenient path falls back to its default.
+/// other text must satisfy `parse`, or it is a typed error naming the
+/// knob.
 fn strict_knob<T>(
     get: &impl Fn(&str) -> Option<String>,
-    errors: &mut Vec<ConfigError>,
     name: &'static str,
     expected: &'static str,
     parse: impl FnOnce(&str) -> Option<T>,
-) -> Option<T> {
-    let raw = get(name)?;
+) -> Result<Option<T>, ConfigError> {
+    let Some(raw) = get(name) else {
+        return Ok(None);
+    };
     let text = raw.trim();
     if text.is_empty() {
-        return None;
+        return Ok(None);
     }
-    let parsed = parse(text);
-    if parsed.is_none() {
-        errors.push(ConfigError::BadKnob {
+    match parse(text) {
+        Some(value) => Ok(Some(value)),
+        None => Err(ConfigError::BadKnob {
             name,
             value: raw,
             expected,
-        });
+        }),
     }
-    parsed
 }
 
 impl Config {
-    /// Resolve every knob from the process environment, once.
-    pub fn from_env() -> Config {
-        Config::resolve(|name| std::env::var(name).ok())
-    }
-
-    /// Strict [`Config::from_env`]: the first malformed knob is a typed
-    /// error instead of a logged fallback. The `repro` CLI calls this
-    /// before doing anything else.
+    /// Resolve every knob from the process environment, once. The `repro`
+    /// CLI calls this before doing anything else.
     ///
     /// # Errors
     ///
@@ -151,119 +143,74 @@ impl Config {
         Config::try_resolve(|name| std::env::var(name).ok())
     }
 
-    /// Strict [`Config::resolve`]: the first malformed knob is returned
-    /// as a typed error. Every knob except the free-form
+    /// Resolve every knob through `get` (the pure core of
+    /// [`Config::try_from_env`]; tests inject a map instead of mutating
+    /// the process environment). Every knob except the free-form
     /// `MLPERF_CACHE_DIR` is parsed strictly.
     ///
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] among the strictly parsed knobs.
     pub fn try_resolve(get: impl Fn(&str) -> Option<String>) -> Result<Config, ConfigError> {
-        let (config, mut errors) = Config::resolve_inner(get);
-        match errors.is_empty() {
-            true => Ok(config),
-            false => Err(errors.remove(0)),
-        }
-    }
-
-    /// Resolve every knob through `get` (the pure core of
-    /// [`Config::from_env`]; tests inject a map instead of mutating the
-    /// process environment). Malformed knobs are logged to stderr and
-    /// defaulted; use [`Config::try_resolve`] to get them as typed errors
-    /// instead.
-    pub fn resolve(get: impl Fn(&str) -> Option<String>) -> Config {
-        let (config, errors) = Config::resolve_inner(get);
-        for e in errors {
-            eprintln!("config: {e} (using the default)");
-        }
-        config
-    }
-
-    fn resolve_inner(get: impl Fn(&str) -> Option<String>) -> (Config, Vec<ConfigError>) {
-        let mut errors = Vec::new();
-        let jobs = strict_knob(&get, &mut errors, JOBS_ENV, "a positive integer", |t| {
+        let jobs = strict_knob(&get, JOBS_ENV, "a positive integer", |t| {
             t.parse::<usize>().ok().filter(|&n| n >= 1)
-        })
+        })?
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         // A chaos target that names no experiment would inject nothing and
         // leave the chaos gate vacuously green.
-        let chaos = strict_knob(
-            &get,
-            &mut errors,
-            CHAOS_ENV,
-            "a registered experiment id",
-            |t| crate::runner::experiment(t).map(|_| t.to_string()),
-        );
-        let cache_on = strict_knob(
-            &get,
-            &mut errors,
-            CACHE_ENV,
-            "on, off, 1 or 0",
-            |t| match t {
-                "on" | "1" => Some(true),
-                "off" | "0" => Some(false),
-                _ => None,
-            },
-        );
+        let chaos = strict_knob(&get, CHAOS_ENV, "a registered experiment id", |t| {
+            crate::runner::experiment(t).map(|_| t.to_string())
+        })?;
+        let cache_on = strict_knob(&get, CACHE_ENV, "on, off, 1 or 0", |t| match t {
+            "on" | "1" => Some(true),
+            "off" | "0" => Some(false),
+            _ => None,
+        })?;
         let cache_enabled = cache_on.unwrap_or(true) && chaos.is_none();
         let cache_dir =
             get(CACHE_DIR_ENV).map_or_else(|| PathBuf::from(DEFAULT_CACHE_DIR), PathBuf::from);
-        let step_budget = strict_knob(
-            &get,
-            &mut errors,
-            STEP_BUDGET_ENV,
-            "a non-negative integer",
-            |t| t.parse::<u64>().ok(),
-        );
-        let strict = strict_knob(&get, &mut errors, STRICT_ENV, "0 or 1", |t| match t {
+        let step_budget = strict_knob(&get, STEP_BUDGET_ENV, "a non-negative integer", |t| {
+            t.parse::<u64>().ok()
+        })?;
+        let strict = strict_knob(&get, STRICT_ENV, "0 or 1", |t| match t {
             "0" => Some(false),
             "1" => Some(true),
             _ => None,
-        })
+        })?
         .unwrap_or(false);
-        let runs = strict_knob(
-            &get,
-            &mut errors,
-            RUNS_ENV,
-            "an integer from 1 to 512",
-            |t| t.parse::<u32>().ok().filter(|n| (1..=MAX_RUNS).contains(n)),
-        )
+        let runs = strict_knob(&get, RUNS_ENV, "an integer from 1 to 512", |t| {
+            t.parse::<u32>().ok().filter(|n| (1..=MAX_RUNS).contains(n))
+        })?
         .unwrap_or(1);
         let partition = strict_knob(
             &get,
-            &mut errors,
             PARTITION_ENV,
             "a partition token: 'full', '1of{2|4|7}', or '1of{k}x{tenants}'",
             |t| PartitionSpec::parse(t).ok(),
-        )
+        )?
         .flatten();
-        let io_chaos = get(IO_CHAOS_ENV).and_then(|text| match IoChaosSpec::parse(&text) {
-            Ok(spec) => spec,
-            Err(error) => {
-                errors.push(ConfigError::BadIoChaos { value: text, error });
-                None
-            }
-        });
-        (
-            Config {
-                jobs,
-                cache_enabled,
-                cache_dir,
-                step_budget,
-                strict,
-                chaos,
-                runs,
-                partition,
-                io_chaos,
-            },
-            errors,
-        )
+        let io_chaos = match get(IO_CHAOS_ENV) {
+            None => None,
+            Some(text) => IoChaosSpec::parse(&text)
+                .map_err(|error| ConfigError::BadIoChaos { value: text, error })?,
+        };
+        Ok(Config {
+            jobs,
+            cache_enabled,
+            cache_dir,
+            step_budget,
+            strict,
+            chaos,
+            runs,
+            partition,
+            io_chaos,
+        })
     }
 }
 
 impl Default for Config {
     fn default() -> Self {
-        Config::resolve(|_| None)
+        Config::try_resolve(|_| None).expect("an empty environment sets no knob")
     }
 }
 
@@ -272,16 +219,7 @@ mod tests {
     use super::*;
 
     fn with(pairs: &[(&str, &str)]) -> Config {
-        let pairs: Vec<(String, String)> = pairs
-            .iter()
-            .map(|&(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        Config::resolve(move |name| {
-            pairs
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v.clone())
-        })
+        try_with(pairs).expect("well-formed knobs")
     }
 
     #[test]
@@ -339,20 +277,6 @@ mod tests {
         assert!(with(&[(CHAOS_ENV, "  ")]).chaos.is_none());
     }
 
-    #[test]
-    fn malformed_values_fall_back() {
-        let cfg = with(&[
-            (JOBS_ENV, "0"),
-            (STEP_BUDGET_ENV, "lots"),
-            (STRICT_ENV, "true"),
-            (CACHE_ENV, "false"),
-        ]);
-        assert!(cfg.jobs >= 1, "non-positive job count is ignored");
-        assert_eq!(cfg.step_budget, None);
-        assert!(!cfg.strict);
-        assert!(cfg.cache_enabled);
-    }
-
     fn try_with(pairs: &[(&str, &str)]) -> Result<Config, ConfigError> {
         let pairs: Vec<(String, String)> = pairs
             .iter()
@@ -378,8 +302,12 @@ mod tests {
             } if k == "bitflip"
         ));
         assert!(err.to_string().contains(IO_CHAOS_ENV), "{err}");
-        // Out-of-range rate.
+        // Out-of-range and unparsable rates.
         assert!(try_with(&[(IO_CHAOS_ENV, "bit_flip=2.0")]).is_err());
+        assert!(matches!(
+            try_with(&[(IO_CHAOS_ENV, "bit_flip=lots")]),
+            Err(ConfigError::BadIoChaos { .. })
+        ));
         // Every other malformed knob is a BadKnob that names it.
         for (knob, bad) in [
             (STEP_BUDGET_ENV, "lots"),
@@ -393,6 +321,7 @@ mod tests {
             (STRICT_ENV, "yes"),
             (CACHE_ENV, "false"),
             (CACHE_ENV, "disabled"),
+            (RUNS_ENV, "huge"),
             // A chaos target must name a registered experiment.
             (CHAOS_ENV, "figure33"),
             (CHAOS_ENV, "Figure3"),
@@ -450,27 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn lenient_resolve_defaults_what_strict_rejects() {
-        // The lenient path (`Pool::from_env`) logs and falls back, so
-        // a bad knob can never abort a batch run mid-flight …
-        let cfg = with(&[
-            (IO_CHAOS_ENV, "bit_flip=lots"),
-            (RUNS_ENV, "huge"),
-            (CHAOS_ENV, "figure33"),
-        ]);
-        assert!(cfg.io_chaos.is_none());
-        assert_eq!(cfg.runs, 1);
-        assert!(
-            cfg.chaos.is_none(),
-            "an unknown chaos target injects nothing"
-        );
-        // … while the strict path rejects the same environment.
-        assert!(try_with(&[(IO_CHAOS_ENV, "bit_flip=lots")]).is_err());
-        assert!(try_with(&[(RUNS_ENV, "huge")]).is_err());
-        assert!(try_with(&[(CHAOS_ENV, "figure33")]).is_err());
-    }
-
-    #[test]
     fn io_chaos_keeps_the_cache_enabled() {
         let cfg = with(&[(IO_CHAOS_ENV, "seed=1,torn_rename=0.5")]);
         assert!(
@@ -496,15 +404,13 @@ mod tests {
                 .as_deref(),
             Some("1of2")
         );
-        // Garbage is a typed error under strict resolution (the CLI path)
-        // and a logged fallback under the lenient one.
+        // Garbage is a typed error.
         for bad in ["1of3", "2of4", "1of4x9", "half"] {
             let err = try_with(&[(PARTITION_ENV, bad)]).unwrap_err();
             assert!(
                 matches!(&err, ConfigError::BadKnob { name, .. } if *name == PARTITION_ENV),
                 "{bad}: {err}"
             );
-            assert!(with(&[(PARTITION_ENV, bad)]).partition.is_none());
         }
     }
 
@@ -516,15 +422,13 @@ mod tests {
             try_with(&[(RUNS_ENV, "512")]).expect("upper bound").runs,
             512
         );
-        // Zero, negatives, absurd counts, and garbage are typed errors
-        // under strict resolution and fall back to 1 under the lenient one.
+        // Zero, negatives, absurd counts, and garbage are typed errors.
         for bad in ["0", "-4", "513", "many"] {
             let err = try_with(&[(RUNS_ENV, bad)]).unwrap_err();
             assert!(
                 matches!(&err, ConfigError::BadKnob { name, .. } if *name == RUNS_ENV),
                 "{bad}: {err}"
             );
-            assert_eq!(with(&[(RUNS_ENV, bad)]).runs, 1, "{bad}");
         }
     }
 }

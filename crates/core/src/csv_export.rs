@@ -3,22 +3,17 @@
 //! The paper's workflow exports measurements "to comma-separated values for
 //! further analysis" (§III-C); `repro --csv DIR` writes the reproduction's
 //! data the same way: one file per table/figure, plus the raw PCA feature
-//! matrix. The source experiments are scheduled on the
-//! [`runner`] pool sharing one memoized context, and the
-//! exports are assembled in file-name order — the bytes are identical for
-//! any `MLPERF_JOBS` worker count.
+//! matrix. Each experiment declares its own files in its
+//! [`Decl`](runner::Decl); the exporting experiments are scheduled on the
+//! [`runner`] pool sharing one memoized context, and the exports are
+//! assembled in file-name order — the bytes are identical for any
+//! `MLPERF_JOBS` worker count.
 
-use crate::experiments::{
-    fault_study, figure1, figure3, figure5, table4, table5, variance_decomposition,
-};
-use crate::report::Table;
 use crate::runner::{self, Ctx, ExperimentError, Pool, ResilienceConfig};
 use crate::sweep::DiskCache;
-use mlperf_telemetry::FEATURE_NAMES;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
-use std::time::Duration;
 
 /// One generated CSV file, tagged with the experiment it came from.
 #[derive(Debug, Clone)]
@@ -38,17 +33,6 @@ pub struct ArtifactSet {
 }
 
 impl ArtifactSet {
-    fn insert(&mut self, experiment: &'static str, file: &'static str, contents: String) {
-        self.exports.insert(
-            file,
-            CsvExport {
-                experiment,
-                file,
-                contents,
-            },
-        );
-    }
-
     /// Look up one export by file name.
     pub fn get(&self, file: &str) -> Option<&CsvExport> {
         self.exports.get(file)
@@ -119,10 +103,10 @@ impl std::error::Error for ExportError {
 }
 
 /// Every export file and the id of the registered experiment that owns
-/// it; the owners are exactly the experiments an export run schedules.
-/// File-name order, matching [`ArtifactSet::iter`]. Public so the cache
-/// test battery counts exports from this registry instead of hardcoding
-/// the set's size.
+/// it, in file-name order (matching [`ArtifactSet::iter`]): a mirror of
+/// what the registry's [`Decl`](runner::Decl)s declare, pinned to them by
+/// a test. Public so callers outside the crate (the cache test battery,
+/// the benchmark harness) count and name exports without running them.
 pub const EXPORT_FILES: [(&str, &str); 9] = [
     ("fault_study_elastic.csv", "fault_study"),
     ("fault_study_sweep.csv", "fault_study"),
@@ -134,14 +118,6 @@ pub const EXPORT_FILES: [(&str, &str); 9] = [
     ("table5_resources.csv", "table5"),
     ("variance_decomposition.csv", "variance_decomposition"),
 ];
-
-/// The experiments that own an export file, in report order.
-fn owners() -> Vec<&'static dyn runner::Experiment> {
-    runner::all_experiments()
-        .into_iter()
-        .filter(|e| EXPORT_FILES.iter().any(|(_, owner)| *owner == e.id()))
-        .collect()
-}
 
 /// The persistent-cache entry spec of one export file: the file name plus
 /// its owning experiment's canonical
@@ -157,421 +133,56 @@ pub fn file_spec(file: &str, owner: &dyn runner::Experiment) -> Vec<u8> {
 /// result cache when one is given. A failed experiment's files are emitted
 /// as placeholder CSVs (headers plus a `# degraded:` comment naming the
 /// failure) while every healthy file's bytes stay identical to a
-/// fully-healthy run. With every file on disk nothing re-runs; with some
-/// files evicted only their owning experiments re-run (healthy re-runs
-/// re-store their files); with `cache == None` every export experiment
-/// runs. The bytes depend only on the simulated numbers, never on the
-/// schedule — the golden-file tests pin them against `artifacts/`.
+/// fully-healthy run. Only the experiments owning a file missing from the
+/// cache run (every owner, with `cache == None`), and a healthy one
+/// re-stores its files. The bytes depend only on the simulated numbers,
+/// never on the schedule — the golden-file tests pin them against
+/// `artifacts/`.
 pub fn build_all_cached(
     pool: &Pool,
     ctx: &Ctx,
     cfg: &ResilienceConfig,
     cache: Option<&DiskCache>,
 ) -> (ArtifactSet, runner::Execution) {
-    let experiments = owners();
-    let Some(cache) = cache else {
-        let execution = runner::execute_resilient(pool, ctx, &experiments, cfg);
-        return (assemble(ctx, &execution), execution);
-    };
-    let owner = |id: &str| runner::experiment(id).expect("every export file's owner is registered");
-    let cached: Vec<Option<String>> = EXPORT_FILES
+    let experiments = runner::all_experiments();
+    let mut files: Vec<(&'static str, usize)> = experiments
         .iter()
-        .map(|(file, id)| {
-            cache
-                .load(&file_spec(file, owner(id)))
-                .and_then(|b| String::from_utf8(b).ok())
-        })
+        .enumerate()
+        .flat_map(|(i, e)| e.csv_files().into_iter().map(move |file| (file, i)))
         .collect();
-
-    if cached.iter().all(Option::is_some) {
-        // Fully warm: no experiment runs at all.
-        let mut out = ArtifactSet::default();
-        for ((file, id), contents) in EXPORT_FILES.iter().zip(cached) {
-            // Leak-free &'static lookup: EXPORT_FILES strings are 'static.
-            out.insert(id, file, contents.expect("checked above"));
-        }
-        let reports = experiments
-            .iter()
-            .map(|e| runner::ExperimentReport {
-                id: e.id(),
-                title: e.title(),
-                deps: e.deps(),
-                rendered: String::new(),
-                error: None,
-                wall: Duration::ZERO,
-            })
-            .collect();
-        let execution = runner::Execution {
-            reports,
-            failures: Vec::new(),
-            stats: runner::ExecutorStats {
-                workers: pool.workers(),
-                total_wall: Duration::ZERO,
-                per_experiment: Vec::new(),
-                cache: runner::CacheStats::default(),
-            },
-        };
-        return (out, execution);
-    }
-
-    // Re-run only the experiments owning a missing file (their
-    // dependencies outside the subset fall back to the memoized context),
-    // then overlay the still-cached files on the fresh assembly.
-    let rerun: Vec<&'static dyn runner::Experiment> = experiments
+    files.sort_unstable();
+    let specs: Vec<(Vec<u8>, usize)> = files
         .iter()
-        .filter(|e| {
-            EXPORT_FILES
-                .iter()
-                .zip(&cached)
-                .any(|((_, id), c)| *id == e.id() && c.is_none())
-        })
-        .copied()
+        .map(|&(file, i)| (file_spec(file, experiments[i]), i))
         .collect();
-    let execution = runner::execute_resilient(pool, ctx, &rerun, cfg);
-    let mut fresh = assemble(ctx, &execution);
-    for ((file, id), contents) in EXPORT_FILES.iter().zip(cached) {
-        match contents {
-            Some(c) => fresh.insert(id, file, c),
-            None => {
-                let healthy = execution
-                    .reports
-                    .iter()
-                    .any(|r| r.id == *id && r.error.is_none());
-                if healthy {
-                    if let Some(e) = fresh.get(file) {
-                        cache.store(&file_spec(file, owner(id)), e.contents.as_bytes());
-                    }
-                }
-            }
-        }
-    }
-    (fresh, execution)
-}
-
-/// A placeholder export for a failed experiment: the real header row plus
-/// a comment naming the failure, so downstream tooling sees the schema
-/// and an explicit degradation marker instead of a missing file.
-fn placeholder(headers: Table, note: &str) -> String {
-    let mut csv = headers.to_csv();
-    csv.push_str(&format!("# degraded: {note}\n"));
-    csv
-}
-
-/// Assemble the export set from whatever artifacts the execution stored;
-/// sections whose experiment failed degrade to [`placeholder`] files.
-fn assemble(ctx: &Ctx, execution: &runner::Execution) -> ArtifactSet {
-    // The failure summary rendered into placeholder files (deterministic:
-    // the executor's error text contains no wall-clock or addresses).
-    let note = |id: &str| -> String {
-        execution
-            .reports
-            .iter()
-            .find(|r| r.id == id)
-            .and_then(|r| r.error.as_ref())
-            .map_or_else(
-                || format!("{id} produced no artifact"),
-                |e| format!("{id} failed ({}): {e}", e.kind()),
+    let (contents, execution) =
+        runner::execute_cached(pool, ctx, cfg, cache, &experiments, &specs, |i, report| {
+            let (file, owner) = files[i];
+            let artifact = ctx.stored(report.id);
+            let outcome = match &report.error {
+                Some(err) => Err(err),
+                None => Ok(artifact
+                    .as_ref()
+                    .expect("a healthy run stores its artifact")),
+            };
+            experiments[owner].csv(file, outcome)
+        });
+    let exports = files
+        .iter()
+        .zip(contents)
+        .map(|(&(file, i), contents)| {
+            let experiment = experiments[i].id();
+            (
+                file,
+                CsvExport {
+                    experiment,
+                    file,
+                    contents,
+                },
             )
-    };
-    let mut out = ArtifactSet::default();
-
-    // Table IV rows.
-    let t4_headers = || {
-        Table::new(
-            "",
-            [
-                "benchmark",
-                "p100_min",
-                "v100_1_min",
-                "speedup_2",
-                "speedup_4",
-                "speedup_8",
-            ],
-        )
-    };
-    if let Some(t4) = ctx.artifact::<table4::Table4>("table4") {
-        let mut csv = t4_headers();
-        for row in &t4.rows {
-            csv.add_row([
-                row.name().to_string(),
-                format!("{:.2}", row.p100_minutes()),
-                format!("{:.2}", row.v100_minutes(1).expect("anchor measured")),
-                format!("{:.4}", row.speedup(2).expect("measured")),
-                format!("{:.4}", row.speedup(4).expect("measured")),
-                format!("{:.4}", row.speedup(8).expect("measured")),
-            ]);
-        }
-        out.insert("table4", "table4_scaling.csv", csv.to_csv());
-    } else {
-        out.insert(
-            "table4",
-            "table4_scaling.csv",
-            placeholder(t4_headers(), &note("table4")),
-        );
-    }
-
-    // Table V rows.
-    let t5_headers = || {
-        Table::new(
-            "",
-            [
-                "workload",
-                "gpus",
-                "cpu_pct",
-                "gpu_pct",
-                "dram_mb",
-                "hbm_mb",
-                "pcie_mbps",
-                "nvlink_mbps",
-            ],
-        )
-    };
-    if let Some(t5) = ctx.artifact::<table5::Table5>("table5") {
-        let mut csv = t5_headers();
-        for r in &t5.runs {
-            csv.add_row([
-                r.name.clone(),
-                r.n_gpus.to_string(),
-                format!("{:.3}", r.usage.cpu_util_pct),
-                format!("{:.3}", r.usage.gpu_util_pct),
-                format!("{:.1}", r.usage.dram_mb),
-                format!("{:.1}", r.usage.hbm_mb),
-                format!("{:.1}", r.usage.pcie_mbps),
-                format!("{:.1}", r.usage.nvlink_mbps),
-            ]);
-        }
-        out.insert("table5", "table5_resources.csv", csv.to_csv());
-    } else {
-        out.insert(
-            "table5",
-            "table5_resources.csv",
-            placeholder(t5_headers(), &note("table5")),
-        );
-    }
-
-    // Figure 1: both the raw feature matrix (the PCA input) and the
-    // projections. A feature's column is its name, lowercased, with every
-    // other character an underscore.
-    let features_headers = || {
-        let mut headers = vec!["workload".to_string(), "suite".to_string()];
-        headers.extend(FEATURE_NAMES.iter().map(|name| {
-            name.replace(|c: char| !c.is_ascii_alphanumeric(), "_")
-                .to_ascii_lowercase()
-        }));
-        Table::new("", headers)
-    };
-    let f1_headers = || Table::new("", ["workload", "suite", "pc1", "pc2", "pc3", "pc4"]);
-    if let Some(f1) = ctx.artifact::<figure1::Figure1>("figure1") {
-        let mut csv = features_headers();
-        for c in &f1.features {
-            csv.add_row(
-                [c.name.clone(), c.suite.clone()]
-                    .into_iter()
-                    .chain(c.features.iter().map(|v| format!("{v:.4}"))),
-            );
-        }
-        out.insert("figure1", "figure1_features.csv", csv.to_csv());
-        let mut csv = f1_headers();
-        for (name, suite, p) in &f1.projections {
-            csv.add_row([
-                name.clone(),
-                suite.clone(),
-                format!("{:.4}", p[0]),
-                format!("{:.4}", p[1]),
-                format!("{:.4}", p[2]),
-                format!("{:.4}", p[3]),
-            ]);
-        }
-        out.insert("figure1", "figure1_projections.csv", csv.to_csv());
-    } else {
-        out.insert(
-            "figure1",
-            "figure1_features.csv",
-            placeholder(features_headers(), &note("figure1")),
-        );
-        out.insert(
-            "figure1",
-            "figure1_projections.csv",
-            placeholder(f1_headers(), &note("figure1")),
-        );
-    }
-
-    // Figure 3 speedups.
-    let f3_headers = || {
-        Table::new(
-            "",
-            ["benchmark", "amp_samples_s", "fp32_samples_s", "speedup"],
-        )
-    };
-    if let Some(f3) = ctx.artifact::<figure3::Figure3>("figure3") {
-        let mut csv = f3_headers();
-        for s in &f3.speedups {
-            csv.add_row([
-                s.id.abbreviation().to_string(),
-                format!("{:.1}", s.amp_throughput),
-                format!("{:.1}", s.fp32_throughput),
-                format!("{:.4}", s.speedup()),
-            ]);
-        }
-        out.insert("figure3", "figure3_amp.csv", csv.to_csv());
-    } else {
-        out.insert(
-            "figure3",
-            "figure3_amp.csv",
-            placeholder(f3_headers(), &note("figure3")),
-        );
-    }
-
-    // Figure 5 matrix.
-    let f5_headers = || {
-        let mut headers = vec!["benchmark".to_string()];
-        headers.extend(
-            mlperf_hw::SystemId::FOUR_GPU_PLATFORMS
-                .iter()
-                .map(|s| s.name().replace(' ', "_")),
-        );
-        Table::new("", headers)
-    };
-    if let Some(f5) = ctx.artifact::<figure5::Figure5>("figure5") {
-        let mut csv = f5_headers();
-        for row in &f5.rows {
-            let mut cells = vec![row.id.abbreviation().to_string()];
-            for sys in mlperf_hw::SystemId::FOUR_GPU_PLATFORMS {
-                cells.push(format!("{:.2}", row.on(sys)));
-            }
-            csv.add_row(cells);
-        }
-        out.insert("figure5", "figure5_topology.csv", csv.to_csv());
-    } else {
-        out.insert(
-            "figure5",
-            "figure5_topology.csv",
-            placeholder(f5_headers(), &note("figure5")),
-        );
-    }
-
-    // Fault study: the analytic sweep and the elastic-cluster outcomes.
-    let sweep_headers = || {
-        Table::new(
-            "",
-            [
-                "mtbf_hours",
-                "interval_min",
-                "expected_hours",
-                "overhead_pct",
-                "policy",
-            ],
-        )
-    };
-    let elastic_headers = || {
-        Table::new(
-            "",
-            [
-                "policy",
-                "makespan_min",
-                "mean_wait_min",
-                "utilization",
-                "preempted",
-                "abandoned",
-            ],
-        )
-    };
-    if let Some(fs) = ctx.artifact::<fault_study::FaultStudy>("fault_study") {
-        let mut csv = sweep_headers();
-        for r in &fs.sweep {
-            csv.add_row([
-                format!("{:.1}", r.mtbf_hours),
-                format!("{:.3}", r.interval_min),
-                format!("{:.4}", r.expected_hours),
-                format!("{:.4}", r.overhead_pct),
-                if r.daly { "daly" } else { "fixed" }.to_string(),
-            ]);
-        }
-        out.insert("fault_study", "fault_study_sweep.csv", csv.to_csv());
-
-        let mut csv = elastic_headers();
-        for r in &fs.elastic {
-            csv.add_row([
-                r.policy.to_string(),
-                format!("{:.2}", r.trace.makespan.as_minutes()),
-                format!("{:.2}", r.trace.mean_wait().as_minutes()),
-                format!("{:.4}", r.trace.utilization()),
-                r.trace.preemptions.to_string(),
-                r.trace.abandoned.len().to_string(),
-            ]);
-        }
-        out.insert("fault_study", "fault_study_elastic.csv", csv.to_csv());
-    } else {
-        out.insert(
-            "fault_study",
-            "fault_study_sweep.csv",
-            placeholder(sweep_headers(), &note("fault_study")),
-        );
-        out.insert(
-            "fault_study",
-            "fault_study_elastic.csv",
-            placeholder(elastic_headers(), &note("fault_study")),
-        );
-    }
-
-    // Variance decomposition: seeded epochs distribution plus the factor
-    // shares, one row per benchmark.
-    let var_headers = || {
-        Table::new(
-            "",
-            [
-                "benchmark",
-                "runs",
-                "epochs_median",
-                "epochs_p5",
-                "epochs_p95",
-                "epochs_ci_lo",
-                "epochs_ci_hi",
-                "seed_var_min2",
-                "batch_var_min2",
-                "precision_var_min2",
-                "seed_share_pct",
-                "batch_share_pct",
-                "precision_share_pct",
-            ],
-        )
-    };
-    if let Some(v) =
-        ctx.artifact::<variance_decomposition::VarianceDecomposition>("variance_decomposition")
-    {
-        let mut csv = var_headers();
-        for r in &v.rows {
-            let (seed, batch, precision) = r.shares();
-            csv.add_row([
-                r.id.to_string(),
-                r.stats.n.to_string(),
-                format!("{:.4}", r.stats.median),
-                format!("{:.4}", r.stats.p5),
-                format!("{:.4}", r.stats.p95),
-                format!("{:.4}", r.stats.ci_lo),
-                format!("{:.4}", r.stats.ci_hi),
-                format!("{:.4}", r.seed_var),
-                format!("{:.4}", r.batch_var),
-                format!("{:.4}", r.precision_var),
-                format!("{seed:.2}"),
-                format!("{batch:.2}"),
-                format!("{precision:.2}"),
-            ]);
-        }
-        out.insert(
-            "variance_decomposition",
-            "variance_decomposition.csv",
-            csv.to_csv(),
-        );
-    } else {
-        out.insert(
-            "variance_decomposition",
-            "variance_decomposition.csv",
-            placeholder(var_headers(), &note("variance_decomposition")),
-        );
-    }
-
-    out
+        })
+        .collect();
+    (ArtifactSet { exports }, execution)
 }
 
 /// Write every export into a directory (created if absent) through the
@@ -635,6 +246,16 @@ mod tests {
             "export experiments failed"
         );
         set
+    }
+
+    #[test]
+    fn export_files_mirror_the_registry() {
+        let mut declared: Vec<(&str, &str)> = runner::all_experiments()
+            .into_iter()
+            .flat_map(|e| e.csv_files().into_iter().map(move |file| (file, e.id())))
+            .collect();
+        declared.sort_unstable();
+        assert_eq!(declared, EXPORT_FILES);
     }
 
     #[test]

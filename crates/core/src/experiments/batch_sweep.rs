@@ -104,6 +104,7 @@ pub static EXP: Decl<BatchSweep> = Decl {
     spec: Some(|| sweep::batch_wall(BenchmarkId::MlpfRes50Mx).canonical_bytes()),
     run: |ctx| run_ctx(ctx, BenchmarkId::MlpfRes50Mx),
     render,
+    csv: &[],
 };
 
 #[cfg(test)]

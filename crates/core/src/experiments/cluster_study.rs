@@ -124,6 +124,7 @@ pub static EXP: Decl<ClusterStudy> = Decl {
     spec: Some(|| crate::sweep::figure4_scaling().canonical_bytes()),
     run: run_ctx,
     render,
+    csv: &[],
 };
 
 #[cfg(test)]

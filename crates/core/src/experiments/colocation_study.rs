@@ -234,6 +234,7 @@ pub static EXP: Decl<ColocationStudy, ExperimentError> = Decl {
     }),
     run: run_ctx,
     render,
+    csv: &[],
 };
 
 #[cfg(test)]

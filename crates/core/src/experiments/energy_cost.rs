@@ -125,6 +125,7 @@ pub static EXP: Decl<EnergyCost> = Decl {
     spec: None,
     run: |ctx| run_on_ctx(ctx, SystemId::Dss8440, 8),
     render,
+    csv: &[],
 };
 
 #[cfg(test)]

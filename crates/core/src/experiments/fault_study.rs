@@ -19,7 +19,7 @@
 use crate::benchmark::BenchmarkId;
 use crate::experiments::figure4;
 use crate::report::Table;
-use crate::runner::{Ctx, Decl, TrainPoint};
+use crate::runner::{csv_header, CsvFile, Ctx, Decl, TrainPoint};
 use mlperf_data::storage::StorageDevice;
 use mlperf_hw::systems::SystemId;
 use mlperf_hw::units::Seconds;
@@ -129,13 +129,13 @@ pub fn run_ctx(ctx: &Ctx) -> Result<FaultStudy, SimError> {
     let point = TrainPoint::new(BENCH, SYSTEM, GPUS);
     let outcome = ctx.outcome(&point)?;
     let step = ctx.step(&point)?;
-    let job = BENCH.job();
+    let job = ctx.base_job(BENCH, false);
     let work = outcome.total_time;
     let total_steps = outcome.total_steps();
 
     let probe = checkpoint_spec(Seconds::from_minutes(10.0));
-    let write_cost = probe.write_cost(&job);
-    let restart_cost = probe.restart_cost(&job);
+    let write_cost = probe.write_cost(job);
+    let restart_cost = probe.restart_cost(job);
 
     // 1. Analytic sweep: fixed intervals vs the Daly-optimal one, as the
     // declarative `sweep::fault_ttt` grid (MTBF outermost, interval
@@ -167,7 +167,7 @@ pub fn run_ctx(ctx: &Ctx) -> Result<FaultStudy, SimError> {
         retry: RetryPolicy::default(),
     };
     let planned_faults = cfg.plan.events().len();
-    let (stats, trace) = replay(&cfg, &job, &step, total_steps);
+    let (stats, trace) = replay(&cfg, job, &step, total_steps);
     let bytes = trace.to_bytes();
     let replay_summary = ReplaySummary {
         seed: SEED,
@@ -304,6 +304,33 @@ pub fn render(s: &FaultStudy) -> String {
     out
 }
 
+/// The analytic sweep, one row per (MTBF, interval) point.
+fn sweep_rows(s: &FaultStudy, csv: &mut Table) {
+    for r in &s.sweep {
+        csv.add_row([
+            format!("{:.1}", r.mtbf_hours),
+            format!("{:.3}", r.interval_min),
+            format!("{:.4}", r.expected_hours),
+            format!("{:.4}", r.overhead_pct),
+            if r.daly { "daly" } else { "fixed" }.to_string(),
+        ]);
+    }
+}
+
+/// The elastic-cluster outcomes, one row per policy.
+fn elastic_rows(s: &FaultStudy, csv: &mut Table) {
+    for r in &s.elastic {
+        csv.add_row([
+            r.policy.to_string(),
+            format!("{:.2}", r.trace.makespan.as_minutes()),
+            format!("{:.2}", r.trace.mean_wait().as_minutes()),
+            format!("{:.4}", r.trace.utilization()),
+            r.trace.preemptions.to_string(),
+            r.trace.abandoned.len().to_string(),
+        ]);
+    }
+}
+
 /// The fault study as the executor schedules it. Depends on Figure 4 so
 /// the shared DSS-8440 job-time points are warm in the memo cache. Its
 /// spec is the analytic grid plus the elastic part's Figure 4 grid: a
@@ -321,6 +348,20 @@ pub static EXP: Decl<FaultStudy> = Decl {
     }),
     run: run_ctx,
     render,
+    csv: &[
+        CsvFile {
+            file: "fault_study_sweep.csv",
+            header: || csv_header("mtbf_hours,interval_min,expected_hours,overhead_pct,policy"),
+            rows: sweep_rows,
+        },
+        CsvFile {
+            file: "fault_study_elastic.csv",
+            header: || {
+                csv_header("policy,makespan_min,mean_wait_min,utilization,preempted,abandoned")
+            },
+            rows: elastic_rows,
+        },
+    ],
 };
 
 #[cfg(test)]

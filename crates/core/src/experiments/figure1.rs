@@ -13,7 +13,7 @@
 
 use crate::benchmark::BenchmarkId;
 use crate::report::Table;
-use crate::runner::{Ctx, Decl};
+use crate::runner::{csv_header, CsvFile, Ctx, Decl};
 use crate::workloads::{DeepBenchId, WorkloadRun, WorkloadSpec};
 use mlperf_analysis::pca::Pca;
 use mlperf_hw::systems::SystemId;
@@ -142,6 +142,41 @@ pub fn render(f: &Figure1) -> String {
     )
 }
 
+/// The raw PCA input's header: a feature's column is its name,
+/// lowercased, with every other character an underscore.
+fn features_header() -> Table {
+    let mut headers = vec!["workload".to_string(), "suite".to_string()];
+    headers.extend(FEATURE_NAMES.iter().map(|name| {
+        name.replace(|c: char| !c.is_ascii_alphanumeric(), "_")
+            .to_ascii_lowercase()
+    }));
+    Table::new("", headers)
+}
+
+fn features_rows(f: &Figure1, csv: &mut Table) {
+    for c in &f.features {
+        csv.add_row(
+            [c.name.clone(), c.suite.clone()]
+                .into_iter()
+                .chain(c.features.iter().map(|v| format!("{v:.4}"))),
+        );
+    }
+}
+
+/// One row per workload: its first four principal components.
+fn projection_rows(f: &Figure1, csv: &mut Table) {
+    for (name, suite, p) in &f.projections {
+        csv.add_row([
+            name.clone(),
+            suite.clone(),
+            format!("{:.4}", p[0]),
+            format!("{:.4}", p[1]),
+            format!("{:.4}", p[2]),
+            format!("{:.4}", p[3]),
+        ]);
+    }
+}
+
 /// Figure 1 as the executor schedules it.
 pub static EXP: Decl<Figure1> = Decl {
     id: "figure1",
@@ -150,6 +185,18 @@ pub static EXP: Decl<Figure1> = Decl {
     spec: None,
     run: run_ctx,
     render,
+    csv: &[
+        CsvFile {
+            file: "figure1_features.csv",
+            header: features_header,
+            rows: features_rows,
+        },
+        CsvFile {
+            file: "figure1_projections.csv",
+            header: || csv_header("workload,suite,pc1,pc2,pc3,pc4"),
+            rows: projection_rows,
+        },
+    ],
 };
 
 #[cfg(test)]

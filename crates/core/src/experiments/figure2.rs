@@ -136,6 +136,7 @@ pub static EXP: Decl<Figure2> = Decl {
     spec: None,
     run: run_ctx,
     render,
+    csv: &[],
 };
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 
 use crate::benchmark::BenchmarkId;
 use crate::report::Table;
-use crate::runner::{Ctx, Decl, TrainPoint};
+use crate::runner::{csv_header, CsvFile, Ctx, Decl, TrainPoint};
 use mlperf_hw::systems::SystemId;
 use mlperf_models::PrecisionPolicy;
 use mlperf_sim::{SimError, StepReport};
@@ -68,7 +68,7 @@ fn run_shrinking(
 pub fn run_ctx(ctx: &Ctx) -> Result<Figure3, SimError> {
     let mut speedups = Vec::new();
     for id in BenchmarkId::MLPERF {
-        let batch = id.job().per_gpu_batch();
+        let batch = ctx.base_job(id, false).per_gpu_batch();
         let amp = TrainPoint::new(id, SystemId::Dss8440, GPUS);
         let fp32 = amp.clone().with_precision(PrecisionPolicy::Fp32);
         let (amp_report, _) = run_shrinking(ctx, &amp, batch)?;
@@ -107,6 +107,18 @@ pub fn render(f: &Figure3) -> String {
     t.to_string()
 }
 
+/// One row per benchmark: both throughputs and the AMP speedup.
+fn amp_rows(f: &Figure3, csv: &mut Table) {
+    for s in &f.speedups {
+        csv.add_row([
+            s.id.abbreviation().to_string(),
+            format!("{:.1}", s.amp_throughput),
+            format!("{:.1}", s.fp32_throughput),
+            format!("{:.4}", s.speedup()),
+        ]);
+    }
+}
+
 /// Figure 3 as the executor schedules it.
 pub static EXP: Decl<Figure3> = Decl {
     id: "figure3",
@@ -115,6 +127,11 @@ pub static EXP: Decl<Figure3> = Decl {
     spec: None,
     run: run_ctx,
     render,
+    csv: &[CsvFile {
+        file: "figure3_amp.csv",
+        header: || csv_header("benchmark,amp_samples_s,fp32_samples_s,speedup"),
+        rows: amp_rows,
+    }],
 };
 
 #[cfg(test)]

@@ -155,6 +155,7 @@ pub static EXP: Decl<Figure4> = Decl {
     spec: Some(|| sweep::figure4_scaling().canonical_bytes()),
     run: run_ctx,
     render,
+    csv: &[],
 };
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 
 use crate::benchmark::BenchmarkId;
 use crate::report::Table;
-use crate::runner::{Ctx, Decl, TrainPoint};
+use crate::runner::{CsvFile, Ctx, Decl, TrainPoint};
 use mlperf_hw::systems::SystemId;
 use mlperf_sim::SimError;
 
@@ -94,6 +94,28 @@ pub fn render(f: &Figure5) -> String {
     t.to_string()
 }
 
+/// The minutes matrix's header: one column per platform, its name with
+/// underscores for spaces.
+fn topology_header() -> Table {
+    let mut headers = vec!["benchmark".to_string()];
+    headers.extend(
+        SystemId::FOUR_GPU_PLATFORMS
+            .iter()
+            .map(|s| s.name().replace(' ', "_")),
+    );
+    Table::new("", headers)
+}
+
+fn topology_rows(f: &Figure5, csv: &mut Table) {
+    for row in &f.rows {
+        let mut cells = vec![row.id.abbreviation().to_string()];
+        for sys in SystemId::FOUR_GPU_PLATFORMS {
+            cells.push(format!("{:.2}", row.on(sys)));
+        }
+        csv.add_row(cells);
+    }
+}
+
 /// Figure 5 as the executor schedules it.
 pub static EXP: Decl<Figure5> = Decl {
     id: "figure5",
@@ -102,6 +124,11 @@ pub static EXP: Decl<Figure5> = Decl {
     spec: None,
     run: run_ctx,
     render,
+    csv: &[CsvFile {
+        file: "figure5_topology.csv",
+        header: topology_header,
+        rows: topology_rows,
+    }],
 };
 
 #[cfg(test)]

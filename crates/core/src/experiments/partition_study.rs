@@ -146,6 +146,7 @@ pub static EXP: Decl<PartitionStudy, ExperimentError> = Decl {
     spec: Some(|| partition_scaling().canonical_bytes()),
     run: run_ctx,
     render,
+    csv: &[],
 };
 
 #[cfg(test)]

@@ -93,6 +93,7 @@ pub static EXP: Decl<Vec<StorageRow>> = Decl {
     spec: None,
     run: run_ctx,
     render: |rows| render(rows),
+    csv: &[],
 };
 
 #[cfg(test)]

@@ -190,6 +190,7 @@ pub static EXP: Decl<Table1> = Decl {
     spec: None,
     run: run_ctx,
     render,
+    csv: &[],
 };
 
 #[cfg(test)]

@@ -71,6 +71,7 @@ pub static EXP: Decl<()> = Decl {
     spec: None,
     run: |_| Ok(()),
     render: |()| render(),
+    csv: &[],
 };
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 
 use crate::benchmark::BenchmarkId;
 use crate::report::Table;
-use crate::runner::{Ctx, Decl, TrainPoint};
+use crate::runner::{csv_header, CsvFile, Ctx, Decl, TrainPoint};
 use mlperf_analysis::scaling::{amdahl_serial_fraction, ScalingRow};
 use mlperf_hw::systems::SystemId;
 use mlperf_sim::SimError;
@@ -123,6 +123,20 @@ pub fn render(t: &Table4) -> String {
     table.to_string()
 }
 
+/// One row per measured benchmark.
+fn scaling_rows(t: &Table4, csv: &mut Table) {
+    for row in &t.rows {
+        csv.add_row([
+            row.name().to_string(),
+            format!("{:.2}", row.p100_minutes()),
+            format!("{:.2}", row.v100_minutes(1).expect("anchor measured")),
+            format!("{:.4}", row.speedup(2).expect("measured")),
+            format!("{:.4}", row.speedup(4).expect("measured")),
+            format!("{:.4}", row.speedup(8).expect("measured")),
+        ]);
+    }
+}
+
 /// Table IV as the executor schedules it.
 pub static EXP: Decl<Table4> = Decl {
     id: "table4",
@@ -131,6 +145,11 @@ pub static EXP: Decl<Table4> = Decl {
     spec: None,
     run: run_ctx,
     render,
+    csv: &[CsvFile {
+        file: "table4_scaling.csv",
+        header: || csv_header("benchmark,p100_min,v100_1_min,speedup_2,speedup_4,speedup_8"),
+        rows: scaling_rows,
+    }],
 };
 
 #[cfg(test)]

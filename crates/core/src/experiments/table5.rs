@@ -9,7 +9,7 @@
 
 use crate::benchmark::BenchmarkId;
 use crate::report::Table;
-use crate::runner::{Ctx, Decl};
+use crate::runner::{csv_header, CsvFile, Ctx, Decl};
 use crate::workloads::{DeepBenchId, WorkloadRun, WorkloadSpec};
 use mlperf_hw::systems::SystemId;
 use mlperf_sim::SimError;
@@ -81,6 +81,22 @@ pub fn render(t: &Table5) -> String {
     table.to_string()
 }
 
+/// Every run, at full precision.
+fn resource_rows(t: &Table5, csv: &mut Table) {
+    for r in &t.runs {
+        csv.add_row([
+            r.name.clone(),
+            r.n_gpus.to_string(),
+            format!("{:.3}", r.usage.cpu_util_pct),
+            format!("{:.3}", r.usage.gpu_util_pct),
+            format!("{:.1}", r.usage.dram_mb),
+            format!("{:.1}", r.usage.hbm_mb),
+            format!("{:.1}", r.usage.pcie_mbps),
+            format!("{:.1}", r.usage.nvlink_mbps),
+        ]);
+    }
+}
+
 /// Table V as the executor schedules it.
 pub static EXP: Decl<Table5> = Decl {
     id: "table5",
@@ -89,6 +105,11 @@ pub static EXP: Decl<Table5> = Decl {
     spec: None,
     run: run_ctx,
     render,
+    csv: &[CsvFile {
+        file: "table5_resources.csv",
+        header: || csv_header("workload,gpus,cpu_pct,gpu_pct,dram_mb,hbm_mb,pcie_mbps,nvlink_mbps"),
+        rows: resource_rows,
+    }],
 };
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 
 use crate::benchmark::BenchmarkId;
 use crate::report::Table;
-use crate::runner::{Ctx, Decl};
+use crate::runner::{csv_header, CsvFile, Ctx, Decl};
 use crate::sweep::{self, CellKind, CellSpec, Replication, ReplicationScratch, RunStats};
 use mlperf_analysis::stats::variance;
 use mlperf_hw::systems::SystemId;
@@ -235,6 +235,29 @@ pub fn render(v: &VarianceDecomposition) -> String {
     )
 }
 
+/// The seeded epochs distribution and the factor shares, one row per
+/// benchmark.
+fn decomposition_rows(v: &VarianceDecomposition, csv: &mut Table) {
+    for r in &v.rows {
+        let (seed, batch, precision) = r.shares();
+        csv.add_row([
+            r.id.to_string(),
+            r.stats.n.to_string(),
+            format!("{:.4}", r.stats.median),
+            format!("{:.4}", r.stats.p5),
+            format!("{:.4}", r.stats.p95),
+            format!("{:.4}", r.stats.ci_lo),
+            format!("{:.4}", r.stats.ci_hi),
+            format!("{:.4}", r.seed_var),
+            format!("{:.4}", r.batch_var),
+            format!("{:.4}", r.precision_var),
+            format!("{seed:.2}"),
+            format!("{batch:.2}"),
+            format!("{precision:.2}"),
+        ]);
+    }
+}
+
 /// The decomposition as the executor schedules it.
 pub static EXP: Decl<VarianceDecomposition> = Decl {
     id: "variance_decomposition",
@@ -254,6 +277,17 @@ pub static EXP: Decl<VarianceDecomposition> = Decl {
     }),
     run: run_ctx,
     render,
+    csv: &[CsvFile {
+        file: "variance_decomposition.csv",
+        header: || {
+            csv_header(
+                "benchmark,runs,epochs_median,epochs_p5,epochs_p95,epochs_ci_lo,epochs_ci_hi,\
+                 seed_var_min2,batch_var_min2,precision_var_min2,\
+                 seed_share_pct,batch_share_pct,precision_share_pct",
+            )
+        },
+        rows: decomposition_rows,
+    }],
 };
 
 #[cfg(test)]

@@ -12,7 +12,6 @@ use crate::runner::{
     self, CacheStats, Ctx, ExecutorStats, Experiment, ExperimentError, Pool, ResilienceConfig,
 };
 use crate::sweep::{DiskCache, DiskStats};
-use std::time::Duration;
 
 /// How many of the scheduled experiments belong to the "Paper artifacts"
 /// section (Tables I–V and Figures 1–5, in [`runner::all_experiments`]
@@ -106,16 +105,14 @@ fn decode_stats(bytes: &[u8]) -> Option<CacheStats> {
 ///
 /// - `cache == None` (disabled via `--no-cache` / `MLPERF_CACHE=off`, or
 ///   a strict or chaos run): every experiment runs.
-/// - Manifest present and every section on disk: the report is assembled
-///   entirely from cached sections — zero experiment recomputation — and
-///   the appendix renders the manifest's cold-run memo counters, so the
-///   bytes are identical to the cold run's.
-/// - Manifest present, some sections missing (evicted): only the missing
-///   experiments re-run; their healthy sections are re-stored. The
-///   manifest is never rewritten by a partial run.
 /// - Manifest absent: full cold run. Sections and manifest are stored
 ///   only when the run is fully healthy — a degraded run never poisons
 ///   the warm path.
+/// - Manifest present: every section is loaded, and only the experiments
+///   whose section is missing (evicted) re-run — none when fully warm;
+///   their healthy sections are re-stored. The appendix renders the
+///   manifest's cold-run memo counters, so the bytes are identical to the
+///   cold run's. The manifest is never rewritten by a partial run.
 pub fn build_cached(
     pool: &Pool,
     ctx: &Ctx,
@@ -123,107 +120,55 @@ pub fn build_cached(
     cache: Option<&DiskCache>,
 ) -> (String, runner::Execution) {
     let experiments = runner::all_experiments();
-    let Some(cache) = cache else {
-        let execution = runner::execute_resilient(pool, ctx, &experiments, cfg);
-        return (assemble(&execution, None), execution);
-    };
     let man_spec = manifest_spec(&experiments);
-    let Some(manifest) = cache.load(&man_spec).and_then(|b| decode_stats(&b)) else {
-        let execution = runner::execute_resilient(pool, ctx, &experiments, cfg);
-        if !execution.degraded() {
-            for (e, r) in experiments.iter().zip(&execution.reports) {
-                cache.store(&section_spec(*e), r.rendered.as_bytes());
-            }
-            cache.store(&man_spec, &encode_stats(&execution.stats.cache));
-        }
-        return (assemble(&execution, Some(cache.stats())), execution);
-    };
-
-    let cached: Vec<Option<String>> = experiments
+    let manifest = cache
+        .and_then(|c| c.load(&man_spec))
+        .and_then(|b| decode_stats(&b));
+    let specs: Vec<(Vec<u8>, usize)> = experiments
         .iter()
-        .map(|e| {
-            cache
-                .load(&section_spec(*e))
-                .and_then(|b| String::from_utf8(b).ok())
-        })
+        .enumerate()
+        .map(|(i, e)| (section_spec(*e), i))
         .collect();
-    let missing: Vec<usize> = (0..experiments.len())
-        .filter(|&i| cached[i].is_none())
-        .collect();
-
-    // Re-run only the evicted experiments (none, when fully warm). Their
-    // dependencies outside the subset fall back to the memoized context.
-    let sub_exec = if missing.is_empty() {
-        None
-    } else {
-        let subset: Vec<&dyn Experiment> = missing.iter().map(|&i| experiments[i]).collect();
-        let sub = runner::execute_resilient(pool, ctx, &subset, cfg);
-        for (&i, r) in missing.iter().zip(&sub.reports) {
-            if r.error.is_none() {
-                cache.store(&section_spec(experiments[i]), r.rendered.as_bytes());
-            }
+    // A cold run (no manifest) loads and stores no section on the way:
+    // it stores them all below, and only when fully healthy.
+    let warm = cache.filter(|_| manifest.is_some());
+    let (sections, mut execution) =
+        runner::execute_cached(pool, ctx, cfg, warm, &experiments, &specs, |_, r| {
+            r.rendered.clone()
+        });
+    if let Some(manifest) = manifest {
+        // The cold run's counters: the appendix is provenance of the
+        // experiments' numbers, not of this process, so warm and cold
+        // runs render identical bytes.
+        execution.stats.cache = manifest;
+    } else if let Some(cache) = cache.filter(|_| !execution.degraded()) {
+        for ((spec, _), section) in specs.iter().zip(&sections) {
+            cache.store(spec, section.as_bytes());
         }
-        Some(sub)
-    };
-
-    let mut fresh = sub_exec
-        .as_ref()
-        .map(|s| s.reports.iter())
-        .into_iter()
-        .flatten();
-    let reports: Vec<runner::ExperimentReport> = experiments
-        .iter()
-        .zip(cached)
-        .map(|(e, c)| match c {
-            Some(rendered) => runner::ExperimentReport {
-                id: e.id(),
-                title: e.title(),
-                deps: e.deps(),
-                rendered,
-                error: None,
-                wall: Duration::ZERO,
-            },
-            None => fresh
-                .next()
-                .expect("one fresh report per missing section")
-                .clone(),
-        })
-        .collect();
-    let execution = runner::Execution {
-        reports,
-        failures: sub_exec
-            .as_ref()
-            .map(|s| s.failures.clone())
-            .unwrap_or_default(),
-        stats: ExecutorStats {
-            workers: pool.workers(),
-            total_wall: sub_exec
-                .as_ref()
-                .map(|s| s.stats.total_wall)
-                .unwrap_or(Duration::ZERO),
-            per_experiment: sub_exec.map(|s| s.stats.per_experiment).unwrap_or_default(),
-            // The cold run's counters, from the manifest: the appendix is
-            // provenance of the experiments' numbers, not of this process,
-            // so warm and cold runs render identical bytes.
-            cache: manifest,
-        },
-    };
-    (assemble(&execution, Some(cache.stats())), execution)
+        cache.store(&man_spec, &encode_stats(&execution.stats.cache));
+    }
+    let md = assemble(
+        &experiments,
+        &sections,
+        &execution,
+        cache.map(DiskCache::stats),
+    );
+    (md, execution)
 }
 
-/// Assemble the markdown from an execution (healthy or degraded). The
-/// failure appendix is appended only when there is something to report,
-/// so healthy-run bytes are untouched by the resilience layer. `disk` is
+/// Assemble the markdown from the sections of `experiments`, in order,
+/// and the execution that ran them (healthy or degraded). The failure
+/// appendix is appended only when there is something to report, so
+/// healthy-run bytes are untouched by the resilience layer. `disk` is
 /// the persistent cache's counters *after* this run's stores (absent
 /// when the cache is disabled); only its degradation counter can reach
 /// the document, and only when nonzero.
-fn assemble(execution: &runner::Execution, disk: Option<DiskStats>) -> String {
-    let rendered: Vec<&str> = execution
-        .reports
-        .iter()
-        .map(|r| r.rendered.as_str())
-        .collect();
-
+fn assemble(
+    experiments: &[&dyn Experiment],
+    sections: &[String],
+    execution: &runner::Execution,
+    disk: Option<DiskStats>,
+) -> String {
     let mut md = String::from(
         "# Reproduction report — Demystifying the MLPerf Training Benchmark Suite\n\n\
          Regenerated end-to-end on the simulated substrate. Sections mirror the\n\
@@ -232,19 +177,19 @@ fn assemble(execution: &runner::Execution, disk: Option<DiskStats>) -> String {
 
     md.push_str("## Paper artifacts\n\n");
     md.push_str("```text\n");
-    md.push_str(&rendered[..PAPER_ARTIFACTS].join("\n"));
+    md.push_str(&sections[..PAPER_ARTIFACTS].join("\n"));
     md.push_str("```\n\n");
 
     md.push_str("## Validation\n\n```text\n");
-    md.push_str(rendered[PAPER_ARTIFACTS]);
+    md.push_str(&sections[PAPER_ARTIFACTS]);
     md.push_str("```\n\n");
 
     md.push_str("## Extension studies\n\n```text\n");
-    md.push_str(&rendered[PAPER_ARTIFACTS + 1..].join("\n"));
+    md.push_str(&sections[PAPER_ARTIFACTS + 1..].join("\n"));
     md.push_str("```\n");
 
     md.push('\n');
-    md.push_str(&appendix(execution, disk));
+    md.push_str(&appendix(experiments, execution.stats.cache, disk));
     md.push_str(&failure_appendix(execution));
     md
 }
@@ -274,7 +219,7 @@ fn failure_appendix(execution: &runner::Execution) -> String {
 /// The deterministic execution appendix: the experiment DAG and the cache
 /// counters. Wall-clock never appears here (it is nondeterministic and
 /// lives in [`ExecutorStats`], printed to stderr / the bench JSON).
-fn appendix(execution: &runner::Execution, disk: Option<DiskStats>) -> String {
+fn appendix(experiments: &[&dyn Experiment], c: CacheStats, disk: Option<DiskStats>) -> String {
     let mut md = String::from(
         "## Appendix: execution\n\n\
          Experiments run as a dependency DAG on a thread pool\n\
@@ -287,19 +232,18 @@ fn appendix(execution: &runner::Execution, disk: Option<DiskStats>) -> String {
         "Experiment DAG (declaration order)",
         ["Experiment", "Title", "Depends on"],
     );
-    for r in &execution.reports {
+    for e in experiments {
         t.add_row([
-            r.id.to_string(),
-            r.title.to_string(),
-            if r.deps.is_empty() {
+            e.id().to_string(),
+            e.title().to_string(),
+            if e.deps().is_empty() {
                 "-".to_string()
             } else {
-                r.deps.join(", ")
+                e.deps().join(", ")
             },
         ]);
     }
     md.push_str(&t.to_string());
-    let c = execution.stats.cache;
     md.push_str(&format!(
         "simulation-point cache: {} training-step hits / {} misses; \
          {} kernel hits / {} misses\n\
@@ -322,7 +266,7 @@ fn appendix(execution: &runner::Execution, disk: Option<DiskStats>) -> String {
          fnv1a64(code_epoch || canonical spec bytes) under artifacts/cache/;\n\
          a warm `repro --report` run replays every section from disk with zero\n\
          experiment recomputation (escape hatches: --no-cache, MLPERF_CACHE=off)\n",
-        execution.reports.len(),
+        experiments.len(),
     ));
     // Storage degradation is the one cache counter allowed into the
     // document, and only when nonzero: every healthy run renders zero

@@ -14,7 +14,7 @@
 //!   each simulation point is priced exactly once per report;
 //! * [`Experiment`] — what the executor schedules; every experiment module
 //!   declares one [`Decl`], whose generic impl erases its typed payload
-//!   into an [`Artifact`];
+//!   into an [`Artifact`] and renders its report section and CSV files;
 //! * [`execute`] — topological scheduling of an experiment DAG onto the
 //!   pool, with output assembled in declaration order (strict,
 //!   fail-fast);
@@ -25,7 +25,10 @@
 //!   [`ExperimentError::DependencyFailed`], and every independent
 //!   subgraph still completes (see [`ResilienceConfig`]). A failure is
 //!   final: every experiment is a pure function of its inputs, so a
-//!   second attempt would fail again.
+//!   second attempt would fail again;
+//! * `execute_cached` — the resilient schedule behind `repro --report`
+//!   and `repro --csv`: it loads each output from the persistent result
+//!   cache and re-runs only the experiments missing one.
 //!
 //! **Determinism policy.** Report and CSV bytes must be identical for any
 //! worker count (`MLPERF_JOBS=1` vs `=N`), so nothing nondeterministic may
@@ -53,6 +56,8 @@ use crate::experiments::{
     figure3, figure4, figure5, partition_study, storage_study, table1, table2, table3, table4,
     table5, variance_decomposition,
 };
+use crate::report::Table;
+use crate::sweep::DiskCache;
 use crate::workloads::{self, WorkloadRun, WorkloadSpec};
 use crate::{sensitivity, validation};
 use error::panic_message;
@@ -665,6 +670,7 @@ impl Ctx {
                 let outcome = self.outcome(&TrainPoint::new(id, system, gpus))?;
                 Ok(workloads::trainable_from_outcome(
                     id,
+                    self.base_job(id, false),
                     self.system(system),
                     &outcome,
                 ))
@@ -704,8 +710,12 @@ impl Ctx {
     /// A completed dependency's payload, if the executor stored one of
     /// type `T` under `id`.
     pub fn artifact<T: Any + Send + Sync>(&self, id: &str) -> Option<Arc<T>> {
-        let artifact = lock(&self.artifacts).get(id)?.0.clone();
-        artifact.downcast().ok()
+        self.stored(id)?.0.downcast().ok()
+    }
+
+    /// The artifact the executor stored under `id`, whatever its type.
+    pub(crate) fn stored(&self, id: &str) -> Option<Artifact> {
+        lock(&self.artifacts).get(id).cloned()
     }
 
     fn store_artifact(&self, id: &'static str, artifact: Artifact) {
@@ -813,13 +823,47 @@ pub trait Experiment: Sync {
 
     /// Render the artifact to the report's text form.
     fn render(&self, artifact: &Artifact) -> String;
+
+    /// Names of the CSV files the experiment exports (`repro --csv`);
+    /// none by default.
+    fn csv_files(&self) -> Vec<&'static str> {
+        Vec::new()
+    }
+
+    /// Render the CSV export `file` from the artifact, or, for an
+    /// experiment that failed, its header row plus a `# degraded:` line
+    /// naming the error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the experiment exports no `file`.
+    fn csv(&self, file: &str, _: Result<&Artifact, &ExperimentError>) -> String {
+        panic!("{} exports no {file}", self.id())
+    }
+}
+
+/// One CSV file an experiment exports, declared in its [`Decl`]: the
+/// file name, the header row, and the rows read from the typed payload.
+pub struct CsvFile<T> {
+    /// Output file name.
+    pub(crate) file: &'static str,
+    /// The table with its header row and no rows.
+    pub(crate) header: fn() -> Table,
+    /// Append the payload's rows to the header table.
+    pub(crate) rows: fn(&T, &mut Table),
+}
+
+/// A header table from its CSV header row, as the file spells it.
+pub(crate) fn csv_header(row: &str) -> Table {
+    Table::new("", row.split(','))
 }
 
 /// One experiment, declared once in its module: the identity the
 /// executor schedules and the report renders, plus the module's own
-/// typed `run_ctx` and `render`. Its [`Experiment`] impl erases the
-/// payload into an [`Artifact`] and reads it back to render it.
-pub struct Decl<T, E = SimError> {
+/// typed `run_ctx`, `render` and CSV files. Its [`Experiment`] impl
+/// erases the payload into an [`Artifact`] and reads it back to render
+/// it.
+pub struct Decl<T: 'static, E = SimError> {
     /// Stable identifier ([`Experiment::id`]).
     pub(crate) id: &'static str,
     /// Report-appendix title ([`Experiment::title`]).
@@ -835,6 +879,16 @@ pub struct Decl<T, E = SimError> {
     pub(crate) run: fn(&Ctx) -> Result<T, E>,
     /// Render the payload to its report section.
     pub(crate) render: fn(&T) -> String,
+    /// The CSV files the experiment exports (most export none).
+    pub(crate) csv: &'static [CsvFile<T>],
+}
+
+impl<T: Any, E> Decl<T, E> {
+    fn payload<'a>(&self, artifact: &'a Artifact) -> &'a T {
+        artifact
+            .get()
+            .unwrap_or_else(|| panic!("{} asked to render another experiment's artifact", self.id))
+    }
 }
 
 impl<T: Any + Send + Sync, E: Into<ExperimentError>> Experiment for Decl<T, E> {
@@ -866,10 +920,32 @@ impl<T: Any + Send + Sync, E: Into<ExperimentError>> Experiment for Decl<T, E> {
     }
 
     fn render(&self, artifact: &Artifact) -> String {
-        let payload = artifact
-            .get()
-            .unwrap_or_else(|| panic!("{} asked to render another experiment's artifact", self.id));
-        (self.render)(payload)
+        (self.render)(self.payload(artifact))
+    }
+
+    fn csv_files(&self) -> Vec<&'static str> {
+        self.csv.iter().map(|c| c.file).collect()
+    }
+
+    fn csv(&self, file: &str, artifact: Result<&Artifact, &ExperimentError>) -> String {
+        let export = self
+            .csv
+            .iter()
+            .find(|c| c.file == file)
+            .unwrap_or_else(|| panic!("{} exports no {file}", self.id));
+        let mut table = (export.header)();
+        match artifact {
+            Ok(artifact) => {
+                (export.rows)(self.payload(artifact), &mut table);
+                table.to_csv()
+            }
+            Err(err) => format!(
+                "{}# degraded: {} failed ({}): {err}\n",
+                table.to_csv(),
+                self.id,
+                err.kind()
+            ),
+        }
     }
 }
 
@@ -1211,6 +1287,63 @@ pub fn execute(
         return Err(f.error.clone());
     }
     Ok(execution)
+}
+
+/// Schedule `experiments` through the persistent result cache: the one
+/// sequence `repro --report` and `repro --csv` share. `outputs` pairs
+/// each cache entry's spec with the index of the experiment that renders
+/// it. Every output is loaded from `cache`; exactly the experiments
+/// owning a missing one re-run (their dependencies outside that subset
+/// fall back to the memoized `ctx`); `render(i, report)` renders missing
+/// output `i` from its owner's fresh report, and is stored when the owner
+/// ran healthy. Returns every output, in the given order, with the
+/// re-run's [`Execution`] (empty and healthy when nothing was missing).
+/// Without a cache every owner runs and nothing is stored.
+pub(crate) fn execute_cached(
+    pool: &Pool,
+    ctx: &Ctx,
+    cfg: &ResilienceConfig,
+    cache: Option<&DiskCache>,
+    experiments: &[&dyn Experiment],
+    outputs: &[(Vec<u8>, usize)],
+    render: impl Fn(usize, &ExperimentReport) -> String,
+) -> (Vec<String>, Execution) {
+    let cached: Vec<Option<String>> = outputs
+        .iter()
+        .map(|(spec, _)| String::from_utf8(cache?.load(spec)?).ok())
+        .collect();
+    let missing = |i: usize| {
+        outputs
+            .iter()
+            .zip(&cached)
+            .any(|((_, owner), c)| *owner == i && c.is_none())
+    };
+    let rerun: Vec<&dyn Experiment> = (0..experiments.len())
+        .filter(|&i| missing(i))
+        .map(|i| experiments[i])
+        .collect();
+    let execution = execute_resilient(pool, ctx, &rerun, cfg);
+    let merged = outputs
+        .iter()
+        .zip(cached)
+        .enumerate()
+        .map(|(i, ((spec, owner), cached))| {
+            cached.unwrap_or_else(|| {
+                let id = experiments[*owner].id();
+                let report = execution
+                    .reports
+                    .iter()
+                    .find(|r| r.id == id)
+                    .expect("the owner of a missing output re-ran");
+                let fresh = render(i, report);
+                if let (Some(cache), None) = (cache, &report.error) {
+                    cache.store(spec, fresh.as_bytes());
+                }
+                fresh
+            })
+        })
+        .collect();
+    (merged, execution)
 }
 
 /// Every experiment, in report order: Tables I–V and Figures 1–5 (the

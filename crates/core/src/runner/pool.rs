@@ -15,6 +15,7 @@
 //! [`Pool::stream_ordered`], where workers claim contiguous chunks and the
 //! caller consumes them in index order inside a bounded window.
 
+use crate::config::Config;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -49,14 +50,18 @@ impl Pool {
 
     /// Worker count from [`JOBS_ENV`] when set to a positive integer,
     /// otherwise [`std::thread::available_parallelism`] — resolved through
-    /// the typed [`Config`](crate::config::Config).
+    /// the typed [`Config`]. A malformed knob is logged and the defaults
+    /// are used (`repro` exits 1 on one before it gets here).
     pub fn from_env() -> Pool {
-        Pool::from_config(&crate::config::Config::from_env())
+        let config = Config::try_from_env().unwrap_or_else(|e| {
+            eprintln!("config: {e} (using the defaults)");
+            Config::default()
+        });
+        Pool::from_config(&config)
     }
 
-    /// The pool an explicitly resolved [`Config`](crate::config::Config)
-    /// dictates.
-    pub fn from_config(config: &crate::config::Config) -> Pool {
+    /// The pool an explicitly resolved [`Config`] dictates.
+    pub fn from_config(config: &Config) -> Pool {
         Pool::with_workers(config.jobs)
     }
 

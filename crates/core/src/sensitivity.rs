@@ -147,11 +147,11 @@ pub fn run_ctx(ctx: &Ctx) -> Result<Sensitivity, SimError> {
     ];
     let mut cells = Vec::new();
     for id in subset {
-        let job = id.job();
+        let job = ctx.base_job(id, false);
         let baseline = baseline_speedup8(ctx, id)?;
         for knob in Knob::ALL {
-            let low = perturbed_speedup8(ctx, &knob.scaled(&job, 0.8))?;
-            let high = perturbed_speedup8(ctx, &knob.scaled(&job, 1.2))?;
+            let low = perturbed_speedup8(ctx, &knob.scaled(job, 0.8))?;
+            let high = perturbed_speedup8(ctx, &knob.scaled(job, 1.2))?;
             cells.push(SensitivityCell {
                 id,
                 knob,
@@ -198,6 +198,7 @@ pub static EXP: Decl<Sensitivity> = Decl {
     spec: None,
     run: run_ctx,
     render,
+    csv: &[],
 };
 
 #[cfg(test)]

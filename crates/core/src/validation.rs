@@ -254,6 +254,7 @@ pub static EXP: Decl<Validation> = Decl {
     spec: None,
     run: run_ctx,
     render,
+    csv: &[],
 };
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use mlperf_hw::units::{Bytes, Seconds};
 use mlperf_models::zoo::deepbench;
 use mlperf_models::PrecisionPolicy;
 use mlperf_sim::allreduce::{allreduce_time, ring_wire_bytes_per_gpu, AllReduceAlgorithm};
-use mlperf_sim::{Efficiency, KernelTimer, SimError};
+use mlperf_sim::{Efficiency, KernelTimer, SimError, TrainingJob};
 use mlperf_telemetry::{KernelProfile, ResourceUsage, WorkloadCharacteristics};
 
 /// The DeepBench workloads of Table II (bottom).
@@ -114,15 +114,15 @@ pub enum WorkloadSpec {
     DeepBench(DeepBenchId),
 }
 
-/// Characterize an already-trained benchmark run. The executor's memo
-/// cache supplies the `outcome`, so Table V, Figure 1 and Figure 5 can
-/// share one simulation of each point.
+/// Characterize an already-trained benchmark run of the template `job`.
+/// The executor's memo cache supplies the `outcome`, so Table V, Figure 1
+/// and Figure 5 can share one simulation of each point.
 pub(crate) fn trainable_from_outcome(
     id: BenchmarkId,
+    job: &TrainingJob,
     system: &SystemSpec,
     outcome: &mlperf_sim::TrainingOutcome,
 ) -> WorkloadRun {
-    let job = id.job();
     let n = outcome.step.n_gpus;
     let usage = ResourceUsage::from_step(system, &outcome.step);
     let profile = KernelProfile::of_step(job.model(), outcome.step.per_gpu_batch, job.precision());

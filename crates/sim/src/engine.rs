@@ -213,6 +213,50 @@ struct Prepared {
     n_links: usize,
 }
 
+/// The host pipeline as the DES walks it: the shared loader, one FIFO per
+/// bottleneck uplink, and the end time of every iteration run so far.
+struct Pipeline {
+    loader: FifoResource,
+    links: Vec<FifoResource>,
+    done: Vec<Seconds>,
+}
+
+impl Pipeline {
+    /// When the last iteration ended (zero before the first).
+    fn step_done(&self) -> Seconds {
+        self.done.last().copied().unwrap_or(Seconds::ZERO)
+    }
+
+    /// The prefetch slot of iteration `iter`: its batch may be prepped
+    /// once batch `iter - depth` has fully completed.
+    fn slot(&self, p: &Prepared, iter: u64) -> Seconds {
+        if iter >= p.depth {
+            self.done[(iter - p.depth) as usize]
+        } else {
+            Seconds::ZERO
+        }
+    }
+
+    /// Run the next iteration through the DES; returns the time its GPUs
+    /// stalled waiting for data, summed over the GPUs.
+    fn iterate(&mut self, p: &Prepared) -> Seconds {
+        let slot_free = self.slot(p, self.done.len() as u64);
+        let step_done = self.step_done();
+        let mut iter_compute_done = Seconds::ZERO;
+        let mut iter_stall = Seconds::ZERO;
+        for g in 0..p.k {
+            let prep_done = self.loader.serve(slot_free, p.prep_service);
+            let data_ready = self.links[p.link_of[g]].serve(prep_done, p.h2d_services[g]);
+            let start = data_ready.max(step_done);
+            iter_stall += start - step_done;
+            iter_compute_done = iter_compute_done.max(start + p.compute_time);
+        }
+        self.done
+            .push(iter_compute_done + p.exposed_comm + p.opt_time);
+        iter_stall
+    }
+}
+
 impl<'a> Simulator<'a> {
     /// Create an engine bound to a platform with the default simulation
     /// window (8 warmup + 32 measured iterations).
@@ -525,50 +569,32 @@ impl<'a> Simulator<'a> {
         let p = self.prepare(job, gpus)?;
 
         // --- iterate the pipeline -----------------------------------------
-        let warmup_iters = self.warmup_iters;
-        let measure_iters = self.measure_iters;
-        let total_iters = warmup_iters + measure_iters;
-        let mut loader = FifoResource::new();
-        let mut links = vec![FifoResource::new(); p.n_links];
-        let mut step_done = Seconds::ZERO;
-        let mut step_done_history: Vec<Seconds> = Vec::with_capacity(total_iters as usize);
+        let mut pipe = self.warmup(&p);
+        let warmup_end = pipe.step_done();
         let mut measured_stall = Seconds::ZERO;
-        let mut warmup_end = Seconds::ZERO;
-
-        for iter in 0..total_iters {
-            // Prefetch slot: batch `iter` may be prepped once batch
-            // `iter - depth` has fully completed.
-            let slot_free = if iter >= p.depth {
-                step_done_history[(iter - p.depth) as usize]
-            } else {
-                Seconds::ZERO
-            };
-            let mut iter_compute_done = Seconds::ZERO;
-            let mut iter_stall = Seconds::ZERO;
-            for g in 0..p.k {
-                let prep_done = loader.serve(slot_free, p.prep_service);
-                let data_ready = links[p.link_of[g]].serve(prep_done, p.h2d_services[g]);
-                let start = data_ready.max(step_done);
-                iter_stall += start - step_done;
-                let done = start + p.compute_time;
-                iter_compute_done = iter_compute_done.max(done);
-            }
-            let done = iter_compute_done + p.exposed_comm + p.opt_time;
-            step_done_history.push(done);
-            step_done = done;
-            if iter == warmup_iters - 1 {
-                warmup_end = done;
-            }
-            if iter >= warmup_iters {
-                measured_stall += iter_stall.scale(1.0 / p.k as f64);
-            }
+        for _ in 0..self.measure_iters {
+            measured_stall += pipe.iterate(&p).scale(1.0 / p.k as f64);
         }
 
-        let measured_span = step_done - warmup_end;
-        let step_time = measured_span.scale(1.0 / measure_iters as f64);
-        let data_stall = measured_stall.scale(1.0 / measure_iters as f64);
+        let measured_span = pipe.step_done() - warmup_end;
+        let step_time = measured_span.scale(1.0 / self.measure_iters as f64);
+        let data_stall = measured_stall.scale(1.0 / self.measure_iters as f64);
 
         self.finish(job, &p, step_time, data_stall)
+    }
+
+    /// Run the warmup iterations through the DES: the fill transient both
+    /// the DES loop and the fast path start their measured region from.
+    fn warmup(&self, p: &Prepared) -> Pipeline {
+        let mut pipe = Pipeline {
+            loader: FifoResource::new(),
+            links: vec![FifoResource::new(); p.n_links],
+            done: Vec::with_capacity((self.warmup_iters + self.measure_iters) as usize),
+        };
+        for _ in 0..self.warmup_iters {
+            pipe.iterate(p);
+        }
+        pipe
     }
 
     /// Replay the warmup fill exactly, then try to prove the measured
@@ -584,46 +610,14 @@ impl<'a> Simulator<'a> {
 
         let warmup_iters = self.warmup_iters;
         let total_iters = warmup_iters + self.measure_iters;
-        let mut loader = FifoResource::new();
-        let mut links = vec![FifoResource::new(); p.n_links];
-        let mut hist: Vec<Seconds> = Vec::with_capacity(total_iters as usize);
-        let mut step_done = Seconds::ZERO;
-
-        // Warmup replay — the same serves, in the same order, as
-        // `run_inner`, so the fill transient is exact.
-        for iter in 0..warmup_iters {
-            let slot_free = if iter >= p.depth {
-                hist[(iter - p.depth) as usize]
-            } else {
-                Seconds::ZERO
-            };
-            let mut iter_compute_done = Seconds::ZERO;
-            for g in 0..p.k {
-                let prep_done = loader.serve(slot_free, p.prep_service);
-                let data_ready = links[p.link_of[g]].serve(prep_done, p.h2d_services[g]);
-                let start = data_ready.max(step_done);
-                let done = start + p.compute_time;
-                iter_compute_done = iter_compute_done.max(done);
-            }
-            let done = iter_compute_done + p.exposed_comm + p.opt_time;
-            hist.push(done);
-            step_done = done;
-        }
-        let warmup_end = step_done;
-
-        let slot_at = |hist: &Vec<Seconds>, iter: u64| {
-            if iter >= p.depth {
-                hist[(iter - p.depth) as usize]
-            } else {
-                Seconds::ZERO
-            }
-        };
+        let mut pipe = self.warmup(p);
+        let warmup_end = pipe.step_done();
 
         // The pipeline must enter the measured region caught up: every
         // host resource free no later than the prefetch slot it serves
         // next, so the first measured iteration's serves start at the slot.
-        let base_slot = slot_at(&hist, warmup_iters);
-        if loader.free_at() > base_slot || links.iter().any(|l| l.free_at() > base_slot) {
+        let base_slot = pipe.slot(p, warmup_iters);
+        if pipe.loader.free_at() > base_slot || pipe.links.iter().any(|l| l.free_at() > base_slot) {
             return None;
         }
 
@@ -655,20 +649,19 @@ impl<'a> Simulator<'a> {
             )
         };
         for iter in warmup_iters..total_iters {
-            let slot = slot_at(&hist, iter);
-            let ub = slot.as_secs() * SLOP + w_bound;
+            let ub = pipe.slot(p, iter).as_secs() * SLOP + w_bound;
+            let step_done = pipe.step_done();
             if !holds(ub, step_done.as_secs()) {
                 return None;
             }
-            let done = step_done + p.compute_time + p.exposed_comm + p.opt_time;
-            hist.push(done);
-            if iter + 1 < total_iters && !holds(ub, slot_at(&hist, iter + 1).as_secs()) {
+            pipe.done
+                .push(step_done + p.compute_time + p.exposed_comm + p.opt_time);
+            if iter + 1 < total_iters && !holds(ub, pipe.slot(p, iter + 1).as_secs()) {
                 return None;
             }
-            step_done = done;
         }
 
-        let measured_span = step_done - warmup_end;
+        let measured_span = pipe.step_done() - warmup_end;
         let step_time = measured_span.scale(1.0 / self.measure_iters as f64);
         // Zero accumulated stall scaled down is still (+0.0) zero —
         // bitwise what the DES loop's `measured_stall` path yields.

@@ -259,6 +259,17 @@ echo "== chaos gate: injected panic degrades one section, nothing else =="
 mkdir -p "$report_tmp/csv_healthy" "$report_tmp/csv_chaos"
 cargo run -q --release --offline -p mlperf-suite --bin repro -- \
     --csv "$report_tmp/csv_healthy" >/dev/null
+# The same warm-cache contract for the CSV export: the run above stored
+# every file, so a second one on the same cache must load all of them
+# (100% hit rate, zero experiment recomputation) and write the committed
+# artifacts/ bytes.
+cargo run -q --release --offline -p mlperf-suite --bin repro -- \
+    --csv "$report_tmp/csv_warm" >/dev/null 2>"$report_tmp/csv_warm.log"
+grep -q "100% hit rate" "$report_tmp/csv_warm.log" \
+    || { echo "warm csv run did not report a 100% cache hit rate" >&2; \
+         cat "$report_tmp/csv_warm.log" >&2; exit 1; }
+diff -r -x cache -x sweeps artifacts "$report_tmp/csv_warm" \
+    || { echo "warm cached CSV export differs from the committed artifacts/" >&2; exit 1; }
 set +e
 MLPERF_CHAOS=figure3 cargo run -q --release --offline -p mlperf-suite --bin repro -- \
     --report "$report_tmp/chaos_a.md" >/dev/null 2>"$report_tmp/chaos_a.log"
