@@ -95,15 +95,22 @@ impl From<SimError> for ExperimentError {
     }
 }
 
-/// The panic payload [`Ctx::charge`](super::Ctx::charge) throws when a
-/// cooperative step budget trips; the executor downcasts it back into
-/// [`ExperimentError::DeadlineExceeded`] at its unwind boundary.
+/// A step budget's reading when it trips. The executor unwinds an
+/// experiment attempt with it as the payload, without running the panic
+/// hook, and downcasts it back into [`ExperimentError::DeadlineExceeded`]
+/// at the attempt's unwind boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BudgetExceeded {
     /// Simulation requests charged, including the tripping one.
     pub used: u64,
     /// The configured budget.
     pub budget: u64,
+}
+
+impl From<BudgetExceeded> for ExperimentError {
+    fn from(BudgetExceeded { used, budget }: BudgetExceeded) -> Self {
+        ExperimentError::DeadlineExceeded { used, budget }
+    }
 }
 
 /// Extract a human-readable message from a panic payload (`&str` and

@@ -12,7 +12,7 @@
 //! [`Ctx::outcome`], [`Ctx::step_and_outcome`] and [`Ctx::preflight`] run
 //! through a one-point lane.
 
-use super::{Ctx, TrainPoint};
+use super::{charge, Ctx, TrainPoint};
 use crate::benchmark::BenchmarkId;
 use mlperf_hw::{Bytes, PartitionSpec};
 use mlperf_models::PrecisionPolicy;
@@ -137,7 +137,7 @@ impl<'a> Lane<'a> {
     /// the job it priced.
     fn step_for(&mut self, point: &TrainPoint) -> (&TrainingJob, Result<StepReport, SimError>) {
         let ctx = self.ctx;
-        ctx.charge(1);
+        charge(1);
         let system = ctx.system(point.system);
         let job = job_for(&mut self.job, ctx, point);
         let mut simulate = || {

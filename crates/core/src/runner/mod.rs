@@ -25,7 +25,8 @@
 //!   [`ExperimentError::DependencyFailed`], and every independent
 //!   subgraph still completes (see [`ResilienceConfig`]). A failure is
 //!   final: every experiment is a pure function of its inputs, so a
-//!   second attempt would fail again;
+//!   second attempt would fail again. A step budget is metered per
+//!   attempt, on the thread that runs it, never in the shared [`Ctx`];
 //! * `execute_cached` — the resilient schedule behind `repro --report`
 //!   and `repro --csv`: it loads each output from the persistent result
 //!   cache and re-runs only the experiments missing one.
@@ -69,11 +70,11 @@ use mlperf_sim::engine::{SimError, Simulator, StepReport};
 use mlperf_sim::training::{train, TrainingOutcome};
 use mlperf_sim::TrainingJob;
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -260,20 +261,15 @@ type ScreenKey = (
 /// Shared execution context: the memo caches, the artifact store, and the
 /// cache counters. One `Ctx` spans one report (or one standalone
 /// experiment run); sharing it across experiments is what deduplicates
-/// their overlapping simulation points.
+/// their overlapping simulation points. It holds no step budget: the
+/// executor meters each experiment attempt, the query server each
+/// connection.
 pub struct Ctx {
     steps: ShardedCache<RunKey, Result<StepReport, SimError>>,
     kernels: ShardedCache<KernelKey, Result<WorkloadRun, SimError>>,
     artifacts: Mutex<HashMap<&'static str, Artifact>>,
     uncached: AtomicU64,
     memoize: bool,
-    /// Armed per worker thread by the executor around each experiment
-    /// attempt; every simulation request charges one unit against it.
-    budgets: Mutex<HashMap<ThreadId, BudgetCell>>,
-    /// Sticky flag: set the first time any thread arms a budget, never
-    /// cleared. Lets [`Ctx::charge`] skip the budget lock entirely in
-    /// the common budget-free case (it runs once per priced sweep cell).
-    budget_armed: AtomicBool,
     /// Interned platform specs, built on first use: building a
     /// [`SystemSpec`] and routing its topology must not repeat per cell.
     /// Lock-free to read, so sweep workers share nothing but the spec.
@@ -300,28 +296,6 @@ pub struct Ctx {
     runs: u32,
 }
 
-/// One armed step budget (see [`Ctx::charge`]).
-#[derive(Debug, Clone, Copy)]
-struct BudgetCell {
-    used: u64,
-    budget: u64,
-}
-
-/// RAII guard of [`Ctx::suspend_budget`]: re-arms the suspended budget
-/// cell (units charged included) when dropped, panic or not.
-pub(crate) struct BudgetSuspension<'a> {
-    ctx: &'a Ctx,
-    cell: Option<BudgetCell>,
-}
-
-impl Drop for BudgetSuspension<'_> {
-    fn drop(&mut self) {
-        if let Some(cell) = self.cell.take() {
-            lock(&self.ctx.budgets).insert(std::thread::current().id(), cell);
-        }
-    }
-}
-
 impl Ctx {
     /// A fresh memoizing context at the default knobs; it reads no
     /// environment, so it prices one run per cell unless
@@ -343,8 +317,6 @@ impl Ctx {
             artifacts: Mutex::new(HashMap::new()),
             uncached: AtomicU64::new(0),
             memoize: true,
-            budgets: Mutex::new(HashMap::new()),
-            budget_armed: AtomicBool::new(false),
             systems: [const { OnceLock::new() }; SYSTEM_SLOTS],
             templates: [const { OnceLock::new() }; TEMPLATE_SLOTS],
             fastpath: true,
@@ -487,74 +459,6 @@ impl Ctx {
         Lane::new(self).step_and_outcome(point)
     }
 
-    /// Arm a cooperative step budget for the calling thread: subsequent
-    /// simulation requests from this thread charge against it until
-    /// [`Ctx::disarm_budget`]. `pub(crate)` for the serve layer, which
-    /// arms one budget per client connection.
-    pub(crate) fn arm_budget(&self, budget: u64) {
-        self.budget_armed.store(true, Ordering::Relaxed);
-        lock(&self.budgets).insert(std::thread::current().id(), BudgetCell { used: 0, budget });
-    }
-
-    /// Disarm the calling thread's budget, returning the units charged.
-    pub(crate) fn disarm_budget(&self) -> u64 {
-        lock(&self.budgets)
-            .remove(&std::thread::current().id())
-            .map_or(0, |c| c.used)
-    }
-
-    /// Re-limit the calling thread's armed budget, keeping the units
-    /// already charged (the serve layer's per-request `budget` override:
-    /// the client's spend so far stays on the meter). Arms a fresh budget
-    /// if none is active.
-    pub(crate) fn set_budget_limit(&self, budget: u64) {
-        self.budget_armed.store(true, Ordering::Relaxed);
-        lock(&self.budgets)
-            .entry(std::thread::current().id())
-            .and_modify(|c| c.budget = budget)
-            .or_insert(BudgetCell { used: 0, budget });
-    }
-
-    /// Suspend the calling thread's budget until the guard drops. The
-    /// serve layer charges a query's whole cost up front (one unit per
-    /// cell, `len()` units per sweep) on the connection thread, then
-    /// prices under this guard — so a cell priced inline (coalesce miss,
-    /// or a single-worker pool running sweep cells on the caller) cannot
-    /// double-charge the client, and the budget verdict stays a pure
-    /// function of the client's own query sequence at any worker count.
-    pub(crate) fn suspend_budget(&self) -> BudgetSuspension<'_> {
-        let cell = lock(&self.budgets).remove(&std::thread::current().id());
-        BudgetSuspension { ctx: self, cell }
-    }
-
-    /// Cooperative budget checkpoint: charge `n` simulation requests
-    /// against the calling thread's armed budget, if any. Budgets count
-    /// requests — not wall-clock — so the verdict is a pure function of
-    /// the experiment, identical for any worker count or cache state.
-    ///
-    /// # Panics
-    ///
-    /// Throws a [`BudgetExceeded`] payload (via [`std::panic::panic_any`])
-    /// when the budget trips; the executor's unwind boundary downcasts it
-    /// into [`ExperimentError::DeadlineExceeded`].
-    pub fn charge(&self, n: u64) {
-        if !self.budget_armed.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut budgets = lock(&self.budgets);
-        if let Some(cell) = budgets.get_mut(&std::thread::current().id()) {
-            cell.used += n;
-            if cell.used > cell.budget {
-                let exceeded = BudgetExceeded {
-                    used: cell.used,
-                    budget: cell.budget,
-                };
-                drop(budgets);
-                std::panic::panic_any(exceeded);
-            }
-        }
-    }
-
     /// Roofline pre-screen for the analytic fast path: worth attempting
     /// only when the template's device time (lower-bounded by the
     /// attainable roof) can plausibly cover the host's per-iteration feed
@@ -676,7 +580,7 @@ impl Ctx {
                 ))
             }
             WorkloadSpec::DeepBench(id) => {
-                self.charge(1);
+                charge(1);
                 let compute = || workloads::deepbench(id, self.system(system), gpus);
                 if !self.memoize {
                     self.uncached.fetch_add(1, Ordering::Relaxed);
@@ -701,7 +605,7 @@ impl Ctx {
         job: &TrainingJob,
         gpus: u32,
     ) -> Result<TrainingOutcome, SimError> {
-        self.charge(1);
+        charge(1);
         self.uncached.fetch_add(1, Ordering::Relaxed);
         let spec = self.system(system);
         train(&Simulator::new(spec), job, Ctx::ordinals(spec, gpus))
@@ -1122,17 +1026,68 @@ fn degraded_section(e: &dyn Experiment, err: &ExperimentError) -> String {
     )
 }
 
-/// One isolated run of an experiment: chaos injection, the budget window,
-/// and the unwind boundary that converts panics and budget trips into
-/// typed errors.
+/// A step budget and the simulation requests charged against it. Budgets
+/// count requests, not wall-clock, so a verdict is a pure function of the
+/// requests made, the same at any worker count or cache state. The
+/// executor meters each experiment attempt; the query server meters each
+/// connection.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Meter {
+    /// Requests charged so far.
+    pub(crate) used: u64,
+    /// The limit `used` may reach.
+    pub(crate) budget: u64,
+}
+
+impl Meter {
+    /// Charge `n` requests; the reading once the spend exceeds the budget.
+    pub(crate) fn charge(&mut self, n: u64) -> Result<(), BudgetExceeded> {
+        self.used += n;
+        if self.used > self.budget {
+            return Err(BudgetExceeded {
+                used: self.used,
+                budget: self.budget,
+            });
+        }
+        Ok(())
+    }
+}
+
+thread_local! {
+    /// The meter of the experiment attempt running on this thread, when
+    /// its run has a step budget (armed and cleared by
+    /// [`attempt_experiment`]).
+    static METER: Cell<Option<Meter>> = const { Cell::new(None) };
+}
+
+/// Charge `n` simulation requests against the meter of the experiment
+/// attempt running on this thread, if it has one.
+///
+/// # Panics
+///
+/// Unwinds with a [`BudgetExceeded`] payload when the budget trips, which
+/// [`attempt_experiment`] turns into [`ExperimentError::DeadlineExceeded`].
+/// The unwind skips the panic hook: a trip is a verdict, not a bug, so it
+/// prints no panic report.
+fn charge(n: u64) {
+    if let Some(mut meter) = METER.get() {
+        let verdict = meter.charge(n);
+        METER.set(Some(meter));
+        if let Err(trip) = verdict {
+            resume_unwind(Box::new(trip));
+        }
+    }
+}
+
+/// One isolated run of an experiment: chaos injection, the step budget's
+/// meter, and the unwind boundary that converts panics and budget trips
+/// into typed errors.
 fn attempt_experiment(
     e: &dyn Experiment,
     ctx: &Ctx,
     cfg: &ResilienceConfig,
 ) -> Result<String, ExperimentError> {
-    if let Some(budget) = cfg.step_budget {
-        ctx.arm_budget(budget);
-    }
+    METER.set(cfg.step_budget.map(|budget| Meter { used: 0, budget }));
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         // The injection panics *inside* the unwind boundary so chaos runs
         // exercise exactly the conversion path a real panic would take.
@@ -1141,27 +1096,19 @@ fn attempt_experiment(
         }
         e.run(ctx)
     }));
-    if cfg.step_budget.is_some() {
-        ctx.disarm_budget();
-    }
+    METER.set(None);
     match outcome {
         Ok(Ok(artifact)) => {
             ctx.store_artifact(e.id(), artifact.clone());
             Ok(e.render(&artifact))
         }
         Ok(Err(err)) => Err(err),
-        Err(payload) => {
-            if let Some(b) = payload.downcast_ref::<BudgetExceeded>() {
-                Err(ExperimentError::DeadlineExceeded {
-                    used: b.used,
-                    budget: b.budget,
-                })
-            } else {
-                Err(ExperimentError::Panicked {
-                    message: panic_message(payload.as_ref()),
-                })
-            }
-        }
+        Err(payload) => match payload.downcast::<BudgetExceeded>() {
+            Ok(trip) => Err((*trip).into()),
+            Err(payload) => Err(ExperimentError::Panicked {
+                message: panic_message(payload.as_ref()),
+            }),
+        },
     }
 }
 

@@ -16,22 +16,23 @@
 //!   once. This lifts the runner's `InFlight`/`Ready` slot machinery
 //!   ([`ShardedCache`]) to the request layer: the coalescing key is the
 //!   FNV-1a hash of the query's canonical bytes (request hash = cache
-//!   key), and the value is the *encoded outcome bytes* — the same
-//!   `ok v1`/`err v1` encoding the disk cache stores, so an error is
-//!   coalesced as the error it is, never re-minted as a success.
+//!   key), and the value is the cell's typed outcome, so an error is
+//!   coalesced as the error it is, never re-minted as a success. Every
+//!   answer's frame is built from that value.
 //! * **Admission control** — a fixed number of active query slots
 //!   (default: the pool's worker count) plus a bounded wait queue;
 //!   overflow gets a typed `busy` response instead of an unbounded pile
 //!   of blocked threads.
 //! * **Budgets** — `MLPERF_STEP_BUDGET` (or the per-request `budget`
-//!   override) arms a per-connection meter. Each query charges its whole
-//!   cost up front on the connection thread — one unit per cell, `len()`
-//!   units per sweep — and pricing then runs unmetered (a cell inline
-//!   with the connection's budget suspended, a sweep on the pool's
-//!   workers), so pricing can never double-charge and the verdict is a
-//!   pure function of the client's own query sequence: invariant across
-//!   `MLPERF_JOBS`, cache state, and whoever else is hammering the
-//!   server.
+//!   override) arms a meter that each connection keeps for itself; a
+//!   later override re-limits it and keeps what was spent. Each query
+//!   charges its whole cost up front, after admission — one unit per
+//!   cell, `len()` units per sweep — and an over-budget query is answered
+//!   `deadline-exceeded` without pricing anything. Pricing itself is
+//!   unmetered (a coalescing miss inline on the connection thread, a
+//!   sweep on the pool's workers), so the verdict is a pure function of
+//!   the client's own query sequence: invariant across `MLPERF_JOBS`,
+//!   cache state, and whoever else is hammering the server.
 //! * **Degraded responses** — every failure is a typed error frame on
 //!   the PR-4 [`ExperimentError`]/`CellError` vocabulary; a poisoned
 //!   query unwinds into an `error` response at the per-request
@@ -55,10 +56,8 @@
 pub mod protocol;
 
 use crate::config::Config;
-use crate::runner::{
-    panic_payload_message, BudgetExceeded, Ctx, ExperimentError, Lane, Pool, ShardedCache,
-};
-use crate::sweep::{self, registry, CellError, CellKind, CellSpec, DiskCache};
+use crate::runner::{panic_payload_message, Ctx, ExperimentError, Lane, Meter, Pool, ShardedCache};
+use crate::sweep::{self, registry, CellError, CellKind, CellSpec, CellValue, DiskCache};
 use mlperf_testkit::hash::fnv1a64;
 use protocol::{QueryV1, Request, BAD_REQUEST};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -238,9 +237,10 @@ pub struct Server {
     ctx: Ctx,
     pool: Pool,
     cache: Option<DiskCache>,
-    /// Request-layer coalescing: canonical-query-bytes hash → encoded
-    /// outcome bytes (the disk cache's `ok v1`/`err v1` encoding).
-    coalesce: ShardedCache<u64, Vec<u8>>,
+    /// Request-layer coalescing: canonical-query-bytes hash → the cell's
+    /// typed outcome. The error is boxed so that every slot stays as
+    /// narrow as a value's `Vec`.
+    coalesce: ShardedCache<u64, Result<CellValue, Box<CellError>>>,
     admission: Admission,
     default_budget: Option<u64>,
     shard: usize,
@@ -350,10 +350,6 @@ impl Server {
                     Ok(stream) => {
                         scope.spawn(move || {
                             let _ = self.handle(stream);
-                            // One thread per connection: drop this
-                            // thread's budget meter so the map does not
-                            // grow with connection count.
-                            self.ctx.disarm_budget();
                         });
                     }
                     Err(e) => return Err(e),
@@ -400,6 +396,8 @@ impl Server {
         let mut reader =
             BoundedLineReader::new(stream.try_clone()?, self.max_frame, self.read_timeout);
         let mut writer = BufWriter::new(FrameWriter { inner: stream });
+        // The connection's step budget, armed by its first budgeted query.
+        let mut meter = None;
         loop {
             let line = match reader.next_line() {
                 Ok(Some(line)) => line,
@@ -444,10 +442,12 @@ impl Server {
             if line.trim().is_empty() {
                 continue;
             }
-            let answered = self.respond(&line, &mut writer).and_then(|action| {
-                writer.flush()?;
-                Ok(action)
-            });
+            let answered = self
+                .respond(&line, &mut meter, &mut writer)
+                .and_then(|action| {
+                    writer.flush()?;
+                    Ok(action)
+                });
             match answered {
                 Ok(Action::Shutdown) => {
                     // Unblock the accept loop so `run` can observe the flag.
@@ -476,16 +476,20 @@ impl Server {
         Ok(())
     }
 
-    /// Answer one request line. Everything below the admission gate runs
-    /// inside a catch-unwind boundary: a budget trip becomes a typed
-    /// `deadline-exceeded` frame, any other panic a `panicked` frame, and
-    /// the connection (and server) live on.
-    fn respond(&self, line: &str, out: &mut dyn Write) -> io::Result<Action> {
+    /// Answer one request line, charging `meter`, the connection's step
+    /// budget. Everything below the admission gate runs inside a
+    /// catch-unwind boundary: a panic becomes a typed `panicked` frame,
+    /// and the connection (and server) live on.
+    fn respond(
+        &self,
+        line: &str,
+        meter: &mut Option<Meter>,
+        out: &mut dyn Write,
+    ) -> io::Result<Action> {
         let req = match protocol::parse_request(line) {
             Ok(req) => req,
             Err((id, msg)) => {
-                self.error_responses.fetch_add(1, Ordering::Relaxed);
-                out.write_all(protocol::error_frame(&id, BAD_REQUEST, &msg).as_bytes())?;
+                self.error(out, &id, BAD_REQUEST, &msg)?;
                 return Ok(Action::Continue);
             }
         };
@@ -508,15 +512,7 @@ impl Server {
             QueryV1::Cell(_) | QueryV1::Sweep(_) => {
                 if self.shutdown.load(Ordering::SeqCst) {
                     self.drained.fetch_add(1, Ordering::Relaxed);
-                    self.error_responses.fetch_add(1, Ordering::Relaxed);
-                    out.write_all(
-                        protocol::error_frame(
-                            &req.id,
-                            protocol::SHUTTING_DOWN,
-                            "server is draining",
-                        )
-                        .as_bytes(),
-                    )?;
+                    self.error(out, &req.id, protocol::SHUTTING_DOWN, "server is draining")?;
                     return Ok(Action::Drained);
                 }
                 let Some(_ticket) = self.admission.admit() else {
@@ -525,26 +521,14 @@ impl Server {
                     return Ok(Action::Continue);
                 };
                 if let Some(budget) = req.budget.or(self.default_budget) {
-                    self.ctx.set_budget_limit(budget);
+                    // A re-limit keeps what the connection already spent.
+                    meter.get_or_insert(Meter { used: 0, budget }).budget = budget;
                 }
-                match catch_unwind(AssertUnwindSafe(|| self.execute(&req, out))) {
+                match catch_unwind(AssertUnwindSafe(|| self.execute(&req, meter, out))) {
                     Ok(io_result) => io_result?,
                     Err(payload) => {
-                        self.error_responses.fetch_add(1, Ordering::Relaxed);
-                        let frame = if let Some(b) = payload.downcast_ref::<BudgetExceeded>() {
-                            let e = ExperimentError::DeadlineExceeded {
-                                used: b.used,
-                                budget: b.budget,
-                            };
-                            protocol::error_frame(&req.id, e.kind(), &e.to_string())
-                        } else {
-                            protocol::error_frame(
-                                &req.id,
-                                "panicked",
-                                &panic_payload_message(payload.as_ref()),
-                            )
-                        };
-                        out.write_all(frame.as_bytes())?;
+                        let message = panic_payload_message(payload.as_ref());
+                        self.error(out, &req.id, "panicked", &message)?;
                     }
                 }
                 Ok(Action::Continue)
@@ -552,18 +536,38 @@ impl Server {
         }
     }
 
-    fn execute(&self, req: &Request, out: &mut dyn Write) -> io::Result<()> {
+    /// Write a terminal error frame and count it.
+    fn error(&self, out: &mut dyn Write, id: &str, kind: &str, message: &str) -> io::Result<()> {
+        self.error_responses.fetch_add(1, Ordering::Relaxed);
+        out.write_all(protocol::error_frame(id, kind, message).as_bytes())
+    }
+
+    fn execute(
+        &self,
+        req: &Request,
+        meter: &mut Option<Meter>,
+        out: &mut dyn Write,
+    ) -> io::Result<()> {
         match &req.query {
-            QueryV1::Cell(spec) => self.execute_cell(req, spec, out),
-            QueryV1::Sweep(name) => self.execute_sweep(req, name, out),
+            QueryV1::Cell(spec) => self.execute_cell(req, spec, meter, out),
+            QueryV1::Sweep(name) => self.execute_sweep(req, name, meter, out),
             QueryV1::Ping | QueryV1::Shutdown => unreachable!("answered before admission"),
         }
     }
 
-    fn execute_cell(&self, req: &Request, spec: &CellSpec, out: &mut dyn Write) -> io::Result<()> {
-        // The whole cost, up front, on the connection thread: the budget
-        // verdict must not depend on coalescing or cache state.
-        self.ctx.charge(1);
+    fn execute_cell(
+        &self,
+        req: &Request,
+        spec: &CellSpec,
+        meter: &mut Option<Meter>,
+        out: &mut dyn Write,
+    ) -> io::Result<()> {
+        // The whole cost, up front: the budget verdict must not depend on
+        // coalescing or cache state.
+        if let Some(Err(trip)) = meter.as_mut().map(|m| m.charge(1)) {
+            let e = ExperimentError::from(trip);
+            return self.error(out, &req.id, e.kind(), &e.to_string());
+        }
         // Cheap typed admission for whole-device training cells: the
         // engine's preflight runs exactly the checks pricing runs first,
         // so rejecting here produces the error bytes the priced path
@@ -575,59 +579,45 @@ impl Server {
                 .point()
                 .and_then(|point| self.ctx.preflight(&point).map_err(CellError::from_sim));
             if let Err(err) = admitted {
-                self.error_responses.fetch_add(1, Ordering::Relaxed);
-                return out
-                    .write_all(protocol::error_frame(&req.id, &err.kind, &err.message).as_bytes());
+                return self.error(out, &req.id, &err.kind, &err.message);
             }
         }
         let key = fnv1a64(&req.canonical_bytes());
-        let bytes = self.coalesce.get_or_compute(key, || {
-            // Pricing must not double-charge the client (the coalesce
-            // miss runs inline on this thread) and must not charge a
-            // *different* client whose identical query got here first.
-            let _quiet = self.ctx.suspend_budget();
+        let outcome = self.coalesce.get_or_compute(key, || {
             let mut lane = Lane::new(&self.ctx);
             let (outcome, _) = sweep::run_cell(&mut lane, spec, self.cache.as_ref());
-            sweep::encode_outcome(&outcome.map_err(CellError::from))
+            outcome.map_err(|e| Box::new(CellError::from(e)))
         });
-        let frame = match sweep::decode_outcome(
-            spec.kind,
-            sweep::effective_runs(&self.ctx, spec),
-            &bytes,
-        ) {
-            Some(Ok(value)) => {
+        match outcome {
+            Ok(value) => {
                 self.ok_responses.fetch_add(1, Ordering::Relaxed);
-                protocol::cell_ok_frame(&req.id, spec.kind, value.values())
+                let frame = protocol::cell_ok_frame(&req.id, spec.kind, value.values());
+                out.write_all(frame.as_bytes())
             }
-            Some(Err(e)) => {
-                self.error_responses.fetch_add(1, Ordering::Relaxed);
-                protocol::error_frame(&req.id, &e.kind, &e.message)
-            }
-            None => {
-                self.error_responses.fetch_add(1, Ordering::Relaxed);
-                protocol::error_frame(&req.id, "panicked", "malformed coalesced outcome")
-            }
-        };
-        out.write_all(frame.as_bytes())
+            // One line, as the disk cache's `err v1` entry spells it.
+            Err(e) => self.error(out, &req.id, &e.kind, &e.message.replace('\n', " ")),
+        }
     }
 
-    fn execute_sweep(&self, req: &Request, name: &str, out: &mut dyn Write) -> io::Result<()> {
+    fn execute_sweep(
+        &self,
+        req: &Request,
+        name: &str,
+        meter: &mut Option<Meter>,
+        out: &mut dyn Write,
+    ) -> io::Result<()> {
         let Some(spec) = registry().into_iter().find(|s| s.name == name) else {
-            self.error_responses.fetch_add(1, Ordering::Relaxed);
             let names: Vec<&str> = registry().iter().map(|s| s.name).collect();
-            return out.write_all(
-                protocol::error_frame(
-                    &req.id,
-                    BAD_REQUEST,
-                    &format!("unknown sweep '{name}' (registered: {})", names.join(", ")),
-                )
-                .as_bytes(),
-            );
+            let message = format!("unknown sweep '{name}' (registered: {})", names.join(", "));
+            return self.error(out, &req.id, BAD_REQUEST, &message);
         };
         // Whole sweep cost up front; the cells themselves then price on
-        // the pool's workers, which carry no meter (this thread only
-        // appends their rendered rows).
-        self.ctx.charge(spec.len() as u64);
+        // the pool's workers, unmetered (this thread only appends their
+        // rendered rows).
+        if let Some(Err(trip)) = meter.as_mut().map(|m| m.charge(spec.len() as u64)) {
+            let e = ExperimentError::from(trip);
+            return self.error(out, &req.id, e.kind(), &e.to_string());
+        }
         let mut framer = ShardFramer::new(out, &req.id, spec.name, spec.len(), self.shard);
         let summary = sweep::run_streamed(
             &self.pool,

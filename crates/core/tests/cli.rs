@@ -112,3 +112,40 @@ fn sweep_takes_its_run_count_from_the_environment() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A step budget degrades exactly the experiments that overspend it:
+/// `repro` exits 2 and names each trip on stderr as a typed failure. A
+/// trip is not a bug, so it prints no panic report.
+#[test]
+fn a_step_budget_trip_degrades_without_a_panic_report() {
+    let dir = std::env::temp_dir().join(format!("mlperf_cli_budget_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+    for (key, _) in std::env::vars_os() {
+        if key.to_string_lossy().starts_with("MLPERF_") {
+            cmd.env_remove(key);
+        }
+    }
+    let out = cmd
+        .env("MLPERF_STEP_BUDGET", "40")
+        .args(["--no-cache", "--report"])
+        .arg(dir.join("report.md"))
+        .output()
+        .expect("repro starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let degraded: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("degraded: "))
+        .collect();
+    assert_eq!(degraded.len(), 2, "{stderr}");
+    for (line, id) in degraded.iter().zip(["sensitivity", "fault_study"]) {
+        assert!(
+            line.starts_with(&format!("degraded: {id} "))
+                && line.ends_with(" step budget exceeded: 41 of 40 simulation requests"),
+            "{stderr}"
+        );
+    }
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

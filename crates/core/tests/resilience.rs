@@ -11,8 +11,7 @@
 use mlperf_hw::SystemId;
 use mlperf_sim::SimError;
 use mlperf_suite::runner::{
-    self, Artifact, BudgetExceeded, Ctx, Experiment, ExperimentError, Pool, ResilienceConfig,
-    TrainPoint,
+    self, Artifact, Ctx, Experiment, ExperimentError, Pool, ResilienceConfig, TrainPoint,
 };
 use mlperf_suite::{csv_export, report_gen, BenchmarkId};
 use mlperf_testkit::chaos::{ChaosAction, ChaosPlan};
@@ -36,7 +35,7 @@ fn quiet_chaos_panics() {
                 .map(String::as_str)
                 .or_else(|| info.payload().downcast_ref::<&str>().copied())
                 .unwrap_or("");
-            if !msg.contains("chaos") && !info.payload().is::<BudgetExceeded>() {
+            if !msg.contains("chaos") {
                 prev(info);
             }
         }));
@@ -518,6 +517,45 @@ fn step_budget_trips_deterministically_and_is_typed() {
         ..ResilienceConfig::resilient()
     };
     assert!(!run(&generous).degraded(), "a generous budget must pass");
+}
+
+#[test]
+fn a_step_budget_never_outlives_its_attempt() {
+    quiet_chaos_panics();
+    // One worker: the calling thread runs every attempt itself.
+    let pool = Pool::with_workers(1);
+    let ctx = Ctx::new();
+    let experiments: [&dyn Experiment; 1] = [&SweepExp];
+    let tight = ResilienceConfig {
+        step_budget: Some(3),
+        ..ResilienceConfig::resilient()
+    };
+    let tripped = runner::execute_resilient(&pool, &ctx, &experiments, &tight);
+    assert_eq!(
+        tripped.failures[0].error,
+        ExperimentError::DeadlineExceeded { used: 4, budget: 3 }
+    );
+    let chaos = ResilienceConfig {
+        chaos: Some("syn-sweep".to_string()),
+        ..tight.clone()
+    };
+    let panicked = runner::execute_resilient(&pool, &ctx, &experiments, &chaos);
+    assert!(
+        matches!(panicked.failures[0].error, ExperimentError::Panicked { .. }),
+        "{}",
+        panicked.failures[0].error
+    );
+    // Five requests on this thread, outside any attempt, against a budget
+    // of three: the meter of neither attempt may still be armed.
+    for ctx in [&ctx, &Ctx::new()] {
+        let priced = std::panic::catch_unwind(|| {
+            for gpus in 1..=5u32 {
+                let point = TrainPoint::new(BenchmarkId::MlpfRes50Mx, SystemId::Dss8440, gpus);
+                let _ = ctx.step(&point);
+            }
+        });
+        assert!(priced.is_ok(), "a step budget outlived its attempt");
+    }
 }
 
 /// Always panics, counting how often it is entered.

@@ -291,6 +291,88 @@ fn per_connection_budgets_trip_deterministically() {
 }
 
 #[test]
+fn a_connection_meter_charges_each_query_up_front_and_keeps_its_spend() {
+    const CELL: &str = r#""kind":"cell","workload":"MLPf_NCF_Py","system":"DSS_8440","gpus":1"#;
+    let cell = |id: &str, budget: Option<u64>| match budget {
+        Some(b) => format!(r#"{{"v":1,"id":"{id}",{CELL},"budget":{b}}}"#),
+        None => format!(r#"{{"v":1,"id":"{id}",{CELL}}}"#),
+    };
+    let sweep = |id: &str, name: &str, budget: u64| {
+        format!(r#"{{"v":1,"id":"{id}","kind":"sweep","sweep":"{name}","budget":{budget}}}"#)
+    };
+    let ping = |id: &str| format!(r#"{{"v":1,"id":"{id}","kind":"ping"}}"#);
+    let exceeded = |id: &str, used: u64, budget: u64| {
+        protocol::error_frame(
+            id,
+            "deadline-exceeded",
+            &format!("step budget exceeded: {used} of {budget} simulation requests"),
+        )
+        .trim_end()
+        .to_string()
+    };
+    // One connection per client, all on one server.
+    let clients = [
+        // The 15-cell fault_ttt sweep fits a budget of 15 exactly ...
+        vec![sweep("fit", "fault_ttt", 15)],
+        // ... and trips a budget of 14 before any row is streamed.
+        vec![sweep("over", "fault_ttt", 14)],
+        // An unknown sweep is refused before it is charged, so the next
+        // cell still fits the budget of one it armed.
+        vec![sweep("nope", "nope", 1), cell("after-nope", None)],
+        // A re-limit keeps what the connection spent, and a query without
+        // a budget keeps the last limit.
+        vec![
+            cell("a", Some(2)),
+            cell("b", Some(2)),
+            cell("c", Some(5)),
+            cell("d", None),
+            cell("e", None),
+            cell("f", None),
+        ],
+        // A ping charges nothing.
+        vec![
+            cell("g", Some(2)),
+            ping("p1"),
+            ping("p2"),
+            cell("h", None),
+            cell("i", None),
+        ],
+    ];
+    let opts = ServeOptions {
+        socket: sock("budget_meter"),
+        ..ServeOptions::default()
+    };
+    let (transcripts, _) = serve_workload(&test_config(2), &opts, &clients);
+    let frames: Vec<Vec<String>> = transcripts
+        .into_iter()
+        .map(|t| {
+            let text = String::from_utf8(t).unwrap();
+            text.lines().map(str::to_string).collect()
+        })
+        .collect();
+    let ok = |frame: &str| frame.contains("\"status\":\"ok\"");
+
+    let fit = &frames[0];
+    assert!(fit[0].contains("\"status\":\"stream\""), "{fit:?}");
+    assert_eq!(
+        fit.last().unwrap(),
+        protocol::done_frame("fit", 15, 0).trim_end(),
+        "{fit:?}"
+    );
+    assert_eq!(frames[1], [exceeded("over", 15, 14)]);
+    let nope = &frames[2];
+    assert!(nope[0].contains("\"kind\":\"bad-request\""), "{nope:?}");
+    assert!(ok(&nope[1]), "{nope:?}");
+    let relimited = &frames[3];
+    assert!(relimited[..5].iter().all(|f| ok(f)), "{relimited:?}");
+    assert_eq!(relimited[5], exceeded("f", 6, 5));
+    let pinged = &frames[4];
+    assert!(ok(&pinged[0]) && ok(&pinged[3]), "{pinged:?}");
+    assert_eq!(pinged[1], protocol::pong_frame("p1").trim_end());
+    assert_eq!(pinged[4], exceeded("i", 3, 2));
+}
+
+#[test]
 fn partition_queries_price_normalize_and_reject_through_the_server() {
     // Batch 16 fits the quarter slice (the default batch OOMs it).
     const CELL: &str =

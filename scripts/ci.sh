@@ -339,6 +339,90 @@ MLPERF_STRICT=1 cargo run -q --release --offline -p mlperf-suite --bin repro -- 
 diff -r -x cache -x sweeps artifacts "$report_tmp/strict_csv" \
     || { echo "strict CSV export differs from the committed artifacts/" >&2; exit 1; }
 
+echo "== budget gate: step budgets trip typed, replay, and print no panic report =="
+# MLPERF_STEP_BUDGET meters each experiment attempt (DESIGN.md "Executor
+# failure model") and each serve connection ("Admission & budgets"). A
+# trip is a typed verdict, not a bug: the report degrades exactly the
+# experiments that overspend, at any worker count, and no trip writes a
+# panic report to stderr.
+for jobs in 1 4; do
+    set +e
+    MLPERF_JOBS=$jobs MLPERF_STEP_BUDGET=40 cargo run -q --release --offline -p mlperf-suite \
+        --bin repro -- --no-cache --report "$report_tmp/budget_j$jobs.md" \
+        >/dev/null 2>"$report_tmp/budget_j$jobs.log"
+    budget_status=$?
+    set -e
+    [ "$budget_status" -eq 2 ] \
+        || { echo "budgeted report (MLPERF_JOBS=$jobs) must exit 2 (degraded), got $budget_status" >&2; exit 1; }
+    if grep -q "panicked at" "$report_tmp/budget_j$jobs.log"; then
+        echo "a budget trip printed a panic report (MLPERF_JOBS=$jobs)" >&2
+        cat "$report_tmp/budget_j$jobs.log" >&2
+        exit 1
+    fi
+done
+diff -u "$report_tmp/budget_j1.md" "$report_tmp/budget_j4.md" \
+    || { echo "budgeted report bytes depend on MLPERF_JOBS" >&2; exit 1; }
+for id in sensitivity fault_study; do
+    grep -q "^| $id *| step budget exceeded: 41 of 40 simulation requests |" "$report_tmp/budget_j1.md" \
+        || { echo "failure appendix lacks the $id budget trip (41 of 40)" >&2; exit 1; }
+done
+# A daemon with a two-request budget per connection: the meter charges
+# every query up front (a cell 1, a sweep its 15 cells), keeps its spend
+# across a per-request re-limit, and ignores pings.
+budget_sock="$report_tmp/serve_budget.sock"
+cat > "$report_tmp/budget_mix.ndjson" <<'EOF'
+{"v":1,"id":"c1","kind":"cell","workload":"MLPf_NCF_Py","system":"DSS_8440","gpus":1}
+{"v":1,"id":"c1","kind":"cell","workload":"MLPf_NCF_Py","system":"DSS_8440","gpus":1}
+{"v":1,"id":"c2","kind":"cell","workload":"MLPf_NCF_Py","system":"DSS_8440","gpus":2}
+{"v":1,"id":"sw","kind":"sweep","sweep":"fault_ttt"}
+{"v":1,"id":"p","kind":"ping"}
+{"v":1,"id":"sw100","kind":"sweep","sweep":"fault_ttt","budget":100}
+EOF
+MLPERF_STEP_BUDGET=2 cargo run -q --release --offline -p mlperf-suite --bin repro -- \
+    --no-cache serve --socket "$budget_sock" 2>"$report_tmp/serve_budget.log" &
+budget_pid=$!
+for _ in $(seq 1 100); do
+    [ -S "$budget_sock" ] && break
+    kill -0 "$budget_pid" 2>/dev/null \
+        || { echo "budget daemon died before binding" >&2; cat "$report_tmp/serve_budget.log" >&2; exit 1; }
+    sleep 0.1
+done
+[ -S "$budget_sock" ] || { echo "budget daemon never bound $budget_sock" >&2; exit 1; }
+for run in a b; do
+    cargo run -q --release --offline -p mlperf-suite --bin repro -- \
+        query --socket "$budget_sock" < "$report_tmp/budget_mix.ndjson" > "$report_tmp/budget_$run.ndjson"
+done
+diff -u "$report_tmp/budget_a.ndjson" "$report_tmp/budget_b.ndjson" \
+    || { echo "budgeted serve replay is not byte-identical" >&2; exit 1; }
+budget_answers=(
+    '"id":"c1","status":"ok"'
+    '"id":"c1","status":"ok"'
+    '"id":"c2","status":"error","kind":"deadline-exceeded","message":"step budget exceeded: 3 of 2 simulation requests"'
+    '"id":"sw","status":"error","kind":"deadline-exceeded","message":"step budget exceeded: 18 of 2 simulation requests"'
+    '"id":"p","status":"ok","kind":"pong"'
+    '"id":"sw100","status":"stream"'
+    '"id":"sw100","status":"rows"'
+    '"id":"sw100","status":"done"'
+)
+[ "$(wc -l < "$report_tmp/budget_a.ndjson")" -eq "${#budget_answers[@]}" ] \
+    || { echo "budgeted serve replay answered the wrong number of frames" >&2; \
+         cat "$report_tmp/budget_a.ndjson" >&2; exit 1; }
+n=0
+for want in "${budget_answers[@]}"; do
+    n=$((n + 1))
+    sed -n "${n}p" "$report_tmp/budget_a.ndjson" | grep -qF "$want" \
+        || { echo "budgeted serve frame $n lacks $want" >&2; cat "$report_tmp/budget_a.ndjson" >&2; exit 1; }
+done
+echo '{"v":1,"id":"q","kind":"shutdown"}' | cargo run -q --release --offline -p mlperf-suite --bin repro -- \
+    query --socket "$budget_sock" >/dev/null
+wait "$budget_pid" \
+    || { echo "budget daemon did not exit cleanly after shutdown" >&2; cat "$report_tmp/serve_budget.log" >&2; exit 1; }
+if grep -q "panicked at" "$report_tmp/serve_budget.log"; then
+    echo "a serve budget trip printed a panic report" >&2
+    cat "$report_tmp/serve_budget.log" >&2
+    exit 1
+fi
+
 echo "== fault replay smoke: fixed seed, byte-identical twice =="
 # Two fresh processes replay the seeded fault study; the rendered trace
 # fingerprint and every digit must match byte for byte.
